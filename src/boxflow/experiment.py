@@ -32,11 +32,14 @@ from .flowlimit import twodim_flow, twodim_residual
 from .goodness import BoxRegion, integer_terms
 from .homspace import (
     CUSP_GUARD,
+    INDICATOR_BALL,
     PREC_TOL,
     TestFunction,
     haar_expectation,
+    indicator_ties,
     reduce_basis,
     siegel_batch,
+    siegel_count_exact,
     siegel_transform,
     sl2_lagrange,
     sl2_reduce_exact,
@@ -245,24 +248,39 @@ def certified_sl2_reduce(matrix, map_vars, pts: np.ndarray,
             flagged=int(idx.size), total=m,
         )
     for k in idx:
-        point = {v: Fraction(float(x)) for v, x in zip(map_vars, pts[k])}
-        b1[k], b2[k] = sl2_reduce_exact(matrix.evaluate_exact(point))
+        b1[k], b2[k] = sl2_reduce_exact(_exact_matrix(matrix, map_vars, pts[k]))
     return b1, b2, np.sqrt(np.sum(b1 * b1, axis=1)), int(idx.size)
+
+
+def _exact_matrix(matrix, map_vars, pt):
+    """The matrix at the float64 point pt, read as an exact dyadic rational,
+    in exact arithmetic."""
+    return matrix.evaluate_exact({v: Fraction(float(x)) for v, x in zip(map_vars, pt)})
 
 
 def _eval_chunk(args):
     """Shortest-vector lengths, observable values (one row per test
     function), cusp-exclusion flags and the number of exactly reduced
-    samples of one chunk, all from a single reduction per sample."""
+    samples of one chunk, all from a single reduction per sample.  In
+    dimension 2 the indicator counts the certified basis leaves in doubt
+    (``indicator_ties``) are recounted in exact arithmetic, so every count
+    is the exact lattice's."""
     (matrix, map_vars, region, grid, fs, start, stop, method, seed, limit) = args
     pts = _chunk_points(region, grid, start, stop, method, seed)
     m = pts.shape[0]
     values = np.zeros((len(fs), m))
     if matrix.dim == 2:
         b1, b2, lam1, flagged = certified_sl2_reduce(matrix, map_vars, pts, limit)
+        excluded = lam1 < CUSP_GUARD
         for i, f in enumerate(fs):
             values[i], _ = siegel_batch(b1, b2, lam1, f)
-        return lam1, values, lam1 < CUSP_GUARD, flagged
+            if f.kind == INDICATOR_BALL:
+                ties = indicator_ties(b1, b2, f.radius) & ~excluded
+                for k in np.nonzero(ties)[0]:
+                    values[i, k] = siegel_count_exact(
+                        _exact_matrix(matrix, map_vars, pts[k]), f.radius
+                    )
+        return lam1, values, excluded, flagged
     n = matrix.dim
     mats = np.empty((m, n, n))
     for i, row in enumerate(matrix.entries):

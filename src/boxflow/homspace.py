@@ -6,13 +6,16 @@ f(g v) for compactly supported radial f; their Haar integral is the
 plain integral of f over R^N, which gives the equidistribution
 experiments a closed-form reference.
 
-The batch helpers at the bottom vectorize the dimension-2 pipeline
-(reduction + enumeration) over large sample arrays; per-sample results
-are identical to the scalar path, which keeps grid averages independent
-of how work is partitioned.  The batch Lagrange reduction runs in float64
-or double-double arithmetic and carries a forward-error bound, so callers
+The batch helpers at the bottom vectorize the dimension-2 pipeline over
+large sample arrays.  The batch Lagrange reduction runs in float64 or
+double-double arithmetic and carries a forward-error bound, so callers
 can certify the reduced basis against ``PREC_TOL``; ``sl2_reduce_exact``
-is the exact rational last resort.
+is the exact rational last resort.  ``siegel_batch`` sums each observable
+in closed form over the rows of lattice vectors inside the ball, with no
+enumeration and no per-sample fallback: indicator counts equal the
+scalar path's, bump values agree with it to rounding.  ``indicator_ties``
+marks the counts that the certified basis's error could change, and
+``siegel_count_exact`` recounts them in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
 from .errors import CuspExcursionError, DeterminantError, DomainError
@@ -222,10 +224,10 @@ def haar_expectation(f: TestFunction, n: int) -> float:
         if n == 2:
             return math.pi * f.radius ** 2
         return 4.0 / 3.0 * math.pi * f.radius ** 3
-    surface = 2 * math.pi if n == 2 else 4 * math.pi
-    integrand = lambda r: float(f.profile(r)) * r ** (n - 1)
-    val, _ = quad(integrand, 0.0, f.radius, epsabs=1e-12, epsrel=1e-10)
-    return surface * val
+    # the bump (1 - (r/R)^2)^2 integrates to pi R^2/3 and 32 pi R^3/105
+    if n == 2:
+        return math.pi * f.radius ** 2 / 3.0
+    return 32.0 * math.pi * f.radius ** 3 / 105.0
 
 
 def haar_sample(n: int, seed: int) -> list:
@@ -259,11 +261,6 @@ def haar_sample(n: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 # vectorized dimension-2 pipeline
 # ---------------------------------------------------------------------------
-
-# sup of lambda_1 over unimodular planar lattices (Hermite's bound)
-_LAM1_MAX = (4.0 / 3.0) ** 0.25
-_EASY_LAM1 = 0.2
-
 
 def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     """Lagrange-reduce a batch of column pairs (u, v), carrying a
@@ -349,13 +346,13 @@ def sl2_reduce_batch(mats: np.ndarray):
     return u, v, np.sqrt(np.sum(u * u, axis=1))
 
 
-def sl2_reduce_exact(m):
+def _lagrange_exact(m):
     """Lagrange reduction in exact arithmetic of the column basis of a 2x2
-    matrix of rationals.  Returns the reduced columns (shortest first) as
-    float64 arrays, each entry the rounding of the exact one.
+    matrix of rationals.  Returns the reduced integer columns (u, v) of
+    D m, shortest first, and the common denominator D.
 
     The rounded quotient (u.v)/(u.u) is invariant under scaling, so the
-    reduction runs on the integer matrix D m, D the common denominator."""
+    reduction runs on the integer matrix D m."""
     den = math.lcm(*(Fraction(x).denominator for row in m for x in row))
     (a, b), (c, d) = ((int(Fraction(x) * den) for x in row) for row in m)
     u, v = (a, c), (b, d)
@@ -366,52 +363,122 @@ def sl2_reduce_exact(m):
             uu = u[0] * u[0] + u[1] * u[1]
         mu = (2 * (u[0] * v[0] + u[1] * v[1]) + uu) // (2 * uu)
         if mu == 0:
-            break
+            return u, v, den
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
+
+
+def sl2_reduce_exact(m):
+    """Exactly Lagrange-reduced columns (shortest first) of a 2x2 matrix of
+    rationals, as float64 arrays, each entry the rounding of the exact one."""
+    u, v, den = _lagrange_exact(m)
     return np.array([u[0] / den, u[1] / den]), np.array([v[0] / den, v[1] / den])
 
 
-def siegel_batch(b1: np.ndarray, b2: np.ndarray, lam1: np.ndarray, f: TestFunction):
-    """Siegel observable over a batch of reduced bases.
+def siegel_count_exact(m, radius: float) -> int:
+    """Nonzero vectors of norm at most ``radius`` in the column lattice of a
+    2x2 matrix of rationals, counted in integer arithmetic.
 
-    Samples with lambda_1 above a fixed threshold go through one shared
-    candidate grid of integer coefficient pairs; the rare near-cusp
-    samples fall back to the scalar enumeration.  Samples under the
-    enumeration guard are flagged excluded and contribute zero.
+    With (u, v) the reduced columns of D m, Gram entries a, b, c and
+    det = ac - b^2, the vector c1 u + c2 v lies in the ball of radius D R
+    iff (a c1 + b c2)^2 <= a (D R)^2 - det c2^2."""
+    u, v, den = _lagrange_exact(m)
+    a = u[0] * u[0] + u[1] * u[1]
+    b = u[0] * v[0] + u[1] * v[1]
+    det = a * (v[0] * v[0] + v[1] * v[1]) - b * b
+    r2 = (Fraction(radius) * den) ** 2
+    p, q = r2.numerator, r2.denominator
+    c2_max = math.isqrt(a * p // (q * det))
+    count = -1  # the origin
+    for c2 in range(-c2_max, c2_max + 1):
+        s = math.isqrt((a * p - q * det * c2 * c2) // q)
+        # c1 from ceil((-s - b c2)/a) to floor((s - b c2)/a)
+        count += (s - b * c2) // a + (s + b * c2) // a + 1
+    return count
+
+
+def _shape(b1, b2):
+    """|b1|^2, mu = b1.b2/|b1|^2 and the height h = |det(b1, b2)|/|b1| of b2
+    over the line of b1, per sample.  The height comes from the 2x2
+    determinant: |b1|^2 |b2|^2 - (b1.b2)^2 would cancel."""
+    b11 = np.sum(b1 * b1, axis=1)
+    h = np.abs(b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]) / np.sqrt(b11)
+    return b11, np.sum(b1 * b2, axis=1) / b11, h
+
+
+def _ball_rows(shape, r):
+    """The lattice vectors c1 b1 + c2 b2 of norm at most r, row by row.
+
+    |c1 b1 + c2 b2|^2 = |b1|^2 (c1 + c2 mu)^2 + (c2 h)^2, so for each c2 with
+    |c2| h <= r the c1 fill the interval of centre -c2 mu and half-width
+    sqrt(r^2 - (c2 h)^2)/|b1|.  Yields, for c2 = 0, 1, ..., the number n of
+    integers in it, the offset d of their midpoint from the centre, and
+    disc = r^2 - (c2 h)^2, per sample (r a scalar or one radius per
+    sample).  Row -c2 mirrors row c2 exactly, rounding included.  Every
+    step is monotone in r, so n never decreases as r grows."""
+    b11, mu, h = shape
+    norm1 = np.sqrt(b11)
+    r = np.broadcast_to(r, h.shape)
+    for c2 in range(int(np.max(r / h, initial=0.0)) + 1):
+        disc = r * r - (c2 * h) ** 2
+        centre = -c2 * mu
+        half = np.sqrt(np.maximum(disc, 0.0)) / norm1
+        lo = np.ceil(centre - half)
+        n = np.where(disc >= 0.0,
+                     np.maximum(np.floor(centre + half) - lo + 1.0, 0.0), 0.0)
+        yield c2, n, lo + (n - 1.0) / 2.0 - centre, disc
+
+
+def _ball_count(shape, r):
+    """Lattice vectors of norm at most r, the origin included."""
+    return sum(n if c2 == 0 else 2.0 * n for c2, n, _, _ in _ball_rows(shape, r))
+
+
+def siegel_batch(b1: np.ndarray, b2: np.ndarray, lam1: np.ndarray, f: TestFunction):
+    """Siegel observable over a batch of Lagrange-reduced bases, in closed
+    form over the rows of ``_ball_rows``.
+
+    The indicator adds up the rows' counts.  The bump sums, per row,
+    (A - B t^2)^2 over its n integers c1, with A = disc/R^2, B = |b1|^2/R^2
+    and t = c1 + c2 mu = s + d, s running over the n points centred on their
+    midpoint; the power sums of s are n(n^2 - 1)/12 and
+    n(n^2 - 1)(3n^2 - 7)/240, and the odd ones vanish.  Centring keeps
+    the terms of the size of the sum when lambda_1 is small.  Samples under
+    the enumeration guard are flagged excluded and contribute zero.
     """
-    m = b1.shape[0]
-    values = np.zeros(m)
     excluded = lam1 < CUSP_GUARD
-    easy = lam1 >= _EASY_LAM1
-    r = f.radius
-    # |c2| <= R ||b1|| <= R * Hermite bound; |c1| <= R/lam1 + |mu| |c2|
-    c2_max = int(math.floor(_LAM1_MAX * r * (1.0 + 1e-9)))
-    c1_max = int(math.ceil(r / _EASY_LAM1 + 0.5001 * c2_max))
-    e1x, e1y = b1[easy, 0], b1[easy, 1]
-    e2x, e2y = b2[easy, 0], b2[easy, 1]
-    acc = np.zeros(e1x.shape[0])
-    r2 = r * r
-    for c1 in range(-c1_max, c1_max + 1):
-        for c2 in range(-c2_max, c2_max + 1):
-            if c1 == 0 and c2 == 0:
-                continue
-            wx = c1 * e1x + c2 * e2x
-            wy = c1 * e1y + c2 * e2y
-            n2 = wx * wx + wy * wy
-            inside = n2 <= r2
-            if f.kind == INDICATOR_BALL:
-                acc += inside
-            else:
-                acc += np.where(
-                    inside, (1.0 - np.minimum(n2, r2) / r2) ** 2, 0.0
-                )
-    values[easy] = acc
-    hard = ~easy & ~excluded
-    for idx in np.nonzero(hard)[0]:
-        lattice = UnimodularLattice(
-            g=np.column_stack([b1[idx], b2[idx]]),
-            reduced=np.column_stack([b1[idx], b2[idx]]),
-            shortest=float(lam1[idx]),
-        )
-        values[idx] = siegel_transform(lattice, f)
-    return values, excluded
+    shape = _shape(b1, b2)
+    if f.kind == INDICATOR_BALL:
+        total = _ball_count(shape, f.radius)
+    else:
+        r2 = f.radius ** 2
+        bq = shape[0] / r2
+        total = np.zeros(b1.shape[0])
+        for c2, n, d, disc in _ball_rows(shape, f.radius):
+            a = disc / r2
+            s2 = n * (n * n - 1.0) / 12.0
+            s4 = s2 * (3.0 * n * n - 7.0) / 20.0
+            d2 = d * d
+            row = (n * a * a - 2.0 * a * bq * (s2 + n * d2)
+                   + bq * bq * (s4 + 6.0 * d2 * s2 + n * d2 * d2))
+            total += row if c2 == 0 else 2.0 * row
+    # the origin, in row 0, has profile value 1 for both kinds
+    return np.where(excluded, 0.0, total - 1.0), excluded
+
+
+def indicator_ties(b1: np.ndarray, b2: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the samples whose ball count ``siegel_batch`` cannot certify
+    for bases within ``PREC_TOL`` per column of the exact ones.
+
+    The norm of c1 b1 + c2 b2 is then within (|c1| + |c2|) PREC_TOL of the
+    exact vector's, and vectors of norm at most R + 1 have
+    |c2| <= (R + 1)/h and |c1| <= (R + 1)/|b1| + |mu c2|, which bounds that
+    margin by rho.  A count is certain when it is the same at radius
+    R - rho and R + rho: no interval endpoint and no limit of c2 moves
+    across an integer.  The interval arithmetic rounds at relative 1e-16,
+    far inside the margin."""
+    shape = _shape(b1, b2)
+    b11, mu, h = shape
+    big = radius + 1.0
+    rho = PREC_TOL * big * (1.0 / np.sqrt(b11) + (1.0 + np.abs(mu)) / h)
+    inner = _ball_count(shape, np.maximum(radius - rho, 0.0))
+    return (rho > 1.0) | (inner != _ball_count(shape, radius + rho))

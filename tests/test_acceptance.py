@@ -359,7 +359,7 @@ def test_criterion_10_twodim_bcondition():
     # Implemented exactly as stated.  The b-compliant boxes have x-side
     # T2^4 and entries up to 5e11, so float64 alone gets the lattice wrong
     # on most samples at T2 = 20; with the certified reduction the gaps are
-    # 0.2252%, 0.0845% and 0.0813% (exact to ties at |v| = 1).
+    # 0.2252%, 0.0845% and 0.0813% (exact, ties at |v| = 1 included).
     entry = CATALOG["poly23_lower"]
     f = TF("indicator", 1.0)
     t0 = time.time()

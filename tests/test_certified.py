@@ -1,5 +1,6 @@
 """Certified 2D lattice kernel: double-double arithmetic, exact-oracle
-agreement along the criterion-10 boxes, the exact tier and PrecisionError."""
+agreement along the criterion-10 boxes, the exact tier, exact counts at
+ties, and PrecisionError."""
 
 import math
 import pickle
@@ -8,13 +9,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boxflow import experiment
 from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
 from boxflow.doubledouble import U2, dd_add, dd_mul_d, two_prod, two_sum
 from boxflow.errors import PrecisionError
 from boxflow.experiment import certified_sl2_reduce, twodim_bcondition_sweep
-from boxflow.homspace import PREC_TOL, siegel_batch
+from boxflow.goodness import BoxRegion
+from boxflow.homspace import (
+    PREC_TOL,
+    indicator_ties,
+    siegel_batch,
+    siegel_count_exact,
+    sl2_reduce_batch,
+)
 from boxflow.homspace import TestFunction as TF
+from boxflow.polymatrix import PolyMatrix
 
 F = Fraction
 POLY23_LOWER = get_map("poly23_lower")
@@ -129,6 +139,59 @@ def test_exact_tier_takes_what_double_double_cannot_certify():
     bad_count, bad_lam1, n_exact = kernel_mismatches(jittered_points(40.0, 24, 7))
     assert n_exact > 0
     assert (bad_count, bad_lam1) == (0, 0)
+
+
+def test_exact_count_matches_exact_oracle():
+    pts = jittered_points(10.0, 100, 11)
+    for k in range(pts.shape[0]):
+        point = {v: F(float(x)) for v, x in zip(POLY23_LOWER.map_vars, pts[k])}
+        m = POLY23_LOWER.matrix.evaluate_exact(point)
+        assert siegel_count_exact(m, 1.0) == exact_count(exact_reduced_gram(m))
+
+
+# -- ties: lattice vectors exactly on the sphere --------------------------------
+
+# (columns of a constant lattice, radius); the shear's reduction meets
+# mu = 1/2, which float64 rounds to 0 and the exact reduction to 1
+TIES = [
+    ([[1, 0], [0, 1]], 1.0),
+    ([[2, 0], [0, F(1, 2)]], 0.5),
+    ([[2, 0], [0, F(1, 2)]], 2.0),
+    ([[1, F(1, 2)], [0, 1]], 1.0),
+]
+
+
+@pytest.mark.parametrize("rows,radius", TIES)
+def test_ties_count_exactly_through_certified_kernel(rows, radius, monkeypatch):
+    recounts = []
+
+    def counting(m, r):
+        recounts.append(m)
+        return siegel_count_exact(m, r)
+
+    monkeypatch.setattr(experiment, "siegel_count_exact", counting)
+    f = TF("indicator", radius)
+    task = (PolyMatrix(rows), ("x",), BoxRegion((0.0,), (1.0,)), 8, (f,),
+            0, 8, "jitter", 3, math.inf)
+    _, values, excluded, _ = experiment._eval_chunk(task)
+    assert not excluded.any()
+    exact = exact_count(exact_reduced_gram([[F(x) for x in row] for row in rows]),
+                        F(radius))
+    assert values[0].tolist() == [exact] * 8
+    assert len(recounts) == 8
+
+
+@pytest.mark.parametrize("rows,radius", TIES)
+def test_tie_recount_fires_on_ties_only(rows, radius):
+    rng = np.random.default_rng(41)
+    mats = np.empty((300, 2, 2))
+    for i in range(300):
+        x, y, a = rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 2.0)
+        mats[i] = [[a + x * y / a, x / a], [y / a, 1 / a]]
+    at = int(rng.integers(0, 300))
+    mats[at] = np.array(rows, dtype=float)
+    b1, b2, _ = sl2_reduce_batch(mats)
+    assert np.nonzero(indicator_ties(b1, b2, radius))[0].tolist() == [at]
 
 
 # -- beyond the certifiable range -----------------------------------------------

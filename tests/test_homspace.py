@@ -2,13 +2,19 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boxflow
 from boxflow.errors import CuspExcursionError, DeterminantError, DomainError
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
+    UnimodularLattice,
     haar_expectation,
     haar_sample,
     in_compact,
@@ -291,3 +297,69 @@ def test_batch_flags_cusp_samples():
     vals, excluded = siegel_batch(b1, b2, lam1, TF("indicator", 1.0))
     assert not excluded[0] and excluded[1]
     assert vals[0] == 4.0 and vals[1] == 0.0
+
+
+def reduced_basis(lam1, mu, theta):
+    """A Lagrange-reduced covolume-1 basis (b1, b2) with |b1| = lam1 and
+    b1.b2 = mu |b1|^2, b1 at angle theta."""
+    e = np.array([math.cos(theta), math.sin(theta)])
+    b1 = lam1 * e
+    return b1, mu * b1 + np.array([-e[1], e[0]]) / lam1
+
+
+def test_batch_siegel_near_cusp_matches_scalar():
+    # the lambda_1 range a scalar fallback used to serve
+    rng = np.random.default_rng(33)
+    lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.2), 40))
+    b1, b2 = map(np.array, zip(*(
+        reduced_basis(x, rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * math.pi))
+        for x in lam
+    )))
+    lam1 = np.sqrt(np.sum(b1 * b1, axis=1))
+    for f in (TF("indicator", 1.0), TF("bump", 1.2)):
+        vals, excluded = siegel_batch(b1, b2, lam1, f)
+        assert not excluded.any()
+        for i in range(lam.size):
+            basis = np.column_stack([b1[i], b2[i]])
+            ref = siegel_transform(UnimodularLattice(basis, basis, lam1[i]), f)
+            if f.kind == "indicator":
+                assert vals[i] == ref
+            else:
+                assert vals[i] == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
+
+
+@pytest.mark.parametrize("lam1", [1e-5, 2e-6])
+def test_batch_siegel_deep_cusp_matches_direct_sum(lam1):
+    # far too many vectors for the scalar recursion; sum the profile over
+    # every c1 of the rows |c2| <= R |b1| + 1 directly
+    rng = np.random.default_rng(34)
+    b1, b2 = reduced_basis(lam1, rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * math.pi))
+    radius = 0.987654321  # R / lambda_1 far from an integer
+    span = int(radius / lam1) + 2
+    c2_max = int(radius * lam1) + 1
+    for f in (TF("indicator", radius), TF("bump", radius)):
+        (val,), (excluded,) = siegel_batch(b1[None], b2[None], np.array([lam1]), f)
+        assert not excluded
+        terms = []
+        for c2 in range(-c2_max, c2_max + 1):
+            c1 = np.arange(-span, span + 1) + round(-c2 * float(b1 @ b2) / lam1 ** 2)
+            if c2 == 0:
+                c1 = c1[c1 != 0]
+            vecs = c1[:, None] * b1 + c2 * b2
+            terms += f.profile(np.sqrt(np.sum(vecs * vecs, axis=1))).tolist()
+        direct = math.fsum(terms)
+        if f.kind == "indicator":
+            assert val == direct
+        else:
+            assert val == pytest.approx(direct, rel=0, abs=1e-12 * max(1.0, direct))
+
+
+def test_import_path_leaves_out_scipy_integrate_and_stats():
+    code = (
+        "import boxflow.experiment, boxflow.cli, sys; "
+        "print([m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.stats'))])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(boxflow.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
