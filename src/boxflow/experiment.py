@@ -8,11 +8,13 @@ streams is available for high dimension.  Work is partitioned into
 fixed-size chunks evaluated independently per sample, so results are
 bit-identical for any worker count.
 
-Each sample's lattice is reduced once; its shortest length and every
-observable come from that basis.  In dimension 2 the reduction is
-certified (``certified_sl2_reduce``): float64, double-double or exact
+Each sample's lattice is reduced once, and the reduction is certified:
+its shortest length and every observable come from a basis within
+``homspace.PREC_TOL`` of an exact reduced basis.  In dimension 2
+(``certified_sl2_reduce``) that is float64, double-double or exact
 rational arithmetic, whichever is the cheapest whose error bound meets
-``homspace.PREC_TOL``.
+the tolerance; in dimension 3 (``homspace.sl3_kernel``) float64 greedy
+reduction with a carried bound, or exact rational reduction.
 """
 
 from __future__ import annotations
@@ -37,16 +39,18 @@ from .homspace import (
     TestFunction,
     haar_expectation,
     indicator_ties,
-    reduce_basis,
+    reduce_exact,
     siegel_batch,
     siegel_count_exact,
-    siegel_transform,
     sl2_lagrange,
-    sl2_reduce_exact,
+    sl3_kernel,
 )
 from .polyalg import GenPoly
 
 _CHUNK = 1 << 14
+# the 3D kernel's temporaries take about 0.8 kB per sample, so its chunks
+# are smaller and a sweep's memory stays near that of the imports
+_CHUNK3 = 1 << 10
 _EXCLUSION_BUDGET = 1e-3
 
 
@@ -248,7 +252,7 @@ def certified_sl2_reduce(matrix, map_vars, pts: np.ndarray,
             flagged=int(idx.size), total=m,
         )
     for k in idx:
-        b1[k], b2[k] = sl2_reduce_exact(_exact_matrix(matrix, map_vars, pts[k]))
+        b1[k], b2[k] = reduce_exact(_exact_matrix(matrix, map_vars, pts[k])).T
     return b1, b2, np.sqrt(np.sum(b1 * b1, axis=1)), int(idx.size)
 
 
@@ -261,39 +265,38 @@ def _exact_matrix(matrix, map_vars, pt):
 def _eval_chunk(args):
     """Shortest-vector lengths, observable values (one row per test
     function), cusp-exclusion flags and the number of exactly reduced
-    samples of one chunk, all from a single reduction per sample.  In
-    dimension 2 the indicator counts the certified basis leaves in doubt
-    (``indicator_ties``) are recounted in exact arithmetic, so every count
-    is the exact lattice's."""
+    samples of one chunk, all from a single certified reduction per
+    sample.  Indicator counts the certified basis leaves in doubt are
+    recounted in exact arithmetic (``indicator_ties`` in dimension 2,
+    inside ``sl3_kernel`` in dimension 3), so every count is the exact
+    lattice's."""
     (matrix, map_vars, region, grid, fs, start, stop, method, seed, limit) = args
     pts = _chunk_points(region, grid, start, stop, method, seed)
     m = pts.shape[0]
+
+    def exact(k):
+        return _exact_matrix(matrix, map_vars, pts[k])
+
+    if matrix.dim == 3:
+        # float64 entries and, per column, the sum of their rounding bounds
+        g = np.empty((m, 3, 3))
+        err = np.zeros((m, 3))
+        for i, row in enumerate(matrix.entries):
+            for j, p in enumerate(row):
+                terms = _EntryTerms(p, map_vars)
+                g[:, i, j], mag = terms.f64(pts)
+                err[:, j] += terms.c64 * mag
+        return sl3_kernel(g, err, fs, exact, limit)
     values = np.zeros((len(fs), m))
-    if matrix.dim == 2:
-        b1, b2, lam1, flagged = certified_sl2_reduce(matrix, map_vars, pts, limit)
-        excluded = lam1 < CUSP_GUARD
-        for i, f in enumerate(fs):
-            values[i], _ = siegel_batch(b1, b2, lam1, f)
-            if f.kind == INDICATOR_BALL:
-                ties = indicator_ties(b1, b2, f.radius) & ~excluded
-                for k in np.nonzero(ties)[0]:
-                    values[i, k] = siegel_count_exact(
-                        _exact_matrix(matrix, map_vars, pts[k]), f.radius
-                    )
-        return lam1, values, excluded, flagged
-    n = matrix.dim
-    mats = np.empty((m, n, n))
-    for i, row in enumerate(matrix.entries):
-        for j, e in enumerate(row):
-            mats[:, i, j], _ = _EntryTerms(e, map_vars).f64(pts)
-    lam1 = np.empty(m)
-    for k in range(m):
-        lat = reduce_basis(mats[k])
-        lam1[k] = lat.shortest
-        if lat.shortest >= CUSP_GUARD:
-            for i, f in enumerate(fs):
-                values[i, k] = siegel_transform(lat, f)
-    return lam1, values, lam1 < CUSP_GUARD, 0
+    b1, b2, lam1, flagged = certified_sl2_reduce(matrix, map_vars, pts, limit)
+    excluded = lam1 < CUSP_GUARD
+    for i, f in enumerate(fs):
+        values[i], _ = siegel_batch(b1, b2, lam1, f)
+        if f.kind == INDICATOR_BALL:
+            ties = indicator_ties(b1, b2, f.radius) & ~excluded
+            for k in np.nonzero(ties)[0]:
+                values[i, k] = siegel_count_exact(exact(k), f.radius)
+    return lam1, values, excluded, flagged
 
 
 def _observable_values(
@@ -311,7 +314,8 @@ def _observable_values(
     the cusp-exclusion flags."""
     total = grid ** region.dim
     limit = _EXCLUSION_BUDGET * total
-    bounds = list(range(0, total, _CHUNK)) + [total]
+    size = _CHUNK if matrix.dim == 2 else _CHUNK3
+    bounds = list(range(0, total, size)) + [total]
     tasks = [
         (matrix, map_vars, region, grid, tuple(fs), lo, hi, method, seed, limit)
         for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -337,7 +341,7 @@ def _observable_values(
         flagged += n_exact
     if flagged > limit:
         raise PrecisionError(
-            f"{flagged}/{total} samples are beyond float64 and double-double "
+            f"{flagged}/{total} samples are beyond floating-point "
             f"certification",
             flagged=flagged, total=total,
         )

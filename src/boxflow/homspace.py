@@ -6,16 +6,19 @@ f(g v) for compactly supported radial f; their Haar integral is the
 plain integral of f over R^N, which gives the equidistribution
 experiments a closed-form reference.
 
-The batch helpers at the bottom vectorize the dimension-2 pipeline over
-large sample arrays.  The batch Lagrange reduction runs in float64 or
-double-double arithmetic and carries a forward-error bound, so callers
-can certify the reduced basis against ``PREC_TOL``; ``sl2_reduce_exact``
-is the exact rational last resort.  ``siegel_batch`` sums each observable
-in closed form over the rows of lattice vectors inside the ball, with no
-enumeration and no per-sample fallback: indicator counts equal the
-scalar path's, bump values agree with it to rounding.  ``indicator_ties``
-marks the counts that the certified basis's error could change, and
+The batch helpers at the bottom vectorize both dimensions over large
+sample arrays.  The batch reductions (Lagrange in dimension 2, greedy in
+dimension 3) carry a forward-error bound per column, so callers can
+certify the reduced basis against ``PREC_TOL``; ``reduce_exact`` is the
+exact rational last resort for both.  ``siegel_batch`` and
+``siegel_batch3`` sum each observable in closed form over the rows of
+lattice vectors inside the ball, with no enumeration and no per-sample
+fallback: indicator counts equal the scalar path's, bump values agree
+with it to rounding.  ``indicator_ties`` and ``siegel_batch3`` mark the
+counts that the certified basis's error could change, and
 ``siegel_count_exact`` recounts them in integer arithmetic.
+``sl3_kernel`` is the whole dimension-3 pass.  The scalar
+``siegel_transform`` enumeration is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
-from .errors import CuspExcursionError, DeterminantError, DomainError
+from .errors import CuspExcursionError, DeterminantError, DomainError, PrecisionError
 
 DET_TOL = 1e-9
 CUSP_GUARD = 1e-6
@@ -94,17 +97,16 @@ def _check_det(g: np.ndarray) -> None:
 
 
 def reduce_basis(g) -> UnimodularLattice:
-    """Reduce the column basis: Lagrange swap/shift for N=2, size-reduction
-    sweeps with length sorting for N=3.  The change of basis is integer
-    unimodular, so the lattice is unchanged."""
+    """Reduce the column basis: Lagrange swap/shift for N=2, greedy
+    reduction (``sl3_greedy``) for N=3.  Both give a Minkowski-reduced
+    basis, so the first column is a shortest vector.  The change of basis
+    is integer unimodular, so the lattice is unchanged."""
     g = np.asarray(g, dtype=float)
     if g.shape not in ((2, 2), (3, 3)):
         raise DomainError("only dimensions 2 and 3 are supported")
     _check_det(g)
-    n = g.shape[0]
-    basis = g.copy()
-    if n == 2:
-        u, v = basis[:, 0].copy(), basis[:, 1].copy()
+    if g.shape[0] == 2:
+        u, v = g[:, 0].copy(), g[:, 1].copy()
         for _ in range(256):
             if u @ u > v @ v:
                 u, v = v, u
@@ -116,39 +118,11 @@ def reduce_basis(g) -> UnimodularLattice:
             raise DomainError("lattice reduction did not converge")
         reduced = np.column_stack([u, v])
     else:
-        reduced = basis
-        for _ in range(256):
-            before = reduced.copy()
-            order = np.argsort([reduced[:, i] @ reduced[:, i] for i in range(3)],
-                               kind="stable")
-            reduced = reduced[:, order]
-            for i in range(3):
-                for j in range(3):
-                    if i == j:
-                        continue
-                    denom = reduced[:, i] @ reduced[:, i]
-                    mu = round((reduced[:, i] @ reduced[:, j]) / denom)
-                    if mu:
-                        reduced[:, j] = reduced[:, j] - mu * reduced[:, i]
-            if np.array_equal(before, reduced):
-                break
-        else:
+        b, _, done = sl3_greedy(g[None], np.zeros((1, 3)))
+        if not done[0]:
             raise DomainError("lattice reduction did not converge")
-        order = np.argsort([reduced[:, i] @ reduced[:, i] for i in range(3)],
-                           kind="stable")
-        reduced = reduced[:, order]
+        reduced = b[0]
     lam1_sq = float(reduced[:, 0] @ reduced[:, 0])
-    if n == 3:
-        # size-reduction alone does not certify the first vector shortest;
-        # small-coefficient enumeration over the reduced basis does
-        rng = range(-2, 3)
-        for c1 in rng:
-            for c2 in rng:
-                for c3 in rng:
-                    if c1 == c2 == c3 == 0:
-                        continue
-                    v = c1 * reduced[:, 0] + c2 * reduced[:, 1] + c3 * reduced[:, 2]
-                    lam1_sq = min(lam1_sq, float(v @ v))
     return UnimodularLattice(g=g, reduced=reduced, shortest=math.sqrt(lam1_sq))
 
 
@@ -346,54 +320,148 @@ def sl2_reduce_batch(mats: np.ndarray):
     return u, v, np.sqrt(np.sum(u * u, axis=1))
 
 
-def _lagrange_exact(m):
-    """Lagrange reduction in exact arithmetic of the column basis of a 2x2
-    matrix of rationals.  Returns the reduced integer columns (u, v) of
-    D m, shortest first, and the common denominator D.
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
 
-    The rounded quotient (u.v)/(u.u) is invariant under scaling, so the
-    reduction runs on the integer matrix D m."""
-    den = math.lcm(*(Fraction(x).denominator for row in m for x in row))
-    (a, b), (c, d) = ((int(Fraction(x) * den) for x in row) for row in m)
-    u, v = (a, c), (b, d)
+
+def _integer_scaled(vecs):
+    """The integer vectors D v of rational vectors v, and their least
+    common denominator D."""
+    den = math.lcm(*(Fraction(x).denominator for v in vecs for x in v))
+    return [tuple(int(Fraction(x) * den) for x in v) for v in vecs], den
+
+
+def _lagrange_int(u, v):
+    """Exact Lagrange reduction of integer vectors; shortest first."""
     while True:
-        uu = u[0] * u[0] + u[1] * u[1]
-        if uu > v[0] * v[0] + v[1] * v[1]:
+        uu = _dot(u, u)
+        if uu > _dot(v, v):
             u, v = v, u
-            uu = u[0] * u[0] + u[1] * u[1]
-        mu = (2 * (u[0] * v[0] + u[1] * v[1]) + uu) // (2 * uu)
+            uu = _dot(u, u)
+        mu = (2 * _dot(u, v) + uu) // (2 * uu)
         if mu == 0:
-            return u, v, den
-        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+            return u, v
+        v = tuple(x - mu * y for x, y in zip(v, u))
 
 
-def sl2_reduce_exact(m):
-    """Exactly Lagrange-reduced columns (shortest first) of a 2x2 matrix of
-    rationals, as float64 arrays, each entry the rounding of the exact one."""
-    u, v, den = _lagrange_exact(m)
-    return np.array([u[0] / den, u[1] / den]), np.array([v[0] / den, v[1] / den])
+def _reduce_exact(m):
+    """Exact reduction of the column basis of a 2x2 or 3x3 matrix of
+    rationals.  Returns the reduced integer columns of D m, shortest first
+    (Lagrange for N = 2, greedy for N = 3, as ``sl3_greedy``), and the
+    common denominator D.
+
+    The rounded quotients of the reduction are invariant under scaling,
+    so it runs on the integer matrix D m.  For the closest vector of
+    L(b1, b2) to b3, with x the coordinates of its projection, the
+    second coordinate is within one of round(x2), and for each y2 the best
+    first coordinate is round((b1.b3 - (b1.b2) y2)/|b1|^2)."""
+    n = len(m)
+    cols, den = _integer_scaled([[m[i][j] for i in range(n)] for j in range(n)])
+    if n == 2:
+        return list(_lagrange_int(*cols)), den
+    while True:
+        cols.sort(key=lambda v: _dot(v, v))
+        b1, b2 = _lagrange_int(cols[0], cols[1])
+        b3 = cols[2]
+        a, b, c = _dot(b1, b1), _dot(b1, b2), _dot(b2, b2)
+        r1, r2 = _dot(b1, b3), _dot(b2, b3)
+        det = a * c - b * b
+        near = (2 * (a * r2 - b * r1) + det) // (2 * det)  # round(x2)
+        best = None
+        for y2 in (near, near - 1, near + 1):
+            y1 = (2 * (r1 - b * y2) + a) // (2 * a)
+            res = tuple(t - y1 * p - y2 * q for t, p, q in zip(b3, b1, b2))
+            if best is None or _dot(res, res) < _dot(best, best):
+                best = res
+        if _dot(best, best) >= c:
+            return [b1, b2, best], den
+        cols = [b1, b2, best]
+
+
+def reduce_exact(m) -> np.ndarray:
+    """Exactly reduced columns (shortest first) of a 2x2 or 3x3 matrix of
+    rationals, as a float64 matrix whose entries are the roundings of the
+    exact ones."""
+    cols, den = _reduce_exact(m)
+    return np.array([[c[i] / den for c in cols] for i in range(len(cols))])
+
+
+def _row_count_exact(a, beta, delta, p, q) -> int:
+    """Integers c1 with |c1 b1 + w|^2 <= p/q, for integer vectors b1 and w
+    with a = |b1|^2, beta = b1.w and delta = a |w|^2 - beta^2: the
+    condition is (a c1 + beta)^2 <= a p/q - delta."""
+    t = a * p - q * delta
+    if t < 0:
+        return 0
+    s = math.isqrt(t // q)
+    # c1 from ceil((-s - beta)/a) to floor((s - beta)/a)
+    return (s - beta) // a + (s + beta) // a + 1
 
 
 def siegel_count_exact(m, radius: float) -> int:
     """Nonzero vectors of norm at most ``radius`` in the column lattice of a
-    2x2 matrix of rationals, counted in integer arithmetic.
+    2x2 or 3x3 matrix of rationals, counted in integer arithmetic.
 
-    With (u, v) the reduced columns of D m, Gram entries a, b, c and
-    det = ac - b^2, the vector c1 u + c2 v lies in the ball of radius D R
-    iff (a c1 + b c2)^2 <= a (D R)^2 - det c2^2."""
-    u, v, den = _lagrange_exact(m)
-    a = u[0] * u[0] + u[1] * u[1]
-    b = u[0] * v[0] + u[1] * v[1]
-    det = a * (v[0] * v[0] + v[1] * v[1]) - b * b
+    On the reduced columns b_i of D m, with Gram matrix G, the vectors
+    c1 b1 + w of the row w = c2 b2 (+ c3 b3) fill one c1 interval
+    (``_row_count_exact``), which is empty unless the projection of w
+    orthogonal to b1 has norm at most D R.  That is the quadratic form
+    delta(c) = |b1|^2 |w|^2 - (b1.w)^2 <= |b1|^2 (D R)^2, whose rows c3
+    and c2 intervals have closed forms as well."""
+    cols, den = _reduce_exact(m)
     r2 = (Fraction(radius) * den) ** 2
     p, q = r2.numerator, r2.denominator
-    c2_max = math.isqrt(a * p // (q * det))
+    g = [[_dot(x, y) for y in cols] for x in cols]
+    a = g[0][0]
+    # delta(c2, c3) = A c2^2 + 2 B c2 c3 + C c3^2
+    A = a * g[1][1] - g[0][1] ** 2
+    if len(cols) == 2:
+        c2_max = math.isqrt(a * p // (q * A))
+        rows = [(c2,) for c2 in range(-c2_max, c2_max + 1)]
+    else:
+        B = a * g[1][2] - g[0][1] * g[0][2]
+        C = a * g[2][2] - g[0][2] ** 2
+        disc = A * C - B * B
+        c3_max = math.isqrt(A * a * p // (q * disc))
+        rows = []
+        for c3 in range(-c3_max, c3_max + 1):
+            # (A c2 + B c3)^2 + disc c3^2 <= A a (D R)^2
+            s = math.isqrt((A * a * p - q * disc * c3 * c3) // q)
+            rows += [(c2, c3) for c2 in range(-((s + B * c3) // A),
+                                              (s - B * c3) // A + 1)]
     count = -1  # the origin
-    for c2 in range(-c2_max, c2_max + 1):
-        s = math.isqrt((a * p - q * det * c2 * c2) // q)
-        # c1 from ceil((-s - b c2)/a) to floor((s - b c2)/a)
-        count += (s - b * c2) // a + (s + b * c2) // a + 1
+    for c in rows:
+        # b1.w and |w|^2 for w = c2 b2 (+ c3 b3)
+        beta = sum(ci * g[0][i] for i, ci in enumerate(c, 1))
+        ww = sum(ci * cj * g[i][j] for i, ci in enumerate(c, 1)
+                 for j, cj in enumerate(c, 1))
+        count += _row_count_exact(a, beta, a * ww - beta * beta, p, q)
     return count
+
+
+def _interval(centre, disc, scale):
+    """First integer lo and number n of the integers x with
+    scale^2 (x - centre)^2 <= disc, per sample."""
+    half = np.sqrt(np.maximum(disc, 0.0)) / scale
+    lo = np.ceil(centre - half)
+    n = np.where(disc >= 0.0,
+                 np.maximum(np.floor(centre + half) - lo + 1.0, 0.0), 0.0)
+    return lo, n
+
+
+def _bump_row(n, d, disc, r2, bq):
+    """Sum of the bump profile (A - B t^2)^2 over the n integers c1 of a
+    row, A = disc/R^2, B = bq = |b1|^2/R^2, t = c1 - centre = s + d with s
+    running over the n points centred on their midpoint.  The power sums
+    of s are n(n^2 - 1)/12 and n(n^2 - 1)(3n^2 - 7)/240, and the odd ones
+    vanish.  Centring keeps the terms of the size of the sum when
+    lambda_1 is small."""
+    a = disc / r2
+    s2 = n * (n * n - 1.0) / 12.0
+    s4 = s2 * (3.0 * n * n - 7.0) / 20.0
+    d2 = d * d
+    return (n * a * a - 2.0 * a * bq * (s2 + n * d2)
+            + bq * bq * (s4 + 6.0 * d2 * s2 + n * d2 * d2))
 
 
 def _shape(b1, b2):
@@ -421,10 +489,7 @@ def _ball_rows(shape, r):
     for c2 in range(int(np.max(r / h, initial=0.0)) + 1):
         disc = r * r - (c2 * h) ** 2
         centre = -c2 * mu
-        half = np.sqrt(np.maximum(disc, 0.0)) / norm1
-        lo = np.ceil(centre - half)
-        n = np.where(disc >= 0.0,
-                     np.maximum(np.floor(centre + half) - lo + 1.0, 0.0), 0.0)
+        lo, n = _interval(centre, disc, norm1)
         yield c2, n, lo + (n - 1.0) / 2.0 - centre, disc
 
 
@@ -437,13 +502,9 @@ def siegel_batch(b1: np.ndarray, b2: np.ndarray, lam1: np.ndarray, f: TestFuncti
     """Siegel observable over a batch of Lagrange-reduced bases, in closed
     form over the rows of ``_ball_rows``.
 
-    The indicator adds up the rows' counts.  The bump sums, per row,
-    (A - B t^2)^2 over its n integers c1, with A = disc/R^2, B = |b1|^2/R^2
-    and t = c1 + c2 mu = s + d, s running over the n points centred on their
-    midpoint; the power sums of s are n(n^2 - 1)/12 and
-    n(n^2 - 1)(3n^2 - 7)/240, and the odd ones vanish.  Centring keeps
-    the terms of the size of the sum when lambda_1 is small.  Samples under
-    the enumeration guard are flagged excluded and contribute zero.
+    The indicator adds up the rows' counts, the bump the rows'
+    ``_bump_row`` sums.  Samples under the enumeration guard are flagged
+    excluded and contribute zero.
     """
     excluded = lam1 < CUSP_GUARD
     shape = _shape(b1, b2)
@@ -454,12 +515,7 @@ def siegel_batch(b1: np.ndarray, b2: np.ndarray, lam1: np.ndarray, f: TestFuncti
         bq = shape[0] / r2
         total = np.zeros(b1.shape[0])
         for c2, n, d, disc in _ball_rows(shape, f.radius):
-            a = disc / r2
-            s2 = n * (n * n - 1.0) / 12.0
-            s4 = s2 * (3.0 * n * n - 7.0) / 20.0
-            d2 = d * d
-            row = (n * a * a - 2.0 * a * bq * (s2 + n * d2)
-                   + bq * bq * (s4 + 6.0 * d2 * s2 + n * d2 * d2))
+            row = _bump_row(n, d, disc, r2, bq)
             total += row if c2 == 0 else 2.0 * row
     # the origin, in row 0, has profile value 1 for both kinds
     return np.where(excluded, 0.0, total - 1.0), excluded
@@ -482,3 +538,249 @@ def indicator_ties(b1: np.ndarray, b2: np.ndarray, radius: float) -> np.ndarray:
     rho = PREC_TOL * big * (1.0 / np.sqrt(b11) + (1.0 + np.abs(mu)) / h)
     inner = _ball_count(shape, np.maximum(radius - rho, 0.0))
     return (rho > 1.0) | (inner != _ball_count(shape, radius + rho))
+
+
+# ---------------------------------------------------------------------------
+# vectorized dimension-3 pipeline
+# ---------------------------------------------------------------------------
+
+# rounding slack of the row geometry of a reduced basis, relative to each
+# column's length per unit coefficient, in the margin of an indicator count
+_ROW_SLACK = 1e-13
+
+
+def _sub_step(v, ev, y, u, eu):
+    """v - y u for an integer y per sample, and the bound of the result:
+    ev + |y| eu plus the rounding of the float64 step (none when y = 0)."""
+    w = v - y[:, None] * u
+    ay = np.abs(y)
+    rnd = U * 1.01 * (ay * np.sqrt(np.sum(u * u, axis=1))
+                      + (ay > 0) * np.sqrt(np.sum(w * w, axis=1)))
+    return w, ev + ay * eu + rnd
+
+
+def sl3_greedy(b, e):
+    """Greedy reduction of a batch of 3x3 column bases, carrying a
+    forward-error bound for each column.
+
+    ``b`` is (m, 3, 3) float64 with the bases in the columns b[:, :, j];
+    ``e`` (m, 3) bounds the 2-norm distance of each column to the exact
+    column it stands for.  Each pass sorts the columns by length,
+    Lagrange-reduces the first two (``sl2_lagrange``) and subtracts from
+    the third the closest vector of the lattice they span, found among
+    three candidates as in ``_reduce_exact``; it stops once the third is
+    no shorter than the second.  In dimension at most 4 the result is
+    Minkowski-reduced (Semaev 2001; Nguyen and Stehle 2009), so
+    |b_i| = lambda_i.  As in ``sl2_lagrange`` every step is integer, so the
+    exact columns stay a basis of the same lattice and the bounds follow
+    them.
+
+    Returns (b, e, done): the reduced bases, shortest column first, their
+    bounds, and the mask of samples whose reduction converged.
+    """
+    m = b.shape[0]
+    out_b = np.empty((m, 3, 3))
+    out_e = np.empty((m, 3))
+    done = np.zeros(m, dtype=bool)
+    # the active samples' columns as rows: (sample, column, coordinate)
+    cols = np.array(b, dtype=float).transpose(0, 2, 1)
+    errs = np.array(e, dtype=float)
+    idx = np.arange(m)
+    for _ in range(256):
+        if idx.size == 0:
+            break
+        order = np.argsort(np.sum(cols * cols, axis=2), axis=1, kind="stable")
+        cols = np.take_along_axis(cols, order[:, :, None], axis=1)
+        errs = np.take_along_axis(errs, order, axis=1)
+        b1, b2, e1, e2, ok = sl2_lagrange(cols[:, 0], cols[:, 1],
+                                          errs[:, 0], errs[:, 1])
+        b3 = cols[:, 2]
+        a = np.sum(b1 * b1, axis=1)
+        ab = np.sum(b1 * b2, axis=1)
+        c = np.sum(b2 * b2, axis=1)
+        r1 = np.sum(b1 * b3, axis=1)
+        # round(x2), x2 the second coordinate of b3's projection
+        near = np.round((a * np.sum(b2 * b3, axis=1) - ab * r1) / (a * c - ab * ab))
+        best = np.full(idx.size, np.inf)
+        y1 = np.zeros(idx.size)
+        y2 = np.zeros(idx.size)
+        for t2 in (near, near - 1.0, near + 1.0):
+            t1 = np.round((r1 - ab * t2) / a)
+            res = b3 - t1[:, None] * b1 - t2[:, None] * b2
+            nr = np.sum(res * res, axis=1)
+            take = nr < best
+            best = np.where(take, nr, best)
+            y1 = np.where(take, t1, y1)
+            y2 = np.where(take, t2, y2)
+        b3, e3 = _sub_step(b3, errs[:, 2], y1, b1, e1)
+        b3, e3 = _sub_step(b3, e3, y2, b2, e2)
+        cols = np.stack([b1, b2, b3], axis=1)
+        errs = np.stack([e1, e2, e3], axis=1)
+        fin = ~ok | (np.sum(b3 * b3, axis=1) >= c)
+        if fin.any():
+            out_b[idx[fin]] = cols[fin].transpose(0, 2, 1)
+            out_e[idx[fin]] = errs[fin]
+            done[idx[fin]] = ok[fin]
+            keep = ~fin
+            cols, errs, idx = cols[keep], errs[keep], idx[keep]
+    out_b[idx] = cols.transpose(0, 2, 1)
+    out_e[idx] = errs
+    return out_b, out_e, done
+
+
+def _shape3(b):
+    """Gram-Schmidt data of a batch of reduced bases (columns b[:, :, j]):
+    |b1|^2, mu12 = b1.b2/|b1|^2, mu13 = b1.b3/|b1|^2, and, for the
+    projections p2, p3 of b2, b3 orthogonal to b1, the length h2 = |p2|,
+    nu = p2.p3/|p2|^2 and the height h3 = |p2 x p3|/|p2| of p3 over the
+    line of p2.  The height comes from the cross product:
+    |p3|^2 - nu^2 |p2|^2 would cancel."""
+    b1, b2, b3 = b[:, :, 0], b[:, :, 1], b[:, :, 2]
+    b11 = np.sum(b1 * b1, axis=1)
+    m12 = np.sum(b1 * b2, axis=1) / b11
+    m13 = np.sum(b1 * b3, axis=1) / b11
+    p2 = b2 - m12[:, None] * b1
+    p3 = b3 - m13[:, None] * b1
+    h2 = np.sqrt(np.sum(p2 * p2, axis=1))
+    nu = np.sum(p2 * p3, axis=1) / (h2 * h2)
+    h3 = np.sqrt(np.sum(np.cross(p2, p3) ** 2, axis=1)) / h2
+    return b11, m12, m13, h2, nu, h3
+
+
+def _rows3(shape, r):
+    """The rows (c2, c3) of lattice vectors c1 b1 + c2 b2 + c3 b3 that can
+    hold vectors of norm at most r (a scalar or one radius per sample).
+
+    |v|^2 = |b1|^2 (c1 - centre)^2 + d2 with centre = -(c2 mu12 + c3 mu13)
+    and d2 = h2^2 (c2 + c3 nu)^2 + (c3 h3)^2, the Fincke-Pohst bounds
+    |c3| h3 <= r and |c2 + c3 nu| h2 <= sqrt(r^2 - (c3 h3)^2) give the rows.
+    Row -(c2, c3) mirrors row (c2, c3) exactly, so only c3 > 0, and c3 = 0
+    with c2 >= 0, are yielded, as (weight, c2, c3, centre, d2), with
+    weight 1 for the row of the origin and 2 for the others.  A sample
+    without the row yields d2 = r^2 + 1."""
+    _, m12, m13, h2, nu, h3 = shape
+    r = np.broadcast_to(r, h2.shape)
+    for c3 in range(int(np.max(r / h3, initial=0.0)) + 1):
+        lo, n = _interval(-c3 * nu, r * r - (c3 * h3) ** 2, h2)
+        if c3 == 0:
+            lo, n = np.zeros_like(lo), lo + n  # c2 from 0 to the top
+        for j in range(int(np.max(n, initial=0.0))):
+            c2 = lo + j
+            d2 = (h2 * (c2 + c3 * nu)) ** 2 + (c3 * h3) ** 2
+            yield (1.0 if c3 == 0 and j == 0 else 2.0, c2, c3,
+                   -(c2 * m12 + c3 * m13), np.where(j < n, d2, r * r + 1.0))
+
+
+def _exact_rows(b, c2, c3: int, radius: float) -> np.ndarray:
+    """Integers c1 with |c1 b1 + c2 b2 + c3 b3| <= radius, per sample, on
+    the float64 columns read as exact dyadic rationals; counted once per
+    distinct row, in integer arithmetic (``_row_count_exact``)."""
+    w2 = np.where((c2 != 0)[:, None], b[:, :, 1], 0.0)
+    w3 = b[:, :, 2] if c3 else np.zeros_like(w2)
+    rows = np.column_stack([b[:, :, 0], w2, w3, c2])
+    # one void item per row: np.unique sorts those far faster than axis=0
+    keys, inv = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 10))),
+                          return_inverse=True)
+    counts = []
+    for key in keys.view(float).reshape(-1, 10):
+        w = [int(key[9]) * Fraction(x) + c3 * Fraction(y)
+             for x, y in zip(key[3:6], key[6:9])]
+        (v1, vw), den = _integer_scaled([key[:3], w])
+        r2 = (Fraction(radius) * den) ** 2
+        a, beta = _dot(v1, v1), _dot(v1, vw)
+        counts.append(_row_count_exact(a, beta, a * _dot(vw, vw) - beta * beta,
+                                       r2.numerator, r2.denominator))
+    return np.array(counts, dtype=float)[inv.ravel()]
+
+
+def siegel_batch3(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, f: TestFunction):
+    """Siegel observable over a batch of greedy-reduced 3D bases, summed in
+    closed form over the rows of ``_rows3`` with the c1 intervals of
+    ``siegel_batch``, and, for the indicator, the samples whose count the
+    column bounds ``e`` leave in doubt.
+
+    A vector's norm moves by at most sum |c_i| e_i between the stored and
+    the exact basis.  Per row, the margin rho bounds that, plus a
+    rounding slack of ``_ROW_SLACK`` |b_i| per unit coefficient, for the
+    row's vectors of norm at most R + 1 (|c1| <= |centre| + (R + 1)/|b1|).
+    A row's count is certain when it is the same at R - rho and R + rho.
+    An uncertain row whose columns are exact as stored (bound 0, like the
+    unit vector e1 that every heis3 lattice keeps on the sphere R = 1) is
+    counted exactly from them (``_exact_rows``); any other uncertain row
+    marks its sample as a tie, to be recounted from the exact lattice.
+    Returns (values, excluded, ties).
+    """
+    excluded = lam1 < CUSP_GUARD
+    shape = _shape3(b)
+    b11, m12, m13, h2, nu, h3 = shape
+    norm1 = np.sqrt(b11)
+    radius = f.radius
+    r2 = radius * radius
+    total = np.zeros(b.shape[0])
+    ties = np.zeros(b.shape[0], dtype=bool)
+    if f.kind != INDICATOR_BALL:
+        for w, _, _, centre, d2 in _rows3(shape, radius):
+            lo, n = _interval(centre, r2 - d2, norm1)
+            total += w * _bump_row(n, lo + (n - 1.0) / 2.0 - centre, r2 - d2,
+                                   r2, b11 / r2)
+        return np.where(excluded, 0.0, total - 1.0), excluded, ties
+    eps = e + _ROW_SLACK * np.sqrt(np.sum(b * b, axis=1))
+    # coefficient bounds of the vectors of norm at most R + 1
+    big = radius + 1.0
+    c3_max = big / h3
+    c2_max = big / h2 + np.abs(nu) * c3_max
+    c1_max = big / norm1 + np.abs(m12) * c2_max + np.abs(m13) * c3_max
+    rho = c1_max * eps[:, 0] + c2_max * eps[:, 1] + c3_max * eps[:, 2]
+    ties = rho > 1.0
+    exact_cols = e == 0.0
+    for w, c2, c3, centre, d2 in _rows3(shape, radius + np.minimum(rho, 1.0)):
+        n = _interval(centre, r2 - d2, norm1)[1]
+        rho_row = ((np.abs(centre) + big / norm1) * eps[:, 0]
+                   + np.abs(c2) * eps[:, 1] + c3 * eps[:, 2])
+        inner = np.maximum(radius - rho_row, 0.0)
+        outer = radius + rho_row
+        doubt = (_interval(centre, inner * inner - d2, norm1)[1]
+                 != _interval(centre, outer * outer - d2, norm1)[1])
+        if doubt.any():
+            own = (doubt & exact_cols[:, 0] & ((c2 == 0) | exact_cols[:, 1])
+                   & (c3 == 0 or exact_cols[:, 2]))
+            ties |= doubt & ~own
+            if own.any():
+                n[own] = _exact_rows(b[own], c2[own], c3, radius)
+        total += w * n
+    return np.where(excluded, 0.0, total - 1.0), excluded, ties & ~excluded
+
+
+def sl3_kernel(g: np.ndarray, e: np.ndarray, fs, exact, limit: float = math.inf):
+    """Shortest lengths and Siegel observables of a batch of lattices
+    g Z^3, from one certified greedy reduction per sample.
+
+    ``g`` (m, 3, 3) holds float64 bases with column bounds ``e`` (m, 3);
+    ``exact(k)`` returns the 3x3 matrix of rationals that sample k stands
+    for.  A sample whose carried bound ends above ``PREC_TOL`` is reduced
+    exactly (``reduce_exact``); more than ``limit`` of them raise
+    ``PrecisionError``.  The indicator counts that ``siegel_batch3``
+    leaves in doubt are recounted by ``siegel_count_exact``, so every count
+    is the exact lattice's.  Returns (lam1, values (one row per test
+    function), excluded, number of exactly reduced samples).
+    """
+    m = g.shape[0]
+    b, e, done = sl3_greedy(g, e)
+    late = np.nonzero(~done | (np.max(e, axis=1) > PREC_TOL))[0]
+    if late.size > limit:
+        raise PrecisionError(
+            f"{late.size}/{m} samples of a chunk are beyond float64 "
+            f"certification (budget {limit:g} per box)",
+            flagged=int(late.size), total=m,
+        )
+    for k in late:
+        b[k] = reduce_exact(exact(k))
+        e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
+    lam1 = np.sqrt(np.sum(b[:, :, 0] * b[:, :, 0], axis=1))
+    values = np.zeros((len(fs), m))
+    excluded = lam1 < CUSP_GUARD
+    for i, f in enumerate(fs):
+        values[i], _, ties = siegel_batch3(b, e, lam1, f)
+        for k in np.nonzero(ties)[0]:
+            values[i, k] = siegel_count_exact(exact(k), f.radius)
+    return lam1, values, excluded, int(late.size)

@@ -1,7 +1,8 @@
-"""Certified 2D lattice kernel: double-double arithmetic, exact-oracle
+"""Certified lattice kernels: double-double arithmetic, exact-oracle
 agreement along the criterion-10 boxes, the exact tier, exact counts at
-ties, and PrecisionError."""
+ties in dimensions 2 and 3, and PrecisionError."""
 
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -9,25 +10,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxflow import experiment
+from boxflow import experiment, homspace
 from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
 from boxflow.doubledouble import U2, dd_add, dd_mul_d, two_prod, two_sum
 from boxflow.errors import PrecisionError
-from boxflow.experiment import certified_sl2_reduce, twodim_bcondition_sweep
+from boxflow.experiment import (
+    BoxSpec,
+    certified_sl2_reduce,
+    convergence_sweep,
+    twodim_bcondition_sweep,
+)
 from boxflow.goodness import BoxRegion
 from boxflow.homspace import (
     PREC_TOL,
     indicator_ties,
+    reduce_exact,
     siegel_batch,
     siegel_count_exact,
     sl2_reduce_batch,
+    sl3_greedy,
+    sl3_kernel,
 )
 from boxflow.homspace import TestFunction as TF
 from boxflow.polymatrix import PolyMatrix
 
 F = Fraction
 POLY23_LOWER = get_map("poly23_lower")
+HEIS3 = get_map("heis3")
 INDICATOR = TF("indicator", 1.0)
 
 
@@ -192,6 +202,191 @@ def test_tie_recount_fires_on_ties_only(rows, radius):
     mats[at] = np.array(rows, dtype=float)
     b1, b2, _ = sl2_reduce_batch(mats)
     assert np.nonzero(indicator_ties(b1, b2, radius))[0].tolist() == [at]
+
+
+# -- dimension 3: exact counts and ties -----------------------------------------
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def exact_norms3(m, radius):
+    """Squared norms, in exact arithmetic, of the nonzero vectors of norm at
+    most radius of the column lattice of the 3x3 Fraction matrix m.
+
+    Pairwise size reduction (each step shortens a column) keeps the
+    search small; on any basis B the coefficients of such vectors are
+    bounded by the rows of B^-1 times the radius."""
+    cols = [[m[i][j] for i in range(3)] for j in range(3)]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in itertools.permutations(range(3), 2):
+            mu = round(_dot3(cols[i], cols[j]) / _dot3(cols[i], cols[i]))
+            if mu:
+                cols[j] = [x - mu * y for x, y in zip(cols[j], cols[i])]
+                changed = True
+    inv = np.linalg.inv(np.array(cols, dtype=float).T)
+    span = int(np.max(np.linalg.norm(inv, axis=1)) * float(radius)) + 2
+    r2 = F(radius) ** 2
+    norms = []
+    for c in itertools.product(range(-span, span + 1), repeat=3):
+        if any(c):
+            v = [sum(col[i] * cj for col, cj in zip(cols, c)) for i in range(3)]
+            if _dot3(v, v) <= r2:
+                norms.append(_dot3(v, v))
+    return norms
+
+
+def random_rational_sl3(rng):
+    m = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    for _ in range(4):
+        i, j = (int(x) for x in rng.choice(3, 2, replace=False))
+        x = F(int(rng.integers(-20, 21)), int(rng.integers(1, 9)))
+        # column j += x column i
+        for row in m:
+            row[j] += x * row[i]
+    return m
+
+
+def test_exact_3d_count_and_shortest_match_enumeration():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        m = random_rational_sl3(rng)
+        for radius in (0.7, 1.0, 1.5):
+            assert siegel_count_exact(m, radius) == len(exact_norms3(m, F(radius)))
+        # lambda_1 <= 2^(1/6) < 1.13 (Hermite)
+        lam1_sq = min(exact_norms3(m, F(113, 100)))
+        assert np.linalg.norm(reduce_exact(m)[:, 0]) == pytest.approx(
+            math.sqrt(lam1_sq), rel=1e-15
+        )
+
+
+# (columns of a constant lattice at R = 1): identity, a diagonal, a shear
+# with mu = 1/2, a rotation by the 3-4-5 angle (unit columns that float64
+# does not hold exactly) and a point of the heis3 orbit
+TIES3 = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[2, 0, 0], [0, F(1, 2), 0], [0, 0, 1]],
+    [[1, F(1, 2), 0], [0, 1, 0], [0, 0, 1]],
+    [[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]],
+    [[1, F(1, 2), F(1, 4)], [0, 1, F(1, 2)], [0, 0, 1]],
+]
+
+
+@pytest.mark.parametrize("rows", TIES3)
+def test_3d_ties_count_exactly_through_certified_kernel(rows):
+    task = (PolyMatrix(rows), ("x",), BoxRegion((0.0,), (1.0,)), 8, (INDICATOR,),
+            0, 8, "jitter", 3, math.inf)
+    _, values, excluded, _ = experiment._eval_chunk(task)
+    assert not excluded.any()
+    exact = len(exact_norms3([[F(x) for x in row] for row in rows], F(1)))
+    assert values[0].tolist() == [exact] * 8
+
+
+def test_3d_tie_rows_on_exact_columns_skip_the_exact_lattice(monkeypatch):
+    # heis3 keeps e1, exact in float64, on the sphere |v| = 1 at every
+    # sample; that row is counted from the stored column, and the lattice
+    # is recounted only at genuine near-ties
+    recounts = []
+
+    def counting(m, r):
+        recounts.append(m)
+        return siegel_count_exact(m, r)
+
+    monkeypatch.setattr(homspace, "siegel_count_exact", counting)
+    region = BoxSpec(lam=HEIS3.default_lambda, T=20.0, grid=24).realized_region()
+    task = (HEIS3.matrix, HEIS3.map_vars, region, 24, (INDICATOR,), 0, 576,
+            "jitter", 1, math.inf)
+    _, values, _, _ = experiment._eval_chunk(task)
+    assert values[0].tolist() == [2.0] * 576
+    assert recounts == []
+
+
+def test_3d_exact_columns_are_counted_as_stored(monkeypatch):
+    # float64 puts b1 = (0.6, 0.8, 0) on the unit sphere, but the stored
+    # column is exactly 1 + 4.4e-17 long; its row is decided from the
+    # column itself, with no exact recount of the lattice
+    monkeypatch.setattr(homspace, "siegel_count_exact", None)
+    mats = np.array([[[0.6, -1.2, 0.0], [0.8, 0.9, 0.0], [0.0, 0.0, 1.3]]])
+    assert math.hypot(0.6, 0.8) == 1.0
+    exact = [[F(float(x)) for x in row] for row in mats[0]]
+    _, values, _, _ = sl3_kernel(mats, np.zeros((1, 3)), (INDICATOR,),
+                                 lambda k: exact)
+    assert values[0].tolist() == [len(exact_norms3(exact, F(1)))] == [0]
+
+
+def _inverse3(m):
+    """Inverse of a 3x3 Fraction matrix of determinant 1: its rows are the
+    cross products of the columns."""
+    a, b, c = ([m[i][j] for i in range(3)] for j in range(3))
+
+    def cross(u, v):
+        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0]]
+
+    return [cross(b, c), cross(c, a), cross(a, b)]
+
+
+def test_sl3_greedy_bounds_cover_the_distance_to_the_exact_lattice():
+    # entries with denominators 3, 5, 6 and 7 round in float64; the
+    # reduction multiplies those errors, and the carried bounds follow
+    rng = np.random.default_rng(23)
+    exact = [random_rational_sl3(rng) for _ in range(60)]
+    mats = np.array([[[float(x) for x in row] for row in m] for m in exact])
+    err = np.array([[float(sum(abs(F(float(x)) - x) for x in col))
+                     for col in zip(*m)] for m in exact])
+    b, e, done = sl3_greedy(mats, err)
+    assert done.all()
+    grew = 0
+    for m, basis, bound, start in zip(exact, b, e, err):
+        inv = _inverse3(m)
+        for j in range(3):
+            col = [F(float(x)) for x in basis[:, j]]
+            # the exact lattice vector the column stands for is the nearest one
+            c = [round(sum(r * x for r, x in zip(row, col))) for row in inv]
+            diff = [col[i] - sum(m[i][k] * c[k] for k in range(3)) for i in range(3)]
+            dist2 = sum(d * d for d in diff)
+            assert dist2 <= F(float(bound[j])) ** 2
+            grew += dist2 > F(float(max(start))) ** 2
+    assert grew > 0
+
+
+def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
+    # the entries reach 1.8e8; the carried bounds stay below 1e-7
+    region = BoxSpec(lam=HEIS3.default_lambda, T=1e3, grid=16).realized_region()
+    # a budget of 0 exact samples: any sample beyond float64 raises
+    task = (HEIS3.matrix, HEIS3.map_vars, region, 16, (INDICATOR,), 0, 256,
+            "jitter", 5, 0.0)
+    _, values, excluded, n_exact = experiment._eval_chunk(task)
+    assert n_exact == 0 and not excluded.any()
+    assert values[0].tolist() == [2.0] * 256
+    res = convergence_sweep(HEIS3, HEIS3.default_lambda, [1e3], [INDICATOR], grid=16)
+    assert (res.rows[0].average, res.rows[0].reference) == (2.0, 2.0)
+
+
+def test_heis3_precision_error_beyond_float64():
+    # at T = 1e4 the entries reach 1e11 and the bounds 3e-5: the exact tier
+    # takes most samples, which is over budget for a sweep
+    region = BoxSpec(lam=HEIS3.default_lambda, T=1e4, grid=8).realized_region()
+    task = (HEIS3.matrix, HEIS3.map_vars, region, 8, (INDICATOR,), 0, 64,
+            "jitter", 5, math.inf)
+    lam1, values, _, n_exact = experiment._eval_chunk(task)
+    assert n_exact > 32
+    assert lam1.tolist() == [1.0] * 64 and values[0].tolist() == [2.0] * 64
+    with pytest.raises(PrecisionError) as err:
+        convergence_sweep(HEIS3, HEIS3.default_lambda, [1e4], [INDICATOR], grid=16)
+    assert err.value.flagged > 1e-3 * err.value.total
+
+
+def test_equi_exits_1_on_heis3_precision_error(tmp_path, capsys):
+    code = cli_main([
+        "equi", "--map", "heis3", "--T", "10000", "--grid", "16",
+        "--out", str(tmp_path),
+    ])
+    assert code == 1
+    assert "float64 certification" in capsys.readouterr().err
 
 
 # -- beyond the certifiable range -----------------------------------------------

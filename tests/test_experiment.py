@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boxflow import experiment
 from boxflow.catalog import get_map
 from boxflow.errors import DomainError
 from boxflow.experiment import (
@@ -19,6 +20,7 @@ from boxflow.experiment import (
 )
 from boxflow.goodness import BoxRegion
 from boxflow.homspace import TestFunction as TF
+from boxflow.homspace import reduce_basis, siegel_transform
 
 F = Fraction
 
@@ -135,12 +137,50 @@ def test_heis3_orbit_reference_and_average():
     assert res.rows[0].reference == pytest.approx(2.0)
 
 
+def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
+    # the 14,976 lattices of one benchmark heis3 sweep: the 24^3 orbit
+    # points of the reference, and 24^2 jittered points at T = 10 and 20
+    f = TF("indicator", 1.0)
+    cases = [(HEIS3.orbit_map, HEIS3.orbit_vars,
+              BoxRegion((0.0,) * 3, (1.0,) * 3), "grid")]
+    cases += [(HEIS3.matrix, HEIS3.map_vars,
+               BoxSpec(lam=HEIS3.default_lambda, T=T, grid=24).realized_region(),
+               "jitter") for T in (10.0, 20.0)]
+    checked = 0
+    for matrix, map_vars, region, method in cases:
+        total = 24 ** region.dim
+        task = (matrix, map_vars, region, 24, (f,), 0, total, method, 1, math.inf)
+        lam1, (vals,), excluded, n_exact = experiment._eval_chunk(task)
+        assert not excluded.any() and n_exact == 0
+        pts = experiment._chunk_points(region, 24, 0, total, method, 1)
+        mats = np.empty((total, 3, 3))
+        for i, row in enumerate(matrix.entries):
+            for j, p in enumerate(row):
+                mats[:, i, j], _ = experiment._EntryTerms(p, map_vars).f64(pts)
+        for g, lam, val in zip(mats, lam1, vals):
+            lat = reduce_basis(g)
+            assert lat.shortest == lam
+            assert siegel_transform(lat, f) == val
+        checked += total
+    assert checked == 14976
+
+
 def test_worker_count_independence():
     f = TF("indicator", 1.0)
     res1 = convergence_sweep(UL, (F(1), F(1, 2)), [50.0], [f], grid=32,
                              workers=1)
     res2 = convergence_sweep(UL, (F(1), F(1, 2)), [50.0], [f], grid=32,
                              workers=2)
+    assert res1.csv_text() == res2.csv_text()
+
+
+def test_heis3_worker_count_independence():
+    # 3D chunks are smaller: three of them per box here
+    f = TF("indicator", 1.0)
+    res1 = convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [f], grid=48,
+                             workers=1, method="jitter", seed=4)
+    res2 = convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [f], grid=48,
+                             workers=2, method="jitter", seed=4)
     assert res1.csv_text() == res2.csv_text()
 
 

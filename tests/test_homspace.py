@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,11 @@ from boxflow.homspace import (
     reduce_basis,
     shortest_vector_length,
     siegel_batch,
+    siegel_batch3,
     siegel_transform,
     sl2_reduce_batch,
+    sl3_greedy,
+    sl3_kernel,
 )
 
 
@@ -123,7 +127,7 @@ def test_shortest_invariant_under_integer_unimodular_words():
     rng = np.random.default_rng(2718)
     gens2 = [np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]),
              np.array([[0, -1], [1, 0]])]
-    gens3 = [np.eye(3, dtype=int) + np.eye(3, dtype=int)[::-1] * 0]
+    gens3 = []
     e = np.eye(3, dtype=int)
     for i in range(3):
         for j in range(3):
@@ -134,7 +138,7 @@ def test_shortest_invariant_under_integer_unimodular_words():
     for _ in range(100):
         n = 2 if rng.random() < 0.5 else 3
         g = random_sl2(rng) if n == 2 else random_sl3(rng)
-        gens = gens2 if n == 2 else gens3[1:]
+        gens = gens2 if n == 2 else gens3
         word = np.eye(n)
         for _ in range(int(rng.integers(1, 6))):
             word = word @ gens[rng.integers(0, len(gens))]
@@ -363,3 +367,119 @@ def test_import_path_leaves_out_scipy_integrate_and_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# -- dimension-3 batch kernel ------------------------------------------------------
+
+
+def exact_of(mats):
+    """``exact`` for sl3_kernel: each float64 basis read as exact rationals."""
+    return lambda k: [[Fraction(float(x)) for x in row] for row in mats[k]]
+
+
+def coefficient_span(g, radius):
+    """Bound on the coefficients of the lattice vectors of norm at most
+    radius: |c_i| <= |row i of g^-1| radius."""
+    return int(np.max(np.linalg.norm(np.linalg.inv(g), axis=1)) * radius) + 1
+
+
+def test_batch3_indicator_matches_enumeration_with_ties():
+    # the elementary factors of random_sl3 often leave a unit column, so
+    # many of these lattices hold vectors exactly on the unit sphere; the
+    # float64 rows alone miscount 74 of the 2000
+    rng = np.random.default_rng(7)
+    mats = np.stack([random_sl3(rng) for _ in range(2000)])
+    zero = np.zeros((2000, 3))
+    f = TF("indicator", 1.0)
+    lam1, (vals,), excluded, n_exact = sl3_kernel(mats, zero, (f,), exact_of(mats))
+    assert not excluded.any() and n_exact == 0
+    brute = np.array([brute_siegel(g, f, span=coefficient_span(g, 1.0)) for g in mats])
+    b, e, _ = sl3_greedy(mats, zero)
+    raw, _, ties = siegel_batch3(b, e, lam1, f)
+    assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
+    assert vals.tolist() == brute.tolist()
+
+
+def test_batch3_bump_matches_enumeration():
+    rng = np.random.default_rng(13)
+    mats = np.stack([random_sl3(rng) for _ in range(200)])
+    f = TF("bump", 1.2)
+    _, (vals,), _, _ = sl3_kernel(mats, np.zeros((200, 3)), (f,), exact_of(mats))
+    for g, val in zip(mats, vals):
+        ref = brute_siegel(g, f, span=coefficient_span(g, f.radius))
+        assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
+
+
+def test_batch3_shortest_matches_enumeration():
+    rng = np.random.default_rng(8)
+    mats = np.stack([random_sl3(rng) for _ in range(100)])
+    b, _, done = sl3_greedy(mats, np.zeros((100, 3)))
+    assert done.all()
+    for g, basis in zip(mats, b):
+        # lambda_1 <= 2^(1/6) < 1.13 in a covolume-1 lattice (Hermite)
+        assert np.linalg.norm(basis[:, 0]) == pytest.approx(
+            brute_shortest(g, span=coefficient_span(g, 1.13)), rel=1e-9
+        )
+
+
+def reduced_basis3(rng, lam1):
+    """A reduced basis of covolume about 1 with first column of length
+    about lam1: Gram-Schmidt lengths lam1 <= s <= 1/(lam1 s) with s >= 0.3,
+    size-reduced coefficients, a random rotation, and entries rounded to
+    multiples of 2^-30, so that products with small integer matrices are
+    exact."""
+    s = math.exp(rng.uniform(math.log(0.3), -0.5 * math.log(lam1)))
+    tri = np.eye(3)
+    tri[0, 1], tri[0, 2], tri[1, 2] = rng.uniform(-0.5, 0.5, 3)
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return np.round(rot @ np.diag([lam1, s, 1.0 / (lam1 * s)]) @ tri * 2.0 ** 30) / 2.0 ** 30
+
+
+def direct_sum3(basis, f):
+    """The profile summed directly over every nonzero vector
+    c1 b1 + c2 b2 + c3 b3 with |c2| <= 6, |c3| <= 4 and c1 within
+    R/|b1| + 2 of the row's centre: all vectors of norm at most R = f.radius
+    <= 1.2 of a ``reduced_basis3`` basis (Gram-Schmidt lengths >= 0.3)."""
+    b1, b2, b3 = basis.T
+    span = int(f.radius / np.linalg.norm(b1)) + 2
+    terms = []
+    for c2 in range(-6, 7):
+        for c3 in range(-4, 5):
+            centre = round(-(c2 * (b1 @ b2) + c3 * (b1 @ b3)) / (b1 @ b1))
+            c1 = np.arange(centre - span, centre + span + 1)
+            if c2 == c3 == 0:
+                c1 = c1[c1 != 0]
+            vecs = c1[:, None] * b1 + c2 * b2 + c3 * b3
+            terms += f.profile(np.sqrt(np.sum(vecs * vecs, axis=1))).tolist()
+    return math.fsum(terms)
+
+
+def test_batch3_near_cusp_matches_enumeration():
+    rng = np.random.default_rng(35)
+    e = np.eye(3)
+    gens = [e + np.outer(e[i], e[j]) for i in range(3) for j in range(3) if i != j]
+    lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.2), 40))
+    bases = [reduced_basis3(rng, x) for x in lam]
+    words = []
+    for _ in lam:
+        word = np.eye(3)
+        for _ in range(int(rng.integers(1, 6))):
+            word = word @ gens[rng.integers(0, len(gens))]
+        words.append(word)
+    mats = np.stack([g @ w for g, w in zip(bases, words)])
+    b, _, done = sl3_greedy(mats, np.zeros((40, 3)))
+    assert done.all()
+    lam1 = np.linalg.norm(b[:, :, 0], axis=1)
+    shortest = [brute_shortest(basis, span=2) for basis in bases]
+    assert min(shortest) < 2e-3
+    for x, found in zip(shortest, lam1):
+        assert found == pytest.approx(x, rel=1e-9)
+    for f in (TF("indicator", 1.0), TF("bump", 1.2)):
+        _, (vals,), excluded, _ = sl3_kernel(mats, np.zeros((40, 3)), (f,), exact_of(mats))
+        assert not excluded.any()
+        for basis, val in zip(bases, vals):
+            ref = direct_sum3(basis, f)
+            if f.kind == "indicator":
+                assert val == ref
+            else:
+                assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
