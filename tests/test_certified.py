@@ -329,13 +329,21 @@ def _inverse3(m):
     return [cross(b, c), cross(c, a), cross(a, b)]
 
 
+def _round_up(q):
+    """The least float64 not below the rational q."""
+    f = float(q)
+    return f if F(f) >= q else math.nextafter(f, math.inf)
+
+
 def test_sl3_greedy_bounds_cover_the_distance_to_the_exact_lattice():
     # entries with denominators 3, 5, 6 and 7 round in float64; the
     # reduction multiplies those errors, and the carried bounds follow
     rng = np.random.default_rng(23)
     exact = [random_rational_sl3(rng) for _ in range(60)]
     mats = np.array([[[float(x) for x in row] for row in m] for m in exact])
-    err = np.array([[float(sum(abs(F(float(x)) - x) for x in col))
+    # each column's starting bound is its exact rounding error, rounded up:
+    # a column no step moves keeps it
+    err = np.array([[_round_up(sum(abs(F(float(x)) - x) for x in col))
                      for col in zip(*m)] for m in exact])
     b, e, done = sl3_greedy(mats, err)
     assert done.all()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import boxflow
+from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
 from boxflow.errors import CuspExcursionError, DeterminantError, DomainError
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
@@ -25,6 +26,7 @@ from boxflow.homspace import (
     siegel_batch,
     siegel_batch3,
     siegel_transform,
+    sl2_lagrange,
     sl2_reduce_batch,
     sl3_greedy,
     sl3_kernel,
@@ -47,8 +49,15 @@ def brute_shortest(g, span=None):
     return best
 
 
-def brute_siegel(g, f, span=20):
+def coefficient_span(g, radius):
+    """Bound on the coefficients of the lattice vectors of norm at most
+    radius: |c_i| <= |row i of g^-1| radius."""
+    return int(np.max(np.linalg.norm(np.linalg.inv(g), axis=1)) * radius) + 1
+
+
+def brute_siegel(g, f):
     n = g.shape[0]
+    span = coefficient_span(g, f.radius)
     total = 0.0
     for coeffs in itertools.product(range(-span, span + 1), repeat=n):
         if all(c == 0 for c in coeffs):
@@ -303,6 +312,111 @@ def test_batch_flags_cusp_samples():
     assert vals[0] == 4.0 and vals[1] == 0.0
 
 
+def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
+    """``sl2_lagrange`` as a loop over (m, d) arrays that compacts on every
+    pass in which a sample finishes: the same float operations in the same
+    order, so its results are bit-identical."""
+    dd = u_lo is not None
+    if dd:
+        c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
+    else:
+        c_mul = c_add = U * 1.01
+    state = [u, v, np.asarray(eu, float), np.asarray(ev, float)]
+    state += [u_lo, v_lo] if dd else []
+    out = [np.empty_like(a) for a in state]
+    idx = np.arange(u.shape[0])
+    for _ in range(256):
+        if idx.size == 0:
+            break
+        u, v, eu, ev, *lo = state
+        uu = np.sum(u * u, axis=1)
+        vv = np.sum(v * v, axis=1)
+        swap = uu > vv
+        if swap.any():
+            s2 = swap[:, None]
+            u, v = np.where(s2, v, u), np.where(s2, u, v)
+            eu, ev = np.where(swap, ev, eu), np.where(swap, eu, ev)
+            if dd:
+                lo = [np.where(s2, lo[1], lo[0]), np.where(s2, lo[0], lo[1])]
+            uu = np.where(swap, vv, uu)
+        mu = np.round(np.sum(u * v, axis=1) / uu)
+        if dd:
+            ph, pl = dd_mul_d(u, lo[0], mu[:, None])
+            v, lo[1] = dd_add(v, lo[1], -ph, -pl)
+        else:
+            v = v - mu[:, None] * u
+        amu = np.abs(mu)
+        ev = ev + amu * eu + c_mul * amu * np.sqrt(uu) + c_add * (mu != 0) * np.sqrt(
+            np.sum(v * v, axis=1)
+        )
+        state = [u, v, eu, ev] + lo
+        fin = mu == 0
+        if fin.any():
+            for o, a in zip(out, state):
+                o[idx[fin]] = a[fin]
+            keep = ~fin
+            state = [a[keep] for a in state]
+            idx = idx[keep]
+    for o, a in zip(out, state):
+        o[idx] = a
+    u, v, eu, ev = out[:4]
+    done = np.ones(u.shape[0], dtype=bool)
+    done[idx] = False
+    if dd:
+        eu += U * np.sqrt(np.sum(u * u, axis=1))
+        ev += U * np.sqrt(np.sum(v * v, axis=1))
+    return u, v, eu, ev, done
+
+
+def lagrange_batch(rng, m, d, dd):
+    """Column pairs with entries from 1 to 1e8.  A third of them are near
+    multiples of each other, which takes many passes to reduce; another
+    third are small integer vectors, with exact ties in the norms and in
+    the rounding of mu."""
+    scale = 10.0 ** rng.uniform(0, 8, (m, 1))
+    u = rng.standard_normal((m, d)) * scale
+    v = rng.standard_normal((m, d)) * scale * rng.uniform(0.1, 3, (m, 1))
+    k = m // 3
+    v[:k] = u[:k] * rng.integers(-1000, 1000, (k, 1)) + v[:k] * 1e-4
+    iu = rng.integers(-3, 4, (4 * k, d)).astype(float)
+    iv = rng.integers(-3, 4, (4 * k, d)).astype(float)
+    cross = np.cross(np.pad(iu, ((0, 0), (0, 3 - d))), np.pad(iv, ((0, 0), (0, 3 - d))))
+    independent = np.nonzero(np.any(cross != 0, axis=1))[0][:k]
+    u[k:2 * k], v[k:2 * k] = iu[independent], iv[independent]
+    args = [u, v, rng.uniform(0, 1e-9, m), rng.uniform(0, 1e-9, m)]
+    if dd:
+        args += [u * U * rng.uniform(-1, 1, (m, d)), v * U * rng.uniform(-1, 1, (m, d))]
+    return args
+
+
+@pytest.mark.parametrize("dd", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_lagrange_bit_identical_to_reference_loop(d, dd):
+    rng = np.random.default_rng(40 + d + 2 * dd)
+    args = lagrange_batch(rng, 3000, d, dd)
+    args[0][7] = np.nan  # never converges: stopped by the pass cap
+    got = sl2_lagrange(*args)
+    want = reference_lagrange(*(a.copy() for a in args))
+    assert not got[4][7] and np.count_nonzero(~got[4]) == 1
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    empty = [a[:0] for a in args]
+    for g, w in zip(sl2_lagrange(*empty), reference_lagrange(*empty)):
+        assert g.shape == w.shape and g.size == 0
+
+
+def test_lagrange_charges_nothing_on_a_reduced_pair():
+    # both pairs are Lagrange-reduced already: the one step has mu = 0,
+    # which is exact, so zero bounds stay zero
+    u = np.array([[1.0, 0.0], [0.5, 0.25]])
+    v = np.array([[0.3, 1.0], [-1.0, 1.5]])
+    zero = np.zeros(2)
+    ru, rv, eu, ev, done = sl2_lagrange(u, v, zero, zero)
+    assert done.all() and (ru == u).all() and (rv == v).all()
+    assert eu.tolist() == ev.tolist() == [0.0, 0.0]
+
+
 def reduced_basis(lam1, mu, theta):
     """A Lagrange-reduced covolume-1 basis (b1, b2) with |b1| = lam1 and
     b1.b2 = mu |b1|^2, b1 at angle theta."""
@@ -377,12 +491,6 @@ def exact_of(mats):
     return lambda k: [[Fraction(float(x)) for x in row] for row in mats[k]]
 
 
-def coefficient_span(g, radius):
-    """Bound on the coefficients of the lattice vectors of norm at most
-    radius: |c_i| <= |row i of g^-1| radius."""
-    return int(np.max(np.linalg.norm(np.linalg.inv(g), axis=1)) * radius) + 1
-
-
 def test_batch3_indicator_matches_enumeration_with_ties():
     # the elementary factors of random_sl3 often leave a unit column, so
     # many of these lattices hold vectors exactly on the unit sphere; the
@@ -393,7 +501,7 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     f = TF("indicator", 1.0)
     lam1, (vals,), excluded, n_exact = sl3_kernel(mats, zero, (f,), exact_of(mats))
     assert not excluded.any() and n_exact == 0
-    brute = np.array([brute_siegel(g, f, span=coefficient_span(g, 1.0)) for g in mats])
+    brute = np.array([brute_siegel(g, f) for g in mats])
     b, e, _ = sl3_greedy(mats, zero)
     raw, _, ties = siegel_batch3(b, e, lam1, f)
     assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
@@ -406,7 +514,7 @@ def test_batch3_bump_matches_enumeration():
     f = TF("bump", 1.2)
     _, (vals,), _, _ = sl3_kernel(mats, np.zeros((200, 3)), (f,), exact_of(mats))
     for g, val in zip(mats, vals):
-        ref = brute_siegel(g, f, span=coefficient_span(g, f.radius))
+        ref = brute_siegel(g, f)
         assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
 
 
