@@ -36,7 +36,15 @@ class DomainError(BoxflowError):
 
 
 class NilpotencyError(BoxflowError):
-    """A matrix expected to be nilpotent is not."""
+    """A matrix expected to be nilpotent is not.
+
+    ``failed`` holds (stack index, message) for every failing matrix, in
+    stack order; the index of a single matrix is ().
+    """
+
+    def __init__(self, message, failed=()):
+        super().__init__(message)
+        self.failed = tuple(failed)
 
 
 class CuspExcursionError(BoxflowError):

@@ -293,19 +293,30 @@ def flow_of(result: FlowResult, s_var: str = "s") -> PolyMatrix:
     return acc
 
 
-def nilpotent_exp(y: np.ndarray, s: float) -> np.ndarray:
-    """exp(s*Y) for nilpotent Y via the finite sum of N terms."""
+def nilpotent_exp(y: np.ndarray, s) -> np.ndarray:
+    """exp(s*Y) for nilpotent Y via the finite sum of N terms.
+
+    ``y`` may be a stack (..., N, N) with ``s`` broadcasting over its leading
+    axes; each matrix of the result equals the call on that matrix alone,
+    bit for bit, and every matrix must pass the nilpotency check.
+    """
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    final = np.linalg.matrix_power(y, n)
-    if np.max(np.abs(final)) >= 1e-9:
-        raise NilpotencyError(
-            f"Y^{n} has max entry {np.max(np.abs(final)):.3e} >= 1e-9"
-        )
+    n = y.shape[-1]
+    peaks = np.max(np.abs(np.linalg.matrix_power(y, n)), axis=(-2, -1))
+    failed = [
+        (tuple(idx.tolist()), f"Y^{n} has max entry {peaks[tuple(idx)]:.3e} >= 1e-9")
+        for idx in np.argwhere(peaks >= 1e-9)
+    ]
+    if failed:
+        idx, msg = failed[0]
+        if idx:
+            msg = f"matrix {idx} of {peaks.size}: {msg} ({len(failed)} fail)"
+        raise NilpotencyError(msg, failed)
+    sy = np.asarray(s, dtype=float)[..., None, None] * y
     acc = np.eye(n)
     term = np.eye(n)
     for j in range(1, n):
-        term = term @ (s * y) / j
+        term = term @ sy / j
         acc = acc + term
     return acc
 
@@ -343,22 +354,35 @@ def group_law_check(result: FlowResult, trials: int = 100, seed: int = 0) -> Gro
     if not generator_ok:
         failures.append("generator differs from M_1")
 
+    # the same scalar draws, in the same order, as one trial at a time
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x666C6F77]))
-    max_err = 0.0
+    nums = np.empty((trials, len(result.alpha_vars)))
+    steps = np.empty(trials)
     for i in range(trials):
-        point = {
-            v: Fraction(int(rng.integers(0, 128)), 127) for v in result.alpha_vars
-        }
-        s = Fraction(int(rng.integers(-64, 65)), 32)
-        floats = {v: float(x) for v, x in point.items()}
-        y0 = result.generator.evaluate(floats)
-        try:
-            exp_val = nilpotent_exp(y0, float(s))
-        except NilpotencyError as err:
-            failures.append(f"trial {i}: {err}")
+        for j in range(len(result.alpha_vars)):
+            nums[i, j] = rng.integers(0, 128)
+        steps[i] = rng.integers(-64, 65)
+    # float(Fraction(a, b)) is a / b correctly rounded, as is a / float(b)
+    floats = {v: nums[:, j] / 127 for j, v in enumerate(result.alpha_vars)}
+    s = steps / 32
+    n = result.generator.dim
+    y0 = np.broadcast_to(result.generator.evaluate(floats), (trials, n, n))
+    bad = {}
+    try:
+        exp_val = nilpotent_exp(y0, s)
+    except NilpotencyError as err:
+        bad = {idx[0]: msg for idx, msg in err.failed}
+        keep = np.ones(trials, dtype=bool)
+        keep[list(bad)] = False
+        exp_val = np.zeros_like(y0)
+        exp_val[keep] = nilpotent_exp(y0[keep], s[keep])
+    direct = rho.evaluate({**floats, "s": s})
+    errs = np.max(np.abs(exp_val - direct), axis=(-2, -1))
+    max_err = 0.0
+    for i, err in enumerate(errs.tolist()):
+        if i in bad:
+            failures.append(f"trial {i}: {bad[i]}")
             continue
-        direct = rho.evaluate({**floats, "s": float(s)})
-        err = float(np.max(np.abs(exp_val - direct)))
         max_err = max(max_err, err)
         if err > 1e-9:
             failures.append(

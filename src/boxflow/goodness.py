@@ -316,47 +316,57 @@ def besicovitch_select(
     """
     pts = np.atleast_2d(np.asarray(centers, dtype=float))
     hws = np.asarray(halfwidths, dtype=float)
-    if pts.shape[0] == 0:
+    if pts.size == 0:
         raise DomainError("need at least one cube")
-    if pts.shape[0] != hws.shape[0]:
+    if hws.shape != pts.shape[:1]:
         raise DomainError("one half-width per center is required")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(hws))):
+        raise DomainError("centers and half-widths must be finite")
     if np.any(hws <= 0):
         raise DomainError("half-widths must be positive")
     k = pts.shape[1]
     if bound is None:
         bound = 2 ** k + 1
 
-    order = sorted(range(len(hws)), key=lambda i: (-hws[i], i))
+    # ``covered`` marks the centers inside a cube kept so far (closed
+    # cubes); a cube is kept when its center is not marked on its turn
+    order = np.lexsort((np.arange(len(hws)), -hws))
+    covered = np.zeros(len(hws), dtype=bool)
     sel_idx = []
-    for i in order:
-        covered = False
-        for j in sel_idx:
-            if np.max(np.abs(pts[i] - pts[j])) <= hws[j]:
-                covered = True
-                break
-        if not covered:
-            sel_idx.append(i)
+    for j in order.tolist():
+        if not covered[j]:
+            sel_idx.append(j)
+            covered |= (np.abs(pts - pts[j]) <= hws[j]).all(axis=1)
     sel_centers = pts[sel_idx]
     sel_hws = hws[sel_idx]
 
-    # coverage of all inputs (closed cubes)
-    dist = np.max(np.abs(pts[:, None, :] - sel_centers[None, :, :]), axis=2)
-    covered_all = bool(np.all(np.any(dist <= sel_hws[None, :], axis=1)))
+    # multiplicity at the probe grid over the bounding box and at the
+    # inputs.  |x - c|_inf <= h is an AND of per-axis (coordinate, selected)
+    # tables; a grid probe takes its rows from the k axis tables, so the
+    # grid's hits are their outer AND
+    def axis_hits(coords, d):
+        return np.abs(coords[:, None] - sel_centers[:, d]) <= sel_hws
 
     lo = np.min(pts - hws[:, None], axis=0)
     hi = np.max(pts + hws[:, None], axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    axes = [np.linspace(lo[d], hi[d], probe_grid) for d in range(k)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    probes = np.stack([m.ravel() for m in mesh], axis=-1)
-    probes = np.concatenate([probes, pts], axis=0)
-    pdist = np.max(np.abs(probes[:, None, :] - sel_centers[None, :, :]), axis=2)
-    mult = np.sum(pdist <= sel_hws[None, :], axis=1)
+    m = len(sel_idx)
+    grid_hit = np.ones((1,) * k + (m,), dtype=bool)
+    pts_hit = np.ones((len(pts), m), dtype=bool)
+    for d in range(k):
+        shape = [1] * k + [m]
+        shape[d] = probe_grid
+        coords = np.linspace(lo[d], hi[d], probe_grid)
+        grid_hit = grid_hit & axis_hits(coords, d).reshape(shape)
+        pts_hit &= axis_hits(pts[:, d], d)
+    mult = np.concatenate([
+        np.count_nonzero(grid_hit, axis=-1).ravel(),
+        np.count_nonzero(pts_hit, axis=1),
+    ])
     hist_vals, hist_counts = np.unique(mult, return_counts=True)
     return CubeCover(
         centers=sel_centers,
         halfwidths=sel_hws,
-        covered=covered_all,
+        covered=bool(np.all(covered)),
         max_multiplicity=int(np.max(mult)),
         multiplicity_histogram={int(v): int(c) for v, c in zip(hist_vals, hist_counts)},
         configured_bound=bound,

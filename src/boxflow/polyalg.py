@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 import mpmath
+import numpy as np
 
 from .errors import DivergentLimitError, DomainError, ExponentError, ParseError
 
@@ -107,6 +108,23 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return _make_monomial(list(m1) + list(m2))
 
 
+# Python's float pow, element by element (see ``_float_pow``)
+_POW = np.frompyfunc(pow, 2, 1)
+
+
+def _float_pow(value, exp: Fraction):
+    """``float(value) ** exp`` as Python computes it (libm's ``pow``, an
+    integer exponent kept an integer), elementwise when ``value`` is an
+    array.  numpy's own ``power`` is not used: its vectorised loops (SVML
+    on AVX-512 hosts) differ from libm's ``pow`` in the last bit for a few
+    percent of inputs, and every element must equal the scalar value."""
+    e = int(exp) if exp.denominator == 1 else float(exp)
+    if np.ndim(value) == 0:
+        return float(value) ** e
+    base = np.asarray(value, dtype=float)
+    return base if e == 1 else _POW(base, e).astype(float)
+
+
 def _monomial_power(binding: "GenPoly", exp: Fraction, var: str) -> "GenPoly":
     """Raise a single-term binding to a fractional or negative power.
 
@@ -133,7 +151,7 @@ def _monomial_power(binding: "GenPoly", exp: Fraction, var: str) -> "GenPoly":
 class GenPoly:
     """Immutable generalized polynomial with exact rational data."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_order")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         canon: dict = {}
@@ -145,6 +163,12 @@ class GenPoly:
                 canon[mono] = c
         self._terms = canon
         self._hash = None
+        self._order = None
+
+    def __reduce__(self):
+        # rebuild from the terms alone: the cached hash depends on the
+        # process's string-hash seed, which a spawned worker does not share
+        return (GenPoly, (self._terms,))
 
     # -- constructors -------------------------------------------------
 
@@ -328,43 +352,50 @@ class GenPoly:
 
     # -- evaluation -----------------------------------------------------
 
-    def _sorted_terms(self):
+    def _sorted_terms(self) -> tuple:
         """Terms in the canonical deterministic order: variables sorted by
         the fixed alphabet order, exponent vectors compared as rationals,
-        largest first."""
-        var_order = self.variables()
-        def key(item):
-            powers = dict(item[0])
-            return tuple(powers.get(v, Fraction(0)) for v in var_order)
-        return sorted(self._terms.items(), key=key, reverse=True)
+        largest first.  Sorted on first use and cached."""
+        if self._order is None:
+            var_order = self.variables()
+
+            def key(item):
+                powers = dict(item[0])
+                return tuple(powers.get(v, Fraction(0)) for v in var_order)
+
+            self._order = tuple(sorted(self._terms.items(), key=key, reverse=True))
+        return self._order
 
     def _check_point(self, point: Mapping[str, object]) -> None:
+        """Domain checks; an array coordinate must pass at every element."""
         for mono in self._terms:
             for var, exp in mono:
                 if var not in point:
                     raise DomainError(f"variable {var!r} is unbound")
                 if var == T_VAR and (exp.denominator != 1 or exp < 0):
-                    if not point[T_VAR] > 0:
+                    if not np.all(point[T_VAR] > 0):
                         raise DomainError(
                             "t must be positive when a fractional or "
                             "negative t-exponent is present"
                         )
-                if exp < 0 and point[var] == 0:
+                if exp < 0 and np.any(point[var] == 0):
                     raise DomainError(f"{var} = 0 hits a pole ({var}^{exp})")
 
-    def evaluate(self, point: Mapping[str, object]) -> float:
-        """Floating evaluation; terms are summed in the canonical order."""
+    def evaluate(self, point: Mapping[str, object]):
+        """Floating evaluation; terms are summed in the canonical order.
+
+        A coordinate may be an array: the operations are then applied
+        elementwise (the arrays broadcast), and every element equals the
+        scalar evaluation at that element's point, bit for bit.  A constant
+        polynomial returns a float whatever the point.
+        """
         self._check_point(point)
         total = 0.0
         for mono, coeff in self._sorted_terms():
             val = float(coeff)
             for var, exp in mono:
-                base = float(point[var])
-                if exp.denominator == 1:
-                    val *= base ** int(exp)
-                else:
-                    val *= base ** float(exp)
-            total += val
+                val = val * _float_pow(point[var], exp)
+            total = total + val
         return total
 
     def evaluate_exact(self, point: Mapping[str, object]) -> Fraction:

@@ -204,9 +204,15 @@ class PolyMatrix:
     # -- evaluation ---------------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, object]) -> np.ndarray:
-        return np.array(
-            [[e.evaluate(point) for e in row] for row in self.entries], dtype=float
-        )
+        """Float matrix at ``point``.  Array coordinates broadcast to a
+        shape S and give an S + (N, N) stack whose matrices equal the
+        scalar evaluations, bit for bit (see ``GenPoly.evaluate``)."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in point.values()))
+        out = np.empty(shape + (self.dim, self.dim))
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                out[..., i, j] = e.evaluate(point)
+        return out
 
     def evaluate_exact(self, point: Mapping[str, object]):
         return [

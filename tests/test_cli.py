@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, artifact determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_cover_subcommand(tmp_path, capsys):
     assert code == 0
     assert "coverage: total" in capsys.readouterr().out
     assert (tmp_path / "cover.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["", "0.5,nan,0.2\n1.0,1.0,0.3\n", "0.5,0.5,inf\n"])
+def test_cover_rejects_empty_and_non_finite_points(tmp_path, capsys, text):
+    points = tmp_path / "points.csv"
+    points.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt: empty input
+        code = run(["cover", "--points", str(points), "--out", str(tmp_path)])
+    assert code == 1
+    assert "invariant failure" in capsys.readouterr().err
+    assert not (tmp_path / "cover.csv").exists()
 
 
 def test_equi_needs_T(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boxflow.catalog import builtin_catalog
 from boxflow.errors import DomainError, NilpotencyError
 from boxflow.flowlimit import (
     FlowResult,
@@ -216,6 +217,159 @@ def test_group_law_detects_corrupted_limits(flow_52):
     report = group_law_check(corrupt, trials=10, seed=0)
     assert not report.passed
     assert not report.symbolic_ok
+
+
+def reference_nilpotent_exp(y, s):
+    """The one-matrix ``nilpotent_exp`` that the stacked one replaced."""
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    final = np.linalg.matrix_power(y, n)
+    if np.max(np.abs(final)) >= 1e-9:
+        raise NilpotencyError(
+            f"Y^{n} has max entry {np.max(np.abs(final)):.3e} >= 1e-9"
+        )
+    acc = np.eye(n)
+    term = np.eye(n)
+    for j in range(1, n):
+        term = term @ (s * y) / j
+        acc = acc + term
+    return acc
+
+
+def reference_group_law(result, trials, seed):
+    """The numeric half of ``group_law_check`` one trial at a time:
+    (exp_max_err, failures).  Scalar ``evaluate`` calls follow the same
+    operations as the array ones (see test_polyalg)."""
+    failures = []
+    rho = flow_of(result, "s")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x666C6F77]))
+    max_err = 0.0
+    for i in range(trials):
+        point = {
+            v: F(int(rng.integers(0, 128)), 127) for v in result.alpha_vars
+        }
+        s = F(int(rng.integers(-64, 65)), 32)
+        floats = {v: float(x) for v, x in point.items()}
+        y0 = result.generator.evaluate(floats)
+        try:
+            exp_val = reference_nilpotent_exp(y0, float(s))
+        except NilpotencyError as err:
+            failures.append(f"trial {i}: {err}")
+            continue
+        direct = rho.evaluate({**floats, "s": float(s)})
+        err = float(np.max(np.abs(exp_val - direct)))
+        max_err = max(max_err, err)
+        if err > 1e-9:
+            failures.append(
+                f"trial {i}: exp(s*Y) deviates from the flow by {err:.3e}"
+            )
+    return max_err, failures
+
+
+def exp_flow(generator, alpha_vars):
+    """FlowResult with M_l = Y^l, so flow_of is exp(sY) exactly."""
+    limits = [generator]
+    for _ in range(generator.dim - 2):
+        limits.append(limits[-1] @ generator)
+    return FlowResult(q=F(1), d=len(limits), limits=tuple(limits),
+                      generator=generator, degenerate_locus=(),
+                      alpha_vars=alpha_vars)
+
+
+def synthetic_flows():
+    """Flows whose numeric exp differs from the evaluated flow by rounding
+    (inexact coefficients, squares and cubes of s and alpha), one without
+    alpha variables, one with an M_2 that is not Y^2, and a non-nilpotent
+    generator that fails on some trials only."""
+    cases = {}
+    cases["inexact3"] = exp_flow(M([
+        ["0", "1/3 * a1", "5/7 * a2"],
+        ["0", "0", "2/3 * a1^2 + 1/9 * a2"],
+        ["0", "0", "0"],
+    ]), ("a1", "a2"))
+    cases["inexact4"] = exp_flow(M([
+        ["0", "3/7 * a1", "1/11 * a1 * a2", "5/3"],
+        ["0", "0", "7/5 * a2^3", "1/13 * a1"],
+        ["0", "0", "0", "a1^2 + 2/9"],
+        ["0", "0", "0", "0"],
+    ]), ("a1", "a2"))
+    cases["no_alpha"] = exp_flow(M([
+        ["0", "1/3", "1/7"], ["0", "0", "5/9"], ["0", "0", "0"],
+    ]), ())
+    # M_2 is not Y^2: the deviation is continuous in (alpha, s), so
+    # exp_max_err depends on every bit of the trial point that attains it
+    gen = M([["0", "2/3 * a1", "1/5"], ["0", "0", "3/7 * a1"], ["0", "0", "0"]])
+    cases["inconsistent"] = FlowResult(
+        q=F(1), d=2, limits=(gen, M([["0", "0", "1/3 * a1^2"], ["0", "0", "0"],
+                                     ["0", "0", "0"]])),
+        generator=gen, degenerate_locus=(), alpha_vars=("a1",),
+    )
+    # Y^2 = diag(a1 / 10^8, a1 / 10^8) passes the 1e-9 test only for a1 < 0.1
+    cases["not_nilpotent"] = FlowResult(
+        q=F(1), d=1, limits=(M([["0", "1"], ["1/100000000 * a1", "0"]]),),
+        generator=M([["0", "1"], ["1/100000000 * a1", "0"]]),
+        degenerate_locus=(), alpha_vars=("a1",),
+    )
+    return cases
+
+
+def test_group_law_trials_match_the_per_trial_loop():
+    cases = {}
+    for name, entry in builtin_catalog().items():
+        _, lam = normalize_exponents(entry.default_lambda)
+        cases[name] = compute_flow(rescale(entry.matrix, lam, entry.map_vars))
+    cases.update(synthetic_flows())
+    nonzero = set()
+    for name, res in cases.items():
+        for seed in (0, 1, 3):
+            for trials in (0, 100):
+                report = group_law_check(res, trials=trials, seed=seed)
+                max_err, failures = reference_group_law(res, trials, seed)
+                assert report.exp_max_err.hex() == max_err.hex(), (name, seed)
+                assert [f for f in report.failures if f.startswith("trial ")] == failures
+                assert report.passed == (
+                    report.symbolic_ok and report.generator_ok and not report.failures
+                )
+                assert report.trials == trials
+                if max_err > 0:
+                    nonzero.add(name)
+    assert {"inexact3", "inexact4", "no_alpha"} <= nonzero
+    report = group_law_check(cases["not_nilpotent"], trials=100, seed=1)
+    kinds = {f.split(": ")[1][:4] for f in report.failures if f.startswith("trial ")}
+    assert kinds == {"Y^2 "}
+    assert 5 < sum(f.startswith("trial ") for f in report.failures) < 95
+
+
+def test_group_law_single_trials_match_the_per_trial_loop():
+    # one trial per seed, so exp_max_err is that trial's error and every
+    # drawn point shows in it
+    res = synthetic_flows()["inconsistent"]
+    for seed in range(100):
+        report = group_law_check(res, trials=1, seed=seed)
+        max_err, failures = reference_group_law(res, 1, seed)
+        assert report.exp_max_err.hex() == max_err.hex(), seed
+        assert [f for f in report.failures if f.startswith("trial ")] == failures
+
+
+def test_nilpotent_exp_stack_matches_each_matrix():
+    rng = np.random.default_rng(5)
+    ys = np.triu(rng.normal(size=(50, 4, 4)), 1)
+    ys[7] = np.eye(4)
+    ys[30, 3, 0] = 0.5
+    s = rng.normal(size=50)
+    with pytest.raises(NilpotencyError) as err:
+        nilpotent_exp(ys, s)
+    failed = dict(err.value.failed)
+    assert list(failed) == [(7,), (30,)]
+    for i in (7, 30):
+        with pytest.raises(NilpotencyError) as one:
+            reference_nilpotent_exp(ys[i], s[i])
+        assert failed[(i,)] == str(one.value)
+    good = np.ones(50, dtype=bool)
+    good[[7, 30]] = False
+    stack = nilpotent_exp(ys[good], s[good])
+    for got, y, si in zip(stack, ys[good], s[good]):
+        assert got.tobytes() == reference_nilpotent_exp(y, si).tobytes()
 
 
 # -- limit residual ----------------------------------------------------------------

@@ -229,6 +229,94 @@ def test_cover_random_instances_bounded():
             assert cover.max_multiplicity <= 2 ** k + 1
 
 
+def reference_cover(centers, halfwidths, probe_grid=12):
+    """The pairwise greedy loop and the (probes, selected, k) multiplicity
+    array that ``besicovitch_select`` replaced: (selected centers, selected
+    half-widths, covered, max multiplicity, histogram)."""
+    pts = np.atleast_2d(np.asarray(centers, dtype=float))
+    hws = np.asarray(halfwidths, dtype=float)
+    k = pts.shape[1]
+    order = sorted(range(len(hws)), key=lambda i: (-hws[i], i))
+    sel_idx = []
+    for i in order:
+        covered = False
+        for j in sel_idx:
+            if np.max(np.abs(pts[i] - pts[j])) <= hws[j]:
+                covered = True
+                break
+        if not covered:
+            sel_idx.append(i)
+    sel_centers = pts[sel_idx]
+    sel_hws = hws[sel_idx]
+    dist = np.max(np.abs(pts[:, None, :] - sel_centers[None, :, :]), axis=2)
+    covered_all = bool(np.all(np.any(dist <= sel_hws[None, :], axis=1)))
+    lo = np.min(pts - hws[:, None], axis=0)
+    hi = np.max(pts + hws[:, None], axis=0)
+    axes = [np.linspace(lo[d], hi[d], probe_grid) for d in range(k)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    probes = np.stack([m.ravel() for m in mesh], axis=-1)
+    probes = np.concatenate([probes, pts], axis=0)
+    pdist = np.max(np.abs(probes[:, None, :] - sel_centers[None, :, :]), axis=2)
+    mult = np.sum(pdist <= sel_hws[None, :], axis=1)
+    hist_vals, hist_counts = np.unique(mult, return_counts=True)
+    hist = {int(v): int(c) for v, c in zip(hist_vals, hist_counts)}
+    return sel_centers, sel_hws, covered_all, int(np.max(mult)), hist
+
+
+def cover_instances():
+    """Seeded instances, k = 1, 2, 3 and n up to 300: uniform centers and
+    half-widths, and lattice centers with a few half-widths, so centers
+    coincide, half-widths tie and centers sit on cube faces."""
+    rng = np.random.default_rng(2024)
+    for k in (1, 2, 3):
+        for n in (1, 2, 7, 40, 300):
+            yield rng.random((n, k)) * 5.0, rng.random(n) * 0.9 + 0.02
+            pts = rng.integers(0, 4, (n, k)) * 0.5
+            yield pts, rng.choice([0.25, 0.5, 1.0], n)
+        yield np.zeros((5, k)), np.full(5, 0.5)
+
+
+def test_cover_bit_identical_to_reference_loop():
+    count = 0
+    for pts, hws in cover_instances():
+        cover = besicovitch_select(pts, hws)
+        centers, widths, covered, mult, hist = reference_cover(pts, hws)
+        assert cover.centers.tobytes() == centers.tobytes()
+        assert cover.halfwidths.tobytes() == widths.tobytes()
+        assert cover.covered == covered
+        assert cover.max_multiplicity == mult
+        assert cover.multiplicity_histogram == hist
+        count += 1
+    assert count == 33
+
+
+def test_cover_keeps_the_earlier_of_equal_cubes():
+    cover = besicovitch_select([[0.0], [0.5], [0.5]], [1.0, 1.0, 1.0])
+    assert cover.centers.tolist() == [[0.0]]
+    cover = besicovitch_select([[2.0], [0.0], [0.0]], [0.5, 0.5, 0.5])
+    assert cover.centers.tolist() == [[2.0], [0.0]]
+
+
+@pytest.mark.parametrize("centers, halfwidths", [
+    ([], []),
+    (np.empty((0, 2)), np.empty(0)),
+])
+def test_cover_rejects_empty_input(centers, halfwidths):
+    with pytest.raises(DomainError, match="need at least one cube"):
+        besicovitch_select(centers, halfwidths)
+
+
+@pytest.mark.parametrize("centers, halfwidths", [
+    ([[0.0, np.nan], [1.0, 1.0]], [0.5, 0.5]),
+    ([[0.0, np.inf]], [0.5]),
+    ([[0.0, 0.0], [1.0, 1.0]], [np.nan, 0.5]),
+    ([[0.0, 0.0]], [np.inf]),
+])
+def test_cover_rejects_non_finite_input(centers, halfwidths):
+    with pytest.raises(DomainError, match="finite"):
+        besicovitch_select(centers, halfwidths)
+
+
 # -- relative size ----------------------------------------------------------------
 
 

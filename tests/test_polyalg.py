@@ -1,12 +1,18 @@
 """Exact-arithmetic substrate: ring laws, degrees, substitution, text form."""
 
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boxflow.errors import DivergentLimitError, DomainError, ExponentError
-from boxflow.polyalg import NEG_INF, GenPoly, parse_poly
+from boxflow.polyalg import NEG_INF, GenPoly, _var_key, parse_poly
+from boxflow.polymatrix import PolyMatrix
 
 F = Fraction
 
@@ -204,3 +210,128 @@ def test_hash_consistency():
     b = P("2 + a1 * t^1/2")
     assert a == b
     assert hash(a) == hash(b)
+
+
+# -- cached term order and array evaluation ---------------------------------------
+
+
+def fresh_order(p):
+    """The canonical term order, sorted afresh."""
+    var_order = sorted({v for mono, _ in p.terms() for v, _ in mono}, key=_var_key)
+
+    def key(item):
+        powers = dict(item[0])
+        return tuple(powers.get(v, F(0)) for v in var_order)
+
+    return sorted(p.terms(), key=key, reverse=True)
+
+
+def reference_evaluate(p, point):
+    """Scalar evaluation as it was before the term order was cached and
+    arrays were accepted: sort, then Python float arithmetic."""
+    total = 0.0
+    for mono, coeff in fresh_order(p):
+        val = float(coeff)
+        for var, exp in mono:
+            base = float(point[var])
+            if exp.denominator == 1:
+                val *= base ** int(exp)
+            else:
+                val *= base ** float(exp)
+        total += val
+    return total
+
+
+def built_polys():
+    """Polynomials from parse, +, *, ** and substitute."""
+    rng = random.Random(77)
+    polys = [P("a1^3 * t^-1/2 - 2/3 * a2 * t^5/4 + 7 + a1 * a2^2"),
+             P("x^4 - 3 * x^2 * y + 1/5 * y^3 - x")]
+    for _ in range(40):
+        a = random_poly(rng)
+        b = random_poly(rng)
+        polys += [a + b, a * b, (a + 1) ** rng.randint(0, 4)]
+        c = random_poly(rng, variables=("x", "y"), laurent_t=False)
+        polys.append(c.substitute({
+            "x": GenPoly.monomial(F(rng.randint(1, 3)), {"a1": 1, "t": F(3, 2)}),
+            "y": a,
+        }))
+    return polys
+
+
+def test_cached_term_order_equals_a_fresh_sort():
+    for p in built_polys():
+        assert list(p._sorted_terms()) == fresh_order(p)
+        assert p._sorted_terms() is p._sorted_terms()
+        assert parse_poly(p.to_text()) == p
+
+
+def test_array_evaluate_equals_scalar_evaluate_bitwise():
+    rng = np.random.default_rng(3)
+    n = 64
+    point = {
+        "a1": rng.normal(size=n) * 3, "a2": rng.random(n) * 200 - 100,
+        "t": rng.random(n) * 50 + 1e-3, "x": rng.normal(size=n),
+        "y": np.arange(n) / 127,
+    }
+    for p in built_polys():
+        if not set(p.variables()) <= set(point):
+            continue
+        got = np.broadcast_to(p.evaluate(point), (n,))
+        for i in range(n):
+            at = {v: float(a[i]) for v, a in point.items()}
+            assert got[i].tobytes() == np.float64(p.evaluate(at)).tobytes()
+            assert got[i].tobytes() == np.float64(reference_evaluate(p, at)).tobytes()
+
+
+def test_array_evaluate_checks_every_element():
+    p = P("a1 * t^-1/2")
+    ok = {"a1": np.ones(3), "t": np.array([1.0, 2.0, 3.0])}
+    assert p.evaluate(ok).shape == (3,)
+    with pytest.raises(DomainError, match="positive"):
+        p.evaluate({"a1": np.ones(3), "t": np.array([1.0, 0.0, 3.0])})
+    with pytest.raises(DomainError, match="positive"):
+        P("t^-2 + a1").evaluate({"a1": 1.0, "t": np.array([0.5, -0.0])})
+    assert P("3/4").evaluate(ok) == 0.75
+
+
+def test_polymatrix_array_evaluate_broadcasts_constant_entries():
+    m = PolyMatrix.from_text([["1 + a1^2 * s", "a1 * s^3"], ["0", "1"]])
+    a1 = np.linspace(-1, 1, 9)
+    s = np.arange(-4, 5) / 3
+    stack = m.evaluate({"a1": a1, "s": s})
+    assert stack.shape == (9, 2, 2)
+    for i in range(9):
+        one = m.evaluate({"a1": float(a1[i]), "s": float(s[i])})
+        assert stack[i].tobytes() == one.tobytes()
+
+
+def test_pickled_polymatrix_keeps_its_results():
+    m = PolyMatrix.from_text([["1 + a1^2 * t^3/2", "a1 * t^-1/2"],
+                              ["2/3 * a2 * t^5/4", "1 + 7 * a1 * a2"]])
+    point = {"a1": np.linspace(0.1, 2, 5), "a2": -1.5, "t": np.linspace(1, 9, 5)}
+    before = m.evaluate(point)
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m
+    assert again.evaluate(point).tobytes() == before.tobytes()
+    assert again.to_text() == m.to_text()
+
+
+def test_pickled_polynomial_hashes_in_a_process_with_another_hash_seed(tmp_path):
+    p = P("x + 2 * y - 1/3 * a1 * t^1/2")
+    hash(p)
+    (tmp_path / "p.pkl").write_bytes(pickle.dumps(p))
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import pickle, sys\n"
+        "from boxflow.polyalg import parse_poly\n"
+        "q = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "print(q in {parse_poly(sys.argv[2])})\n"
+    )
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "p.pkl"), p.to_text()],
+            env={"PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "True"
