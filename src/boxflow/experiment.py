@@ -8,13 +8,15 @@ streams is available for high dimension.  Work is partitioned into
 fixed-size chunks evaluated independently per sample, so results are
 bit-identical for any worker count.
 
-Each sample's lattice is reduced once, and the reduction is certified:
-its shortest length and every observable come from a basis within
-``homspace.PREC_TOL`` of an exact reduced basis.  In dimension 2
-(``certified_sl2_reduce``) that is float64, double-double or exact
-rational arithmetic, whichever is the cheapest whose error bound meets
-the tolerance; in dimension 3 (``homspace.sl3_kernel``) float64 greedy
-reduction with a carried bound, or exact rational reduction.
+Matrix entries are evaluated by ``goodness.GridPoly``, whose term
+magnitudes give each entry's rounding bound.  Each sample's lattice is
+reduced once, and the reduction is certified: its shortest length and
+every observable come from a basis within ``homspace.PREC_TOL`` of an
+exact reduced basis.  In dimension 2 (``certified_sl2_reduce``) that is
+float64, double-double or exact rational arithmetic, whichever is the
+cheapest whose error bound meets the tolerance; in dimension 3
+(``homspace.sl3_kernel``) float64 greedy reduction with a carried bound,
+or exact rational reduction.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import MapEntry
-from .doubledouble import U, U2, dd_add, dd_mul_d
 from .errors import CuspExcursionError, DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
-from .goodness import BoxRegion, integer_terms
+from .goodness import BoxRegion, GridPoly, _index_uniform
 from .homspace import (
     CUSP_GUARD,
     INDICATOR_BALL,
@@ -45,13 +46,17 @@ from .homspace import (
     sl2_lagrange,
     sl3_kernel,
 )
-from .polyalg import GenPoly
 
 _CHUNK = 1 << 14
 # the 3D kernel's temporaries take about 0.8 kB per sample, so its chunks
 # are smaller and a sweep's memory stays near that of the imports
 _CHUNK3 = 1 << 10
 _EXCLUSION_BUDGET = 1e-3
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 8:
+        raise DomainError("need at least 8 grid points per axis")
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,7 @@ class BoxSpec:
     J: Optional[BoxRegion] = None
 
     def __post_init__(self):
-        if self.grid < 8:
-            raise DomainError("need at least 8 grid points per axis")
+        _check_grid(self.grid)
         if self.T <= 0:
             raise DomainError("box parameter must be positive")
         if self.J is not None:
@@ -95,28 +99,6 @@ class BoxSpec:
 # ---------------------------------------------------------------------------
 
 
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer; wrapping uint64 arithmetic throughout."""
-    with np.errstate(over="ignore"):
-        z = x + _SPLITMIX_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
-def _index_uniform(seed: int, axis: int, idx: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) draw per sample index from a stable integer hash of
-    (seed, axis, index); independent of chunking and worker count."""
-    base = _splitmix64(
-        np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ (np.uint64(axis) << np.uint64(32))
-    )
-    bits = _splitmix64(idx.astype(np.uint64) ^ base)
-    return (bits >> np.uint64(11)) * 2.0 ** -53
-
-
 def _chunk_points(region: BoxRegion, grid: int, start: int, stop: int,
                   method: str, seed: int) -> np.ndarray:
     k = region.dim
@@ -137,56 +119,19 @@ def _chunk_points(region: BoxRegion, grid: int, start: int, stop: int,
     raise DomainError(f"unknown sampling method {method!r}")
 
 
-class _EntryTerms:
-    """Term table of one matrix entry with nonnegative integer exponents.
-
-    ``f64`` evaluates at float64 sample points in the operation order of
-    ``goodness.poly_grid_fn`` and also returns the sum of the term
-    magnitudes; ``c64`` times that sum bounds the float64 rounding error
-    (Higham 2002: one unit roundoff per inexact coefficient, product and
-    sum, two per ``pow``, which libm rounds within one ulp).  ``dd``
-    evaluates in double-double, whose error is bounded by ``cdd`` times
-    the same magnitude sum (the per-operation bounds of ``doubledouble``).
-    """
-
-    def __init__(self, p: GenPoly, var_order: Sequence[str]):
-        self.terms = []
-        n64 = ndd = 0
-        for coeff, exps in integer_terms(p, var_order):
-            c = float(coeff)
-            # products val * x^e; the first is exact for a power-of-two val
-            mults = sum(1 for e in exps if e) - (math.frexp(abs(c))[0] == 0.5)
-            pows = sum(2 for e in exps if e > 1)
-            n64 = max(n64, (c != coeff) + pows + max(mults, 0))
-            ndd = max(ndd, 1 + 2 * sum(exps))
-            self.terms.append((coeff, c, exps))
-        n = len(self.terms)
-        self.c64 = (n64 + max(n - 1, 0)) * U * 1.01
-        self.cdd = (ndd + 3 * n) * U2 * 1.01
-
-    def f64(self, pts: np.ndarray):
-        out = np.zeros(pts.shape[0])
-        mag = np.zeros(pts.shape[0])
-        for _, c, exps in self.terms:
-            val = np.full(pts.shape[0], c)
-            for j, e in enumerate(exps):
-                if e:
-                    val = val * pts[:, j] ** e
-            out += val
-            mag += np.abs(val)
-        return out, mag
-
-    def dd(self, pts: np.ndarray):
-        hi = np.zeros(pts.shape[0])
-        lo = np.zeros(pts.shape[0])
-        for coeff, c, exps in self.terms:
-            th = np.full(pts.shape[0], c)
-            tl = np.full(pts.shape[0], float(coeff - Fraction(c)))
-            for j, e in enumerate(exps):
-                for _ in range(e):
-                    th, tl = dd_mul_d(th, tl, pts[:, j])
-            hi, lo = dd_add(hi, lo, th, tl)
-        return hi, lo
+def _entries_f64(tables, pts: np.ndarray):
+    """Float64 entries g of the matrix whose entry tables (``GridPoly``)
+    are ``tables``, at the points ``pts``; their term-magnitude sums; and
+    per column the sum of the entries' rounding bounds ``c64 * mag``."""
+    m, n = pts.shape[0], len(tables)
+    g = np.empty((m, n, n))
+    mag = np.empty((m, n, n))
+    err = np.zeros((m, n))
+    for i, row in enumerate(tables):
+        for j, table in enumerate(row):
+            g[:, i, j], mag[:, i, j] = table.f64(pts)
+            err[:, j] += table.c64 * mag[:, i, j]
+    return g, mag, err
 
 
 def certified_sl2_reduce(matrix, map_vars, pts: np.ndarray,
@@ -202,15 +147,10 @@ def certified_sl2_reduce(matrix, map_vars, pts: np.ndarray,
     exact rationals; more than ``limit`` of them raise ``PrecisionError``.
     Returns (b1, b2, lam1, number of exact samples).
     """
-    entries = [[_EntryTerms(e, map_vars) for e in row] for row in matrix.entries]
+    tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
     m = pts.shape[0]
-    g = np.empty((m, 2, 2))
-    mag = np.empty((m, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            g[:, i, j], mag[:, i, j] = entries[i][j].f64(pts)
-    c64 = np.array([[e.c64 for e in row] for row in entries])
-    cdd = np.array([[e.cdd for e in row] for row in entries])
+    g, mag, e64 = _entries_f64(tables, pts)
+    cdd = np.array([[t.cdd for t in row] for row in tables])
     # the reduced basis is B = g U with U = adj(g) B, so its column j
     # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
     # the routing takes |b_j| to be about 1
@@ -218,7 +158,6 @@ def certified_sl2_reduce(matrix, map_vars, pts: np.ndarray,
         [np.hypot(g[:, 1, 1], g[:, 0, 1]), np.hypot(g[:, 1, 0], g[:, 0, 0])],
         axis=1,
     )
-    e64 = mag[:, 0, :] * c64[0] + mag[:, 1, :] * c64[1]
     edd = mag[:, 0, :] * cdd[0] + mag[:, 1, :] * cdd[1]
     b1 = np.empty((m, 2))
     b2 = np.empty((m, 2))
@@ -241,7 +180,7 @@ def certified_sl2_reduce(matrix, map_vars, pts: np.ndarray,
         lo = np.empty((idx.size, 2, 2))
         for i in range(2):
             for j in range(2):
-                hi[:, i, j], lo[:, i, j] = entries[i][j].dd(pts[idx])
+                hi[:, i, j], lo[:, i, j] = tables[i][j].dd(pts[idx])
         accept(idx, sl2_lagrange(hi[:, :, 0], hi[:, :, 1], edd[idx, 0],
                                  edd[idx, 1], lo[:, :, 0], lo[:, :, 1]))
     idx = np.nonzero(pending)[0]
@@ -278,14 +217,8 @@ def _eval_chunk(args):
         return _exact_matrix(matrix, map_vars, pts[k])
 
     if matrix.dim == 3:
-        # float64 entries and, per column, the sum of their rounding bounds
-        g = np.empty((m, 3, 3))
-        err = np.zeros((m, 3))
-        for i, row in enumerate(matrix.entries):
-            for j, p in enumerate(row):
-                terms = _EntryTerms(p, map_vars)
-                g[:, i, j], mag = terms.f64(pts)
-                err[:, j] += terms.c64 * mag
+        tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
+        g, _, err = _entries_f64(tables, pts)
         return sl3_kernel(g, err, fs, exact, limit)
     values = np.zeros((len(fs), m))
     b1, b2, lam1, flagged = certified_sl2_reduce(matrix, map_vars, pts, limit)
@@ -576,6 +509,7 @@ def twodim_bcondition_sweep(
     """
     if entry.k != 2:
         raise DomainError("the box-exponent sweep needs a two-variable map")
+    _check_grid(grid)
     T2_list = list(T2_list)
     if any(t2 >= t1 for t1, t2 in zip(T2_list[1:], T2_list[:-1])):
         raise DomainError("T2 values must increase")

@@ -110,8 +110,8 @@ class FlowResult:
 
     q         -- critical exponent (positive rational)
     d         -- Taylor truncation order
-    limits    -- M_1 .. M_d, matrices of polynomials in the alpha variables
-    generator -- M_1, the nilpotent generator of the flow
+    limits    -- M_1 .. M_d, matrices of polynomials in the alpha variables;
+                 M_1 (``generator``) is the nilpotent generator of the flow
     degenerate_locus -- the nonzero entry polynomials of all M_l; the flow
                  collapses to the identity exactly where all of them vanish
     """
@@ -119,9 +119,12 @@ class FlowResult:
     q: Fraction
     d: int
     limits: tuple
-    generator: PolyMatrix
     degenerate_locus: tuple
     alpha_vars: tuple
+
+    @property
+    def generator(self) -> PolyMatrix:
+        return self.limits[0]
 
     def is_degenerate(self, alpha: Mapping[str, object]) -> bool:
         """Exact rational test that alpha lies where every M_l vanishes."""
@@ -276,21 +279,29 @@ def compute_flow(theta: PolyMatrix) -> FlowResult:
         q=q,
         d=d,
         limits=tuple(limits),
-        generator=limits[0],
         degenerate_locus=locus,
         alpha_vars=alpha_vars,
     )
 
 
-def flow_of(result: FlowResult, s_var: str = "s") -> PolyMatrix:
-    """The symbolic flow Id + sum_l M_l s^l / l!."""
-    n = result.generator.dim
-    acc = PolyMatrix.identity(n)
+def _flow_series(mats: Sequence[PolyMatrix], s_var: str) -> PolyMatrix:
+    """Id + sum_l M_l s^l / l! over M_1, M_2, ... = ``mats``, exactly."""
+    acc = PolyMatrix.identity(mats[0].dim)
     fact = 1
-    for l, m in enumerate(result.limits, start=1):
+    for l, m in enumerate(mats, start=1):
         fact *= l
         acc = acc + m.scale(GenPoly.monomial(Fraction(1, fact), {s_var: l}))
     return acc
+
+
+def _max_deviation(a, b, n: int) -> float:
+    """Max-entry distance of two n x n mpmath matrices."""
+    return float(max(abs(a[i, j] - b[i, j]) for i in range(n) for j in range(n)))
+
+
+def flow_of(result: FlowResult, s_var: str = "s") -> PolyMatrix:
+    """The symbolic flow Id + sum_l M_l s^l / l!."""
+    return _flow_series(result.limits, s_var)
 
 
 def nilpotent_exp(y: np.ndarray, s) -> np.ndarray:
@@ -324,14 +335,13 @@ def nilpotent_exp(y: np.ndarray, s) -> np.ndarray:
 @dataclass(frozen=True)
 class GroupLawReport:
     symbolic_ok: bool
-    generator_ok: bool
     exp_max_err: float
     trials: int
     failures: tuple
 
     @property
     def passed(self) -> bool:
-        return self.symbolic_ok and self.generator_ok and not self.failures
+        return self.symbolic_ok and not self.failures
 
 
 def group_law_check(result: FlowResult, trials: int = 100, seed: int = 0) -> GroupLawReport:
@@ -341,6 +351,8 @@ def group_law_check(result: FlowResult, trials: int = 100, seed: int = 0) -> Gro
     identity in the alpha variables and (s1, s2).  Numerically: the
     generator exponentiates back to the flow at sampled rational points.
     """
+    if trials < 0:
+        raise DomainError("the number of trials must be nonnegative")
     failures = []
     rho1 = flow_of(result, "s1")
     rho2 = flow_of(result, "s2")
@@ -349,10 +361,6 @@ def group_law_check(result: FlowResult, trials: int = 100, seed: int = 0) -> Gro
     symbolic_ok = rho12 == rho1 @ rho2
     if not symbolic_ok:
         failures.append("flow(s1+s2) != flow(s1)@flow(s2) symbolically")
-
-    generator_ok = result.generator == result.limits[0]
-    if not generator_ok:
-        failures.append("generator differs from M_1")
 
     # the same scalar draws, in the same order, as one trial at a time
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x666C6F77]))
@@ -390,7 +398,6 @@ def group_law_check(result: FlowResult, trials: int = 100, seed: int = 0) -> Gro
             )
     return GroupLawReport(
         symbolic_ok=symbolic_ok,
-        generator_ok=generator_ok,
         exp_max_err=max_err,
         trials=trials,
         failures=tuple(failures),
@@ -420,12 +427,7 @@ def limit_residual(
         b_inv = theta_inv.evaluate_mp({**alpha_mp, T_VAR: t_mp})
         prod = a * b_inv
         rho = flow_of(result).evaluate_mp({**alpha_mp, "s": s_mp})
-        dev = mpmath.mpf(0)
-        n = theta.dim
-        for i in range(n):
-            for j in range(n):
-                dev = max(dev, abs(prod[i, j] - rho[i, j]))
-        return float(dev)
+        return _max_deviation(prod, rho, theta.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +460,10 @@ class TwoDimFlowResult:
     def flow(self, s_var: str = "s") -> PolyMatrix:
         """exp(s * lambda0), exact (lambda0 is nilpotent with rational
         entries)."""
-        n = self.lambda0.dim
-        acc = PolyMatrix.identity(n)
-        term = PolyMatrix.identity(n)
-        for j in range(1, n):
-            term = (term @ self.lambda0).scale(
-                GenPoly.monomial(Fraction(1, j), {s_var: 1})
-            )
-            acc = acc + term
-        return acc
+        powers = [self.lambda0]
+        for _ in range(self.lambda0.dim - 2):
+            powers.append(powers[-1] @ self.lambda0)
+        return _flow_series(powers, s_var)
 
 
 def twodim_flow(theta_map: PolyMatrix, x_var: str = "x", y_var: str = "y") -> TwoDimFlowResult:
@@ -581,9 +578,4 @@ def twodim_residual(
         base_inv = theta_inv.evaluate_mp({result.x_var: x_mp, result.y_var: y_mp})
         cocycle = a * base_inv
         rho = result.flow().evaluate_mp({"s": s_mp})
-        dev = mpmath.mpf(0)
-        n = theta_map.dim
-        for i in range(n):
-            for j in range(n):
-                dev = max(dev, abs(cocycle[i, j] - rho[i, j]))
-        return float(dev)
+        return _max_deviation(cocycle, rho, theta_map.dim)

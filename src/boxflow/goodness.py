@@ -8,6 +8,9 @@ variety.
 
 Functions evaluated on grids follow one calling convention: ``f(points)``
 takes an (m, k) array of row points and returns an (m,) array.
+``GridPoly`` (``poly_grid_fn``) is the one polynomial grid evaluator, for
+the fits here and the lattice kernels of ``experiment``; random points
+come per sample index from a counter-based hash (``_index_uniform``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .doubledouble import U, U2, dd_add, dd_mul_d
 from .errors import DomainError
 from .polyalg import NEG_INF, GenPoly
 
@@ -73,41 +77,108 @@ class BoxRegion:
         return self.volume / float(n) ** self.dim
 
 
-def integer_terms(p: GenPoly, var_order: Sequence[str]) -> list:
-    """(coefficient, exponents in ``var_order``) per term of ``p``; every
-    exponent must be a nonnegative integer and every variable bound."""
-    var_order = list(var_order)
-    terms = []
-    for mono, coeff in p.terms():
-        powers = dict(mono)
-        exps = []
-        for v in var_order:
-            e = powers.pop(v, Fraction(0))
-            if e.denominator != 1 or e < 0:
-                raise DomainError("grid evaluation needs nonnegative integer exponents")
-            exps.append(int(e))
-        if powers:
-            raise DomainError(f"unbound variables {sorted(powers)} in grid function")
-        terms.append((coeff, exps))
-    return terms
+class GridPoly:
+    """A polynomial with nonnegative integer exponents in ``var_order``,
+    compiled once for evaluation at (m, k) arrays of row points.
 
+    Calling it gives the float64 values; ``f64`` also gives the sum of the
+    term magnitudes, and ``c64`` times that sum bounds the float64
+    rounding error (Higham 2002: one unit roundoff per inexact
+    coefficient, product and sum, two per ``pow``, which libm rounds
+    within one ulp).  ``dd`` evaluates in double-double, with error at
+    most ``cdd`` times the magnitude sum (the bounds of ``doubledouble``).
+    Terms run in ``p.terms()`` order with numpy's ``**``, which fixes
+    every bit of the values.
+    """
 
-def poly_grid_fn(p: GenPoly, var_order: Sequence[str]) -> Callable:
-    """Vectorized evaluator for a polynomial with integer exponents."""
-    terms = [(float(c), exps) for c, exps in integer_terms(p, var_order)]
+    def __init__(self, p: GenPoly, var_order: Sequence[str]):
+        var_order = list(var_order)
+        self.terms = []
+        n64 = ndd = 0
+        for mono, coeff in p.terms():
+            powers = dict(mono)
+            exps = []
+            for v in var_order:
+                e = powers.pop(v, Fraction(0))
+                if e.denominator != 1 or e < 0:
+                    raise DomainError("grid evaluation needs nonnegative integer exponents")
+                exps.append(int(e))
+            if powers:
+                raise DomainError(f"unbound variables {sorted(powers)} in grid function")
+            c = float(coeff)
+            # products val * x^e; the first is exact for a power-of-two val
+            mults = sum(1 for e in exps if e) - (math.frexp(abs(c))[0] == 0.5)
+            pows = sum(2 for e in exps if e > 1)
+            n64 = max(n64, (c != coeff) + pows + max(mults, 0))
+            ndd = max(ndd, 1 + 2 * sum(exps))
+            self.terms.append((coeff, c, exps))
+        n = len(self.terms)
+        self.c64 = (n64 + max(n - 1, 0)) * U * 1.01
+        self.cdd = (ndd + 3 * n) * U2 * 1.01
 
-    def fn(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(points.shape[0])
-        for coeff, exps in terms:
-            val = np.full(points.shape[0], coeff)
+    def _term_values(self, pts: np.ndarray):
+        for _, c, exps in self.terms:
+            val = np.full(pts.shape[0], c)
             for j, e in enumerate(exps):
                 if e:
-                    val = val * points[:, j] ** e
+                    val = val * pts[:, j] ** e
+            yield val
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros(points.shape[0])
+        for val in self._term_values(points):
             out += val
         return out
 
-    return fn
+    def f64(self, pts: np.ndarray):
+        """(values, sum of the term magnitudes) at float64 points."""
+        out = np.zeros(pts.shape[0])
+        mag = np.zeros(pts.shape[0])
+        for val in self._term_values(pts):
+            out += val
+            mag += np.abs(val)
+        return out, mag
+
+    def dd(self, pts: np.ndarray):
+        """(hi, lo) double-double values at float64 points."""
+        hi = np.zeros(pts.shape[0])
+        lo = np.zeros(pts.shape[0])
+        for coeff, c, exps in self.terms:
+            th = np.full(pts.shape[0], c)
+            tl = np.full(pts.shape[0], float(coeff - Fraction(c)))
+            for j, e in enumerate(exps):
+                for _ in range(e):
+                    th, tl = dd_mul_d(th, tl, pts[:, j])
+            hi, lo = dd_add(hi, lo, th, tl)
+        return hi, lo
+
+
+def poly_grid_fn(p: GenPoly, var_order: Sequence[str]) -> GridPoly:
+    """Vectorized evaluator for a polynomial with integer exponents."""
+    return GridPoly(p, var_order)
+
+
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer; wrapping uint64 arithmetic throughout."""
+    with np.errstate(over="ignore"):
+        z = x + _SPLITMIX_GAMMA
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _index_uniform(seed: int, axis: int, idx: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) draw per sample index from a stable integer hash of
+    (seed, axis, index); independent of chunking and worker count."""
+    base = _splitmix64(
+        np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ (np.uint64(axis) << np.uint64(32))
+    )
+    bits = _splitmix64(idx.astype(np.uint64) ^ base)
+    return (bits >> np.uint64(11)) * 2.0 ** -53
 
 
 def sup_norm(f: Callable, box: BoxRegion, grid: int) -> float:
@@ -128,15 +199,18 @@ def sublevel_measure_mc(
     f: Callable, box: BoxRegion, delta: float, samples: int, seed: int
 ) -> float:
     """Monte Carlo alternative with a 99% Clopper-Pearson upper pad, so the
-    estimate errs on the safe side of the inequality."""
+    estimate errs on the safe side of the inequality.  Sample i is drawn
+    from (seed, i) alone."""
     from scipy.stats import beta
 
+    if samples < 1:
+        raise DomainError("need at least one Monte Carlo sample")
     lows = np.array(box.lower)
     spans = np.array(box.upper) - lows
-    pts = np.empty((samples, box.dim))
-    for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        pts[i] = lows + spans * rng.random(box.dim)
+    idx = np.arange(samples)
+    pts = lows + spans * np.stack(
+        [_index_uniform(seed, a, idx) for a in range(box.dim)], axis=-1
+    )
     hits = int(np.count_nonzero(np.abs(f(pts)) < delta))
     if hits == samples:
         upper = 1.0
@@ -175,7 +249,7 @@ def good_inequality_check(
     fnorm = sup_norm(f, box, grid)
     if fnorm == 0:
         raise DomainError("sup norm vanishes; inequality is vacuous")
-    if mc_samples:
+    if mc_samples is not None:
         lhs = sublevel_measure_mc(f, box, delta, mc_samples, seed)
     else:
         lhs = sublevel_measure(f, box, delta, grid)

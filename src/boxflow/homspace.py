@@ -1,5 +1,7 @@
 """The space of unimodular lattices in dimension 2 and 3: reduction,
-Siegel-transform observables, Haar references, and compactness tests.
+Siegel-transform observables and Haar references.  A lattice lies in
+Mahler's compact set {shortest vector >= eps0} when the ``shortest``
+length of its reduced basis is at least eps0.
 
 Observables are Siegel transforms g -> sum over nonzero v in Z^N of
 f(g v) for compactly supported radial f; their Haar integral is the
@@ -124,15 +126,6 @@ def reduce_basis(g) -> UnimodularLattice:
         reduced = b[0]
     lam1_sq = float(reduced[:, 0] @ reduced[:, 0])
     return UnimodularLattice(g=g, reduced=reduced, shortest=math.sqrt(lam1_sq))
-
-
-def shortest_vector_length(lattice: UnimodularLattice) -> float:
-    return lattice.shortest
-
-
-def in_compact(lattice: UnimodularLattice, eps0: float) -> bool:
-    """Mahler-type compactness test: shortest vector at least eps0."""
-    return lattice.shortest >= eps0
 
 
 def _gram_schmidt(basis: np.ndarray):

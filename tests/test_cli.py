@@ -92,6 +92,21 @@ def test_cover_rejects_empty_and_non_finite_points(tmp_path, capsys, text):
     assert not (tmp_path / "cover.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+     "--grid", "50", "--mc-samples", "-5"],
+    ["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+     "--grid", "50", "--mc-samples", "0"],
+    ["flow", "--map", "heis52", "--trials", "-1"],
+    ["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "0"],
+    ["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "4"],
+])
+def test_invalid_counts_are_domain_errors(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path)]) == 1
+    assert "invariant failure" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.txt"))
+
+
 def test_equi_needs_T(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["equi", "--map", "u_horo", "--out", str(tmp_path)])

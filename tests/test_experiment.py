@@ -18,7 +18,7 @@ from boxflow.experiment import (
     subbox_average,
     twodim_bcondition_sweep,
 )
-from boxflow.goodness import BoxRegion
+from boxflow.goodness import BoxRegion, GridPoly
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import reduce_basis, siegel_transform
 
@@ -156,7 +156,7 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
         mats = np.empty((total, 3, 3))
         for i, row in enumerate(matrix.entries):
             for j, p in enumerate(row):
-                mats[:, i, j], _ = experiment._EntryTerms(p, map_vars).f64(pts)
+                mats[:, i, j] = GridPoly(p, map_vars)(pts)
         for g, lam, val in zip(mats, lam1, vals):
             lat = reduce_basis(g)
             assert lat.shortest == lam

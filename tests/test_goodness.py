@@ -1,14 +1,17 @@
 """Sublevel-growth toolkit: analytic oracles, covering, relative size."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from boxflow.doubledouble import U, U2, dd_add, dd_mul_d
 from boxflow.errors import DomainError
 from boxflow.goodness import (
     BoxRegion,
+    GridPoly,
     RelSizeStatus,
     besicovitch_select,
     certify_polynomial,
@@ -18,10 +21,11 @@ from boxflow.goodness import (
     relative_size_check,
     relative_size_neighborhoods,
     sublevel_measure,
+    sublevel_measure_mc,
     sup_extension,
     sup_norm,
 )
-from boxflow.polyalg import parse_poly
+from boxflow.polyalg import GenPoly, parse_poly
 from boxflow.polymatrix import PolyMatrix
 
 F = Fraction
@@ -405,3 +409,166 @@ def test_relative_size_vacuous_flagged():
         ident, ["x"], [0.0, 1.0], box, spec, beta=0.5, eps=0.5, grid=100
     )
     assert chk.status is RelSizeStatus.VACUOUS
+
+
+# -- Monte Carlo points -----------------------------------------------------------
+
+
+def test_monte_carlo_points_are_the_sweeps_mc_stream():
+    from boxflow.experiment import _chunk_points
+
+    box = BoxRegion((-1.0, 2.0), (3.0, 2.5))
+    seen = []
+
+    def f(points):
+        seen.append(points)
+        return points[:, 0]
+
+    sublevel_measure_mc(f, box, 0.5, 1000, seed=13)
+    assert seen[0].tobytes() == _chunk_points(box, 1, 0, 1000, "mc", 13).tobytes()
+    with pytest.raises(DomainError):
+        sublevel_measure_mc(f, box, 0.5, 0, seed=13)
+
+
+# -- grid evaluator ---------------------------------------------------------------
+
+
+def reference_poly_grid_fn(p, var_order):
+    """The grid closure before ``GridPoly``."""
+    terms = [(float(c), [int(dict(mono).get(v, 0)) for v in var_order])
+             for mono, c in p.terms()]
+
+    def fn(points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros(points.shape[0])
+        for coeff, exps in terms:
+            val = np.full(points.shape[0], coeff)
+            for j, e in enumerate(exps):
+                if e:
+                    val = val * points[:, j] ** e
+            out += val
+        return out
+
+    return fn
+
+
+class ReferenceEntryTerms:
+    """The lattice kernels' entry table before ``GridPoly``."""
+
+    def __init__(self, p, var_order):
+        self.terms = []
+        n64 = ndd = 0
+        for mono, coeff in p.terms():
+            exps = [int(dict(mono).get(v, 0)) for v in var_order]
+            c = float(coeff)
+            mults = sum(1 for e in exps if e) - (math.frexp(abs(c))[0] == 0.5)
+            pows = sum(2 for e in exps if e > 1)
+            n64 = max(n64, (c != coeff) + pows + max(mults, 0))
+            ndd = max(ndd, 1 + 2 * sum(exps))
+            self.terms.append((coeff, c, exps))
+        n = len(self.terms)
+        self.c64 = (n64 + max(n - 1, 0)) * U * 1.01
+        self.cdd = (ndd + 3 * n) * U2 * 1.01
+
+    def f64(self, pts):
+        out = np.zeros(pts.shape[0])
+        mag = np.zeros(pts.shape[0])
+        for _, c, exps in self.terms:
+            val = np.full(pts.shape[0], c)
+            for j, e in enumerate(exps):
+                if e:
+                    val = val * pts[:, j] ** e
+            out += val
+            mag += np.abs(val)
+        return out, mag
+
+    def dd(self, pts):
+        hi = np.zeros(pts.shape[0])
+        lo = np.zeros(pts.shape[0])
+        for coeff, c, exps in self.terms:
+            th = np.full(pts.shape[0], c)
+            tl = np.full(pts.shape[0], float(coeff - Fraction(c)))
+            for j, e in enumerate(exps):
+                for _ in range(e):
+                    th, tl = dd_mul_d(th, tl, pts[:, j])
+            hi, lo = dd_add(hi, lo, th, tl)
+        return hi, lo
+
+
+def grid_cases():
+    """(polynomial, variable order, points): every entry of every catalog
+    matrix and orbit map on jittered boxes up to T = 1e3, and seeded
+    polynomials with inexact coefficients and constant terms."""
+    from boxflow.catalog import builtin_catalog
+    from boxflow.experiment import BoxSpec, _chunk_points
+
+    cases = []
+    for entry in builtin_catalog().values():
+        grid = 4096 if entry.k == 1 else 64
+        for T in (10.0, 1e3):
+            box = BoxSpec(lam=entry.default_lambda, T=T, grid=grid)
+            pts = _chunk_points(box.realized_region(), grid, 0, grid ** entry.k,
+                                "jitter", 5)
+            cases += [(p, entry.map_vars, pts) for row in entry.matrix.entries for p in row]
+        if entry.orbit_map is not None:
+            k = len(entry.orbit_vars)
+            region = BoxRegion((0.0,) * k, (float(entry.period),) * k)
+            pts = _chunk_points(region, 16, 0, 16 ** k, "jitter", 5)
+            cases += [(p, entry.orbit_vars, pts) for row in entry.orbit_map.entries
+                      for p in row]
+    rng = np.random.default_rng(20)
+    var_order = ["x", "y", "z"]
+    for i in range(40):
+        k = 1 + i % 3
+        p = GenPoly.const(F(2, 3)) if i % 4 == 0 else GenPoly.zero()
+        for _ in range(1 + i % 5):
+            powers = {v: int(rng.integers(0, 4)) for v in var_order[:k]}
+            coeff = F(int(rng.integers(-50, 51)), int(rng.choice([1, 3, 7, 10, 64])))
+            p = p + GenPoly.monomial(coeff, powers)
+        pts = rng.uniform(-1e3, 1e3, size=(512, k))
+        cases.append((p, var_order[:k], pts))
+    return cases
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_grid_poly_bit_identical_to_both_old_evaluators():
+    cases = grid_cases()
+    assert len(cases) > 100
+    inexact = constant = 0
+    for p, var_order, pts in cases:
+        table = poly_grid_fn(p, var_order)
+        assert isinstance(table, GridPoly)
+        ref = ReferenceEntryTerms(p, var_order)
+        assert table.c64 == ref.c64 and table.cdd == ref.cdd
+        values, mag = table.f64(pts)
+        ref_values, ref_mag = ref.f64(pts)
+        assert same_bits(values, ref_values) and same_bits(mag, ref_mag)
+        assert same_bits(table(pts), reference_poly_grid_fn(p, var_order)(pts))
+        assert same_bits(table(pts), values)
+        hi, lo = table.dd(pts)
+        ref_hi, ref_lo = ref.dd(pts)
+        assert same_bits(hi, ref_hi) and same_bits(lo, ref_lo)
+        inexact += any(c != coeff for coeff, c, _ in table.terms)
+        constant += any(not any(e) for _, _, e in table.terms)
+    assert inexact > 10 and constant > 10
+
+
+def test_grid_poly_call_takes_single_points_and_lists():
+    p = parse_poly("1/3 * x^2 * y - y + 5")
+    f = poly_grid_fn(p, ["x", "y"])
+    ref = reference_poly_grid_fn(p, ["x", "y"])
+    for pts in ([0.25, -3.0], [[0.25, -3.0], [1e3, 7.0]], np.array([2.0, 0.5])):
+        assert same_bits(f(pts), ref(pts))
+    assert f([0.25, -3.0]).shape == (1,)
+
+
+def test_grid_poly_rejects_fractional_negative_and_unbound():
+    # only the Laurent variable t carries fractional or negative exponents
+    for powers, var_order in (({"t": F(1, 2)}, ["t"]), ({"t": -1}, ["t"]),
+                              ({"x": 1, "y": 1}, ["x"])):
+        with pytest.raises(DomainError):
+            poly_grid_fn(GenPoly.monomial(1, powers), var_order)

@@ -19,10 +19,8 @@ from boxflow.homspace import (
     UnimodularLattice,
     haar_expectation,
     haar_sample,
-    in_compact,
     parse_observable,
     reduce_basis,
-    shortest_vector_length,
     siegel_batch,
     siegel_batch3,
     siegel_transform,
@@ -263,9 +261,10 @@ def test_haar_sample_validates_siegel_average():
 
 
 def test_in_compact():
-    assert in_compact(reduce_basis(np.eye(2)), 0.5)
-    assert not in_compact(reduce_basis(np.diag([100.0, 0.01])), 0.5)
-    assert in_compact(reduce_basis(np.diag([100.0, 0.01])), 0.0)
+    # Mahler's compact set {shortest vector >= eps0}
+    assert reduce_basis(np.eye(2)).shortest >= 0.5
+    assert not reduce_basis(np.diag([100.0, 0.01])).shortest >= 0.5
+    assert reduce_basis(np.diag([100.0, 0.01])).shortest >= 0.0
 
 
 # -- observables -------------------------------------------------------------------
