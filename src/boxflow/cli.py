@@ -65,6 +65,31 @@ def _parse_box(text: str) -> BoxRegion:
     return BoxRegion(tuple(lows), tuple(highs))
 
 
+def _parse_pair(text: str):
+    n, k = (int(v) for v in text.split(","))
+    return n, k
+
+
+def _parse_observables(text: str):
+    return [parse_observable(o) for o in text.split(",")]
+
+
+def _typed(parse, expected: str, keep_text: bool = False):
+    """``parse`` as an argparse ``type``: text it cannot read as a number
+    is a usage error (exit 2).  With ``keep_text`` the option keeps its
+    checked text, which the run configuration records verbatim."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}") from None
+        return text if keep_text else value
+
+    return convert
+
+
 def _resolve_out(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV) or "."
     path = Path(out)
@@ -144,11 +169,7 @@ def _cmd_flow(args) -> int:
             "seed": args.seed,
         }
     else:
-        lam = (
-            _parse_fractions(args.lam)
-            if args.lam
-            else entry.default_lambda
-        )
+        lam = args.lam or entry.default_lambda
         c, lam_norm = normalize_exponents(lam)
         theta = rescale(entry.matrix, lam_norm, entry.map_vars)
         res = compute_flow(theta)
@@ -212,7 +233,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_good(args) -> int:
     poly = parse_poly(args.poly)
-    box = _parse_box(args.box)
+    box = args.box
     var_order = args.poly_vars.split(",") if args.poly_vars else sorted(
         poly.variables()
     )
@@ -220,11 +241,11 @@ def _cmd_good(args) -> int:
         print("box dimension must match the variable count", file=sys.stderr)
         return EXIT_USAGE
     f = poly_grid_fn(poly, var_order)
-    alpha = Fraction(args.alpha)
+    alpha = args.alpha
     rows = ["delta,lhs,rhs,holds"]
     lines = []
     failed = False
-    for delta in _parse_floats(args.deltas):
+    for delta in args.deltas:
         chk = good_inequality_check(
             f, box, delta, args.c, alpha, args.grid,
             mc_samples=args.mc_samples, seed=args.seed,
@@ -240,7 +261,7 @@ def _cmd_good(args) -> int:
         "poly": poly.to_text(),
         "vars": var_order,
         "box": [list(box.lower), list(box.upper)],
-        "deltas": list(_parse_floats(args.deltas)),
+        "deltas": list(args.deltas),
         "alpha": str(alpha),
         "C": args.c,
         "grid": args.grid,
@@ -261,7 +282,7 @@ def _cmd_cover(args) -> int:
         k = centers.shape[1]
         spec = {"points_file": args.points}
     else:
-        n, k = (int(v) for v in args.random.split(","))
+        n, k = args.random
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xC04E5]))
         centers = rng.random((n, k)) * 4.0
         halfwidths = rng.random(n) * 0.6 + 0.05
@@ -296,12 +317,14 @@ def _cmd_cover(args) -> int:
 
 def _cmd_equi(args) -> int:
     entry = get_map(args.map, args.catalog)
-    observables = [parse_observable(o) for o in args.obs.split(",")]
-    eps0 = _parse_floats(args.eps0)
+    observables = _parse_observables(args.obs)
+    eps0 = args.eps0
     out_dir = _resolve_out(args)
     if args.t2:
-        t2_list = _parse_floats(args.t2)
-        b = Fraction(args.b) if args.b else twodim_flow(entry.matrix, *entry.map_vars).b
+        t2_list = args.t2
+        b = args.b
+        if b is None:
+            b = twodim_flow(entry.matrix, *entry.map_vars).b
         result = twodim_bcondition_sweep(
             entry, b, t2_list, observables, grid=args.grid, eps0_list=eps0,
             seed=args.seed, workers=args.workers, method=args.method,
@@ -318,8 +341,8 @@ def _cmd_equi(args) -> int:
             "seed": args.seed,
         }
     else:
-        lam = _parse_fractions(args.lam) if args.lam else entry.default_lambda
-        T_list = _parse_floats(args.T)
+        lam = args.lam or entry.default_lambda
+        T_list = args.T
         J = _parse_box(args.J) if args.J else None
         result = convergence_sweep(
             entry, lam, T_list, observables, J=J, grid=args.grid,
@@ -361,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    fractions = _typed(_parse_fractions, "comma-separated rationals")
+    floats = _typed(_parse_floats, "comma-separated numbers")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help=f"output directory (or ${OUT_ENV})")
@@ -370,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser("flow", parents=[common],
                             help="extract the limiting flow of a map")
     p_flow.add_argument("--map", required=True)
-    p_flow.add_argument("--lambda", dest="lam",
+    p_flow.add_argument("--lambda", dest="lam", type=fractions,
                         help="comma-separated box exponents, e.g. 5/2 or 1,1/2")
     p_flow.add_argument("--twodim", action="store_true",
                         help="joint (x, y) expansion instead of box rescaling")
@@ -381,9 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sublevel-growth inequality table")
     p_good.add_argument("--poly", required=True, help="polynomial text")
     p_good.add_argument("--poly-vars", help="comma-separated variable order")
-    p_good.add_argument("--box", required=True, help="lo,hi[;lo,hi...]")
-    p_good.add_argument("--deltas", required=True, help="comma-separated deltas")
-    p_good.add_argument("--alpha", required=True, help="rational exponent")
+    p_good.add_argument("--box", required=True,
+                        type=_typed(_parse_box, "lo,hi[;lo,hi...]"),
+                        help="lo,hi[;lo,hi...]")
+    p_good.add_argument("--deltas", required=True, type=floats,
+                        help="comma-separated deltas")
+    p_good.add_argument("--alpha", required=True, type=_typed(Fraction, "a rational"),
+                        help="rational exponent")
     p_good.add_argument("--C", dest="c", type=float, default=1.0)
     p_good.add_argument("--grid", type=int, default=400)
     p_good.add_argument("--mc-samples", type=int, default=None)
@@ -393,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="greedy bounded-multiplicity cube cover")
     group = p_cover.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", help="CSV of center coords + halfwidth")
-    group.add_argument("--random", help="n,k random instance")
+    group.add_argument("--random", type=_typed(_parse_pair, "two integers n,k"),
+                       help="n,k random instance")
     p_cover.add_argument("--bound", type=int, default=None,
                          help="multiplicity bound (default 2^k + 1)")
     p_cover.set_defaults(func=_cmd_cover)
@@ -401,17 +431,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_equi = sub.add_parser("equi", parents=[common],
                             help="equidistribution sweeps")
     p_equi.add_argument("--map", required=True)
-    p_equi.add_argument("--lambda", dest="lam",
+    p_equi.add_argument("--lambda", dest="lam", type=fractions,
                         help="box exponents (default: catalog entry)")
-    p_equi.add_argument("--T", help="comma-separated box parameters")
-    p_equi.add_argument("--t2", help="comma-separated T2 list (two-variable "
-                        "box-exponent sweep)")
-    p_equi.add_argument("--b", help="box exponent for the T2 sweep "
+    p_equi.add_argument("--T", type=floats, help="comma-separated box parameters")
+    p_equi.add_argument("--t2", type=floats, help="comma-separated T2 list "
+                        "(two-variable box-exponent sweep)")
+    p_equi.add_argument("--b", type=_typed(Fraction, "a rational"),
+                        help="box exponent for the T2 sweep "
                         "(default: extracted from the map)")
-    p_equi.add_argument("--J", help="subbox of the unit cube, lo,hi;lo,hi")
-    p_equi.add_argument("--obs", default="siegel:indicator:1")
+    p_equi.add_argument("--J", type=_typed(_parse_box, "lo,hi;lo,hi", keep_text=True),
+                        help="subbox of the unit cube, lo,hi;lo,hi")
+    p_equi.add_argument("--obs", default="siegel:indicator:1",
+                        type=_typed(_parse_observables, "siegel:KIND:RADIUS[,...]",
+                                    keep_text=True))
     p_equi.add_argument("--grid", type=int, default=200)
-    p_equi.add_argument("--eps0", default="0.1,0.05")
+    p_equi.add_argument("--eps0", type=floats, default="0.1,0.05")
     p_equi.add_argument("--method", default="grid",
                         choices=("grid", "jitter", "mc"))
     p_equi.add_argument("--workers", type=int, default=1)
@@ -421,10 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "subcommand", None) == "equi" and not (args.T or args.t2):
-        parser.error("equi needs --T or --t2")
     try:
+        # the option types build observables and boxes, whose invariant
+        # failures exit 1 as the subcommands' do
+        args = parser.parse_args(argv)
+        if args.subcommand == "equi" and not (args.T or args.t2):
+            parser.error("equi needs --T or --t2")
         return args.func(args)
     except CatalogError as err:
         print(f"catalog error: {err}", file=sys.stderr)

@@ -8,19 +8,20 @@ streams is available for high dimension.  Work is partitioned into
 fixed-size chunks evaluated independently per sample, so results are
 bit-identical for any worker count.
 
-Matrix entries are evaluated by ``goodness.GridPoly``, whose term
-magnitudes give each entry's rounding bound.  Each sample's lattice is
-reduced once, and the reduction is certified: its shortest length and
-every observable come from a basis within ``homspace.PREC_TOL`` of an
-exact reduced basis.  In dimension 2 (``certified_sl2_reduce``) that is
-float64, double-double or exact rational arithmetic, whichever is the
-cheapest whose error bound meets the tolerance; in dimension 3
-(``homspace.sl3_kernel``) float64 greedy reduction with a carried bound,
-or exact rational reduction.
+One kernel serves both lattice dimensions, in two stages per chunk.
+``certified_reduce`` evaluates the matrix entries once
+(``goodness.GridPoly``, whose term magnitudes give each entry's rounding
+bound) and reduces each sample's lattice once, certified: every basis
+is within ``homspace.PREC_TOL`` of an exact reduced basis.  That is
+float64, double-double (dimension 2 only) or exact rational arithmetic,
+whichever is the cheapest whose error bound meets the tolerance.
+``certified_observables`` then derives the shortest length and every
+observable from those bases.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import MapEntry
+from .doubledouble import U
 from .errors import CuspExcursionError, DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
 from .goodness import BoxRegion, GridPoly, _index_uniform
@@ -42,9 +44,10 @@ from .homspace import (
     indicator_ties,
     reduce_exact,
     siegel_batch,
+    siegel_batch3,
     siegel_count_exact,
     sl2_lagrange,
-    sl3_kernel,
+    sl3_greedy,
 )
 
 _CHUNK = 1 << 14
@@ -59,6 +62,14 @@ def _check_grid(grid: int) -> None:
         raise DomainError("need at least 8 grid points per axis")
 
 
+def _side(T, l) -> float:
+    """The box side T^l in float64, which must not overflow."""
+    try:
+        return float(T) ** float(l)
+    except OverflowError:
+        raise DomainError(f"box side {float(T):g}^{float(l):g} overflows") from None
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Box family member: realized region {(a_1 T^l1, ..., a_k T^lk)} for
@@ -71,8 +82,8 @@ class BoxSpec:
 
     def __post_init__(self):
         _check_grid(self.grid)
-        if self.T <= 0:
-            raise DomainError("box parameter must be positive")
+        if not 0 < self.T < math.inf:
+            raise DomainError("box parameter must be positive and finite")
         if self.J is not None:
             k = len(self.lam)
             unit = BoxRegion((0.0,) * k, (1.0,) * k)
@@ -84,7 +95,7 @@ class BoxSpec:
         return len(self.lam)
 
     def realized_region(self) -> BoxRegion:
-        scales = [float(self.T) ** float(l) for l in self.lam]
+        scales = [_side(self.T, l) for l in self.lam]
         if self.J is None:
             lower = (0.0,) * self.k
             upper = tuple(scales)
@@ -134,65 +145,96 @@ def _entries_f64(tables, pts: np.ndarray):
     return g, mag, err
 
 
-def certified_sl2_reduce(matrix, map_vars, pts: np.ndarray,
-                         limit: float = math.inf):
-    """Lagrange-reduced bases of the lattices g(pt) Z^2, each column within
-    ``PREC_TOL`` of the exact basis that the same integer steps make from
-    g at the float64 point pt, read as an exact dyadic rational.
+def certified_reduce(matrix, map_vars, pts: np.ndarray,
+                     limit: float = math.inf):
+    """Reduced bases of the lattices g(pt) Z^N, N = 2 or 3, each column
+    within ``PREC_TOL`` of the exact basis that the same integer steps
+    make from g at the float64 point pt, read as an exact dyadic rational.
 
-    Each sample takes the cheapest tier whose a-priori bound, from the
-    entry magnitudes, is below the tolerance: float64, then double-double;
-    the bound carried through the reduction then certifies it or passes
-    it on.  Samples neither tier certifies are evaluated and reduced in
-    exact rationals; more than ``limit`` of them raise ``PrecisionError``.
-    Returns (b1, b2, lam1, number of exact samples).
+    In dimension 2 each sample takes the cheapest tier whose a-priori
+    bound, from the entry magnitudes, is below the tolerance: float64,
+    then double-double; in dimension 3 it takes float64.  The bound
+    carried through the reduction then certifies it or passes it on.
+    Samples no tier certifies are evaluated and reduced in exact
+    rationals; more than ``limit`` of them raise ``PrecisionError``.
+    Returns the bases (m, N, N), shortest column first, their column
+    bounds (m, N) and the number of exact samples.
     """
     tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
     m = pts.shape[0]
-    g, mag, e64 = _entries_f64(tables, pts)
-    cdd = np.array([[t.cdd for t in row] for row in tables])
-    # the reduced basis is B = g U with U = adj(g) B, so its column j
-    # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
-    # the routing takes |b_j| to be about 1
-    amp = np.stack(
-        [np.hypot(g[:, 1, 1], g[:, 0, 1]), np.hypot(g[:, 1, 0], g[:, 0, 0])],
-        axis=1,
-    )
-    edd = mag[:, 0, :] * cdd[0] + mag[:, 1, :] * cdd[1]
-    b1 = np.empty((m, 2))
-    b2 = np.empty((m, 2))
-    pending = np.ones(m, dtype=bool)
-
-    def accept(idx, reduced):
-        u, v, eu, ev, done = reduced
-        ok = done & (np.maximum(eu, ev) <= PREC_TOL)
-        b1[idx[ok]] = u[ok]
-        b2[idx[ok]] = v[ok]
-        pending[idx[ok]] = False
-
-    idx = np.nonzero(np.sum(e64 * amp, axis=1) <= PREC_TOL)[0]
-    if idx.size:
-        accept(idx, sl2_lagrange(g[idx, :, 0], g[idx, :, 1],
-                                 e64[idx, 0], e64[idx, 1]))
-    idx = np.nonzero(pending & (np.sum(edd * amp, axis=1) <= PREC_TOL))[0]
-    if idx.size:
-        hi = np.empty((idx.size, 2, 2))
-        lo = np.empty((idx.size, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                hi[:, i, j], lo[:, i, j] = tables[i][j].dd(pts[idx])
-        accept(idx, sl2_lagrange(hi[:, :, 0], hi[:, :, 1], edd[idx, 0],
-                                 edd[idx, 1], lo[:, :, 0], lo[:, :, 1]))
-    idx = np.nonzero(pending)[0]
-    if idx.size > limit:
-        raise PrecisionError(
-            f"{idx.size}/{m} samples of a chunk are beyond float64 and "
-            f"double-double certification (budget {limit:g} per box)",
-            flagged=int(idx.size), total=m,
+    g, mag, err = _entries_f64(tables, pts)
+    if matrix.dim == 3:
+        b, e, done = sl3_greedy(g, err)
+        e[~done] = np.inf
+    else:
+        cdd = np.array([[t.cdd for t in row] for row in tables])
+        # the reduced basis is B = g U with U = adj(g) B, so its column j
+        # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
+        # the routing takes |b_j| to be about 1
+        amp = np.stack(
+            [np.hypot(g[:, 1, 1], g[:, 0, 1]), np.hypot(g[:, 1, 0], g[:, 0, 0])],
+            axis=1,
         )
-    for k in idx:
-        b1[k], b2[k] = reduce_exact(_exact_matrix(matrix, map_vars, pts[k])).T
-    return b1, b2, np.sqrt(np.sum(b1 * b1, axis=1)), int(idx.size)
+        edd = mag[:, 0, :] * cdd[0] + mag[:, 1, :] * cdd[1]
+        b = np.empty((m, 2, 2))
+        e = np.full((m, 2), np.inf)  # inf: not certified (yet)
+
+        def accept(idx, reduced):
+            u, v, eu, ev, done = reduced
+            ok = done & (np.maximum(eu, ev) <= PREC_TOL)
+            b[idx, :, 0], b[idx, :, 1] = u, v
+            e[idx, 0], e[idx, 1] = np.where(ok, eu, np.inf), ev
+
+        idx = np.nonzero(np.sum(err * amp, axis=1) <= PREC_TOL)[0]
+        if idx.size:
+            accept(idx, sl2_lagrange(g[idx, :, 0], g[idx, :, 1],
+                                     err[idx, 0], err[idx, 1]))
+        idx = np.nonzero(np.isinf(e[:, 0]) & (np.sum(edd * amp, axis=1) <= PREC_TOL))[0]
+        if idx.size:
+            hi = np.empty((idx.size, 2, 2))
+            lo = np.empty((idx.size, 2, 2))
+            for i in range(2):
+                for j in range(2):
+                    hi[:, i, j], lo[:, i, j] = tables[i][j].dd(pts[idx])
+            accept(idx, sl2_lagrange(hi[:, :, 0], hi[:, :, 1], edd[idx, 0],
+                                     edd[idx, 1], lo[:, :, 0], lo[:, :, 1]))
+    # column by column: np.max over e's short inner axis costs 50 times more
+    late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
+    if late.size > limit:
+        tiers = "float64 and double-double" if matrix.dim == 2 else "float64"
+        raise PrecisionError(
+            f"{late.size}/{m} samples of a chunk are beyond {tiers} "
+            f"certification (budget {limit:g} per box)",
+            flagged=int(late.size), total=m,
+        )
+    for k in late:
+        b[k] = reduce_exact(_exact_matrix(matrix, map_vars, pts[k]))
+        e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
+    return b, e, int(late.size)
+
+
+def certified_observables(b: np.ndarray, e: np.ndarray, fs, exact):
+    """Shortest lengths, Siegel observables (one row per test function in
+    ``fs``) and cusp-exclusion flags of the bases ``b`` with column bounds
+    ``e`` that ``certified_reduce`` returns, in closed form
+    (``siegel_batch`` and ``indicator_ties``, or ``siegel_batch3``).  The
+    indicator counts the bases leave in doubt are recounted from
+    ``exact(k)``, the matrix of rationals of sample k, so every count is
+    the exact lattice's."""
+    lam1 = np.sqrt(np.sum(b[:, :, 0] * b[:, :, 0], axis=1))
+    excluded = lam1 < CUSP_GUARD
+    values = np.zeros((len(fs), b.shape[0]))
+    for i, f in enumerate(fs):
+        if b.shape[1] == 3:
+            values[i], _, ties = siegel_batch3(b, e, lam1, f)
+        else:
+            values[i], _ = siegel_batch(b[:, :, 0], b[:, :, 1], lam1, f)
+            ties = np.zeros(b.shape[0], dtype=bool)
+            if f.kind == INDICATOR_BALL:
+                ties = indicator_ties(b[:, :, 0], b[:, :, 1], f.radius) & ~excluded
+        for k in np.nonzero(ties)[0]:
+            values[i, k] = siegel_count_exact(exact(k), f.radius)
+    return lam1, values, excluded
 
 
 def _exact_matrix(matrix, map_vars, pt):
@@ -205,31 +247,14 @@ def _eval_chunk(args):
     """Shortest-vector lengths, observable values (one row per test
     function), cusp-exclusion flags and the number of exactly reduced
     samples of one chunk, all from a single certified reduction per
-    sample.  Indicator counts the certified basis leaves in doubt are
-    recounted in exact arithmetic (``indicator_ties`` in dimension 2,
-    inside ``sl3_kernel`` in dimension 3), so every count is the exact
-    lattice's."""
+    sample (``certified_reduce``, then ``certified_observables``)."""
     (matrix, map_vars, region, grid, fs, start, stop, method, seed, limit) = args
     pts = _chunk_points(region, grid, start, stop, method, seed)
-    m = pts.shape[0]
-
-    def exact(k):
-        return _exact_matrix(matrix, map_vars, pts[k])
-
-    if matrix.dim == 3:
-        tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
-        g, _, err = _entries_f64(tables, pts)
-        return sl3_kernel(g, err, fs, exact, limit)
-    values = np.zeros((len(fs), m))
-    b1, b2, lam1, flagged = certified_sl2_reduce(matrix, map_vars, pts, limit)
-    excluded = lam1 < CUSP_GUARD
-    for i, f in enumerate(fs):
-        values[i], _ = siegel_batch(b1, b2, lam1, f)
-        if f.kind == INDICATOR_BALL:
-            ties = indicator_ties(b1, b2, f.radius) & ~excluded
-            for k in np.nonzero(ties)[0]:
-                values[i, k] = siegel_count_exact(exact(k), f.radius)
-    return lam1, values, excluded, flagged
+    b, e, n_exact = certified_reduce(matrix, map_vars, pts, limit)
+    lam1, values, excluded = certified_observables(
+        b, e, fs, lambda k: _exact_matrix(matrix, map_vars, pts[k])
+    )
+    return lam1, values, excluded, n_exact
 
 
 def _observable_values(
@@ -245,6 +270,9 @@ def _observable_values(
     """(lam1, values, excluded) over the box's samples: shortest-vector
     lengths, one row of observable values per test function in ``fs``, and
     the cusp-exclusion flags."""
+    if region.dim != len(map_vars):
+        raise DomainError(
+            f"a {region.dim}-dimensional box for {len(map_vars)} map variables")
     total = grid ** region.dim
     limit = _EXCLUSION_BUDGET * total
     size = _CHUNK if matrix.dim == 2 else _CHUNK3
@@ -477,15 +505,16 @@ def convergence_sweep(
     if any(b >= a for a, b in zip(T_list[1:], T_list[:-1])):
         raise DomainError("T values must increase")
     lam = tuple(Fraction(v) for v in lam)
+    regions = [BoxSpec(lam=lam, T=float(T), grid=grid, J=J).realized_region()
+               for T in T_list]
     if entry.closed_orbit:
         refs = [periodic_reference(entry, f) for f in f_list]
     else:
         refs = [haar_expectation(f, entry.dim) for f in f_list]
     rows = []
-    for T in T_list:
-        box = BoxSpec(lam=lam, T=float(T), grid=grid, J=J)
-        rows += _box_rows(entry, box.realized_region(), grid, T, f_list, refs,
-                          eps0_list, seed, workers, method)
+    for T, region in zip(T_list, regions):
+        rows += _box_rows(entry, region, grid, T, f_list, refs, eps0_list, seed,
+                          workers, method)
     return ExperimentResult(map_name=entry.name, rows=tuple(rows))
 
 
@@ -513,18 +542,21 @@ def twodim_bcondition_sweep(
     T2_list = list(T2_list)
     if any(t2 >= t1 for t1, t2 in zip(T2_list[1:], T2_list[:-1])):
         raise DomainError("T2 values must increase")
+    if not all(0 < t2 < math.inf for t2 in T2_list):
+        raise DomainError("T2 values must be positive and finite")
     b = Fraction(b)
     flow = twodim_flow(entry.matrix, *entry.map_vars)
     if b <= flow.p:
         raise DomainError(
             f"box exponent {b} must exceed the derivative y-degree {flow.p}"
         )
+    regions = [BoxRegion((0.0, 0.0), (1.01 * _side(T2, b), float(T2)))
+               for T2 in T2_list]
     refs = [haar_expectation(f, entry.dim) for f in f_list]
     rows = []
     diagnostics = []
-    for T2 in T2_list:
-        x_max = 1.01 * float(T2) ** float(b)
-        region = BoxRegion((0.0, 0.0), (x_max, float(T2)))
+    for T2, region in zip(T2_list, regions):
+        x_max = region.upper[0]
         rows += _box_rows(entry, region, grid, T2, f_list, refs, eps0_list,
                           seed, workers, method)
         for frac_x in (0.5, 0.9):

@@ -30,7 +30,7 @@ from .polyalg import NEG_INF, GenPoly
 
 @dataclass(frozen=True)
 class BoxRegion:
-    """Axis-parallel box given by corner vectors, lower < upper."""
+    """Axis-parallel box given by finite corner vectors, lower < upper."""
 
     lower: tuple
     upper: tuple
@@ -40,6 +40,8 @@ class BoxRegion:
             raise DomainError("corner dimensions differ")
         if not all(l < u for l, u in zip(self.lower, self.upper)):
             raise DomainError("box needs lower < upper on every axis")
+        if not all(map(math.isfinite, self.lower + self.upper)):
+            raise DomainError("box corners must be finite")
 
     @property
     def dim(self) -> int:

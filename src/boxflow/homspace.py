@@ -19,8 +19,9 @@ fallback: indicator counts equal the scalar path's, bump values agree
 with it to rounding.  ``indicator_ties`` and ``siegel_batch3`` mark the
 counts that the certified basis's error could change, and
 ``siegel_count_exact`` recounts them in integer arithmetic.
-``sl3_kernel`` is the whole dimension-3 pass.  The scalar
-``siegel_transform`` enumeration is kept as a test oracle.
+``experiment.certified_reduce`` and ``experiment.certified_observables``
+put these pieces together into one kernel for both dimensions.  The
+scalar ``siegel_transform`` enumeration is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
-from .errors import CuspExcursionError, DeterminantError, DomainError, PrecisionError
+from .errors import CuspExcursionError, DeterminantError, DomainError
 
 DET_TOL = 1e-9
 CUSP_GUARD = 1e-6
@@ -54,8 +55,8 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in (INDICATOR_BALL, SMOOTH_BUMP):
             raise DomainError(f"unknown test function kind {self.kind!r}")
-        if self.radius <= 0:
-            raise DomainError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise DomainError("radius must be positive and finite")
 
     @property
     def name(self) -> str:
@@ -798,38 +799,3 @@ def siegel_batch3(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, f: TestFunctio
                 n[own] = _exact_rows(b[own], c2[own], c3, radius)
         total += w * n
     return np.where(excluded, 0.0, total - 1.0), excluded, ties & ~excluded
-
-
-def sl3_kernel(g: np.ndarray, e: np.ndarray, fs, exact, limit: float = math.inf):
-    """Shortest lengths and Siegel observables of a batch of lattices
-    g Z^3, from one certified greedy reduction per sample.
-
-    ``g`` (m, 3, 3) holds float64 bases with column bounds ``e`` (m, 3);
-    ``exact(k)`` returns the 3x3 matrix of rationals that sample k stands
-    for.  A sample whose carried bound ends above ``PREC_TOL`` is reduced
-    exactly (``reduce_exact``); more than ``limit`` of them raise
-    ``PrecisionError``.  The indicator counts that ``siegel_batch3``
-    leaves in doubt are recounted by ``siegel_count_exact``, so every count
-    is the exact lattice's.  Returns (lam1, values (one row per test
-    function), excluded, number of exactly reduced samples).
-    """
-    m = g.shape[0]
-    b, e, done = sl3_greedy(g, e)
-    late = np.nonzero(~done | (np.max(e, axis=1) > PREC_TOL))[0]
-    if late.size > limit:
-        raise PrecisionError(
-            f"{late.size}/{m} samples of a chunk are beyond float64 "
-            f"certification (budget {limit:g} per box)",
-            flagged=int(late.size), total=m,
-        )
-    for k in late:
-        b[k] = reduce_exact(exact(k))
-        e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
-    lam1 = np.sqrt(np.sum(b[:, :, 0] * b[:, :, 0], axis=1))
-    values = np.zeros((len(fs), m))
-    excluded = lam1 < CUSP_GUARD
-    for i, f in enumerate(fs):
-        values[i], _, ties = siegel_batch3(b, e, lam1, f)
-        for k in np.nonzero(ties)[0]:
-            values[i, k] = siegel_count_exact(exact(k), f.radius)
-    return lam1, values, excluded, int(late.size)

@@ -1,7 +1,11 @@
-"""Benchmark smoke test: every workload of ``bench/`` runs, passes its own
-gates and gives the same output when traced, so a change that breaks the
-benchmark fails here first."""
+"""Benchmark smoke tests: every workload of ``bench/`` runs, passes its own
+gates and gives the same output when traced, and the benchmark's command
+line completes a correct run, so a change that breaks the benchmark fails
+here first."""
 
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +45,22 @@ def test_workload_passes_its_gates_traced_and_untraced(name):
         per_box = wl.oracle_check(st)
         assert set(per_box) == {f"{T:g}" for T in wl.T_list}
         assert all(box["compared"] > 0 for box in per_box.values())
+
+
+def test_benchmark_command_completes_a_correct_run(tmp_path):
+    # BENCHMARK.json's own command, with its set-up child processes, on a
+    # copy of the tree (the run writes its records beside bench/)
+    root = BENCH.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    for part in ("bench", "src"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        spec["command"] + ["--workload", "orbit3d_heis3", "--seed", "0",
+                           "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
+    assert set(last["metrics"]) == {m["name"] for m in spec["end_to_end"]}

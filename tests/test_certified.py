@@ -10,14 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxflow import experiment, homspace
+from boxflow import experiment
 from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
 from boxflow.doubledouble import U2, dd_add, dd_mul_d, two_prod, two_sum
 from boxflow.errors import PrecisionError
 from boxflow.experiment import (
     BoxSpec,
-    certified_sl2_reduce,
+    certified_observables,
+    certified_reduce,
     convergence_sweep,
     twodim_bcondition_sweep,
 )
@@ -30,7 +31,6 @@ from boxflow.homspace import (
     siegel_count_exact,
     sl2_reduce_batch,
     sl3_greedy,
-    sl3_kernel,
 )
 from boxflow.homspace import TestFunction as TF
 from boxflow.polymatrix import PolyMatrix
@@ -123,9 +123,9 @@ def jittered_points(T2, n, seed):
 
 
 def kernel_mismatches(pts):
-    b1, b2, lam1, n_exact = certified_sl2_reduce(
-        POLY23_LOWER.matrix, POLY23_LOWER.map_vars, pts
-    )
+    b, _, n_exact = certified_reduce(POLY23_LOWER.matrix, POLY23_LOWER.map_vars, pts)
+    b1, b2 = b[:, :, 0], b[:, :, 1]
+    lam1 = np.sqrt(np.sum(b1 * b1, axis=1))
     counts, excluded = siegel_batch(b1, b2, lam1, INDICATOR)
     assert not excluded.any()
     bad_count = bad_lam1 = 0
@@ -295,7 +295,7 @@ def test_3d_tie_rows_on_exact_columns_skip_the_exact_lattice(monkeypatch):
         recounts.append(m)
         return siegel_count_exact(m, r)
 
-    monkeypatch.setattr(homspace, "siegel_count_exact", counting)
+    monkeypatch.setattr(experiment, "siegel_count_exact", counting)
     region = BoxSpec(lam=HEIS3.default_lambda, T=20.0, grid=24).realized_region()
     task = (HEIS3.matrix, HEIS3.map_vars, region, 24, (INDICATOR,), 0, 576,
             "jitter", 1, math.inf)
@@ -308,12 +308,13 @@ def test_3d_exact_columns_are_counted_as_stored(monkeypatch):
     # float64 puts b1 = (0.6, 0.8, 0) on the unit sphere, but the stored
     # column is exactly 1 + 4.4e-17 long; its row is decided from the
     # column itself, with no exact recount of the lattice
-    monkeypatch.setattr(homspace, "siegel_count_exact", None)
+    monkeypatch.setattr(experiment, "siegel_count_exact", None)
     mats = np.array([[[0.6, -1.2, 0.0], [0.8, 0.9, 0.0], [0.0, 0.0, 1.3]]])
     assert math.hypot(0.6, 0.8) == 1.0
     exact = [[F(float(x)) for x in row] for row in mats[0]]
-    _, values, _, _ = sl3_kernel(mats, np.zeros((1, 3)), (INDICATOR,),
-                                 lambda k: exact)
+    b, e, done = sl3_greedy(mats, np.zeros((1, 3)))
+    assert done.all() and np.max(e) <= PREC_TOL
+    _, values, _ = certified_observables(b, e, (INDICATOR,), lambda k: exact)
     assert values[0].tolist() == [len(exact_norms3(exact, F(1)))] == [0]
 
 

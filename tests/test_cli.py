@@ -107,6 +107,63 @@ def test_invalid_counts_are_domain_errors(tmp_path, capsys, args):
     assert not any(tmp_path.glob("*.csv")) and not any(tmp_path.glob("*.txt"))
 
 
+@pytest.mark.parametrize("args,message", [
+    (["equi", "--map", "ul_product", "--T", "10", "--lambda", "1"],
+     "1-dimensional box for 2 map variables"),
+    (["equi", "--map", "ul_product", "--T", "10", "--obs", "siegel:indicator:nan"],
+     "radius must be positive and finite"),
+    (["equi", "--map", "ul_product", "--T", "10", "--obs", "siegel:indicator:inf"],
+     "radius must be positive and finite"),
+    (["equi", "--map", "ul_product", "--T", "10,inf", "--grid", "16"],
+     "box parameter must be positive and finite"),
+    (["equi", "--map", "ul_product", "--T", "1e200", "--lambda", "2,1", "--grid", "16"],
+     "overflows"),
+    (["equi", "--map", "poly23_lower", "--t2", "5,inf", "--grid", "16"],
+     "T2 values must be positive and finite"),
+    (["equi", "--map", "poly23_lower", "--t2", "nan", "--grid", "16"],
+     "T2 values must be positive and finite"),
+    (["equi", "--map", "poly23_lower", "--t2", "1e100", "--grid", "16"],
+     "overflows"),
+    (["good", "--poly", "x^2", "--box", "0,inf", "--deltas", "0.1", "--alpha", "1/2"],
+     "box corners must be finite"),
+])
+def test_bad_boxes_and_radii_are_domain_errors(tmp_path, capsys, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow on the way
+        assert run(args + ["--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+GOOD = ["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2"]
+EQUI = ["equi", "--map", "ul_product", "--T", "10"]
+
+
+@pytest.mark.parametrize("args", [
+    ["equi", "--map", "ul_product", "--T", "abc"],
+    EQUI + ["--eps0", "x"],
+    EQUI + ["--obs", "siegel:indicator:abc"],
+    ["equi", "--map", "poly23_lower", "--t2", "5", "--b", "x"],
+    EQUI + ["--lambda", "x,1"],
+    EQUI + ["--lambda", "1/0"],
+    EQUI + ["--J", "0,1;0"],
+    ["flow", "--map", "heis52", "--lambda", "1/0"],
+    GOOD[:4] + ["0"] + GOOD[5:],
+    GOOD[:6] + ["x"] + GOOD[7:],
+    GOOD[:8] + ["x"],
+    GOOD[:8] + ["1/0"],
+    ["cover", "--random", "abc"],
+    ["cover", "--random", "5"],
+])
+def test_malformed_numbers_are_usage_errors(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_equi_needs_T(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["equi", "--map", "u_horo", "--out", str(tmp_path)])

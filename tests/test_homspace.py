@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import boxflow
+from boxflow import experiment
 from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
 from boxflow.errors import CuspExcursionError, DeterminantError, DomainError
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
+    PREC_TOL,
     UnimodularLattice,
     haar_expectation,
     haar_sample,
@@ -27,7 +29,6 @@ from boxflow.homspace import (
     sl2_lagrange,
     sl2_reduce_batch,
     sl3_greedy,
-    sl3_kernel,
 )
 
 
@@ -485,9 +486,15 @@ def test_import_path_leaves_out_scipy_integrate_and_stats():
 # -- dimension-3 batch kernel ------------------------------------------------------
 
 
-def exact_of(mats):
-    """``exact`` for sl3_kernel: each float64 basis read as exact rationals."""
-    return lambda k: [[Fraction(float(x)) for x in row] for row in mats[k]]
+def kernel3(mats, fs):
+    """(lam1, values, excluded) of the certified kernel on float64 bases
+    read as exact rationals: greedy reduction, which must certify every
+    sample in float64, then ``certified_observables``."""
+    b, e, done = sl3_greedy(mats, np.zeros((mats.shape[0], 3)))
+    assert done.all() and np.max(e) <= PREC_TOL
+    return experiment.certified_observables(
+        b, e, fs, lambda k: [[Fraction(float(x)) for x in row] for row in mats[k]]
+    )
 
 
 def test_batch3_indicator_matches_enumeration_with_ties():
@@ -498,8 +505,8 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     mats = np.stack([random_sl3(rng) for _ in range(2000)])
     zero = np.zeros((2000, 3))
     f = TF("indicator", 1.0)
-    lam1, (vals,), excluded, n_exact = sl3_kernel(mats, zero, (f,), exact_of(mats))
-    assert not excluded.any() and n_exact == 0
+    lam1, (vals,), excluded = kernel3(mats, (f,))
+    assert not excluded.any()
     brute = np.array([brute_siegel(g, f) for g in mats])
     b, e, _ = sl3_greedy(mats, zero)
     raw, _, ties = siegel_batch3(b, e, lam1, f)
@@ -511,7 +518,7 @@ def test_batch3_bump_matches_enumeration():
     rng = np.random.default_rng(13)
     mats = np.stack([random_sl3(rng) for _ in range(200)])
     f = TF("bump", 1.2)
-    _, (vals,), _, _ = sl3_kernel(mats, np.zeros((200, 3)), (f,), exact_of(mats))
+    _, (vals,), _ = kernel3(mats, (f,))
     for g, val in zip(mats, vals):
         ref = brute_siegel(g, f)
         assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
@@ -582,7 +589,7 @@ def test_batch3_near_cusp_matches_enumeration():
     for x, found in zip(shortest, lam1):
         assert found == pytest.approx(x, rel=1e-9)
     for f in (TF("indicator", 1.0), TF("bump", 1.2)):
-        _, (vals,), excluded, _ = sl3_kernel(mats, np.zeros((40, 3)), (f,), exact_of(mats))
+        _, (vals,), excluded = kernel3(mats, (f,))
         assert not excluded.any()
         for basis, val in zip(bases, vals):
             ref = direct_sum3(basis, f)
