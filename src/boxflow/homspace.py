@@ -1,28 +1,26 @@
 """The space of unimodular lattices in dimension 2 and 3: reduction,
 Siegel-transform observables and Haar references.  A lattice lies in
-Mahler's compact set {shortest vector >= eps0} when the ``shortest``
-length of its reduced basis is at least eps0.
+Mahler's compact set {shortest vector >= eps0} when the first column of
+its reduced basis, a shortest vector, has length lambda_1 >= eps0.
 
 Observables are Siegel transforms g -> sum over nonzero v in Z^N of
 f(g v) for compactly supported radial f; their Haar integral is the
 plain integral of f over R^N, which gives the equidistribution
 experiments a closed-form reference.
 
-The batch helpers at the bottom vectorize both dimensions over large
-sample arrays.  The batch reductions (Lagrange in dimension 2, greedy in
-dimension 3) carry a forward-error bound per column, so callers can
-certify the reduced basis against ``PREC_TOL``; ``reduce_exact`` is the
-exact rational last resort for both.  ``siegel_batch`` and
-``siegel_batch3`` sum each observable in closed form over the rows of
-lattice vectors inside the ball, with no enumeration and no per-sample
-fallback: indicator counts equal the scalar path's, bump values agree
-with it to rounding.  ``indicator_ties`` and ``siegel_batch3`` mark the
-counts that the certified basis's error could change, and
-``siegel_count_exact`` recounts them in integer arithmetic.
-``experiment.certified_reduce`` and ``experiment.certified_observables``
-put these pieces together into one kernel for both dimensions.  The
-scalar ``siegel_transform`` enumeration is kept as a test oracle.
-"""
+The batch helpers vectorize both dimensions over large sample arrays.
+The batch reductions (Lagrange in dimension 2, greedy in dimension 3)
+carry a forward-error bound per column, so callers can certify the
+reduced basis against ``PREC_TOL``; ``reduce_exact`` is the exact
+rational last resort for both.  ``siegel_batch`` and ``siegel_batch3``
+sum each observable in closed form over the rows of lattice vectors
+inside the ball, with no enumeration and no per-sample fallback.
+``indicator_ties`` and ``siegel_batch3`` mark the counts that the
+certified basis's error could change, and ``siegel_count_exact``
+recounts them in integer arithmetic, so every indicator count is the
+exact lattice's.  ``experiment.certified_reduce`` and
+``experiment.certified_observables`` put these pieces together into one
+kernel for both dimensions."""
 
 from __future__ import annotations
 
@@ -33,9 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
-from .errors import CuspExcursionError, DeterminantError, DomainError
+from .errors import DomainError
 
-DET_TOL = 1e-9
 CUSP_GUARD = 1e-6
 # a certified reduced basis lies within this 2-norm distance, per column,
 # of an exact basis of the stated lattice
@@ -47,7 +44,8 @@ SMOOTH_BUMP = "bump"
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Radial compactly supported profile inducing a Siegel observable."""
+    """Radial compactly supported profile inducing a Siegel observable: the
+    indicator of the ball of radius R, or the bump (1 - (r/R)^2)^2 on it."""
 
     kind: str
     radius: float
@@ -62,14 +60,6 @@ class TestFunction:
     def name(self) -> str:
         return f"siegel:{self.kind}:{self.radius:g}"
 
-    def profile(self, r):
-        """Radial profile value(s); vanishes for r > radius."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == INDICATOR_BALL:
-            return (r <= self.radius).astype(float)
-        inside = np.clip(1.0 - (r / self.radius) ** 2, 0.0, None)
-        return inside ** 2
-
 
 def parse_observable(text: str) -> TestFunction:
     """Parse names of the form siegel:indicator:R or siegel:bump:R."""
@@ -77,110 +67,6 @@ def parse_observable(text: str) -> TestFunction:
     if len(parts) != 3 or parts[0] != "siegel":
         raise DomainError(f"malformed observable {text!r}")
     return TestFunction(kind=parts[1], radius=float(parts[2]))
-
-
-@dataclass(frozen=True)
-class UnimodularLattice:
-    """A point of the space of covolume-1 lattices with a cached reduced
-    basis (columns) and its shortest length."""
-
-    g: np.ndarray
-    reduced: np.ndarray
-    shortest: float
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]
-
-
-def _check_det(g: np.ndarray) -> None:
-    det = float(np.linalg.det(g))
-    if abs(det - 1.0) > DET_TOL:
-        raise DeterminantError(f"{det:.12g}")
-
-
-def reduce_basis(g) -> UnimodularLattice:
-    """Reduce the column basis: Lagrange swap/shift for N=2, greedy
-    reduction (``sl3_greedy``) for N=3.  Both give a Minkowski-reduced
-    basis, so the first column is a shortest vector.  The change of basis
-    is integer unimodular, so the lattice is unchanged."""
-    g = np.asarray(g, dtype=float)
-    if g.shape not in ((2, 2), (3, 3)):
-        raise DomainError("only dimensions 2 and 3 are supported")
-    _check_det(g)
-    if g.shape[0] == 2:
-        u, v = g[:, 0].copy(), g[:, 1].copy()
-        for _ in range(256):
-            if u @ u > v @ v:
-                u, v = v, u
-            mu = round((u @ v) / (u @ u))
-            if mu == 0:
-                break
-            v = v - mu * u
-        else:
-            raise DomainError("lattice reduction did not converge")
-        reduced = np.column_stack([u, v])
-    else:
-        b, _, done = sl3_greedy(g[None], np.zeros((1, 3)))
-        if not done[0]:
-            raise DomainError("lattice reduction did not converge")
-        reduced = b[0]
-    lam1_sq = float(reduced[:, 0] @ reduced[:, 0])
-    return UnimodularLattice(g=g, reduced=reduced, shortest=math.sqrt(lam1_sq))
-
-
-def _gram_schmidt(basis: np.ndarray):
-    n = basis.shape[1]
-    ortho = basis.astype(float).copy()
-    mu = np.eye(n)
-    for j in range(n):
-        for i in range(j):
-            denom = ortho[:, i] @ ortho[:, i]
-            mu[i, j] = (basis[:, j] @ ortho[:, i]) / denom
-            ortho[:, j] = ortho[:, j] - mu[i, j] * ortho[:, i]
-    return ortho, mu
-
-
-def siegel_transform(lattice: UnimodularLattice, f: TestFunction) -> float:
-    """Sum of the profile over all nonzero lattice vectors of length at
-    most the support radius, enumerated with coefficient bounds from the
-    orthogonalized reduced basis."""
-    if lattice.shortest < CUSP_GUARD:
-        raise CuspExcursionError(
-            f"shortest vector {lattice.shortest:.3e} below the enumeration guard"
-        )
-    basis = lattice.reduced
-    n = basis.shape[1]
-    ortho, mu = _gram_schmidt(basis)
-    ortho_norms = np.sqrt(np.sum(ortho * ortho, axis=0))
-    r = f.radius
-    total = 0.0
-    coeffs = [0] * n
-
-    def recurse(level: int, partial: np.ndarray, budget: float) -> None:
-        nonlocal total
-        if level < 0:
-            norm = float(np.linalg.norm(partial))
-            if 0 < norm <= r:
-                total += float(f.profile(norm))
-            return
-        # offset of the level coordinate induced by already fixed coeffs
-        shift = sum(mu[level, j] * coeffs[j] for j in range(level + 1, n))
-        half = math.sqrt(budget) / ortho_norms[level]
-        lo = math.ceil(-half - shift - 1e-12)
-        hi = math.floor(half - shift + 1e-12)
-        for c in range(lo, hi + 1):
-            coeffs[level] = c
-            used = (c + shift) ** 2 * ortho_norms[level] ** 2
-            recurse(
-                level - 1,
-                partial + c * basis[:, level],
-                max(budget - used, 0.0) + 1e-12,
-            )
-        coeffs[level] = 0
-
-    recurse(n - 1, np.zeros(n), r * r)
-    return total
 
 
 def haar_expectation(f: TestFunction, n: int) -> float:
@@ -196,34 +82,6 @@ def haar_expectation(f: TestFunction, n: int) -> float:
     if n == 2:
         return math.pi * f.radius ** 2 / 3.0
     return 32.0 * math.pi * f.radius ** 3 / 105.0
-
-
-def haar_sample(n: int, seed: int) -> list:
-    """I.i.d. Haar-distributed unimodular lattices in dimension 2.
-
-    Each sample draws from its own seed-derived stream: the hyperbolic
-    coordinate (x, y) by rejection from {|x| <= 1/2, y >= sqrt(3)/2} with
-    density proportional to y^-2 (draw x, then y by inverse CDF, accept
-    when x^2 + y^2 >= 1), then a uniform rotation angle.
-    """
-    if n < 1:
-        raise DomainError("need at least one sample")
-    out = []
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        while True:
-            x = rng.random() - 0.5
-            y = (math.sqrt(3) / 2) / (1.0 - rng.random())
-            if x * x + y * y >= 1.0:
-                break
-        phi = 2.0 * math.pi * rng.random()
-        sy = math.sqrt(y)
-        frame = np.array([[1.0 / sy, x / sy], [0.0, sy]])
-        rot = np.array(
-            [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
-        )
-        out.append(reduce_basis(rot @ frame))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +220,8 @@ def sl2_reduce_batch(mats: np.ndarray):
     (b1, b2, lam1) with b1 the shortest basis vector per sample.
 
     This is the float64 tier of ``sl2_lagrange`` taking the entries as
-    exact; per-sample results match the scalar path exactly."""
+    exact, kept as the float64 entry point of ``bench/oracle.py`` until
+    the benchmark leaves it (ROADMAP item 2)."""
     zero = np.zeros(mats.shape[0])
     u, v, _, _, done = sl2_lagrange(mats[:, :, 0], mats[:, :, 1], zero, zero)
     if not done.all():
@@ -518,9 +377,9 @@ def _shape(b1, b2):
     """|b1|^2, mu = b1.b2/|b1|^2 and the height h = |det(b1, b2)|/|b1| of b2
     over the line of b1, per sample.  The height comes from the 2x2
     determinant: |b1|^2 |b2|^2 - (b1.b2)^2 would cancel."""
-    b11 = np.sum(b1 * b1, axis=1)
+    b11 = _coord_dot(b1.T, b1.T)
     h = np.abs(b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]) / np.sqrt(b11)
-    return b11, np.sum(b1 * b2, axis=1) / b11, h
+    return b11, _coord_dot(b1.T, b2.T) / b11, h
 
 
 def _ball_rows(shape, r):

@@ -1,0 +1,194 @@
+"""Reference lattice computations that the kernel tests compare against:
+exact reduction and enumeration, a float Fincke-Pohst enumeration, Haar
+sampling and ``greedy3``.  It imports nothing from ``boxflow``, so it
+shares no code with the kernel it checks."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def adjugate(cols):
+    """Rows of adj(B), B the 2x2 or 3x3 matrix of columns ``cols``."""
+    if len(cols) == 2:
+        (u0, u1), (v0, v1) = cols
+        return [(v1, -v0), (-u1, u0)]
+    u, v, w = cols  # the cross products v x w, w x u, u x v
+    return [tuple(x[k] * y[l] - x[l] * y[k] for k, l in ((1, 2), (2, 0), (0, 1)))
+            for x, y in ((v, w), (w, u), (u, v))]
+
+
+# -- exact ---------------------------------------------------------------------
+
+
+def _lagrange(u, v):
+    while True:
+        if _dot(u, u) > _dot(v, v):
+            u, v = v, u
+        mu = round(_dot(u, v) / _dot(u, u))
+        if mu == 0:
+            return u, v
+        v = tuple(y - mu * x for x, y in zip(u, v))
+
+
+def exact_reduce(m):
+    """Exactly reduced columns of the 2x2 or 3x3 matrix m (entries read as
+    rationals), shortest first.  N = 2: Lagrange.  N = 3: greedy passes
+    that Lagrange-reduce the two shortest columns and take from the third
+    its closest vector in their lattice, until it is the longest."""
+    cols = [tuple(Fraction(x) for x in col) for col in zip(*m)]
+    if len(cols) == 2:
+        return list(_lagrange(*cols))
+    while True:
+        cols.sort(key=lambda v: _dot(v, v))
+        (b1, b2), b3 = _lagrange(cols[0], cols[1]), cols[2]
+        a, b, c = _dot(b1, b1), _dot(b1, b2), _dot(b2, b2)
+        r1, r2 = _dot(b1, b3), _dot(b2, b3)
+        x2 = math.floor((a * r2 - b * r1) / (a * c - b * b))
+        for y2 in range(x2 - 1, x2 + 3):
+            y1 = round((r1 - b * y2) / a)
+            w = tuple(t - y1 * p - y2 * q for t, p, q in zip(cols[2], b1, b2))
+            b3 = min(b3, w, key=lambda v: _dot(v, v))
+        cols = [b1, b2, b3]
+        if _dot(b3, b3) >= c:
+            return cols
+
+
+def _norms_within(cols, r2):
+    """Squared norms of the nonzero vectors B c, |B c|^2 <= r2, of the
+    columns ``cols`` of B: a box enumeration, as |c_i| |det B| <= |row i
+    of adj B| |B c|."""
+    adj = adjugate(cols)
+    det2 = _dot(adj[0], cols[0]) ** 2
+    spans = [math.isqrt(math.floor(_dot(row, row) * r2 / det2)) for row in adj]
+    rows = list(zip(*cols))
+    norms = []
+    for c in itertools.product(*(range(-s, s + 1) for s in spans)):
+        vec = [_dot(c, row) for row in rows]
+        if any(c) and _dot(vec, vec) <= r2:
+            norms.append(_dot(vec, vec))
+    return norms
+
+
+def exact_norms(m, radius):
+    """Exact squared norms of the nonzero vectors of norm at most
+    ``radius`` in the column lattice of the 2x2 or 3x3 matrix m."""
+    return _norms_within(exact_reduce(m), Fraction(radius) ** 2)
+
+
+def exact_shortest_sq(m):
+    """Exact squared length of a shortest nonzero lattice vector."""
+    cols = exact_reduce(m)
+    return min(_norms_within(cols, _dot(cols[0], cols[0])))
+
+
+# -- float ---------------------------------------------------------------------
+
+
+def lattice_norms(basis, radius):
+    """Float64 norms of the nonzero vectors of norm at most ``radius`` in
+    the column lattice of ``basis`` (any basis), by Fincke-Pohst on its
+    Gram-Schmidt lengths, widened by 1e-9 (the final norm decides); each
+    row c_1 b_1 + w of the last level is one array."""
+    b = np.asarray(basis, dtype=float)
+    n = b.shape[1]
+    ortho, mu = b.copy(), np.eye(n)
+    for i, j in itertools.combinations(range(n), 2):
+        mu[i, j] = (b[:, j] @ ortho[:, i]) / (ortho[:, i] @ ortho[:, i])
+        ortho[:, j] -= mu[i, j] * ortho[:, i]
+    ortho_sq = np.sum(ortho * ortho, axis=0)
+    out = []
+
+    def level(i, coeffs, w, budget):
+        # coeffs = (c_{i+1}, ..., c_N) and w their vector
+        shift = sum(mu[i, i + 1 + k] * c for k, c in enumerate(coeffs))
+        half = math.sqrt(max(budget, 0.0) / ortho_sq[i]) + 1e-9
+        lo, hi = math.ceil(-shift - half), math.floor(-shift + half)
+        if i > 0:
+            for c in range(lo, hi + 1):
+                level(i - 1, (c,) + coeffs, c * b[:, i] + w,
+                      budget - (c + shift) ** 2 * ortho_sq[i])
+            return
+        c1 = np.arange(lo, hi + 1, dtype=float)
+        c1 = c1[(c1 != 0) | any(coeffs)]
+        vecs = c1[:, None] * b[:, 0] + w
+        norms = np.sqrt(np.sum(vecs * vecs, axis=1))
+        out.append(norms[norms <= radius])
+
+    level(n - 1, (), np.zeros(n), radius * radius)
+    return np.concatenate(out)
+
+
+def siegel_sum(basis, f):
+    """Siegel transform of ``f``: 1 (indicator) or (1 - (r/R)^2)^2 (bump)
+    summed by ``math.fsum`` over the nonzero vectors of norm r <= R."""
+    r = lattice_norms(basis, f.radius)
+    terms = np.ones_like(r) if f.kind == "indicator" else (1 - (r / f.radius) ** 2) ** 2
+    return math.fsum(terms.tolist())
+
+
+def shortest(basis):
+    """Length of a shortest nonzero vector of the column lattice."""
+    b = np.asarray(basis, dtype=float)
+    column = np.min(np.sqrt(np.sum(b * b, axis=0)))
+    return float(np.min(lattice_norms(b, column * (1.0 + 1e-9))))
+
+
+def haar_sample(n, seed):
+    """n Haar-random unimodular lattices in dimension 2, as (n, 2, 2) column
+    bases.  Sample i, from the stream SeedSequence([seed, i]), takes (x, y)
+    by rejection from {|x| <= 1/2, y >= sqrt(3)/2} with density y^-2
+    (accepted when x^2 + y^2 >= 1), then a uniform rotation."""
+    out = np.empty((n, 2, 2))
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        while True:
+            x = rng.random() - 0.5
+            y = (math.sqrt(3) / 2) / (1.0 - rng.random())
+            if x * x + y * y >= 1.0:
+                break
+        phi = 2.0 * math.pi * rng.random()
+        c, s, sy = math.cos(phi), math.sin(phi), math.sqrt(y)
+        out[i] = np.array([[c, -s], [s, c]]) @ np.array([[1 / sy, x / sy], [0, sy]])
+    return out
+
+
+def _dot3(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def greedy3(g):
+    """Greedy reduction of the 3x3 float64 column basis g in plain Python,
+    in the operation order of ``homspace.sl3_greedy`` (sums in coordinate
+    order, rounding half to even, a stable sort by length), so that its
+    columns are the batch kernel's bit for bit.  Shortest column first."""
+    cols = g.T.tolist()
+    for _ in range(256):
+        cols.sort(key=lambda w: _dot3(w, w))
+        u, v, b3 = cols
+        uu, vv = _dot3(u, u), _dot3(v, v)
+        for _ in range(256):  # Lagrange, as sl2_lagrange
+            if uu > vv:
+                u, v, uu, vv = v, u, vv, uu
+            mu = float(round(_dot3(u, v) / uu))
+            v = [y - mu * x for x, y in zip(u, v)]
+            vv = _dot3(v, v)
+            if mu == 0:
+                break
+        a, ab, r1 = uu, _dot3(u, v), _dot3(u, b3)
+        near = float(round((a * _dot3(v, b3) - ab * r1) / (a * vv - ab * ab)))
+        best = math.inf
+        for t2 in (near, near - 1.0, near + 1.0):
+            t1 = float(round((r1 - ab * t2) / a))
+            res = [z - t1 * x - t2 * y for x, y, z in zip(u, v, b3)]
+            if _dot3(res, res) < best:
+                best, w = _dot3(res, res), res
+        cols = [u, v, w]
+        if best >= vv:
+            return cols
+    raise AssertionError("greedy reduction did not converge")

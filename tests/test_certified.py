@@ -2,12 +2,12 @@
 agreement along the criterion-10 boxes, the exact tier, exact counts at
 ties in dimensions 2 and 3, and PrecisionError."""
 
-import itertools
 import math
 import pickle
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from boxflow import experiment
@@ -75,41 +75,7 @@ def test_double_double_ops_within_charged_bounds():
         assert abs(_fr(sh[i], sl[i]) - exact_s) <= 3 * U2 * abs(exact_s)
 
 
-# -- exact oracle ---------------------------------------------------------------
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def exact_reduced_gram(m):
-    """Gram entries (|u|^2, u.v, |v|^2) of the exactly Lagrange-reduced
-    column basis of the 2x2 Fraction matrix m."""
-    u = (m[0][0], m[1][0])
-    v = (m[0][1], m[1][1])
-    while True:
-        if _dot(u, u) > _dot(v, v):
-            u, v = v, u
-        mu = math.floor(_dot(u, v) / _dot(u, u) + F(1, 2))
-        if mu == 0:
-            return _dot(u, u), _dot(u, v), _dot(v, v)
-        v = (v[0] - mu * u[0], v[1] - mu * u[1])
-
-
-def exact_count(gram, radius=F(1)):
-    """Nonzero lattice vectors of norm <= radius, from the reduced Gram
-    matrix of a covolume-1 lattice (|c2| <= radius |u| bounds the search)."""
-    a, b, c = gram
-    r2 = radius * radius
-    count = 0
-    c2_max = math.isqrt(math.floor(a * r2)) + 1
-    for c2 in range(-c2_max, c2_max + 1):
-        centre = float(-b * c2 / a)
-        half = math.sqrt(max(float(a * r2 - c2 * c2), 0.0)) / float(a)
-        for c1 in range(math.floor(centre - half) - 1, math.ceil(centre + half) + 2):
-            if (c1 or c2) and a * c1 * c1 + 2 * b * c1 * c2 + c * c2 * c2 <= r2:
-                count += 1
-    return count
+# -- the kernel against the exact oracle ------------------------------------------
 
 
 def jittered_points(T2, n, seed):
@@ -131,9 +97,9 @@ def kernel_mismatches(pts):
     bad_count = bad_lam1 = 0
     for k in range(pts.shape[0]):
         point = {v: F(float(x)) for v, x in zip(POLY23_LOWER.map_vars, pts[k])}
-        gram = exact_reduced_gram(POLY23_LOWER.matrix.evaluate_exact(point))
-        bad_count += counts[k] != exact_count(gram)
-        bad_lam1 += abs(lam1[k] - math.sqrt(gram[0])) > PREC_TOL
+        m = POLY23_LOWER.matrix.evaluate_exact(point)
+        bad_count += counts[k] != len(oracles.exact_norms(m, 1))
+        bad_lam1 += abs(lam1[k] - math.sqrt(oracles.exact_shortest_sq(m))) > PREC_TOL
     return bad_count, bad_lam1, n_exact
 
 
@@ -156,7 +122,7 @@ def test_exact_count_matches_exact_oracle():
     for k in range(pts.shape[0]):
         point = {v: F(float(x)) for v, x in zip(POLY23_LOWER.map_vars, pts[k])}
         m = POLY23_LOWER.matrix.evaluate_exact(point)
-        assert siegel_count_exact(m, 1.0) == exact_count(exact_reduced_gram(m))
+        assert siegel_count_exact(m, 1.0) == len(oracles.exact_norms(m, 1))
 
 
 # -- ties: lattice vectors exactly on the sphere --------------------------------
@@ -185,8 +151,7 @@ def test_ties_count_exactly_through_certified_kernel(rows, radius, monkeypatch):
             0, 8, "jitter", 3, math.inf)
     _, values, excluded, _ = experiment._eval_chunk(task)
     assert not excluded.any()
-    exact = exact_count(exact_reduced_gram([[F(x) for x in row] for row in rows]),
-                        F(radius))
+    exact = len(oracles.exact_norms(rows, radius))
     assert values[0].tolist() == [exact] * 8
     assert len(recounts) == 8
 
@@ -207,38 +172,6 @@ def test_tie_recount_fires_on_ties_only(rows, radius):
 # -- dimension 3: exact counts and ties -----------------------------------------
 
 
-def _dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def exact_norms3(m, radius):
-    """Squared norms, in exact arithmetic, of the nonzero vectors of norm at
-    most radius of the column lattice of the 3x3 Fraction matrix m.
-
-    Pairwise size reduction (each step shortens a column) keeps the
-    search small; on any basis B the coefficients of such vectors are
-    bounded by the rows of B^-1 times the radius."""
-    cols = [[m[i][j] for i in range(3)] for j in range(3)]
-    changed = True
-    while changed:
-        changed = False
-        for i, j in itertools.permutations(range(3), 2):
-            mu = round(_dot3(cols[i], cols[j]) / _dot3(cols[i], cols[i]))
-            if mu:
-                cols[j] = [x - mu * y for x, y in zip(cols[j], cols[i])]
-                changed = True
-    inv = np.linalg.inv(np.array(cols, dtype=float).T)
-    span = int(np.max(np.linalg.norm(inv, axis=1)) * float(radius)) + 2
-    r2 = F(radius) ** 2
-    norms = []
-    for c in itertools.product(range(-span, span + 1), repeat=3):
-        if any(c):
-            v = [sum(col[i] * cj for col, cj in zip(cols, c)) for i in range(3)]
-            if _dot3(v, v) <= r2:
-                norms.append(_dot3(v, v))
-    return norms
-
-
 def random_rational_sl3(rng):
     m = [[F(int(i == j)) for j in range(3)] for i in range(3)]
     for _ in range(4):
@@ -255,11 +188,9 @@ def test_exact_3d_count_and_shortest_match_enumeration():
     for _ in range(30):
         m = random_rational_sl3(rng)
         for radius in (0.7, 1.0, 1.5):
-            assert siegel_count_exact(m, radius) == len(exact_norms3(m, F(radius)))
-        # lambda_1 <= 2^(1/6) < 1.13 (Hermite)
-        lam1_sq = min(exact_norms3(m, F(113, 100)))
+            assert siegel_count_exact(m, radius) == len(oracles.exact_norms(m, radius))
         assert np.linalg.norm(reduce_exact(m)[:, 0]) == pytest.approx(
-            math.sqrt(lam1_sq), rel=1e-15
+            math.sqrt(oracles.exact_shortest_sq(m)), rel=1e-15
         )
 
 
@@ -281,7 +212,7 @@ def test_3d_ties_count_exactly_through_certified_kernel(rows):
             0, 8, "jitter", 3, math.inf)
     _, values, excluded, _ = experiment._eval_chunk(task)
     assert not excluded.any()
-    exact = len(exact_norms3([[F(x) for x in row] for row in rows], F(1)))
+    exact = len(oracles.exact_norms(rows, 1))
     assert values[0].tolist() == [exact] * 8
 
 
@@ -315,19 +246,7 @@ def test_3d_exact_columns_are_counted_as_stored(monkeypatch):
     b, e, done = sl3_greedy(mats, np.zeros((1, 3)))
     assert done.all() and np.max(e) <= PREC_TOL
     _, values, _ = certified_observables(b, e, (INDICATOR,), lambda k: exact)
-    assert values[0].tolist() == [len(exact_norms3(exact, F(1)))] == [0]
-
-
-def _inverse3(m):
-    """Inverse of a 3x3 Fraction matrix of determinant 1: its rows are the
-    cross products of the columns."""
-    a, b, c = ([m[i][j] for i in range(3)] for j in range(3))
-
-    def cross(u, v):
-        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0]]
-
-    return [cross(b, c), cross(c, a), cross(a, b)]
+    assert values[0].tolist() == [len(oracles.exact_norms(exact, 1))] == [0]
 
 
 def _round_up(q):
@@ -350,7 +269,7 @@ def test_sl3_greedy_bounds_cover_the_distance_to_the_exact_lattice():
     assert done.all()
     grew = 0
     for m, basis, bound, start in zip(exact, b, e, err):
-        inv = _inverse3(m)
+        inv = oracles.adjugate(list(zip(*m)))  # m^-1, as det m = 1
         for j in range(3):
             col = [F(float(x)) for x in basis[:, j]]
             # the exact lattice vector the column stands for is the nearest one

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from boxflow import experiment
@@ -20,7 +21,6 @@ from boxflow.experiment import (
 )
 from boxflow.goodness import BoxRegion, GridPoly
 from boxflow.homspace import TestFunction as TF
-from boxflow.homspace import UnimodularLattice, reduce_basis, siegel_transform
 
 F = Fraction
 
@@ -137,42 +137,6 @@ def test_heis3_orbit_reference_and_average():
     assert res.rows[0].reference == pytest.approx(2.0)
 
 
-def _dot3(x, y):
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def greedy3(g):
-    """Greedy reduction of the 3x3 float64 column basis g in plain Python,
-    in the operation order of ``homspace.sl3_greedy`` (sums in coordinate
-    order, rounding half to even, a stable sort by length), so that its
-    columns are the batch kernel's bit for bit.  Shortest column first."""
-    cols = g.T.tolist()
-    for _ in range(256):
-        cols.sort(key=lambda w: _dot3(w, w))
-        u, v, b3 = cols
-        uu, vv = _dot3(u, u), _dot3(v, v)
-        for _ in range(256):  # Lagrange, as sl2_lagrange
-            if uu > vv:
-                u, v, uu, vv = v, u, vv, uu
-            mu = float(round(_dot3(u, v) / uu))
-            v = [y - mu * x for x, y in zip(u, v)]
-            vv = _dot3(v, v)
-            if mu == 0:
-                break
-        a, ab, r1 = uu, _dot3(u, v), _dot3(u, b3)
-        near = float(round((a * _dot3(v, b3) - ab * r1) / (a * vv - ab * ab)))
-        best = math.inf
-        for t2 in (near, near - 1.0, near + 1.0):
-            t1 = float(round((r1 - ab * t2) / a))
-            res = [z - t1 * x - t2 * y for x, y, z in zip(u, v, b3)]
-            if _dot3(res, res) < best:
-                best, w = _dot3(res, res), res
-        cols = [u, v, w]
-        if best >= vv:
-            return cols
-    raise AssertionError("greedy reduction did not converge")
-
-
 def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
     # the 14,976 lattices of one benchmark heis3 sweep: the 24^3 orbit
     # points of the reference, and 24^2 jittered points at T = 10 and 20
@@ -194,11 +158,9 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
             for j, p in enumerate(row):
                 mats[:, i, j] = GridPoly(p, map_vars)(pts)
         for g, lam, val in zip(mats, lam1, vals):
-            cols = greedy3(g)
-            shortest = math.sqrt(_dot3(cols[0], cols[0]))
-            assert shortest == lam
-            lat = UnimodularLattice(g, np.array(cols).T, shortest)
-            assert siegel_transform(lat, f) == val
+            cols = oracles.greedy3(g)
+            assert math.sqrt(sum(x * x for x in cols[0])) == lam
+            assert oracles.siegel_sum(np.array(cols).T, f) == val
         checked += total
     assert checked == 14976
 
@@ -292,14 +254,11 @@ def _identity_entry():
 
 
 def test_constant_map_average_is_pointwise_value():
-    from boxflow.homspace import UnimodularLattice, siegel_transform
-    import numpy as np
-
     entry = _identity_entry()
     f = TF("indicator", 1.0)
     box = BoxSpec(lam=(F(1),), T=10.0, grid=64)
     avg = birkhoff_average(entry, box, f)
-    point_value = siegel_transform(reduce_basis(np.eye(2)), f)
+    point_value = oracles.siegel_sum(np.eye(2), f)
     assert avg == point_value == 4.0
     fr = nondivergence_fraction(entry, box, [1.0, 0.0])
     assert fr[1.0] == 1.0 and fr[0.0] == 1.0

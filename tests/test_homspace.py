@@ -1,6 +1,7 @@
-"""Lattice space: reduction oracles, Siegel counts, Haar references."""
+"""Lattice space: the float64 kernels against the reference oracles of
+``oracles``, Siegel counts, Haar references."""
 
-import itertools
+import ast
 import math
 import os
 import subprocess
@@ -9,63 +10,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 import boxflow
 from boxflow import experiment
 from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
-from boxflow.errors import CuspExcursionError, DeterminantError, DomainError
+from boxflow.errors import DomainError
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
     PREC_TOL,
-    UnimodularLattice,
     haar_expectation,
-    haar_sample,
     parse_observable,
-    reduce_basis,
     siegel_batch,
     siegel_batch3,
-    siegel_transform,
     sl2_lagrange,
     sl2_reduce_batch,
     sl3_greedy,
 )
-
-
-def brute_shortest(g, span=None):
-    n = g.shape[0]
-    if span is None:
-        # any vector of length up to Hermite's bound has coefficients
-        # bounded by the rows of the inverse basis
-        span = int(np.ceil(np.max(np.abs(np.linalg.inv(g))) * n * 1.1)) + 1
-    best = None
-    for coeffs in itertools.product(range(-span, span + 1), repeat=n):
-        if all(c == 0 for c in coeffs):
-            continue
-        v = g @ np.array(coeffs, dtype=float)
-        ln = float(np.linalg.norm(v))
-        best = ln if best is None else min(best, ln)
-    return best
-
-
-def coefficient_span(g, radius):
-    """Bound on the coefficients of the lattice vectors of norm at most
-    radius: |c_i| <= |row i of g^-1| radius."""
-    return int(np.max(np.linalg.norm(np.linalg.inv(g), axis=1)) * radius) + 1
-
-
-def brute_siegel(g, f):
-    n = g.shape[0]
-    span = coefficient_span(g, f.radius)
-    total = 0.0
-    for coeffs in itertools.product(range(-span, span + 1), repeat=n):
-        if all(c == 0 for c in coeffs):
-            continue
-        v = g @ np.array(coeffs, dtype=float)
-        ln = float(np.linalg.norm(v))
-        if ln <= f.radius:
-            total += float(f.profile(ln))
-    return total
 
 
 def random_sl2(rng):
@@ -88,89 +50,104 @@ def random_sl3(rng):
     return m
 
 
+# the elementary unimodular matrices 1 + E_ij
+GENS3 = [np.eye(3) + np.outer(e, f) for e in np.eye(3) for f in np.eye(3) if e @ f == 0]
+
+
+def random_word(rng, gens):
+    """A product of one to five matrices drawn from ``gens``."""
+    word = np.eye(gens[0].shape[0])
+    for _ in range(int(rng.integers(1, 6))):
+        word = word @ gens[rng.integers(0, len(gens))]
+    return word
+
+
+def kernel_shortest(g):
+    """lambda_1 of the column lattice of g from the float64 kernel."""
+    if g.shape[0] == 2:
+        return sl2_reduce_batch(g[None])[2][0]
+    return kernel3(g[None], ())[0][0]
+
+
+def siegel2(mats, f):
+    """Siegel values of the float64 2D kernel on a batch of bases."""
+    b1, b2, lam1 = sl2_reduce_batch(mats)
+    vals, excluded = siegel_batch(b1, b2, lam1, f)
+    assert not excluded.any()
+    return vals
+
+
+def test_oracles_import_nothing_from_boxflow():
+    # the reference must share no code with the kernel it checks
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert "numpy" in names and not [m for m in names if str(m).startswith("boxflow")]
+
+
 # -- reduction -----------------------------------------------------------------
 
 
 def test_reduce_identity():
-    lat = reduce_basis(np.eye(2))
-    assert lat.shortest == pytest.approx(1.0)
-    assert sorted(np.abs(lat.reduced).sum(axis=0).tolist()) == [1.0, 1.0]
+    b1, b2, lam1 = sl2_reduce_batch(np.eye(2)[None])
+    assert lam1[0] == pytest.approx(1.0)
+    assert sorted(np.abs(np.stack([b1[0], b2[0]])).sum(axis=1).tolist()) == [1.0, 1.0]
 
 
 def test_reduce_shear_case():
     g = np.array([[1.0, 0.9], [0.0, 1.0]])
-    lat = reduce_basis(g)
-    assert lat.shortest == pytest.approx(brute_shortest(g))
-    cols = [tuple(lat.reduced[:, i]) for i in range(2)]
-    assert (1.0, 0.0) in cols or (-1.0, 0.0) in cols
+    b1, b2, lam1 = sl2_reduce_batch(g[None])
+    assert lam1[0] == pytest.approx(oracles.shortest(g))
+    assert {(1.0, 0.0), (-1.0, 0.0)} & {tuple(b1[0]), tuple(b2[0])}
 
 
 def test_reduce_diagonal():
-    lat = reduce_basis(np.diag([2.0, 0.5]))
-    assert lat.shortest == pytest.approx(0.5)
-
-
-def test_reduce_rejects_bad_determinant():
-    with pytest.raises(DeterminantError):
-        reduce_basis(np.diag([2.0, 1.0]))
+    assert kernel_shortest(np.diag([2.0, 0.5])) == pytest.approx(0.5)
 
 
 def test_reduce_matches_enumeration_random():
     rng = np.random.default_rng(42)
-    for _ in range(100):
-        g = random_sl2(rng)
-        lat = reduce_basis(g)
-        assert lat.shortest == pytest.approx(brute_shortest(g), rel=1e-9)
+    mats = np.stack([random_sl2(rng) for _ in range(100)])
+    _, _, lam1 = sl2_reduce_batch(mats)
+    for g, lam in zip(mats, lam1):
+        assert lam == pytest.approx(oracles.shortest(g), rel=1e-9)
 
 
 def test_reduce_3d_matches_enumeration():
     rng = np.random.default_rng(7)
     for _ in range(40):
         g = random_sl3(rng)
-        lat = reduce_basis(g)
-        assert lat.shortest == pytest.approx(brute_shortest(g), rel=1e-9)
+        assert kernel_shortest(g) == pytest.approx(oracles.shortest(g), rel=1e-9)
 
 
 def test_shortest_invariant_under_integer_unimodular_words():
     rng = np.random.default_rng(2718)
     gens2 = [np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]),
              np.array([[0, -1], [1, 0]])]
-    gens3 = []
-    e = np.eye(3, dtype=int)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                m = e.copy()
-                m[i, j] = 1
-                gens3.append(m)
     for _ in range(100):
         n = 2 if rng.random() < 0.5 else 3
         g = random_sl2(rng) if n == 2 else random_sl3(rng)
-        gens = gens2 if n == 2 else gens3
-        word = np.eye(n)
-        for _ in range(int(rng.integers(1, 6))):
-            word = word @ gens[rng.integers(0, len(gens))]
-        lam_a = reduce_basis(g).shortest
-        lam_b = reduce_basis(g @ word).shortest
-        assert lam_b == pytest.approx(lam_a, rel=1e-9)
+        word = random_word(rng, gens2 if n == 2 else GENS3)
+        assert kernel_shortest(g @ word) == pytest.approx(kernel_shortest(g), rel=1e-9)
 
 
 # -- Siegel transform ----------------------------------------------------------------
 
 
 def test_siegel_identity_small_radius():
-    lat = reduce_basis(np.eye(2))
-    assert siegel_transform(lat, TF("indicator", 0.5)) == 0.0
+    f = TF("indicator", 0.5)
+    assert siegel2(np.eye(2)[None], f)[0] == oracles.siegel_sum(np.eye(2), f) == 0.0
 
 
 def test_siegel_identity_unit_radius():
-    lat = reduce_basis(np.eye(2))
-    assert siegel_transform(lat, TF("indicator", 1.0)) == 4.0
+    f = TF("indicator", 1.0)
+    assert siegel2(np.eye(2)[None], f)[0] == oracles.siegel_sum(np.eye(2), f) == 4.0
 
 
 def test_siegel_diagonal():
-    lat = reduce_basis(np.diag([2.0, 0.5]))
-    assert siegel_transform(lat, TF("indicator", 0.6)) == 2.0
+    g = np.diag([2.0, 0.5])
+    f = TF("indicator", 0.6)
+    assert siegel2(g[None], f)[0] == oracles.siegel_sum(g, f) == 2.0
 
 
 def test_siegel_matches_enumeration_random():
@@ -179,10 +156,10 @@ def test_siegel_matches_enumeration_random():
     checked = 0
     while checked < 100:
         g = random_sl2(rng) if rng.random() < 0.7 else random_sl3(rng)
-        lat = reduce_basis(g)
-        if lat.shortest < 0.3:
+        if kernel_shortest(g) < 0.3:
             continue
-        assert siegel_transform(lat, f) == brute_siegel(g, f)
+        val = siegel2(g[None], f)[0] if g.shape[0] == 2 else kernel3(g[None], (f,))[1][0][0]
+        assert val == oracles.siegel_sum(g, f)
         checked += 1
 
 
@@ -191,20 +168,11 @@ def test_siegel_bump_matches_enumeration():
     f = TF("bump", 1.2)
     for _ in range(30):
         g = random_sl2(rng)
-        lat = reduce_basis(g)
-        if lat.shortest < 0.3:
+        if kernel_shortest(g) < 0.3:
             continue
-        assert siegel_transform(lat, f) == pytest.approx(
-            brute_siegel(g, f), rel=1e-12
+        assert siegel2(g[None], f)[0] == pytest.approx(
+            oracles.siegel_sum(g, f), rel=1e-12
         )
-
-
-def test_siegel_cusp_guard():
-    tiny = 1e-7
-    g = np.diag([tiny, 1.0 / tiny])
-    lat = reduce_basis(g)
-    with pytest.raises(CuspExcursionError):
-        siegel_transform(lat, TF("indicator", 1.0))
 
 
 # -- Haar references ------------------------------------------------------------------
@@ -235,23 +203,20 @@ def test_haar_expectation_bump_closed_forms():
 
 
 def test_haar_sample_deterministic():
-    a = haar_sample(5, seed=99)
-    b = haar_sample(5, seed=99)
-    for la, lb in zip(a, b):
-        assert np.array_equal(la.g, lb.g)
+    assert np.array_equal(oracles.haar_sample(5, seed=99), oracles.haar_sample(5, seed=99))
 
 
 def test_haar_sample_single():
-    (lat,) = haar_sample(1, seed=0)
-    assert abs(np.linalg.det(lat.g) - 1) <= 1e-9
-    assert lat.shortest > 0
+    (g,) = oracles.haar_sample(1, seed=0)
+    assert abs(np.linalg.det(g) - 1) <= 1e-9
+    assert kernel_shortest(g) > 0
 
 
 def test_haar_sample_validates_siegel_average():
-    lats = haar_sample(4000, seed=123)
+    mats = oracles.haar_sample(4000, seed=123)
     for radius in (0.5, 1.0):
         f = TF("indicator", radius)
-        vals = [siegel_transform(lat, f) for lat in lats]
+        vals = siegel2(mats, f)
         mean = float(np.mean(vals))
         stderr = float(np.std(vals) / math.sqrt(len(vals)))
         expect = haar_expectation(f, 2)
@@ -263,9 +228,9 @@ def test_haar_sample_validates_siegel_average():
 
 def test_in_compact():
     # Mahler's compact set {shortest vector >= eps0}
-    assert reduce_basis(np.eye(2)).shortest >= 0.5
-    assert not reduce_basis(np.diag([100.0, 0.01])).shortest >= 0.5
-    assert reduce_basis(np.diag([100.0, 0.01])).shortest >= 0.0
+    assert kernel_shortest(np.eye(2)) >= 0.5
+    assert not kernel_shortest(np.diag([100.0, 0.01])) >= 0.5
+    assert kernel_shortest(np.diag([100.0, 0.01])) >= 0.0
 
 
 # -- observables -------------------------------------------------------------------
@@ -288,7 +253,7 @@ def test_batch_reduction_matches_scalar():
     mats = np.stack([random_sl2(rng) for _ in range(500)])
     b1, b2, lam1 = sl2_reduce_batch(mats)
     for i in range(0, 500, 17):
-        assert lam1[i] == pytest.approx(reduce_basis(mats[i]).shortest, rel=1e-12)
+        assert lam1[i] == pytest.approx(oracles.shortest(mats[i]), rel=1e-12)
 
 
 def test_batch_siegel_matches_scalar():
@@ -299,8 +264,7 @@ def test_batch_siegel_matches_scalar():
         vals, excluded = siegel_batch(b1, b2, lam1, f)
         assert not excluded.any()
         for i in range(0, 400, 13):
-            lat = reduce_basis(mats[i])
-            assert vals[i] == pytest.approx(siegel_transform(lat, f), rel=1e-12)
+            assert vals[i] == pytest.approx(oracles.siegel_sum(mats[i], f), rel=1e-12)
 
 
 def test_batch_flags_cusp_samples():
@@ -438,8 +402,7 @@ def test_batch_siegel_near_cusp_matches_scalar():
         vals, excluded = siegel_batch(b1, b2, lam1, f)
         assert not excluded.any()
         for i in range(lam.size):
-            basis = np.column_stack([b1[i], b2[i]])
-            ref = siegel_transform(UnimodularLattice(basis, basis, lam1[i]), f)
+            ref = oracles.siegel_sum(np.column_stack([b1[i], b2[i]]), f)
             if f.kind == "indicator":
                 assert vals[i] == ref
             else:
@@ -448,24 +411,14 @@ def test_batch_siegel_near_cusp_matches_scalar():
 
 @pytest.mark.parametrize("lam1", [1e-5, 2e-6])
 def test_batch_siegel_deep_cusp_matches_direct_sum(lam1):
-    # far too many vectors for the scalar recursion; sum the profile over
-    # every c1 of the rows |c2| <= R |b1| + 1 directly
+    # up to a million vectors, each row c1 b1 + c2 b2 one array in the oracle
     rng = np.random.default_rng(34)
     b1, b2 = reduced_basis(lam1, rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * math.pi))
     radius = 0.987654321  # R / lambda_1 far from an integer
-    span = int(radius / lam1) + 2
-    c2_max = int(radius * lam1) + 1
     for f in (TF("indicator", radius), TF("bump", radius)):
         (val,), (excluded,) = siegel_batch(b1[None], b2[None], np.array([lam1]), f)
         assert not excluded
-        terms = []
-        for c2 in range(-c2_max, c2_max + 1):
-            c1 = np.arange(-span, span + 1) + round(-c2 * float(b1 @ b2) / lam1 ** 2)
-            if c2 == 0:
-                c1 = c1[c1 != 0]
-            vecs = c1[:, None] * b1 + c2 * b2
-            terms += f.profile(np.sqrt(np.sum(vecs * vecs, axis=1))).tolist()
-        direct = math.fsum(terms)
+        direct = oracles.siegel_sum(np.column_stack([b1, b2]), f)
         if f.kind == "indicator":
             assert val == direct
         else:
@@ -507,7 +460,7 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     f = TF("indicator", 1.0)
     lam1, (vals,), excluded = kernel3(mats, (f,))
     assert not excluded.any()
-    brute = np.array([brute_siegel(g, f) for g in mats])
+    brute = np.array([oracles.siegel_sum(g, f) for g in mats])
     b, e, _ = sl3_greedy(mats, zero)
     raw, _, ties = siegel_batch3(b, e, lam1, f)
     assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
@@ -520,7 +473,7 @@ def test_batch3_bump_matches_enumeration():
     f = TF("bump", 1.2)
     _, (vals,), _ = kernel3(mats, (f,))
     for g, val in zip(mats, vals):
-        ref = brute_siegel(g, f)
+        ref = oracles.siegel_sum(g, f)
         assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
 
 
@@ -530,10 +483,7 @@ def test_batch3_shortest_matches_enumeration():
     b, _, done = sl3_greedy(mats, np.zeros((100, 3)))
     assert done.all()
     for g, basis in zip(mats, b):
-        # lambda_1 <= 2^(1/6) < 1.13 in a covolume-1 lattice (Hermite)
-        assert np.linalg.norm(basis[:, 0]) == pytest.approx(
-            brute_shortest(g, span=coefficient_span(g, 1.13)), rel=1e-9
-        )
+        assert np.linalg.norm(basis[:, 0]) == pytest.approx(oracles.shortest(g), rel=1e-9)
 
 
 def reduced_basis3(rng, lam1):
@@ -549,42 +499,15 @@ def reduced_basis3(rng, lam1):
     return np.round(rot @ np.diag([lam1, s, 1.0 / (lam1 * s)]) @ tri * 2.0 ** 30) / 2.0 ** 30
 
 
-def direct_sum3(basis, f):
-    """The profile summed directly over every nonzero vector
-    c1 b1 + c2 b2 + c3 b3 with |c2| <= 6, |c3| <= 4 and c1 within
-    R/|b1| + 2 of the row's centre: all vectors of norm at most R = f.radius
-    <= 1.2 of a ``reduced_basis3`` basis (Gram-Schmidt lengths >= 0.3)."""
-    b1, b2, b3 = basis.T
-    span = int(f.radius / np.linalg.norm(b1)) + 2
-    terms = []
-    for c2 in range(-6, 7):
-        for c3 in range(-4, 5):
-            centre = round(-(c2 * (b1 @ b2) + c3 * (b1 @ b3)) / (b1 @ b1))
-            c1 = np.arange(centre - span, centre + span + 1)
-            if c2 == c3 == 0:
-                c1 = c1[c1 != 0]
-            vecs = c1[:, None] * b1 + c2 * b2 + c3 * b3
-            terms += f.profile(np.sqrt(np.sum(vecs * vecs, axis=1))).tolist()
-    return math.fsum(terms)
-
-
 def test_batch3_near_cusp_matches_enumeration():
     rng = np.random.default_rng(35)
-    e = np.eye(3)
-    gens = [e + np.outer(e[i], e[j]) for i in range(3) for j in range(3) if i != j]
     lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.2), 40))
     bases = [reduced_basis3(rng, x) for x in lam]
-    words = []
-    for _ in lam:
-        word = np.eye(3)
-        for _ in range(int(rng.integers(1, 6))):
-            word = word @ gens[rng.integers(0, len(gens))]
-        words.append(word)
-    mats = np.stack([g @ w for g, w in zip(bases, words)])
+    mats = np.stack([g @ random_word(rng, GENS3) for g in bases])
     b, _, done = sl3_greedy(mats, np.zeros((40, 3)))
     assert done.all()
     lam1 = np.linalg.norm(b[:, :, 0], axis=1)
-    shortest = [brute_shortest(basis, span=2) for basis in bases]
+    shortest = [oracles.shortest(basis) for basis in bases]
     assert min(shortest) < 2e-3
     for x, found in zip(shortest, lam1):
         assert found == pytest.approx(x, rel=1e-9)
@@ -592,7 +515,7 @@ def test_batch3_near_cusp_matches_enumeration():
         _, (vals,), excluded = kernel3(mats, (f,))
         assert not excluded.any()
         for basis, val in zip(bases, vals):
-            ref = direct_sum3(basis, f)
+            ref = oracles.siegel_sum(basis, f)
             if f.kind == "indicator":
                 assert val == ref
             else:
