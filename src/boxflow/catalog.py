@@ -26,7 +26,6 @@ class MapEntry:
     dim: int
     map_vars: tuple
     matrix: PolyMatrix
-    sl: bool
     product_type: bool
     default_lambda: tuple
     closed_orbit: bool = False
@@ -43,13 +42,17 @@ class MapEntry:
         return len(self.map_vars)
 
     def validate(self) -> None:
-        if self.matrix.dim != self.dim:
-            raise CatalogError(f"{self.name}: dim field disagrees with matrix")
-        if self.sl and self.matrix.determinant() != GenPoly.const(1):
-            raise CatalogError(
-                f"{self.name}: declared unimodular but det = "
-                f"{self.matrix.determinant().to_text()}"
-            )
+        for label, m in (("map", self.matrix), ("orbit map", self.orbit_map)):
+            if m is None:
+                continue
+            if m.dim != self.dim:
+                raise CatalogError(
+                    f"{self.name}: {label} is {m.dim}x{m.dim}, dim field is {self.dim}")
+            if m.determinant() != GenPoly.const(1):
+                raise CatalogError(
+                    f"{self.name}: {label} is not unimodular, det = "
+                    f"{m.determinant().to_text()}"
+                )
         if len(self.default_lambda) != len(self.map_vars):
             raise CatalogError(f"{self.name}: one box exponent per variable")
         if self.closed_orbit and (self.period is None or self.orbit_map is None):
@@ -67,7 +70,6 @@ def _entry(name, rows, lam, *, dim=2, map_vars=("x",), product_type=False,
         dim=dim,
         map_vars=tuple(map_vars),
         matrix=PolyMatrix.from_text(rows),
-        sl=True,
         product_type=product_type,
         default_lambda=tuple(Fraction(v) for v in lam),
         closed_orbit=closed_orbit,
@@ -185,7 +187,6 @@ def dump_catalog(path: str, entries: dict) -> None:
                 "dim": e.dim,
                 "vars": list(e.map_vars),
                 "entries": e.matrix.to_text(),
-                "sl": e.sl,
                 "product_type": e.product_type,
                 "default_lambda": [str(v) for v in e.default_lambda],
                 "closed_orbit": e.closed_orbit,
@@ -214,7 +215,6 @@ def load_catalog(path: str) -> dict:
                 dim=item["dim"],
                 map_vars=tuple(item["vars"]),
                 matrix=PolyMatrix.from_text(item["entries"]),
-                sl=bool(item.get("sl", True)),
                 product_type=bool(item.get("product_type", False)),
                 default_lambda=tuple(
                     Fraction(v) for v in item["default_lambda"]

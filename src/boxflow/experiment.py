@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,7 +34,7 @@ from .catalog import MapEntry
 from .doubledouble import U
 from .errors import CuspExcursionError, DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
-from .goodness import BoxRegion, GridPoly, _index_uniform
+from .goodness import BoxRegion, GridPoly
 from .homspace import (
     CUSP_GUARD,
     INDICATOR_BALL,
@@ -95,39 +95,16 @@ class BoxSpec:
         return len(self.lam)
 
     def realized_region(self) -> BoxRegion:
+        # J = None is the unit cube, whose corners scale exactly
+        J = self.J or BoxRegion((0.0,) * self.k, (1.0,) * self.k)
         scales = [_side(self.T, l) for l in self.lam]
-        if self.J is None:
-            lower = (0.0,) * self.k
-            upper = tuple(scales)
-        else:
-            lower = tuple(j * s for j, s in zip(self.J.lower, scales))
-            upper = tuple(j * s for j, s in zip(self.J.upper, scales))
-        return BoxRegion(lower, upper)
+        return BoxRegion(tuple(j * s for j, s in zip(J.lower, scales)),
+                         tuple(j * s for j, s in zip(J.upper, scales)))
 
 
 # ---------------------------------------------------------------------------
 # chunked grid evaluation
 # ---------------------------------------------------------------------------
-
-
-def _chunk_points(region: BoxRegion, grid: int, start: int, stop: int,
-                  method: str, seed: int) -> np.ndarray:
-    k = region.dim
-    idx = np.arange(start, stop)
-    lows = np.array(region.lower)
-    spans = np.array(region.upper) - lows
-    if method == "grid":
-        multi = np.stack(np.unravel_index(idx, (grid,) * k), axis=-1)
-        return lows + spans * (multi + 0.5) / grid
-    if method == "jitter":
-        # stratified: one uniform point per grid cell, seed-derived
-        multi = np.stack(np.unravel_index(idx, (grid,) * k), axis=-1)
-        offs = np.stack([_index_uniform(seed, a, idx) for a in range(k)], axis=-1)
-        return lows + spans * (multi + offs) / grid
-    if method == "mc":
-        offs = np.stack([_index_uniform(seed, a, idx) for a in range(k)], axis=-1)
-        return lows + spans * offs
-    raise DomainError(f"unknown sampling method {method!r}")
 
 
 def _entries_f64(tables, pts: np.ndarray):
@@ -252,7 +229,7 @@ def _eval_chunk(args):
     samples of one chunk, all from a single certified reduction per
     sample (``certified_reduce``, then ``certified_observables``)."""
     (matrix, map_vars, region, grid, fs, start, stop, method, seed, limit) = args
-    pts = _chunk_points(region, grid, start, stop, method, seed)
+    pts = region.sample_points(grid, start, stop, method, seed)
     b, e, n_exact = certified_reduce(matrix, map_vars, pts, limit)
     lam1, values, excluded = certified_observables(
         b, e, fs, lambda k: _exact_matrix(matrix, map_vars, pts[k])
@@ -273,6 +250,9 @@ def _observable_values(
     """(lam1, values, excluded) over the box's samples: shortest-vector
     lengths, one row of observable values per test function in ``fs``, and
     the cusp-exclusion flags."""
+    if matrix.dim not in (2, 3):
+        raise DomainError(
+            f"lattice observables need 2x2 or 3x3 matrices, not {matrix.dim}x{matrix.dim}")
     if region.dim != len(map_vars):
         raise DomainError(
             f"a {region.dim}-dimensional box for {len(map_vars)} map variables")
@@ -283,7 +263,6 @@ def _observable_values(
     tasks = [
         (matrix, map_vars, region, grid, tuple(fs), lo, hi, method, seed, limit)
         for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
     ]
     lam1 = np.empty(total)
     values = np.empty((len(fs), total))
@@ -312,15 +291,9 @@ def _observable_values(
     return lam1, values, excluded
 
 
-@dataclass(frozen=True)
-class AverageDetail:
-    average: float
-    samples: int
-    excluded: int
-    error_bound: float
-
-
-def _average(values: np.ndarray, excluded: np.ndarray) -> AverageDetail:
+def _average(values: np.ndarray, excluded: np.ndarray):
+    """(average over the samples kept, number cusp-excluded, bound on what
+    the excluded samples can move the average)."""
     total = values.shape[0]
     n_excl = int(np.count_nonzero(excluded))
     if n_excl > _EXCLUSION_BUDGET * total:
@@ -334,7 +307,7 @@ def _average(values: np.ndarray, excluded: np.ndarray) -> AverageDetail:
     bound = 0.0
     if n_excl:
         bound = n_excl / total * float(np.max(kept))
-    return AverageDetail(avg, total, n_excl, bound)
+    return avg, n_excl, bound
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +323,7 @@ def birkhoff_average(entry: MapEntry, box: BoxSpec, f: TestFunction,
         entry.matrix, entry.map_vars, box.realized_region(), box.grid, (f,),
         workers=workers, method=method, seed=seed,
     )
-    return _average(values[0], excluded).average
+    return _average(values[0], excluded)[0]
 
 
 def subbox_average(entry: MapEntry, lam, T: float, J: Optional[BoxRegion],
@@ -381,21 +354,18 @@ def nondivergence_fraction(entry: MapEntry, box: BoxSpec,
     return dict(_nondiv(lam1, eps0_list))
 
 
-def periodic_reference(entry: MapEntry, f: TestFunction,
-                       npts: Optional[int] = None) -> float:
+def periodic_reference(entry: MapEntry, f: TestFunction) -> float:
     """Per-period average of the observable over the closed orbit, by
     midpoint tensor quadrature of the orbit map (one axis per orbit
     parameter)."""
     if not entry.closed_orbit or entry.orbit_map is None:
         raise DomainError(f"{entry.name} is not a closed-orbit entry")
     k = len(entry.orbit_vars)
-    if npts is None:
-        npts = 4096 if k == 1 else 24
     region = BoxRegion((0.0,) * k, (float(entry.period),) * k)
     _, values, excluded = _observable_values(
-        entry.orbit_map, entry.orbit_vars, region, npts, (f,)
+        entry.orbit_map, entry.orbit_vars, region, 4096 if k == 1 else 24, (f,)
     )
-    return _average(values[0], excluded).average
+    return _average(values[0], excluded)[0]
 
 
 @dataclass(frozen=True)
@@ -453,37 +423,52 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _box_rows(entry: MapEntry, region: BoxRegion, grid: int, T: float,
-              f_list: Sequence[TestFunction], refs: Sequence[float],
-              eps0_list: Sequence[float], seed: int, workers: int,
-              method: str) -> list:
-    """One result row per observable for the box, with the nondivergence
-    fractions of the same samples."""
-    lam1, values, excluded = _observable_values(
-        entry.matrix, entry.map_vars, region, grid, f_list,
-        workers=workers, method=method, seed=seed,
-    )
-    nondiv = _nondiv(lam1, eps0_list)
+def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
+           f_list: Sequence[TestFunction], grid: int,
+           eps0_list: Sequence[float], seed: int, workers: int,
+           method: str) -> ExperimentResult:
+    """One result row per box parameter T in ``params`` and observable:
+    the average over the box ``box_of(T)`` against the reference, with the
+    nondivergence fractions of the same samples.  The reference is the
+    one-period orbit average for closed-orbit entries (the limit lives on
+    the closed orbit, not the full space), the Haar integral otherwise.
+    ``name`` names the parameters in the messages of the checks."""
+    _check_grid(grid)
+    params = [float(T) for T in params]
+    if any(b >= a for a, b in zip(params[1:], params[:-1])):
+        raise DomainError(f"{name} must increase")
+    if not all(0 < T < math.inf for T in params):
+        raise DomainError(f"{name} must be positive and finite")
+    regions = [box_of(T) for T in params]
+    refs = [periodic_reference(entry, f) if entry.closed_orbit
+            else haar_expectation(f, entry.dim) for f in f_list]
     rows = []
-    for f, ref, vals in zip(f_list, refs, values):
-        detail = _average(vals, excluded)
-        gap = detail.average - ref
-        rows.append(
-            ResultRow(
-                T=float(T),
-                observable=f.name,
-                average=detail.average,
-                reference=ref,
-                gap=gap,
-                rel_gap=abs(gap) / abs(ref) if ref else float("inf"),
-                samples=detail.samples,
-                excluded=detail.excluded,
-                error_bound=detail.error_bound,
-                nondiv=nondiv,
-                seed=seed,
-            )
+    for T, region in zip(params, regions):
+        lam1, values, excluded = _observable_values(
+            entry.matrix, entry.map_vars, region, grid, f_list,
+            workers=workers, method=method, seed=seed,
         )
-    return rows
+        nondiv = _nondiv(lam1, eps0_list)
+        averages = [_average(vals, excluded) for vals in values]
+        del lam1, values, excluded  # one box's samples in memory at a time
+        for f, ref, (average, n_excl, bound) in zip(f_list, refs, averages):
+            gap = average - ref
+            rows.append(
+                ResultRow(
+                    T=T,
+                    observable=f.name,
+                    average=average,
+                    reference=ref,
+                    gap=gap,
+                    rel_gap=abs(gap) / abs(ref) if ref else float("inf"),
+                    samples=grid ** region.dim,
+                    excluded=n_excl,
+                    error_bound=bound,
+                    nondiv=nondiv,
+                    seed=seed,
+                )
+            )
+    return ExperimentResult(map_name=entry.name, rows=tuple(rows))
 
 
 def convergence_sweep(
@@ -498,27 +483,13 @@ def convergence_sweep(
     workers: int = 1,
     method: str = "grid",
 ) -> ExperimentResult:
-    """Subbox averages against the reference measure along increasing T.
-
-    The reference is the Haar integral of the observable, except for
-    closed-orbit catalog entries, whose reference is the one-period orbit
-    average (the limit lives on the closed orbit, not the full space).
-    """
-    T_list = list(T_list)
-    if any(b >= a for a, b in zip(T_list[1:], T_list[:-1])):
-        raise DomainError("T values must increase")
+    """Subbox averages against the reference measure along increasing T."""
     lam = tuple(Fraction(v) for v in lam)
-    regions = [BoxSpec(lam=lam, T=float(T), grid=grid, J=J).realized_region()
-               for T in T_list]
-    if entry.closed_orbit:
-        refs = [periodic_reference(entry, f) for f in f_list]
-    else:
-        refs = [haar_expectation(f, entry.dim) for f in f_list]
-    rows = []
-    for T, region in zip(T_list, regions):
-        rows += _box_rows(entry, region, grid, T, f_list, refs, eps0_list, seed,
-                          workers, method)
-    return ExperimentResult(map_name=entry.name, rows=tuple(rows))
+    return _sweep(
+        entry, "box parameter", T_list,
+        lambda T: BoxSpec(lam=lam, T=T, grid=grid, J=J).realized_region(),
+        f_list, grid, eps0_list, seed, workers, method,
+    )
 
 
 def twodim_bcondition_sweep(
@@ -530,49 +501,39 @@ def twodim_bcondition_sweep(
     eps0_list: Sequence[float] = (0.1, 0.05),
     seed: int = 0,
     workers: int = 1,
-    delta3: float = 0.5,
     method: str = "grid",
 ) -> ExperimentResult:
     """Averages over boxes [0, 1.01 T2^b] x [0, T2] for increasing T2.
 
     The 1.01 factor keeps the strict box-exponent inequality robust under
     rounding.  Alongside each row, the flow residual is sampled inside the
-    compliant region {y < delta3^(1/p) x^(1/p)} as a diagnostic.
+    compliant region {y < (x / 2)^(1/p)} as a diagnostic.
     """
     if entry.k != 2:
         raise DomainError("the box-exponent sweep needs a two-variable map")
-    _check_grid(grid)
-    T2_list = list(T2_list)
-    if any(t2 >= t1 for t1, t2 in zip(T2_list[1:], T2_list[:-1])):
-        raise DomainError("T2 values must increase")
-    if not all(0 < t2 < math.inf for t2 in T2_list):
-        raise DomainError("T2 values must be positive and finite")
     b = Fraction(b)
     flow = twodim_flow(entry.matrix, *entry.map_vars)
     if b <= flow.p:
         raise DomainError(
             f"box exponent {b} must exceed the derivative y-degree {flow.p}"
         )
-    regions = [BoxRegion((0.0, 0.0), (1.01 * _side(T2, b), float(T2)))
-               for T2 in T2_list]
-    refs = [haar_expectation(f, entry.dim) for f in f_list]
-    rows = []
+
+    def box_of(T2):
+        return BoxRegion((0.0, 0.0), (1.01 * _side(T2, b), T2))
+
+    result = _sweep(entry, "T2 values", T2_list, box_of, f_list, grid,
+                    eps0_list, seed, workers, method)
     diagnostics = []
-    for T2, region in zip(T2_list, regions):
-        x_max = region.upper[0]
-        rows += _box_rows(entry, region, grid, T2, f_list, refs, eps0_list,
-                          seed, workers, method)
+    for T2 in map(float, T2_list):
         for frac_x in (0.5, 0.9):
-            x = frac_x * x_max
+            x = frac_x * box_of(T2).upper[0]
             if flow.p > 0:
-                y_cap = delta3 ** (1.0 / flow.p) * x ** (1.0 / flow.p)
+                y_cap = 0.5 ** (1.0 / flow.p) * x ** (1.0 / flow.p)
             else:
-                y_cap = float(T2)
-            y = min(0.9 * y_cap, 0.9 * float(T2))
+                y_cap = T2
+            y = min(0.9 * y_cap, 0.9 * T2)
             if y <= 0:
                 continue
             res = twodim_residual(entry.matrix, flow, s=1.0, x=x, y=y)
-            diagnostics.append((float(T2), x, y, res))
-    return ExperimentResult(
-        map_name=entry.name, rows=tuple(rows), diagnostics=tuple(diagnostics)
-    )
+            diagnostics.append((T2, x, y, res))
+    return replace(result, diagnostics=tuple(diagnostics))

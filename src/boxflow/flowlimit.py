@@ -28,6 +28,7 @@ from .polymatrix import PolyMatrix
 XI_VAR = "xi"
 
 _MAX_ORDER = 512  # safety cap; the iteration terminates long before this
+_RESIDUAL_DPS = 60  # decimal digits of the residual evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +40,9 @@ def rescale(
     theta_map: PolyMatrix,
     lam: Sequence[Fraction],
     map_vars: Sequence[str],
-    alpha_vars: Optional[Sequence[str]] = None,
 ) -> PolyMatrix:
     """Substitute x_i -> a_i * t^{lambda_i}, turning a trajectory over a box
-    family into a single map in (a_1..a_k, t).
+    family into a single map in (a1..ak, t).
 
     Requires the map to take the identity at the origin.
     """
@@ -56,11 +56,9 @@ def rescale(
         raise DomainError(
             f"map must equal the identity at the origin, got {at_zero}"
         )
-    if alpha_vars is None:
-        alpha_vars = [f"a{i + 1}" for i in range(len(map_vars))]
     bindings = {
-        v: GenPoly.monomial(1, {a: 1, T_VAR: l})
-        for v, a, l in zip(map_vars, alpha_vars, lam)
+        v: GenPoly.monomial(1, {f"a{i + 1}": 1, T_VAR: l})
+        for i, (v, l) in enumerate(zip(map_vars, lam))
     }
     return theta_map.substitute(bindings)
 
@@ -410,14 +408,14 @@ def limit_residual(
     alpha: Mapping[str, float],
     s: float,
     t: float,
-    dps: int = 60,
 ) -> float:
     """Max-entry deviation of theta(alpha, t + s t^{-q}) theta(alpha, t)^{-1}
-    from the limiting flow at s, evaluated at ``dps`` decimal digits."""
+    from the limiting flow at s, evaluated at ``_RESIDUAL_DPS`` decimal
+    digits."""
     if not t > 0:
         raise DomainError("t must be positive")
     theta_inv = theta.inverse_sl()
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_RESIDUAL_DPS):
         alpha_mp = {k: mpmath.mpf(v) for k, v in alpha.items()}
         t_mp = mpmath.mpf(t)
         s_mp = mpmath.mpf(s)
@@ -559,7 +557,6 @@ def twodim_residual(
     s: float,
     x: float,
     y: float,
-    dps: int = 60,
 ) -> float:
     """Deviation between flow(s) @ theta(x, y) and
     theta(x + s y^{-d} x^{-q}, y) in the right-invariant sense: both sides
@@ -568,7 +565,7 @@ def twodim_residual(
     if not (x > 0 and y > 0):
         raise DomainError("x and y must be positive")
     theta_inv = theta_map.inverse_sl()
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_RESIDUAL_DPS):
         x_mp, y_mp, s_mp = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(s)
         q_mp = mpmath.mpf(result.q.numerator) / mpmath.mpf(result.q.denominator)
         x_shift = x_mp + s_mp * mpmath.power(y_mp, -result.d) * mpmath.power(

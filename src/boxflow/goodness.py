@@ -9,8 +9,9 @@ variety.
 Functions evaluated on grids follow one calling convention: ``f(points)``
 takes an (m, k) array of row points and returns an (m,) array.
 ``GridPoly`` (``poly_grid_fn``) is the one polynomial grid evaluator, for
-the fits here and the lattice kernels of ``experiment``; random points
-come per sample index from a counter-based hash (``_index_uniform``).
+the fits here and the lattice kernels of ``experiment``, and
+``BoxRegion.sample_points`` the one sample-point generator for both;
+random points come per sample index from a counter-based hash.
 """
 
 from __future__ import annotations
@@ -68,12 +69,28 @@ class BoxRegion:
 
     def midpoint_grid(self, n: int) -> np.ndarray:
         """Tensor grid of the n^k cell midpoints."""
-        axes = [
-            l + (u - l) * (np.arange(n) + 0.5) / n
-            for l, u in zip(self.lower, self.upper)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return self.sample_points(n, 0, n ** self.dim)
+
+    def sample_points(self, grid: int, start: int, stop: int,
+                      method: str = "grid", seed: int = 0) -> np.ndarray:
+        """Sample points start, ..., stop - 1 of the box, one per row: the
+        midpoints of the grid^k tensor cells in row-major order ("grid"),
+        one uniform point per cell ("jitter"), or uniform points in the
+        box ("mc", which ignores ``grid``).  Point i depends only on the
+        box, grid, method, seed and i, never on how the range is split."""
+        if method not in ("grid", "jitter", "mc"):
+            raise DomainError(f"unknown sampling method {method!r}")
+        idx = np.arange(start, stop)
+        if method != "mc":
+            cells = np.unravel_index(idx, (grid,) * self.dim)
+        # axis by axis: arithmetic across a length-k inner axis costs about
+        # twice as much, for the same values
+        cols = []
+        for a, (l, u) in enumerate(zip(self.lower, self.upper)):
+            offs = 0.5 if method == "grid" else _index_uniform(seed, a, idx)
+            cols.append(l + (u - l) * offs if method == "mc"
+                        else l + (u - l) * (cells[a] + offs) / grid)
+        return np.stack(cols, axis=-1)
 
     def cell_volume(self, n: int) -> float:
         return self.volume / float(n) ** self.dim
@@ -207,12 +224,7 @@ def sublevel_measure_mc(
 
     if samples < 1:
         raise DomainError("need at least one Monte Carlo sample")
-    lows = np.array(box.lower)
-    spans = np.array(box.upper) - lows
-    idx = np.arange(samples)
-    pts = lows + spans * np.stack(
-        [_index_uniform(seed, a, idx) for a in range(box.dim)], axis=-1
-    )
+    pts = box.sample_points(1, 0, samples, "mc", seed)
     hits = int(np.count_nonzero(np.abs(f(pts)) < delta))
     if hits == samples:
         upper = 1.0
@@ -269,6 +281,13 @@ def fit_min_c(
     The function values are evaluated once; sublevel counts for all deltas
     come from a sorted search, identical to per-delta midpoint estimates.
     """
+    return _sublevel_fit(f, box, alpha, delta_grid, grid)[0]
+
+
+def _sublevel_fit(f: Callable, box: BoxRegion, alpha,
+                  delta_grid: Sequence[float], grid: int):
+    """(``fit_min_c``, sup|f| on the grid, ``sublevel_measure`` per delta)
+    from one sorted evaluation of f."""
     if len(delta_grid) == 0:
         raise DomainError("need a nonempty delta grid")
     fnorm = sup_norm(f, box, grid)
@@ -277,16 +296,16 @@ def fit_min_c(
     vals = np.sort(np.abs(f(box.midpoint_grid(grid))))
     cell = box.cell_volume(grid)
     deltas = np.asarray(delta_grid, dtype=float)
-    counts = np.searchsorted(vals, deltas, side="left")
-    ratios = counts * cell / ((deltas / fnorm) ** float(alpha) * box.volume)
-    return float(np.max(ratios))
+    lhs = np.searchsorted(vals, deltas, side="left") * cell
+    ratios = lhs / ((deltas / fnorm) ** float(alpha) * box.volume)
+    return float(np.max(ratios)), fnorm, lhs
 
 
-def transfer_delta_grid(alpha, slack: float, lo: float = 0.005,
-                        hi: float = 0.9) -> np.ndarray:
-    """Log-spaced relative deltas dense enough that the sublevel ratio can
-    drift at most by the grid slack between neighbors: spacing r satisfies
-    r^alpha <= 1 + slack."""
+def transfer_delta_grid(alpha, slack: float) -> np.ndarray:
+    """Log-spaced relative deltas from 0.005 to 0.9, dense enough that the
+    sublevel ratio can drift at most by the grid slack between neighbors:
+    spacing r satisfies r^alpha <= 1 + slack."""
+    lo, hi = 0.005, 0.9
     r = (1.0 + slack) ** (1.0 / float(alpha))
     n = max(2, int(math.ceil(math.log(hi / lo) / math.log(r))) + 1)
     return np.geomspace(lo, hi, n)
@@ -319,15 +338,13 @@ def certify_polynomial(
     with the exponent pinned to 1/(k*l)."""
     k = len(var_order)
     alpha = Fraction(1, k * degree_bound)
-    f = poly_grid_fn(p, var_order)
-    c = max(1.0, fit_min_c(f, box, alpha, delta_grid, grid))
-    lhs, rhs = [], []
-    fnorm = sup_norm(f, box, grid)
-    for delta in delta_grid:
-        lhs.append(sublevel_measure(f, box, delta, grid))
-        rhs.append(c * (delta / fnorm) ** float(alpha) * box.volume)
+    c, fnorm, lhs = _sublevel_fit(poly_grid_fn(p, var_order), box, alpha,
+                                  delta_grid, grid)
+    c = max(1.0, c)
+    rhs = [c * (delta / fnorm) ** float(alpha) * box.volume for delta in delta_grid]
     return GoodCertificate(
-        c=c, alpha=alpha, delta_grid=tuple(delta_grid), lhs=tuple(lhs), rhs=tuple(rhs)
+        c=c, alpha=alpha, delta_grid=tuple(delta_grid), lhs=tuple(lhs.tolist()),
+        rhs=tuple(rhs),
     )
 
 
@@ -362,6 +379,9 @@ def sup_extension(
 # ---------------------------------------------------------------------------
 
 
+_PROBE_GRID = 12  # multiplicity probes per axis of a cover's bounding box
+
+
 @dataclass(frozen=True)
 class CubeCover:
     centers: np.ndarray         # (m, k) selected cube centers
@@ -380,15 +400,14 @@ def besicovitch_select(
     centers: Sequence[Sequence[float]],
     halfwidths: Sequence[float],
     bound: Optional[int] = None,
-    probe_grid: int = 12,
 ) -> CubeCover:
     """Greedy covering: scan cubes by decreasing half-width (ties in input
     order) and keep one only if its center is not yet covered.
 
     Every input point ends up covered - skipped centers lie in an already
-    selected cube.  Multiplicity is measured on a probe grid over the
-    bounding box plus all input centers, against the configured bound
-    (default 2^k + 1).
+    selected cube.  Multiplicity is measured on a probe grid
+    (``_PROBE_GRID`` points per axis) over the bounding box plus all input
+    centers, against the configured bound (default 2^k + 1).
     """
     pts = np.atleast_2d(np.asarray(centers, dtype=float))
     hws = np.asarray(halfwidths, dtype=float)
@@ -430,8 +449,8 @@ def besicovitch_select(
     pts_hit = np.ones((len(pts), m), dtype=bool)
     for d in range(k):
         shape = [1] * k + [m]
-        shape[d] = probe_grid
-        coords = np.linspace(lo[d], hi[d], probe_grid)
+        shape[d] = _PROBE_GRID
+        coords = np.linspace(lo[d], hi[d], _PROBE_GRID)
         grid_hit = grid_hit & axis_hits(coords, d).reshape(shape)
         pts_hit &= axis_hits(pts[:, d], d)
     mult = np.concatenate([

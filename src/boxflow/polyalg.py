@@ -201,16 +201,6 @@ class GenPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(not mono for mono in self._terms)
-
-    def constant_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self._terms[()]
-
     def variables(self) -> tuple:
         seen = set()
         for mono in self._terms:
@@ -284,22 +274,19 @@ class GenPoly:
 
     # -- calculus and degrees -----------------------------------------
 
-    def differentiate(self, var: str, order: int = 1) -> "GenPoly":
+    def differentiate(self, var: str) -> "GenPoly":
         """Term-by-term derivative c*x^e -> c*e*x^(e-1), exact."""
-        p = self
-        for _ in range(order):
-            out: dict = {}
-            for mono, coeff in p._terms.items():
-                powers = dict(mono)
-                e = powers.get(var)
-                if e is None:
-                    continue
-                new_c = coeff * e
-                powers[var] = e - 1
-                new_mono = _make_monomial(powers.items())
-                out[new_mono] = out.get(new_mono, Fraction(0)) + new_c
-            p = GenPoly(out)
-        return p
+        out: dict = {}
+        for mono, coeff in self._terms.items():
+            powers = dict(mono)
+            e = powers.get(var)
+            if e is None:
+                continue
+            new_c = coeff * e
+            powers[var] = e - 1
+            new_mono = _make_monomial(powers.items())
+            out[new_mono] = out.get(new_mono, Fraction(0)) + new_c
+        return GenPoly(out)
 
     def degree_in(self, var: str):
         """Max exponent of ``var`` over stored terms; NEG_INF for zero."""

@@ -126,8 +126,8 @@ class PolyMatrix:
 
     # -- calculus / composition ------------------------------------------------
 
-    def differentiate(self, var: str, order: int = 1) -> "PolyMatrix":
-        return self.map_entries(lambda e: e.differentiate(var, order))
+    def differentiate(self, var: str) -> "PolyMatrix":
+        return self.map_entries(lambda e: e.differentiate(var))
 
     def substitute(self, bindings: Mapping[str, object]) -> "PolyMatrix":
         return self.map_entries(lambda e: e.substitute(bindings))

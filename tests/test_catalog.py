@@ -1,11 +1,14 @@
 """Catalog integrity: spans, unimodularity, file round trip."""
 
+import json
+
 import pytest
 
-from boxflow.catalog import builtin_catalog, dump_catalog, get_map, load_catalog
+from boxflow.catalog import MapEntry, builtin_catalog, dump_catalog, get_map, load_catalog
 from boxflow.errors import CatalogError
 from boxflow.flowlimit import compute_flow, normalize_exponents, rescale, twodim_flow
 from boxflow.polyalg import GenPoly
+from boxflow.polymatrix import PolyMatrix
 
 
 def test_builtins_validate_and_span():
@@ -49,6 +52,7 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "catalog.json"
     dump_catalog(str(path), cat)
     assert load_catalog(str(path)) == cat
+    assert all("sl" not in item for item in json.loads(path.read_text())["maps"])
 
 
 def test_malformed_catalog(tmp_path):
@@ -59,3 +63,29 @@ def test_malformed_catalog(tmp_path):
     path.write_text('{"maps": [{"name": "x"}]}')
     with pytest.raises(CatalogError):
         load_catalog(str(path))
+
+
+UPPER = [["1", "x"], ["0", "1"]]
+DET2 = [["2", "x"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("rows,orbit_rows,message", [
+    (UPPER, [["1", "x", "z"], ["0", "1", "y"], ["0", "0", "1"]],
+     "orbit map is 3x3, dim field is 2"),
+    (UPPER, DET2, "orbit map is not unimodular, det = 2"),
+    (DET2, None, "map is not unimodular, det = 2"),
+])
+def test_maps_must_be_unimodular_of_the_entry_dimension(rows, orbit_rows, message):
+    entry = MapEntry(
+        name="custom",
+        dim=2,
+        map_vars=("x",),
+        matrix=PolyMatrix.from_text(rows),
+        product_type=True,
+        default_lambda=(1,),
+        closed_orbit=orbit_rows is not None,
+        period=1.0,
+        orbit_map=PolyMatrix.from_text(orbit_rows) if orbit_rows else None,
+    )
+    with pytest.raises(CatalogError, match=message):
+        entry.validate()

@@ -210,3 +210,46 @@ def test_out_env_override(tmp_path, monkeypatch, capsys):
     code = run(["flow", "--map", "heis52"])
     assert code == 0
     assert (tmp_path / "envout" / "flow.json").exists()
+
+
+def test_equi_twodim_mode_uses_the_orbit_reference(tmp_path, capsys):
+    code = run(["equi", "--map", "poly23", "--t2", "5", "--grid", "64",
+                "--out", str(tmp_path)])
+    assert code == 0
+    header, line = (tmp_path / "equi.csv").read_text().strip().split("\n")
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["reference"] == row["average"] == "2"
+    assert row["rel_gap"] == "0"
+
+
+UPPER = [["1", "x"], ["0", "1"]]
+UPPER4 = [["1", "x", "0", "0"], ["0", "1", "0", "0"],
+          ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+ORBIT = {"closed_orbit": True, "period": 1.0}
+
+
+@pytest.mark.parametrize("item,code,message", [
+    # an orbit map of another dimension than the map
+    ({**ORBIT, "orbit_entries": [["1", "x", "z"], ["0", "1", "y"], ["0", "0", "1"]],
+      "orbit_vars": ["x", "y", "z"]}, 3, "orbit map is 3x3, dim field is 2"),
+    # an orbit map that is not unimodular
+    ({**ORBIT, "orbit_entries": [["2", "x"], ["0", "1"]]}, 3,
+     "orbit map is not unimodular"),
+    # a map that is not unimodular; the former "sl" switch no longer exempts it
+    ({"entries": [["2", "x"], ["0", "1"]], "sl": False}, 3, "map is not unimodular"),
+    # a unimodular 4x4 map, whose lattices no kernel reduces
+    ({"dim": 4, "entries": UPPER4, **ORBIT, "orbit_entries": UPPER4}, 1,
+     "2x2 or 3x3 matrices, not 4x4"),
+])
+def test_equi_rejects_catalog_maps_it_cannot_measure(tmp_path, capsys, item, code,
+                                                     message):
+    item = {"name": "custom", "dim": 2, "vars": ["x"], "entries": UPPER,
+            "default_lambda": ["1"], **item}
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps({"maps": [item]}))
+    out = tmp_path / "out"
+    assert run(["equi", "--map", "custom", "--catalog", str(cat_path),
+                "--T", "10", "--grid", "64", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not any(out.glob("*.csv"))

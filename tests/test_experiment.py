@@ -152,7 +152,7 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
         task = (matrix, map_vars, region, 24, (f,), 0, total, method, 1, math.inf)
         lam1, (vals,), excluded, n_exact = experiment._eval_chunk(task)
         assert not excluded.any() and n_exact == 0
-        pts = experiment._chunk_points(region, 24, 0, total, method, 1)
+        pts = region.sample_points(24, 0, total, method, 1)
         mats = np.empty((total, 3, 3))
         for i, row in enumerate(matrix.entries):
             for j, p in enumerate(row):
@@ -226,6 +226,49 @@ def test_twodim_sweep_diagnostics_decrease():
     assert best[0] > best[1] > best[2]
 
 
+def test_twodim_sweep_uses_the_orbit_reference_on_closed_orbit_maps():
+    # poly23 stays on the periodic horocycle, where the indicator count is 2;
+    # the Haar value pi is not the limit of its box averages
+    poly23 = get_map("poly23")
+    f = TF("indicator", 1.0)
+    res = twodim_bcondition_sweep(poly23, 4, [5.0], [f], grid=64)
+    assert res.rows[0].reference == periodic_reference(poly23, f) == 2.0
+    assert res.rows[0].average == 2.0 and res.rows[0].rel_gap == 0.0
+
+
+def test_sweeps_check_the_parameter_list_before_any_reference(monkeypatch):
+    def no_reference(*args):
+        raise AssertionError("reference computed before the parameter check")
+
+    monkeypatch.setattr(experiment, "periodic_reference", no_reference)
+    monkeypatch.setattr(experiment, "haar_expectation", no_reference)
+    f = [TF("indicator", 1.0)]
+    for T_list, message in (([10.0, 5.0], "box parameter must increase"),
+                            ([5.0, math.inf], "box parameter must be positive")):
+        for entry in (U_HORO, UL):
+            with pytest.raises(DomainError, match=message):
+                convergence_sweep(entry, entry.default_lambda, T_list, f, grid=16)
+    for T2_list, message in (([5.0, 5.0], "T2 values must increase"),
+                             ([-1.0], "T2 values must be positive")):
+        for entry in (get_map("poly23"), get_map("poly23_lower")):
+            with pytest.raises(DomainError, match=message):
+                twodim_bcondition_sweep(entry, 4, T2_list, f, grid=16)
+
+
+def test_lattice_observables_need_dimension_2_or_3():
+    from boxflow.catalog import MapEntry
+    from boxflow.polymatrix import PolyMatrix
+
+    rows = [["1", "x", "0", "0"], ["0", "1", "0", "0"],
+            ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    entry = MapEntry(name="sl4", dim=4, map_vars=("x",),
+                     matrix=PolyMatrix.from_text(rows), product_type=True,
+                     default_lambda=(F(1),))
+    box = BoxSpec(lam=(F(1),), T=10.0, grid=16)
+    with pytest.raises(DomainError, match="2x2 or 3x3 matrices, not 4x4"):
+        birkhoff_average(entry, box, TF("indicator", 1.0))
+
+
 def test_twodim_sweep_b_must_exceed_p():
     pl = get_map("poly23_lower")
     with pytest.raises(DomainError):
@@ -246,7 +289,6 @@ def _identity_entry():
             dim=2,
             map_vars=("x",),
             matrix=PolyMatrix.from_text([["1", "0"], ["0", "1"]]),
-            sl=True,
             product_type=True,
             default_lambda=(F(1),),
         )

@@ -158,6 +158,20 @@ def test_certificate_alpha_pinned():
     assert cert.holds_everywhere
 
 
+def test_certificate_lhs_is_the_per_delta_sublevel_measure():
+    # deltas 0.25 and 0.5 equal midpoint values of |x| on the 8-point grid,
+    # where the strict inequality |f| < delta decides the count
+    cases = [(parse_poly("x"), BoxRegion((0.0,), (2.0,)), ["x"], 8,
+              [0.125, 0.25, 0.3, 0.5, 2.0]),
+             (parse_poly("x^3 - x*y + 1/3"), BoxRegion((-1.0, 0.0), (2.0, 1.5)),
+              ["x", "y"], 90, [0.01, 0.05, 0.2, 0.7])]
+    for p, box, var_order, grid, deltas in cases:
+        f = poly_grid_fn(p, var_order)
+        cert = certify_polynomial(p, box, var_order, 3, deltas, grid=grid)
+        assert cert.lhs == tuple(sublevel_measure(f, box, d, grid) for d in deltas)
+        assert cert.c == max(1.0, fit_min_c(f, box, cert.alpha, deltas, grid))
+
+
 # -- sup extension ------------------------------------------------------------------
 
 
@@ -415,7 +429,7 @@ def test_relative_size_vacuous_flagged():
 
 
 def test_monte_carlo_points_are_the_sweeps_mc_stream():
-    from boxflow.experiment import _chunk_points
+    from boxflow.goodness import _index_uniform
 
     box = BoxRegion((-1.0, 2.0), (3.0, 2.5))
     seen = []
@@ -425,9 +439,37 @@ def test_monte_carlo_points_are_the_sweeps_mc_stream():
         return points[:, 0]
 
     sublevel_measure_mc(f, box, 0.5, 1000, seed=13)
-    assert seen[0].tobytes() == _chunk_points(box, 1, 0, 1000, "mc", 13).tobytes()
+    idx = np.arange(1000)
+    offs = np.stack([_index_uniform(13, a, idx) for a in range(2)], axis=-1)
+    expected = np.array(box.lower) + (np.array(box.upper) - np.array(box.lower)) * offs
+    assert seen[0].tobytes() == expected.tobytes()
     with pytest.raises(DomainError):
         sublevel_measure_mc(f, box, 0.5, 0, seed=13)
+
+
+def test_midpoint_grid_is_the_meshgrid_of_cell_midpoints():
+    rng = np.random.default_rng(150)
+    for i in range(150):
+        k = 1 + i % 3
+        lower = rng.uniform(-1e3, 1e3, size=k)
+        box = BoxRegion(tuple(lower), tuple(lower + rng.uniform(1e-3, 1e4, size=k)))
+        n = int(rng.integers(1, 40))
+        axes = [l + (u - l) * (np.arange(n) + 0.5) / n
+                for l, u in zip(box.lower, box.upper)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        expected = np.stack([m.ravel() for m in mesh], axis=-1)
+        assert box.midpoint_grid(n).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method", ["grid", "jitter", "mc"])
+def test_sample_points_do_not_depend_on_the_split(method):
+    box = BoxRegion((-1.0, 0.5, 2.0), (3.0, 2.5, 2.25))
+    whole = box.sample_points(7, 0, 343, method, 9)
+    parts = [box.sample_points(7, lo, hi, method, 9)
+             for lo, hi in ((0, 100), (100, 101), (101, 343))]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    with pytest.raises(DomainError):
+        box.sample_points(7, 0, 10, "sobol", 9)
 
 
 # -- grid evaluator ---------------------------------------------------------------
@@ -500,20 +542,20 @@ def grid_cases():
     matrix and orbit map on jittered boxes up to T = 1e3, and seeded
     polynomials with inexact coefficients and constant terms."""
     from boxflow.catalog import builtin_catalog
-    from boxflow.experiment import BoxSpec, _chunk_points
+    from boxflow.experiment import BoxSpec
 
     cases = []
     for entry in builtin_catalog().values():
         grid = 4096 if entry.k == 1 else 64
         for T in (10.0, 1e3):
             box = BoxSpec(lam=entry.default_lambda, T=T, grid=grid)
-            pts = _chunk_points(box.realized_region(), grid, 0, grid ** entry.k,
-                                "jitter", 5)
+            pts = box.realized_region().sample_points(grid, 0, grid ** entry.k,
+                                                      "jitter", 5)
             cases += [(p, entry.map_vars, pts) for row in entry.matrix.entries for p in row]
         if entry.orbit_map is not None:
             k = len(entry.orbit_vars)
             region = BoxRegion((0.0,) * k, (float(entry.period),) * k)
-            pts = _chunk_points(region, 16, 0, 16 ** k, "jitter", 5)
+            pts = region.sample_points(16, 0, 16 ** k, "jitter", 5)
             cases += [(p, entry.orbit_vars, pts) for row in entry.orbit_map.entries
                       for p in row]
     rng = np.random.default_rng(20)
