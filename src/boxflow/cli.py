@@ -90,6 +90,16 @@ def _typed(parse, expected: str, keep_text: bool = False):
     return convert
 
 
+def _points_file(path: str):
+    """(path, rows) of a ``cover --points`` CSV file; a file that cannot be
+    read as rows of numbers is a usage error (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return path, np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as err:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {err}") from None
+
+
 def _resolve_out(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV) or "."
     path = Path(out)
@@ -277,10 +287,9 @@ def _cmd_good(args) -> int:
 
 def _cmd_cover(args) -> int:
     if args.points:
-        data = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        path, data = args.points
         centers, halfwidths = data[:, :-1], data[:, -1]
-        k = centers.shape[1]
-        spec = {"points_file": args.points}
+        spec = {"points_file": path}
     else:
         n, k = args.random
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xC04E5]))
@@ -421,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover = sub.add_parser("cover", parents=[common],
                              help="greedy bounded-multiplicity cube cover")
     group = p_cover.add_mutually_exclusive_group(required=True)
-    group.add_argument("--points", help="CSV of center coords + halfwidth")
+    group.add_argument("--points", type=_points_file,
+                       help="CSV of center coords + halfwidth")
     group.add_argument("--random", type=_typed(_parse_pair, "two integers n,k"),
                        help="n,k random instance")
     p_cover.add_argument("--bound", type=int, default=None,

@@ -21,6 +21,7 @@ observable from those bases.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -36,16 +37,12 @@ from .errors import CuspExcursionError, DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
 from .goodness import BoxRegion, GridPoly
 from .homspace import (
-    CUSP_GUARD,
-    INDICATOR_BALL,
     PREC_TOL,
     TestFunction,
     haar_expectation,
-    indicator_ties,
     reduce_exact,
-    siegel_batch,
-    siegel_batch3,
     siegel_count_exact,
+    siegel_sums,
     sl2_lagrange,
     sl3_greedy,
 )
@@ -197,23 +194,13 @@ def certified_observables(b: np.ndarray, e: np.ndarray, fs, exact):
     """Shortest lengths, Siegel observables (one row per test function in
     ``fs``) and cusp-exclusion flags of the bases ``b`` with column bounds
     ``e`` that ``certified_reduce`` returns, in closed form
-    (``siegel_batch`` and ``indicator_ties``, or ``siegel_batch3``).  The
-    indicator counts the bases leave in doubt are recounted from
-    ``exact(k)``, the matrix of rationals of sample k, so every count is
-    the exact lattice's."""
+    (``siegel_sums``).  The indicator counts the bases leave in doubt are
+    recounted from ``exact(k)``, the matrix of rationals of sample k, so
+    every count is the exact lattice's."""
     lam1 = np.sqrt(functools.reduce(np.add, (b[:, :, 0] * b[:, :, 0]).T))
-    excluded = lam1 < CUSP_GUARD
-    values = np.zeros((len(fs), b.shape[0]))
-    for i, f in enumerate(fs):
-        if b.shape[1] == 3:
-            values[i], _, ties = siegel_batch3(b, e, lam1, f)
-        else:
-            values[i], _ = siegel_batch(b[:, :, 0], b[:, :, 1], lam1, f)
-            ties = np.zeros(b.shape[0], dtype=bool)
-            if f.kind == INDICATOR_BALL:
-                ties = indicator_ties(b[:, :, 0], b[:, :, 1], f.radius) & ~excluded
-        for k in np.nonzero(ties)[0]:
-            values[i, k] = siegel_count_exact(exact(k), f.radius)
+    values, excluded, ties = siegel_sums(b, e, lam1, fs)
+    for i, k in zip(*np.nonzero(ties)):
+        values[i, k] = siegel_count_exact(exact(k), fs[i].radius)
     return lam1, values, excluded
 
 
@@ -237,19 +224,26 @@ def _eval_chunk(args):
     return lam1, values, excluded, n_exact
 
 
+def _pool(workers: int):
+    """One process pool (a context manager) for all the boxes of an
+    operation, none for one worker; its processes start on first use."""
+    return ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
+
+
 def _observable_values(
     matrix,
     map_vars,
     region: BoxRegion,
     grid: int,
     fs: Sequence[TestFunction],
-    workers: int = 1,
+    pool: Optional[ProcessPoolExecutor] = None,
     method: str = "grid",
     seed: int = 0,
 ):
     """(lam1, values, excluded) over the box's samples: shortest-vector
     lengths, one row of observable values per test function in ``fs``, and
-    the cusp-exclusion flags."""
+    the cusp-exclusion flags.  The chunks run in ``pool`` (``_pool``) when
+    there is one and more than one chunk."""
     if matrix.dim not in (2, 3):
         raise DomainError(
             f"lattice observables need 2x2 or 3x3 matrices, not {matrix.dim}x{matrix.dim}")
@@ -267,14 +261,10 @@ def _observable_values(
     lam1 = np.empty(total)
     values = np.empty((len(fs), total))
     excluded = np.empty(total, dtype=bool)
-    if workers <= 1 or len(tasks) == 1:
+    if pool is None or len(tasks) == 1:
         results = map(_eval_chunk, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_eval_chunk, tasks))
-        finally:
-            pool.shutdown()
+        results = pool.map(_eval_chunk, tasks)
     flagged = 0
     for task, (lam, vals, excl, n_exact) in zip(tasks, results):
         lo, hi = task[5], task[6]
@@ -319,10 +309,11 @@ def birkhoff_average(entry: MapEntry, box: BoxSpec, f: TestFunction,
                      workers: int = 1, method: str = "grid",
                      seed: int = 0) -> float:
     """Midpoint grid average of the observable over the realized box."""
-    _, values, excluded = _observable_values(
-        entry.matrix, entry.map_vars, box.realized_region(), box.grid, (f,),
-        workers=workers, method=method, seed=seed,
-    )
+    with _pool(workers) as pool:
+        _, values, excluded = _observable_values(
+            entry.matrix, entry.map_vars, box.realized_region(), box.grid, (f,),
+            pool=pool, method=method, seed=seed,
+        )
     return _average(values[0], excluded)[0]
 
 
@@ -347,10 +338,11 @@ def nondivergence_fraction(entry: MapEntry, box: BoxSpec,
                            workers: int = 1) -> dict:
     """Fraction of grid samples whose lattice stays eps0-deep in the
     compact part, per eps0."""
-    lam1, _, _ = _observable_values(
-        entry.matrix, entry.map_vars, box.realized_region(), box.grid, (),
-        workers=workers,
-    )
+    with _pool(workers) as pool:
+        lam1, _, _ = _observable_values(
+            entry.matrix, entry.map_vars, box.realized_region(), box.grid, (),
+            pool=pool,
+        )
     return dict(_nondiv(lam1, eps0_list))
 
 
@@ -443,31 +435,32 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
     refs = [periodic_reference(entry, f) if entry.closed_orbit
             else haar_expectation(f, entry.dim) for f in f_list]
     rows = []
-    for T, region in zip(params, regions):
-        lam1, values, excluded = _observable_values(
-            entry.matrix, entry.map_vars, region, grid, f_list,
-            workers=workers, method=method, seed=seed,
-        )
-        nondiv = _nondiv(lam1, eps0_list)
-        averages = [_average(vals, excluded) for vals in values]
-        del lam1, values, excluded  # one box's samples in memory at a time
-        for f, ref, (average, n_excl, bound) in zip(f_list, refs, averages):
-            gap = average - ref
-            rows.append(
-                ResultRow(
-                    T=T,
-                    observable=f.name,
-                    average=average,
-                    reference=ref,
-                    gap=gap,
-                    rel_gap=abs(gap) / abs(ref) if ref else float("inf"),
-                    samples=grid ** region.dim,
-                    excluded=n_excl,
-                    error_bound=bound,
-                    nondiv=nondiv,
-                    seed=seed,
-                )
+    with _pool(workers) as pool:
+        for T, region in zip(params, regions):
+            lam1, values, excluded = _observable_values(
+                entry.matrix, entry.map_vars, region, grid, f_list,
+                pool=pool, method=method, seed=seed,
             )
+            nondiv = _nondiv(lam1, eps0_list)
+            averages = [_average(vals, excluded) for vals in values]
+            del lam1, values, excluded  # one box's samples in memory at a time
+            for f, ref, (average, n_excl, bound) in zip(f_list, refs, averages):
+                gap = average - ref
+                rows.append(
+                    ResultRow(
+                        T=T,
+                        observable=f.name,
+                        average=average,
+                        reference=ref,
+                        gap=gap,
+                        rel_gap=abs(gap) / abs(ref) if ref else float("inf"),
+                        samples=grid ** region.dim,
+                        excluded=n_excl,
+                        error_bound=bound,
+                        nondiv=nondiv,
+                        seed=seed,
+                    )
+                )
     return ExperimentResult(map_name=entry.name, rows=tuple(rows))
 
 

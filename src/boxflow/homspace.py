@@ -12,15 +12,15 @@ The batch helpers vectorize both dimensions over large sample arrays.
 The batch reductions (Lagrange in dimension 2, greedy in dimension 3)
 carry a forward-error bound per column, so callers can certify the
 reduced basis against ``PREC_TOL``; ``reduce_exact`` is the exact
-rational last resort for both.  ``siegel_batch`` and ``siegel_batch3``
-sum each observable in closed form over the rows of lattice vectors
-inside the ball, with no enumeration and no per-sample fallback.
-``indicator_ties`` and ``siegel_batch3`` mark the counts that the
-certified basis's error could change, and ``siegel_count_exact``
-recounts them in integer arithmetic, so every indicator count is the
-exact lattice's.  ``experiment.certified_reduce`` and
-``experiment.certified_observables`` put these pieces together into one
-kernel for both dimensions."""
+rational last resort for both.  ``siegel_sums``, one kernel for both
+dimensions, sums each observable in closed form over the rows of lattice
+vectors inside the ball, with no enumeration and no per-sample fallback.
+It counts the rows that the bases' error could change exactly from
+columns that are exact as stored, and marks the other doubtful counts as
+ties, which ``siegel_count_exact`` recounts in integer arithmetic, so
+every indicator count is the exact lattice's.
+``experiment.certified_reduce`` and ``experiment.certified_observables``
+put these pieces together into one kernel for both dimensions."""
 
 from __future__ import annotations
 
@@ -348,114 +348,9 @@ def siegel_count_exact(m, radius: float) -> int:
     return count
 
 
-def _interval(centre, disc, scale):
-    """First integer lo and number n of the integers x with
-    scale^2 (x - centre)^2 <= disc, per sample."""
-    half = np.sqrt(np.maximum(disc, 0.0)) / scale
-    lo = np.ceil(centre - half)
-    n = np.where(disc >= 0.0,
-                 np.maximum(np.floor(centre + half) - lo + 1.0, 0.0), 0.0)
-    return lo, n
-
-
-def _bump_row(n, d, disc, r2, bq):
-    """Sum of the bump profile (A - B t^2)^2 over the n integers c1 of a
-    row, A = disc/R^2, B = bq = |b1|^2/R^2, t = c1 - centre = s + d with s
-    running over the n points centred on their midpoint.  The power sums
-    of s are n(n^2 - 1)/12 and n(n^2 - 1)(3n^2 - 7)/240, and the odd ones
-    vanish.  Centring keeps the terms of the size of the sum when
-    lambda_1 is small."""
-    a = disc / r2
-    s2 = n * (n * n - 1.0) / 12.0
-    s4 = s2 * (3.0 * n * n - 7.0) / 20.0
-    d2 = d * d
-    return (n * a * a - 2.0 * a * bq * (s2 + n * d2)
-            + bq * bq * (s4 + 6.0 * d2 * s2 + n * d2 * d2))
-
-
-def _shape(b1, b2):
-    """|b1|^2, mu = b1.b2/|b1|^2 and the height h = |det(b1, b2)|/|b1| of b2
-    over the line of b1, per sample.  The height comes from the 2x2
-    determinant: |b1|^2 |b2|^2 - (b1.b2)^2 would cancel."""
-    b11 = _coord_dot(b1.T, b1.T)
-    h = np.abs(b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]) / np.sqrt(b11)
-    return b11, _coord_dot(b1.T, b2.T) / b11, h
-
-
-def _ball_rows(shape, r):
-    """The lattice vectors c1 b1 + c2 b2 of norm at most r, row by row.
-
-    |c1 b1 + c2 b2|^2 = |b1|^2 (c1 + c2 mu)^2 + (c2 h)^2, so for each c2 with
-    |c2| h <= r the c1 fill the interval of centre -c2 mu and half-width
-    sqrt(r^2 - (c2 h)^2)/|b1|.  Yields, for c2 = 0, 1, ..., the number n of
-    integers in it, the offset d of their midpoint from the centre, and
-    disc = r^2 - (c2 h)^2, per sample (r a scalar or one radius per
-    sample).  Row -c2 mirrors row c2 exactly, rounding included.  Every
-    step is monotone in r, so n never decreases as r grows."""
-    b11, mu, h = shape
-    norm1 = np.sqrt(b11)
-    r = np.broadcast_to(r, h.shape)
-    for c2 in range(int(np.max(r / h, initial=0.0)) + 1):
-        disc = r * r - (c2 * h) ** 2
-        centre = -c2 * mu
-        lo, n = _interval(centre, disc, norm1)
-        yield c2, n, lo + (n - 1.0) / 2.0 - centre, disc
-
-
-def _ball_count(shape, r):
-    """Lattice vectors of norm at most r, the origin included."""
-    return sum(n if c2 == 0 else 2.0 * n for c2, n, _, _ in _ball_rows(shape, r))
-
-
-def siegel_batch(b1: np.ndarray, b2: np.ndarray, lam1: np.ndarray, f: TestFunction):
-    """Siegel observable over a batch of Lagrange-reduced bases, in closed
-    form over the rows of ``_ball_rows``.
-
-    The indicator adds up the rows' counts, the bump the rows'
-    ``_bump_row`` sums.  Samples under the enumeration guard are flagged
-    excluded and contribute zero.
-    """
-    excluded = lam1 < CUSP_GUARD
-    shape = _shape(b1, b2)
-    if f.kind == INDICATOR_BALL:
-        total = _ball_count(shape, f.radius)
-    else:
-        r2 = f.radius ** 2
-        bq = shape[0] / r2
-        total = np.zeros(b1.shape[0])
-        for c2, n, d, disc in _ball_rows(shape, f.radius):
-            row = _bump_row(n, d, disc, r2, bq)
-            total += row if c2 == 0 else 2.0 * row
-    # the origin, in row 0, has profile value 1 for both kinds
-    return np.where(excluded, 0.0, total - 1.0), excluded
-
-
-def indicator_ties(b1: np.ndarray, b2: np.ndarray, radius: float) -> np.ndarray:
-    """Mask of the samples whose ball count ``siegel_batch`` cannot certify
-    for bases within ``PREC_TOL`` per column of the exact ones.
-
-    The norm of c1 b1 + c2 b2 is then within (|c1| + |c2|) PREC_TOL of the
-    exact vector's, and vectors of norm at most R + 1 have
-    |c2| <= (R + 1)/h and |c1| <= (R + 1)/|b1| + |mu c2|, which bounds that
-    margin by rho.  A count is certain when it is the same at radius
-    R - rho and R + rho: no interval endpoint and no limit of c2 moves
-    across an integer.  The interval arithmetic rounds at relative 1e-16,
-    far inside the margin."""
-    shape = _shape(b1, b2)
-    b11, mu, h = shape
-    big = radius + 1.0
-    rho = PREC_TOL * big * (1.0 / np.sqrt(b11) + (1.0 + np.abs(mu)) / h)
-    inner = _ball_count(shape, np.maximum(radius - rho, 0.0))
-    return (rho > 1.0) | (inner != _ball_count(shape, radius + rho))
-
-
 # ---------------------------------------------------------------------------
 # vectorized dimension-3 pipeline
 # ---------------------------------------------------------------------------
-
-# rounding slack of the row geometry of a reduced basis, relative to each
-# column's length per unit coefficient, in the margin of an indicator count
-_ROW_SLACK = 1e-13
 
 
 def _sub_step(v, ev, y, u, eu):
@@ -537,64 +432,107 @@ def sl3_greedy(b, e):
     return out_b, out_e, done
 
 
-def _shape3(b):
-    """Gram-Schmidt data of a batch of reduced bases (columns b[:, :, j]):
-    |b1|^2, mu12 = b1.b2/|b1|^2, mu13 = b1.b3/|b1|^2, and, for the
-    projections p2, p3 of b2, b3 orthogonal to b1, the length h2 = |p2|,
-    nu = p2.p3/|p2|^2 and the height h3 = |p2 x p3|/|p2| of p3 over the
-    line of p2.  The height comes from the cross product:
-    |p3|^2 - nu^2 |p2|^2 would cancel."""
-    b1, b2, b3 = b[:, :, 0], b[:, :, 1], b[:, :, 2]
-    b11 = np.sum(b1 * b1, axis=1)
-    m12 = np.sum(b1 * b2, axis=1) / b11
-    m13 = np.sum(b1 * b3, axis=1) / b11
-    p2 = b2 - m12[:, None] * b1
-    p3 = b3 - m13[:, None] * b1
-    h2 = np.sqrt(np.sum(p2 * p2, axis=1))
-    nu = np.sum(p2 * p3, axis=1) / (h2 * h2)
-    h3 = np.sqrt(np.sum(np.cross(p2, p3) ** 2, axis=1)) / h2
-    return b11, m12, m13, h2, nu, h3
+# ---------------------------------------------------------------------------
+# Siegel observables of reduced bases, both dimensions
+# ---------------------------------------------------------------------------
+
+# rounding slack of the row geometry of a reduced basis, relative to each
+# column's length per unit coefficient, in the margin of an indicator count
+_ROW_SLACK = 1e-13
 
 
-def _rows3(shape, r):
+def _interval(centre, disc, scale):
+    """First integer lo and number n of the integers x with
+    scale^2 (x - centre)^2 <= disc, per sample."""
+    half = np.sqrt(np.maximum(disc, 0.0)) / scale
+    lo = np.ceil(centre - half)
+    n = np.where(disc >= 0.0,
+                 np.maximum(np.floor(centre + half) - lo + 1.0, 0.0), 0.0)
+    return lo, n
+
+
+def _bump_row(n, d, disc, r2, bq):
+    """Sum of the bump profile (A - B t^2)^2 over the n integers c1 of a
+    row, A = disc/R^2, B = bq = |b1|^2/R^2, t = c1 - centre = s + d with s
+    running over the n points centred on their midpoint.  The power sums
+    of s are n(n^2 - 1)/12 and n(n^2 - 1)(3n^2 - 7)/240, and the odd ones
+    vanish.  Centring keeps the terms of the size of the sum when
+    lambda_1 is small."""
+    a = disc / r2
+    s2 = n * (n * n - 1.0) / 12.0
+    s4 = s2 * (3.0 * n * n - 7.0) / 20.0
+    d2 = d * d
+    return (n * a * a - 2.0 * a * bq * (s2 + n * d2)
+            + bq * bq * (s4 + 6.0 * d2 * s2 + n * d2 * d2))
+
+
+def _shape(b):
+    """Gram-Schmidt data of reduced bases b (m, N, N), N = 2 or 3, columns
+    b[:, :, j]: |b1|^2, mu1j = b1.bj/|b1|^2 and, for the projections p2, p3
+    of b2, b3 orthogonal to b1, h2 = |p2|, nu = p2.p3/|p2|^2 and the height
+    h3 = |p2 x p3|/|p2| of p3 over the line of p2.  In dimension 2, which
+    has no b3 (mu13 = nu = 0, h3 = inf), h2 = |det(b1, b2)|/|b1|.  The
+    determinant and the cross product avoid cancelling squared lengths."""
+    c = b.transpose(2, 1, 0)  # c[j]: the coordinate rows of column j
+    b11 = _coord_dot(c[0], c[0])
+    m12 = _coord_dot(c[0], c[1]) / b11
+    if b.shape[2] == 2:
+        h2 = np.abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) / np.sqrt(b11)
+        return b11, m12, 0.0, h2, 0.0, np.inf
+    m13 = _coord_dot(c[0], c[2]) / b11
+    p2 = c[1] - m12 * c[0]
+    p3 = c[2] - m13 * c[0]
+    h2 = np.sqrt(_coord_dot(p2, p2))
+    nu = _coord_dot(p2, p3) / (h2 * h2)
+    x = np.cross(p2, p3, axis=0)
+    return b11, m12, m13, h2, nu, np.sqrt(_coord_dot(x, x)) / h2
+
+
+def _rows(shape, r):
     """The rows (c2, c3) of lattice vectors c1 b1 + c2 b2 + c3 b3 that can
     hold vectors of norm at most r (a scalar or one radius per sample).
 
     |v|^2 = |b1|^2 (c1 - centre)^2 + d2 with centre = -(c2 mu12 + c3 mu13)
     and d2 = h2^2 (c2 + c3 nu)^2 + (c3 h3)^2, the Fincke-Pohst bounds
-    |c3| h3 <= r and |c2 + c3 nu| h2 <= sqrt(r^2 - (c3 h3)^2) give the rows.
-    Row -(c2, c3) mirrors row (c2, c3) exactly, so only c3 > 0, and c3 = 0
-    with c2 >= 0, are yielded, as (weight, c2, c3, centre, d2), with
-    weight 1 for the row of the origin and 2 for the others.  A sample
-    without the row yields d2 = r^2 + 1."""
+    |c3| h3 <= r and |c2 + c3 nu| h2 <= sqrt(r^2 - (c3 h3)^2) give the rows;
+    in dimension 2 (h3 = inf) only c3 = 0.  Row -(c2, c3) mirrors row
+    (c2, c3) exactly, so only c3 > 0, and c3 = 0 with c2 >= 0, are yielded,
+    as (weight, c2, c3, centre, d2), with weight 1 for the row of the origin
+    and 2 for the others.  The rows c3 = 0 are shared by all samples, up to
+    the largest c2 any of them needs: a sample beyond its own last row has
+    d2 > r^2.  A sample without a row c3 > 0 yields d2 = r^2 + 1.  Every
+    step is monotone in r, so no row loses vectors as r grows."""
     _, m12, m13, h2, nu, h3 = shape
     r = np.broadcast_to(r, h2.shape)
-    for c3 in range(int(np.max(r / h3, initial=0.0)) + 1):
+    for c2 in range(int(np.max(r / h2, initial=0.0)) + 1):
+        yield 1.0 if c2 == 0 else 2.0, c2, 0, -c2 * m12, (c2 * h2) ** 2
+    for c3 in range(1, int(np.max(r / h3, initial=0.0)) + 1):
         lo, n = _interval(-c3 * nu, r * r - (c3 * h3) ** 2, h2)
-        if c3 == 0:
-            lo, n = np.zeros_like(lo), lo + n  # c2 from 0 to the top
         for j in range(int(np.max(n, initial=0.0))):
             c2 = lo + j
             d2 = (h2 * (c2 + c3 * nu)) ** 2 + (c3 * h3) ** 2
-            yield (1.0 if c3 == 0 and j == 0 else 2.0, c2, c3,
-                   -(c2 * m12 + c3 * m13), np.where(j < n, d2, r * r + 1.0))
+            yield (2.0, c2, c3, -(c2 * m12 + c3 * m13),
+                   np.where(j < n, d2, r * r + 1.0))
 
 
 def _exact_rows(b, c2, c3: int, radius: float) -> np.ndarray:
-    """Integers c1 with |c1 b1 + c2 b2 + c3 b3| <= radius, per sample, on
-    the float64 columns read as exact dyadic rationals; counted once per
-    distinct row, in integer arithmetic (``_row_count_exact``)."""
+    """Integers c1 with |c1 b1 + c2 b2 + c3 b3| <= radius (c3 = 0 in
+    dimension 2), per sample, on the float64 columns read as exact dyadic
+    rationals; counted once per distinct row, in integer arithmetic
+    (``_row_count_exact``)."""
+    d = b.shape[1]
     w2 = np.where((c2 != 0)[:, None], b[:, :, 1], 0.0)
     w3 = b[:, :, 2] if c3 else np.zeros_like(w2)
     rows = np.column_stack([b[:, :, 0], w2, w3, c2])
+    width = rows.shape[1]
     # one void item per row: np.unique sorts those far faster than axis=0
-    keys, inv = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 10))),
+    keys, inv = np.unique(rows.view(np.dtype((np.void, rows.itemsize * width))),
                           return_inverse=True)
     counts = []
-    for key in keys.view(float).reshape(-1, 10):
-        w = [int(key[9]) * Fraction(x) + c3 * Fraction(y)
-             for x, y in zip(key[3:6], key[6:9])]
-        (v1, vw), den = _integer_scaled([key[:3], w])
+    for key in keys.view(float).reshape(-1, width):
+        w = [int(key[-1]) * Fraction(x) + c3 * Fraction(y)
+             for x, y in zip(key[d:2 * d], key[2 * d:3 * d])]
+        (v1, vw), den = _integer_scaled([key[:d], w])
         r2 = (Fraction(radius) * den) ** 2
         a, beta = _dot(v1, v1), _dot(v1, vw)
         counts.append(_row_count_exact(a, beta, a * _dot(vw, vw) - beta * beta,
@@ -602,50 +540,38 @@ def _exact_rows(b, c2, c3: int, radius: float) -> np.ndarray:
     return np.array(counts, dtype=float)[inv.ravel()]
 
 
-def siegel_batch3(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, f: TestFunction):
-    """Siegel observable over a batch of greedy-reduced 3D bases, summed in
-    closed form over the rows of ``_rows3`` with the c1 intervals of
-    ``siegel_batch``, and, for the indicator, the samples whose count the
-    column bounds ``e`` leave in doubt.
-
-    A vector's norm moves by at most sum |c_i| e_i between the stored and
-    the exact basis.  Per row, the margin rho bounds that, plus a
-    rounding slack of ``_ROW_SLACK`` |b_i| per unit coefficient, for the
-    row's vectors of norm at most R + 1 (|c1| <= |centre| + (R + 1)/|b1|).
-    A row's count is certain when it is the same at R - rho and R + rho.
-    An uncertain row whose columns are exact as stored (bound 0, like the
-    unit vector e1 that every heis3 lattice keeps on the sphere R = 1) is
-    counted exactly from them (``_exact_rows``); any other uncertain row
-    marks its sample as a tie, to be recounted from the exact lattice.
-    Returns (values, excluded, ties).
-    """
-    excluded = lam1 < CUSP_GUARD
-    shape = _shape3(b)
+def _row_sums(b, e, shape, f: TestFunction):
+    """Sum of the profile of ``f`` over the lattice vectors, the origin
+    included, per sample, and the mask of the samples whose indicator
+    count the column bounds ``e`` leave in doubt (``siegel_sums``)."""
     b11, m12, m13, h2, nu, h3 = shape
     norm1 = np.sqrt(b11)
     radius = f.radius
     r2 = radius * radius
     total = np.zeros(b.shape[0])
-    ties = np.zeros(b.shape[0], dtype=bool)
     if f.kind != INDICATOR_BALL:
-        for w, _, _, centre, d2 in _rows3(shape, radius):
+        for w, _, _, centre, d2 in _rows(shape, radius):
             lo, n = _interval(centre, r2 - d2, norm1)
             total += w * _bump_row(n, lo + (n - 1.0) / 2.0 - centre, r2 - d2,
                                    r2, b11 / r2)
-        return np.where(excluded, 0.0, total - 1.0), excluded, ties
-    eps = e + _ROW_SLACK * np.sqrt(np.sum(b * b, axis=1))
+        return total, np.zeros(b.shape[0], dtype=bool)
+    c = b.transpose(2, 1, 0)
+    eps = [e[:, j] + _ROW_SLACK * np.sqrt(_coord_dot(c[j], c[j]))
+           for j in range(b.shape[2])]
     # coefficient bounds of the vectors of norm at most R + 1
     big = radius + 1.0
+    reach = big / norm1
     c3_max = big / h3
     c2_max = big / h2 + np.abs(nu) * c3_max
-    c1_max = big / norm1 + np.abs(m12) * c2_max + np.abs(m13) * c3_max
-    rho = c1_max * eps[:, 0] + c2_max * eps[:, 1] + c3_max * eps[:, 2]
+    c1_max = reach + np.abs(m12) * c2_max + np.abs(m13) * c3_max
+    rho = sum(k * x for k, x in zip((c1_max, c2_max, c3_max), eps))
     ties = rho > 1.0
     exact_cols = e == 0.0
-    for w, c2, c3, centre, d2 in _rows3(shape, radius + np.minimum(rho, 1.0)):
+    for w, c2, c3, centre, d2 in _rows(shape, radius + np.minimum(rho, 1.0)):
         n = _interval(centre, r2 - d2, norm1)[1]
-        rho_row = ((np.abs(centre) + big / norm1) * eps[:, 0]
-                   + np.abs(c2) * eps[:, 1] + c3 * eps[:, 2])
+        rho_row = (np.abs(centre) + reach) * eps[0] + np.abs(c2) * eps[1]
+        if c3:
+            rho_row += c3 * eps[2]
         inner = np.maximum(radius - rho_row, 0.0)
         outer = radius + rho_row
         doubt = (_interval(centre, inner * inner - d2, norm1)[1]
@@ -655,6 +581,46 @@ def siegel_batch3(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, f: TestFunctio
                    & (c3 == 0 or exact_cols[:, 2]))
             ties |= doubt & ~own
             if own.any():
-                n[own] = _exact_rows(b[own], c2[own], c3, radius)
+                n[own] = _exact_rows(b[own], np.broadcast_to(c2, n.shape)[own],
+                                     c3, radius)
         total += w * n
-    return np.where(excluded, 0.0, total - 1.0), excluded, ties & ~excluded
+    return total, ties
+
+
+def siegel_sums(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, fs):
+    """Siegel observables of a batch of reduced bases (m, N, N), N = 2 or 3,
+    shortest column first, one row per test function in ``fs``, summed in
+    closed form over the rows of ``_rows`` from one ``_shape``; and the
+    samples whose indicator count the column bounds ``e`` leave in doubt.
+
+    A vector's norm moves by at most sum |c_i| e_i between the stored and
+    the exact basis.  Per row, the margin rho bounds that, plus a
+    rounding slack of ``_ROW_SLACK`` |b_i| per unit coefficient, for the
+    row's vectors of norm at most R + 1 (|c1| <= |centre| + (R + 1)/|b1|).
+    A row's count is certain when it is the same at R - rho and R + rho.
+    An uncertain row whose columns are exact as stored (bound 0, like the
+    unit vector e1 that the lattices of ``heis3`` and of the 2D
+    closed-orbit maps keep on the sphere R = 1) is counted exactly from
+    them (``_exact_rows``); any other uncertain row marks its sample as a
+    tie, to be recounted from the exact lattice.  Samples under the
+    enumeration guard are excluded: value 0 and no tie.
+    Returns (values, excluded, ties).
+    """
+    excluded = lam1 < CUSP_GUARD
+    shape = _shape(b)
+    values = np.empty((len(fs), b.shape[0]))
+    ties = np.zeros(values.shape, dtype=bool)
+    for i, f in enumerate(fs):
+        total, ties[i] = _row_sums(b, e, shape, f)
+        # the origin, in row 0, has profile value 1 for both kinds
+        values[i] = np.where(excluded, 0.0, total - 1.0)
+    return values, excluded, ties & ~excluded
+
+
+def siegel_batch(b1: np.ndarray, b2: np.ndarray, lam1: np.ndarray, f: TestFunction):
+    """(values, excluded) of ``siegel_sums`` on Lagrange-reduced 2D bases
+    taken within ``PREC_TOL`` of exact ones: the float64 counts, with no
+    tie recount.  Kept for ``bench/oracle.py`` (ROADMAP item 2)."""
+    values, excluded, _ = siegel_sums(np.stack([b1, b2], axis=2),
+                                      np.full(b1.shape, PREC_TOL), lam1, (f,))
+    return values[0], excluded

@@ -23,6 +23,8 @@ STALE_NAMES = {
     "boxflow.experiment.siegel_transform",
     "boxflow.experiment.reduce_basis",
     "boxflow.experiment.poly_grid_fn",
+    # one Siegel kernel for both dimensions, homspace.siegel_sums
+    "boxflow.experiment.siegel_batch",
     # the scalar enumeration left src/ for tests/oracles.py
     "boxflow.homspace.siegel_transform",
 }

@@ -25,10 +25,10 @@ from boxflow.experiment import (
 from boxflow.goodness import BoxRegion
 from boxflow.homspace import (
     PREC_TOL,
-    indicator_ties,
     reduce_exact,
     siegel_batch,
     siegel_count_exact,
+    siegel_sums,
     sl2_reduce_batch,
     sl3_greedy,
 )
@@ -153,7 +153,9 @@ def test_ties_count_exactly_through_certified_kernel(rows, radius, monkeypatch):
     assert not excluded.any()
     exact = len(oracles.exact_norms(rows, radius))
     assert values[0].tolist() == [exact] * 8
-    assert len(recounts) == 8
+    # the constant columns are exact as stored, so the tie rows are counted
+    # from them and no lattice is recounted
+    assert len(recounts) == 0
 
 
 @pytest.mark.parametrize("rows,radius", TIES)
@@ -165,8 +167,33 @@ def test_tie_recount_fires_on_ties_only(rows, radius):
         mats[i] = [[a + x * y / a, x / a], [y / a, 1 / a]]
     at = int(rng.integers(0, 300))
     mats[at] = np.array(rows, dtype=float)
-    b1, b2, _ = sl2_reduce_batch(mats)
-    assert np.nonzero(indicator_ties(b1, b2, radius))[0].tolist() == [at]
+    b1, b2, lam1 = sl2_reduce_batch(mats)
+    # the bounds the sweeps allow a certified basis
+    _, _, (ties,) = siegel_sums(np.stack([b1, b2], axis=2), np.full((300, 2), PREC_TOL),
+                                lam1, (TF("indicator", radius),))
+    assert np.nonzero(ties)[0].tolist() == [at]
+
+
+@pytest.mark.parametrize("name", ["u_horo", "heis52"])
+def test_2d_tie_rows_on_exact_columns_skip_the_exact_lattice(name, monkeypatch):
+    # the lattices [[1, x], [0, 1]] Z^2 keep e1, exact in float64, on the
+    # sphere |v| = 1 at every sample; that row is counted from the stored
+    # column.  No midpoint x is an integer, so every count is 2
+    recounts = []
+
+    def counting(m, r):
+        recounts.append(m)
+        return siegel_count_exact(m, r)
+
+    monkeypatch.setattr(experiment, "siegel_count_exact", counting)
+    entry = get_map(name)
+    region = BoxSpec(lam=entry.default_lambda, T=10.0, grid=4096).realized_region()
+    task = (entry.matrix, entry.map_vars, region, 4096, (INDICATOR,), 0, 4096,
+            "grid", 0, math.inf)
+    _, values, excluded, _ = experiment._eval_chunk(task)
+    assert not excluded.any()
+    assert values[0].tolist() == [2.0] * 4096
+    assert recounts == []
 
 
 # -- dimension 3: exact counts and ties -----------------------------------------

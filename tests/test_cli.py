@@ -92,6 +92,25 @@ def test_cover_rejects_empty_and_non_finite_points(tmp_path, capsys, text):
     assert not (tmp_path / "cover.csv").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    (None, "No such file"),
+    ("0.5,0.5,0.2\n1.0,abc,0.3\n", "could not convert"),
+])
+def test_cover_points_file_errors_are_usage_errors(tmp_path, capsys, text, message):
+    points = tmp_path / "points.csv"
+    if text is not None:
+        points.write_text(text)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["cover", "--points", str(points), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    last = err.strip().splitlines()[-1]  # the one-line message after the usage
+    assert "error: argument --points: cannot read" in last and message in last
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
      "--grid", "50", "--mc-samples", "-5"],

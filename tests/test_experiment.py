@@ -184,6 +184,25 @@ def test_heis3_worker_count_independence():
     assert res1.csv_text() == res2.csv_text()
 
 
+def test_one_process_pool_per_sweep(monkeypatch):
+    # three boxes of three chunks each share one pool
+    pools = []
+    real = experiment.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", counting)
+    f = TF("indicator", 1.0)
+    args = (HEIS3, HEIS3.default_lambda, [10.0, 20.0, 30.0], [f])
+    res2 = convergence_sweep(*args, grid=48, workers=2, method="jitter", seed=4)
+    assert len(pools) == 1
+    res1 = convergence_sweep(*args, grid=48, workers=1, method="jitter", seed=4)
+    assert len(pools) == 1
+    assert res1.csv_text() == res2.csv_text()
+
+
 def test_sampling_methods_agree_statistically():
     f = TF("indicator", 1.0)
     box = BoxSpec(lam=(F(1), F(1, 2)), T=100.0, grid=128)

@@ -23,7 +23,7 @@ from boxflow.homspace import (
     haar_expectation,
     parse_observable,
     siegel_batch,
-    siegel_batch3,
+    siegel_sums,
     sl2_lagrange,
     sl2_reduce_batch,
     sl3_greedy,
@@ -462,7 +462,7 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     assert not excluded.any()
     brute = np.array([oracles.siegel_sum(g, f) for g in mats])
     b, e, _ = sl3_greedy(mats, zero)
-    raw, _, ties = siegel_batch3(b, e, lam1, f)
+    (raw,), _, (ties,) = siegel_sums(b, e, lam1, (f,))
     assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
     assert vals.tolist() == brute.tolist()
 
