@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +75,13 @@ def _parse_observables(text: str):
     return [parse_observable(o) for o in text.split(",")]
 
 
+def _parse_positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _typed(parse, expected: str, keep_text: bool = False):
     """``parse`` as an argparse ``type``: text it cannot read as a number
     is a usage error (exit 2).  With ``keep_text`` the option keeps its
@@ -94,7 +102,9 @@ def _points_file(path: str):
     """(path, rows) of a ``cover --points`` CSV file; a file that cannot be
     read as rows of numbers is a usage error (exit 2)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # an empty file fails later as an invariant, without numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return path, np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
         raise argparse.ArgumentTypeError(f"cannot read {path!r}: {err}") from None
@@ -325,6 +335,14 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_equi(args) -> int:
+    # an option the chosen sweep would ignore is a usage error
+    unused = {"--lambda": args.lam, "--J": args.J} if args.t2 else {"--b": args.b}
+    for option, value in unused.items():
+        if value is not None:
+            mode = "--t2" if args.t2 else "--T"
+            print(f"boxflow equi: error: argument {option}: not allowed with "
+                  f"argument {mode}", file=sys.stderr)
+            return EXIT_USAGE
     entry = get_map(args.map, args.catalog)
     observables = _parse_observables(args.obs)
     eps0 = args.eps0
@@ -443,9 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_equi.add_argument("--map", required=True)
     p_equi.add_argument("--lambda", dest="lam", type=fractions,
                         help="box exponents (default: catalog entry)")
-    p_equi.add_argument("--T", type=floats, help="comma-separated box parameters")
-    p_equi.add_argument("--t2", type=floats, help="comma-separated T2 list "
-                        "(two-variable box-exponent sweep)")
+    mode = p_equi.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--T", type=floats, help="comma-separated box parameters")
+    mode.add_argument("--t2", type=floats, help="comma-separated T2 list "
+                      "(two-variable box-exponent sweep)")
     p_equi.add_argument("--b", type=_typed(Fraction, "a rational"),
                         help="box exponent for the T2 sweep "
                         "(default: extracted from the map)")
@@ -458,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_equi.add_argument("--eps0", type=floats, default="0.1,0.05")
     p_equi.add_argument("--method", default="grid",
                         choices=("grid", "jitter", "mc"))
-    p_equi.add_argument("--workers", type=int, default=1)
+    p_equi.add_argument("--workers", type=_typed(_parse_positive, "an integer >= 1"),
+                        default=1)
     p_equi.set_defaults(func=_cmd_equi)
     return parser
 
@@ -469,8 +489,6 @@ def main(argv=None) -> int:
         # the option types build observables and boxes, whose invariant
         # failures exit 1 as the subcommands' do
         args = parser.parse_args(argv)
-        if args.subcommand == "equi" and not (args.T or args.t2):
-            parser.error("equi needs --T or --t2")
         return args.func(args)
     except CatalogError as err:
         print(f"catalog error: {err}", file=sys.stderr)

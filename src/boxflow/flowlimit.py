@@ -36,6 +36,15 @@ _RESIDUAL_DPS = 60  # decimal digits of the residual evaluations
 # ---------------------------------------------------------------------------
 
 
+def _require_identity_at_origin(
+    theta_map: PolyMatrix, map_vars: Sequence[str], show_value: bool = False
+) -> None:
+    at_zero = theta_map.substitute({v: GenPoly.zero() for v in map_vars})
+    if at_zero != PolyMatrix.identity(theta_map.dim):
+        got = f", got {at_zero}" if show_value else ""
+        raise DomainError(f"map must equal the identity at the origin{got}")
+
+
 def rescale(
     theta_map: PolyMatrix,
     lam: Sequence[Fraction],
@@ -51,11 +60,7 @@ def rescale(
         raise DomainError("one box exponent per map variable is required")
     if any(v <= 0 for v in lam):
         raise DomainError("box exponents must be positive")
-    at_zero = theta_map.substitute({v: GenPoly.zero() for v in map_vars})
-    if at_zero != PolyMatrix.identity(theta_map.dim):
-        raise DomainError(
-            f"map must equal the identity at the origin, got {at_zero}"
-        )
+    _require_identity_at_origin(theta_map, map_vars, show_value=True)
     bindings = {
         v: GenPoly.monomial(1, {f"a{i + 1}": 1, T_VAR: l})
         for i, (v, l) in enumerate(zip(map_vars, lam))
@@ -162,8 +167,45 @@ def _taylor_shift_t(matrix: PolyMatrix, max_order: int) -> PolyMatrix:
     return matrix.map_entries(shift_entry)
 
 
-def _mat_tdeg(m: PolyMatrix):
-    return m.degree_in(T_VAR)
+class _Cocycles:
+    """The derivative cocycles D^l theta(t) theta(t)^{-1}, l = 1, 2, ..., of
+    a unimodular map in the Laurent variable t.  The derivative tower and
+    the inverse are computed once, and each cocycle once, on first use."""
+
+    def __init__(self, theta: PolyMatrix):
+        self.inverse = theta.inverse_sl()
+        self._derivs = [theta]
+        self._cocycles = {}
+
+    def deriv(self, l: int) -> PolyMatrix:
+        while len(self._derivs) <= l:
+            self._derivs.append(self._derivs[-1].differentiate(T_VAR))
+        return self._derivs[l]
+
+    def cocycle(self, l: int) -> PolyMatrix:
+        if l not in self._cocycles:
+            self._cocycles[l] = self.deriv(l) @ self.inverse
+        return self._cocycles[l]
+
+    def exponent(self, order: int) -> Optional[Fraction]:
+        """The critical exponent max_{l <= order} deg_t(cocycle l) / l, or
+        None if every such cocycle vanishes."""
+        degs = ((self.cocycle(l).degree_in(T_VAR), l) for l in range(1, order + 1))
+        return max((Fraction(dg, l) for dg, l in degs if dg is not NEG_INF), default=None)
+
+    def scaled(self, l: int, q: Fraction) -> PolyMatrix:
+        """cocycle l times t^{-q l}."""
+        return self.cocycle(l).scale(GenPoly.monomial(1, {T_VAR: -q * l}))
+
+
+def _monomials(m: PolyMatrix):
+    """The exponent dicts of every term of every entry of ``m``."""
+    return (dict(mono) for row in m.entries for e in row for mono, _ in e.terms())
+
+
+def _limit(m: PolyMatrix) -> PolyMatrix:
+    """Entry-by-entry limit as t -> infinity."""
+    return m.map_entries(lambda e: e.limit_t_to_infinity()[0])
 
 
 def compute_flow(theta: PolyMatrix) -> FlowResult:
@@ -173,78 +215,47 @@ def compute_flow(theta: PolyMatrix) -> FlowResult:
     t-exponent is not an integer (arrange both via ``normalize_exponents``
     followed by ``rescale``).
     """
-    tdeg = theta.degree_in(T_VAR)
-    if tdeg is NEG_INF or all(
-        exp == 0
-        for row in theta.entries
-        for e in row
-        for mono, _ in e.terms()
-        for var, exp in mono
-        if var == T_VAR
-    ):
+    t_exps = {powers.get(T_VAR, Fraction(0)) for powers in _monomials(theta)}
+    if not t_exps - {0}:
         raise DomainError("map is constant in t")
-    has_fractional = any(
-        var == T_VAR and exp.denominator != 1
-        for row in theta.entries
-        for e in row
-        for mono, _ in e.terms()
-        for var, exp in mono
-    )
-    if not has_fractional:
+    if all(exp.denominator == 1 for exp in t_exps):
         raise DomainError(
             "no fractional t-exponent present; normalize the box exponents first"
         )
 
     alpha_vars = tuple(v for v in theta.variables() if v != T_VAR)
-    theta_inv = theta.inverse_sl()
-
-    derivs = [theta]
-
-    def deriv(l: int) -> PolyMatrix:
-        while len(derivs) <= l:
-            derivs.append(derivs[-1].differentiate(T_VAR))
-        return derivs[l]
+    table = _Cocycles(theta)
 
     # first order whose next derivative has every entry of negative t-degree
-    d = None
-    for l in range(1, _MAX_ORDER):
-        dg = _mat_tdeg(deriv(l + 1))
-        if dg is not NEG_INF and dg < 0:
-            d = l
-            break
+    d = next(
+        (l for l in range(1, _MAX_ORDER) if NEG_INF < table.deriv(l + 1).degree_in(T_VAR) < 0),
+        None,
+    )
     if d is None:
         raise BoxflowError("order search exceeded the safety cap")
 
     def q_of(order: int) -> Fraction:
-        best = None
-        for l in range(1, order + 1):
-            dg = _mat_tdeg(deriv(l) @ theta_inv)
-            if dg is NEG_INF:
-                continue
-            val = Fraction(dg, l)
-            if best is None or val > best:
-                best = val
-        if best is None:
+        q = table.exponent(order)
+        if q is None:
             raise BoxflowError("all derivative cocycles vanished")
-        return best
+        return q
 
     def shifted_degree_nonnegative(order: int, q: Fraction) -> bool:
         """Sign of the top t-degree of D^{order+1}theta(t+xi) theta^{-1}
         t^{-q(order+1)}, maximized over all (xi, alpha)-coefficients."""
-        nxt = deriv(order + 1)
-        d_next = _mat_tdeg(nxt)
-        d_inv = _mat_tdeg(theta_inv)
+        nxt = table.deriv(order + 1)
+        d_next = nxt.degree_in(T_VAR)
+        d_inv = table.inverse.degree_in(T_VAR)
         if d_next is NEG_INF or d_inv is NEG_INF:
             return False
         bound = d_next + d_inv - q * (order + 1)
         if bound < 0:
             return False
         shifted = _taylor_shift_t(nxt, int(math.floor(bound)) + 1)
-        prod = (shifted @ theta_inv).scale(
+        prod = (shifted @ table.inverse).scale(
             GenPoly.monomial(1, {T_VAR: -q * (order + 1)})
         )
-        dg = _mat_tdeg(prod)
-        return dg is not NEG_INF and dg >= 0
+        return prod.degree_in(T_VAR) >= 0
 
     q = q_of(d)
     while shifted_degree_nonnegative(d, q):
@@ -256,27 +267,14 @@ def compute_flow(theta: PolyMatrix) -> FlowResult:
     if q <= 0:
         raise BoxflowError(f"critical exponent must be positive, got {q}")
 
-    limits = []
-    for l in range(1, d + 1):
-        scaled = (deriv(l) @ theta_inv).scale(
-            GenPoly.monomial(1, {T_VAR: -q * l})
-        )
-        rows = []
-        for row in scaled.entries:
-            out_row = []
-            for e in row:
-                lim, _ = e.limit_t_to_infinity()
-                out_row.append(lim)
-            rows.append(out_row)
-        limits.append(PolyMatrix(rows))
-
+    limits = tuple(_limit(table.scaled(l, q)) for l in range(1, d + 1))
     locus = tuple(
         e for m in limits for row in m.entries for e in row if not e.is_zero()
     )
     return FlowResult(
         q=q,
         d=d,
-        limits=tuple(limits),
+        limits=limits,
         degenerate_locus=locus,
         alpha_vars=alpha_vars,
     )
@@ -471,38 +469,17 @@ def twodim_flow(theta_map: PolyMatrix, x_var: str = "x", y_var: str = "y") -> Tw
     if d0 is NEG_INF or d0 <= 0:
         raise DomainError("map must have positive x-degree")
     d0 = int(d0)
-    at_zero = theta_map.substitute(
-        {x_var: GenPoly.zero(), y_var: GenPoly.zero()}
-    )
-    if at_zero != PolyMatrix.identity(theta_map.dim):
-        raise DomainError("map must equal the identity at the origin")
+    _require_identity_at_origin(theta_map, (x_var, y_var))
 
     # route the x-direction through the distinguished Laurent variable
-    work = theta_map.substitute({x_var: GenPoly.variable(T_VAR)})
-    work_inv = work.inverse_sl()
-
-    derivs = [work]
-    for _ in range(d0):
-        derivs.append(derivs[-1].differentiate(T_VAR))
-
-    q = None
-    for l in range(1, d0 + 1):
-        dg = (derivs[l] @ work_inv).degree_in(T_VAR)
-        if dg is NEG_INF:
-            continue
-        val = Fraction(dg, l)
-        if q is None or val > q:
-            q = val
+    table = _Cocycles(theta_map.substitute({x_var: GenPoly.variable(T_VAR)}))
+    q = table.exponent(d0)
     if q is None:
         raise BoxflowError("derivative cocycle vanished identically")
     q = max(q, Fraction(0))
 
-    cocycle = derivs[1] @ work_inv
-    scaled = cocycle.scale(GenPoly.monomial(1, {T_VAR: -q}))
-    rows = []
-    for row in scaled.entries:
-        rows.append([e.limit_t_to_infinity()[0] for e in row])
-    lam_y = PolyMatrix(rows)
+    scaled = table.scaled(1, q)
+    lam_y = _limit(scaled)
     if lam_y.is_zero():
         raise BoxflowError("flow generator vanished; extraction failed")
 
@@ -518,19 +495,16 @@ def twodim_flow(theta_map: PolyMatrix, x_var: str = "x", y_var: str = "y") -> Tw
     if not power.is_zero():
         raise NilpotencyError("generator leading coefficient is not nilpotent")
 
-    p_deg = cocycle.degree_in(y_var)
+    p_deg = table.cocycle(1).degree_in(y_var)
     p = int(p_deg) if p_deg is not NEG_INF else 0
     b = Fraction(p + 1)
 
     ratios = set()
-    for row in scaled.entries:
-        for e in row:
-            for mono, _ in e.terms():
-                powers = dict(mono)
-                r = -powers.get(T_VAR, Fraction(0))
-                t_exp = powers.get(y_var, Fraction(0))
-                if r != 0 and t_exp >= 0:
-                    ratios.add((t_exp, r))
+    for powers in _monomials(scaled):
+        r = -powers.get(T_VAR, Fraction(0))
+        t_exp = powers.get(y_var, Fraction(0))
+        if r != 0 and t_exp >= 0:
+            ratios.add((t_exp, r))
     ratio_set = tuple(sorted(ratios))
     dominant = None
     if ratio_set:

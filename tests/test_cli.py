@@ -85,7 +85,7 @@ def test_cover_rejects_empty_and_non_finite_points(tmp_path, capsys, text):
     points = tmp_path / "points.csv"
     points.write_text(text)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt: empty input
+        warnings.simplefilter("error")  # the one-line message, no numpy warning
         code = run(["cover", "--points", str(points), "--out", str(tmp_path)])
     assert code == 1
     assert "invariant failure" in capsys.readouterr().err
@@ -187,6 +187,34 @@ def test_equi_needs_T(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["equi", "--map", "u_horo", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--t2", "5", "--T", "10,20"],
+    ["--T", "10", "--b", "2"],
+    ["--t2", "5", "--lambda", "1,1/2"],
+    ["--t2", "5", "--J", "0,1;0,1"],
+], ids=["T-with-t2", "b-with-T", "lambda-with-t2", "J-with-t2"])
+def test_equi_rejects_options_its_mode_ignores(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    try:
+        code = run(["equi", "--map", "poly23_lower", "--grid", "16",
+                    "--out", str(out)] + args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "not allowed with argument --" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_equi_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        run(["equi", "--map", "ul_product", "--T", "10", "--grid", "16",
+             "--workers", workers, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --workers: expected an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_equi_subcommand_and_determinism(tmp_path):

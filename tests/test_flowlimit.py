@@ -483,3 +483,38 @@ def test_twodim_flow_text_matches_the_term_loop():
             ref = reference_twodim_flow(res.lambda0, s_var)
             assert res.flow(s_var).to_text() == ref.to_text()
             assert str(res.flow(s_var)) == str(ref)
+
+
+# -- the cocycle table: each product D^l theta . theta^{-1} once ---------------
+
+
+def count_products(monkeypatch):
+    calls = []
+    product = PolyMatrix.__matmul__
+
+    def counting(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(PolyMatrix, "__matmul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(builtin_catalog()))
+def test_compute_flow_forms_each_cocycle_once(monkeypatch, name):
+    entry = builtin_catalog()[name]
+    _, lam = normalize_exponents(entry.default_lambda)
+    theta = rescale(entry.matrix, lam, entry.map_vars)
+    calls = count_products(monkeypatch)
+    res = compute_flow(theta)
+    assert len(calls) <= res.d + 1  # d cocycles, at most one shifted product
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, e in builtin_catalog().items() if e.k == 2))
+def test_twodim_flow_forms_each_cocycle_once(monkeypatch, name):
+    entry = builtin_catalog()[name]
+    calls = count_products(monkeypatch)
+    res = twodim_flow(entry.matrix, *entry.map_vars)
+    # d0 cocycles, then lambda0^2 .. lambda0^N for the nilpotency check
+    assert len(calls) == res.d0 + entry.dim - 1
