@@ -146,11 +146,11 @@ def _write_run(out_dir: Path, name: str, config: dict, artifacts: dict) -> str:
 
 def _cmd_flow(args) -> int:
     entry = get_map(args.map, args.catalog)
+    if args.twodim and entry.k != 2:
+        print(f"map {entry.name} is not two-variable", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = _resolve_out(args)
     if args.twodim:
-        if entry.k != 2:
-            print(f"map {entry.name} is not two-variable", file=sys.stderr)
-            return EXIT_USAGE
         res = twodim_flow(entry.matrix, *entry.map_vars)
         lines = [
             f"map: {entry.name}",

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .doubledouble import U, U2, dd_add, dd_mul_d
+from .doubledouble import BLOCK, U, U2, dd_add_into, dd_mul_d_into, split
 from .errors import DomainError
 from .polyalg import NEG_INF, GenPoly
 
@@ -160,16 +160,25 @@ class GridPoly:
         return out, mag
 
     def dd(self, pts: np.ndarray):
-        """(hi, lo) double-double values at float64 points."""
+        """(hi, lo) double-double values at float64 points, in blocks of
+        ``BLOCK`` points on contiguous coordinate rows, each coordinate
+        split once per block."""
         hi = np.zeros(pts.shape[0])
         lo = np.zeros(pts.shape[0])
-        for coeff, c, exps in self.terms:
-            th = np.full(pts.shape[0], c)
-            tl = np.full(pts.shape[0], float(coeff - Fraction(c)))
-            for j, e in enumerate(exps):
-                for _ in range(e):
-                    th, tl = dd_mul_d(th, tl, pts[:, j])
-            hi, lo = dd_add(hi, lo, th, tl)
+        lows = [float(coeff - Fraction(c)) for coeff, c, _ in self.terms]
+        w = np.empty((7, min(pts.shape[0], BLOCK)))
+        for a in range(0, pts.shape[0], BLOCK):
+            x = np.ascontiguousarray(pts[a:a + BLOCK].T)
+            xs = [split(row) for row in x]
+            th, tl, *tmp = w[:, :x.shape[1]]
+            s_hi, s_lo = hi[a:a + BLOCK], lo[a:a + BLOCK]
+            for (_, c, exps), c_lo in zip(self.terms, lows):
+                th.fill(c)
+                tl.fill(c_lo)
+                for j, e in enumerate(exps):
+                    for _ in range(e):
+                        dd_mul_d_into(th, tl, x[j], xs[j], (th, tl), tmp)
+                dd_add_into(s_hi, s_lo, th, tl, tmp)
         return hi, lo
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
+from .doubledouble import ADD_ERR, BLOCK, MUL_D_ERR, U, U2, dd_sub_mul_d
 from .errors import DomainError
 
 CUSP_GUARD = 1e-6
@@ -88,18 +88,10 @@ def haar_expectation(f: TestFunction, n: int) -> float:
 # vectorized dimension-2 pipeline
 # ---------------------------------------------------------------------------
 
-# columns per call of ``_lagrange_pass``: on the 16,384-sample chunks of
-# the criterion-10 sweep, passes in blocks of this size take the
-# double-double reduction about 1.6 times faster (2-core Xeon) than whole
-# chunks, as their temporaries stay in cache and are recycled by the
-# allocator rather than mapped afresh
-_BLOCK = 1 << 13
-
-
-def _coord_dot(x, y):
+def _coord_dot(x, y, out=None):
     """Per-sample dot products of (d, m) coordinate rows, summed in
-    coordinate order."""
-    p = x * y
+    coordinate order; ``out`` is an optional (d, m) scratch array."""
+    p = np.multiply(x, y, out=out)
     for row in p[1:]:
         p[0] += row
     return p[0]
@@ -120,9 +112,11 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
 
     The state is one contiguous row per coordinate, low part, squared
     norm and bound, with one column per active sample; each pass runs
-    over blocks of ``_BLOCK`` columns.  A sample's outputs are written on
+    over blocks of ``BLOCK`` columns.  A sample's outputs are written on
     the pass where its mu first becomes 0; the finished columns are
-    dropped once they are half of the active ones.
+    dropped once they are half of the active ones.  A sample whose state
+    is not finite on entry (a coordinate, low part or bound, or a squared
+    norm beyond float64) is returned as it came, not converged.
 
     Returns (u, v, eu, ev, done): float64 columns with |u| <= |v| (low
     parts rounded in, that rounding included in the bounds), the bounds,
@@ -145,9 +139,14 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
         s[b + h - 2] = _coord_dot(s[b:b + d], s[b:b + d])
         s[b + h - 1] = e
     out = (np.empty((m, d)), np.empty((m, d)), np.empty(m), np.empty(m))
-    done = np.ones(m, dtype=bool)
+    done = np.isfinite(s).all(axis=0)
     idx = np.arange(m)
-    fin = np.zeros(m, dtype=bool)  # active columns already written out
+    fin = ~done  # active columns already written out
+    if not done.all():
+        _write_columns(s, fin, idx[fin], out)
+    # scratch rows of a pass: the dot products (mu in row 0), then the
+    # product mu u and the temporaries of the double-double step
+    w = np.empty((8 if dd else 2, d, min(m, BLOCK)))
     for _ in range(256):
         n_fin = np.count_nonzero(fin)
         if n_fin == fin.size:
@@ -155,8 +154,8 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
         if 2 * n_fin >= fin.size:
             keep = ~fin
             s, idx, fin = s[:, keep], idx[keep], fin[keep]
-        moved = np.concatenate([_lagrange_pass(s[:, a:a + _BLOCK], d, c_mul, c_add, dd)
-                                for a in range(0, idx.size, _BLOCK)])
+        moved = np.concatenate([_lagrange_pass(s[:, a:a + BLOCK], d, c_mul, c_add, dd, w)
+                                for a in range(0, idx.size, BLOCK)])
         new = ~(moved | fin)
         if new.any():
             _write_columns(s, new, idx[new], out)
@@ -169,15 +168,16 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     u, v, eu, ev = out
     if dd:
         # the high part is the float64 rounding of the double-double value
-        eu += U * np.sqrt(np.sum(u * u, axis=1))
-        ev += U * np.sqrt(np.sum(v * v, axis=1))
+        eu += U * np.sqrt(_coord_dot(u.T, u.T))
+        ev += U * np.sqrt(_coord_dot(v.T, v.T))
     return u, v, eu, ev, done
 
 
-def _lagrange_pass(s, d, c_mul, c_add, dd):
+def _lagrange_pass(s, d, c_mul, c_add, dd, w):
     """One pass of ``sl2_lagrange`` on its state ``s``, in place: swap so
-    that |u| <= |v|, then v <- v - mu u and the bound of v.  Returns the
-    mask of the columns whose step moved v (mu != 0)."""
+    that |u| <= |v|, then v <- v - mu u and the bound of v, with the
+    scratch rows ``w``.  Returns the mask of the columns whose step moved
+    v (mu != 0)."""
     h = s.shape[0] // 2
     swap = s[h - 2] > s[2 * h - 2]
     if swap.any():
@@ -188,19 +188,32 @@ def _lagrange_pass(s, d, c_mul, c_add, dd):
         x *= swap
         bits[:h] ^= x
         bits[h:] ^= x
-    uu, eu, ev = s[h - 2], s[h - 1], s[2 * h - 1]
+    uu, vv, eu, ev = s[h - 2], s[2 * h - 2], s[h - 1], s[2 * h - 1]
     cu, cv = s[:d], s[h:h + d]
-    mu = np.round(_coord_dot(cu, cv) / uu)
+    w = w[:, :, :s.shape[1]]
+    mu = _coord_dot(cu, cv, w[0])
+    np.divide(mu, uu, out=mu)
+    np.round(mu, out=mu)
     if dd:
-        ph, pl = dd_mul_d(cu, s[d:2 * d], mu)
-        cv[:], s[h + d:h + 2 * d] = dd_add(cv, s[h + d:h + 2 * d], -ph, -pl)
+        dd_sub_mul_d(cv, s[h + d:h + 2 * d], cu, s[d:2 * d], mu, w[1:])
     else:
-        cv -= mu * cu
-    amu = np.abs(mu)
+        np.multiply(mu, cu, out=w[1])
+        np.subtract(cv, w[1], out=cv)
     moved = mu != 0
-    vv = s[2 * h - 2] = _coord_dot(cv, cv)
-    s[2 * h - 1] = (ev + amu * eu + c_mul * amu * np.sqrt(uu)
-                    + c_add * moved * np.sqrt(vv))
+    amu = np.abs(mu, out=mu)
+    vv[:] = _coord_dot(cv, cv, w[1])
+    # ev + |mu| eu + c_mul |mu| |u| + c_add [moved] |v|, left to right
+    t, r = w[1, 0], w[1, 1]
+    np.multiply(amu, eu, out=t)
+    np.add(ev, t, out=ev)
+    np.multiply(c_mul, amu, out=t)
+    np.sqrt(uu, out=r)
+    np.multiply(t, r, out=t)
+    np.add(ev, t, out=ev)
+    np.multiply(c_add, moved, out=t)
+    np.sqrt(vv, out=r)
+    np.multiply(t, r, out=t)
+    np.add(ev, t, out=ev)
     return moved
 
 

@@ -1,7 +1,8 @@
 """Reference lattice computations that the kernel tests compare against:
 exact reduction and enumeration, a float Fincke-Pohst enumeration, Haar
-sampling and ``greedy3``.  It imports nothing from ``boxflow``, so it
-shares no code with the kernel it checks."""
+sampling, ``greedy3`` and the functional double-double operations.  It
+imports nothing from ``boxflow``, so it shares no code with the kernel it
+checks."""
 
 import itertools
 import math
@@ -192,3 +193,50 @@ def greedy3(g):
         if best >= vv:
             return cols
     raise AssertionError("greedy reduction did not converge")
+
+
+# -- double-double ---------------------------------------------------------------
+# Dekker's error-free transformations and the double-double product and sum
+# in their textbook functional form: the bit reference of the in-place
+# forms in ``boxflow.doubledouble``.
+
+_SPLITTER = 134217729.0  # 2^27 + 1
+
+
+def two_sum(a, b):
+    """s + e == a + b exactly, with s = fl(a + b)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def quick_two_sum(a, b):
+    """Renormalize when |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def two_prod(a, b):
+    """p + e == a * b exactly, with p = fl(a * b)."""
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def dd_mul_d(hi, lo, b):
+    p, e = two_prod(hi, b)
+    return quick_two_sum(p, e + lo * b)
+
+
+def dd_add(ahi, alo, bhi, blo):
+    s, e = two_sum(ahi, bhi)
+    t, f = two_sum(alo, blo)
+    s, e = quick_two_sum(s, e + t)
+    return quick_two_sum(s, e + f)

@@ -13,7 +13,13 @@ import pytest
 from boxflow import experiment
 from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
-from boxflow.doubledouble import U2, dd_add, dd_mul_d, two_prod, two_sum
+from boxflow.doubledouble import (
+    U2,
+    dd_add_into,
+    dd_mul_d_into,
+    dd_sub_mul_d,
+    split,
+)
 from boxflow.errors import PrecisionError
 from boxflow.experiment import (
     BoxSpec,
@@ -49,11 +55,17 @@ def _fr(hi, lo=0.0):
 
 
 def test_error_free_transformations_are_exact():
+    # on zero low parts the in-place product and sum are Dekker's two_prod
+    # and two_sum, renormalized: exact
     rng = np.random.default_rng(5)
     a = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 12, 200)
     b = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 12, 200)
-    s, e = two_sum(a, b)
-    p, f = two_prod(a, b)
+    zero = np.zeros(200)
+    w = np.empty((5, 200))
+    p, f = np.empty(200), np.empty(200)
+    dd_mul_d_into(a, zero, b, split(b), (p, f), w)
+    s, e = a.copy(), zero.copy()
+    dd_add_into(s, e, b, zero, w)
     for i in range(200):
         assert _fr(s[i], e[i]) == F(a[i]) + F(b[i])
         assert _fr(p[i], f[i]) == F(a[i]) * F(b[i])
@@ -66,13 +78,50 @@ def test_double_double_ops_within_charged_bounds():
     b = np.round(rng.standard_normal(200) * 1e6)
     bh = -hi * b * (1 + rng.uniform(-1e-9, 1e-9, 200))
     bl = bh * rng.uniform(-1, 1, 200) * 2.0 ** -54
-    ph, pl = dd_mul_d(hi, lo, b)
-    sh, sl = dd_add(ph, pl, bh, bl)
+    w = np.empty((5, 200))
+    ph, pl = np.empty(200), np.empty(200)
+    dd_mul_d_into(hi, lo, b, split(b), (ph, pl), w)
+    sh, sl = ph.copy(), pl.copy()
+    dd_add_into(sh, sl, bh, bl, w)
     for i in range(200):
         exact_p = _fr(hi[i], lo[i]) * F(b[i])
         assert abs(_fr(ph[i], pl[i]) - exact_p) <= 2 * U2 * abs(exact_p)
         exact_s = _fr(ph[i], pl[i]) + _fr(bh[i], bl[i])
         assert abs(_fr(sh[i], sl[i]) - exact_s) <= 3 * U2 * abs(exact_s)
+
+
+def test_in_place_forms_are_the_functional_forms_bit_for_bit():
+    # (d, n) rows times one multiplier per column, as in the Lagrange
+    # step: small integers (split exactly, low half +0), integers beyond
+    # 2^26 (a nonzero low half) and fractions; signed zeros included
+    rng = np.random.default_rng(8)
+    n = 600
+    hi = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-6, 12, (3, n))
+    lo = hi * rng.uniform(-1, 1, (3, n)) * 2.0 ** -54
+    hi[:, :5], lo[:, :5] = -0.0, 0.0
+    vhi = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-6, 12, (3, n))
+    vlo = vhi * rng.uniform(-1, 1, (3, n)) * 2.0 ** -54
+    b = np.concatenate([np.round(rng.standard_normal(200) * 1e3),
+                        np.round(rng.uniform(2.0 ** 26, 2.0 ** 40, 200)
+                                 * rng.choice([-1.0, 1.0], 200)),
+                        rng.standard_normal(200)])
+    b[:3] = [0.0, -0.0, 1.0]
+    w = np.empty((7, 3, n))
+    ph, pl = oracles.dd_mul_d(hi, lo, b)
+    fresh = np.empty((3, n)), np.empty((3, n))
+    dd_mul_d_into(hi, lo, b, split(b), fresh, w)
+    aliased = hi.copy(), lo.copy()
+    dd_mul_d_into(*aliased, b, split(b), aliased, w)
+    for got in (fresh, aliased):
+        assert got[0].tobytes() == ph.tobytes() and got[1].tobytes() == pl.tobytes()
+    sh, sl = oracles.dd_add(vhi, vlo, ph, pl)
+    got = vhi.copy(), vlo.copy()
+    dd_add_into(*got, ph, pl, w)
+    assert got[0].tobytes() == sh.tobytes() and got[1].tobytes() == sl.tobytes()
+    sh, sl = oracles.dd_add(vhi, vlo, -ph, -pl)
+    got = vhi.copy(), vlo.copy()
+    dd_sub_mul_d(*got, hi, lo, b, w)
+    assert got[0].tobytes() == sh.tobytes() and got[1].tobytes() == sl.tobytes()
 
 
 # -- the kernel against the exact oracle ------------------------------------------

@@ -45,6 +45,13 @@ def test_flow_twodim_subcommand(tmp_path, capsys):
     assert "q = 1" in out and "p = 3" in out and "b = 4" in out
 
 
+def test_flow_twodim_on_a_one_variable_map_makes_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["flow", "--map", "heis52", "--twodim", "--out", str(out)]) == 2
+    assert "map heis52 is not two-variable" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_default_lambda_from_catalog(tmp_path, capsys):
     code = run(["flow", "--map", "u_horo", "--out", str(tmp_path)])
     assert code == 0

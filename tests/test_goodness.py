@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
-from boxflow.doubledouble import U, U2, dd_add, dd_mul_d
+from boxflow.doubledouble import BLOCK, U, U2
 from boxflow.errors import DomainError
 from boxflow.goodness import (
     BoxRegion,
@@ -532,15 +533,16 @@ class ReferenceEntryTerms:
             tl = np.full(pts.shape[0], float(coeff - Fraction(c)))
             for j, e in enumerate(exps):
                 for _ in range(e):
-                    th, tl = dd_mul_d(th, tl, pts[:, j])
-            hi, lo = dd_add(hi, lo, th, tl)
+                    th, tl = oracles.dd_mul_d(th, tl, pts[:, j])
+            hi, lo = oracles.dd_add(hi, lo, th, tl)
         return hi, lo
 
 
 def grid_cases():
     """(polynomial, variable order, points): every entry of every catalog
-    matrix and orbit map on jittered boxes up to T = 1e3, and seeded
-    polynomials with inexact coefficients and constant terms."""
+    matrix and orbit map on jittered boxes up to T = 1e3, the entries of
+    ``poly23_lower`` on 2 BLOCK + 1000 points, and seeded polynomials with
+    inexact coefficients and constant terms."""
     from boxflow.catalog import builtin_catalog
     from boxflow.experiment import BoxSpec
 
@@ -558,6 +560,12 @@ def grid_cases():
             pts = region.sample_points(16, 0, 16 ** k, "jitter", 5)
             cases += [(p, entry.orbit_vars, pts) for row in entry.orbit_map.entries
                       for p in row]
+    # the criterion-10 box at T2 = 20, entries up to 5e11: more points than
+    # one double-double block, and not a multiple of it
+    entry = builtin_catalog()["poly23_lower"]
+    region = BoxRegion((0.0, 0.0), (1.01 * 20.0 ** 4, 20.0))
+    pts = region.sample_points(1024, 0, 2 * BLOCK + 1000, "jitter", 5)
+    cases += [(p, entry.map_vars, pts) for row in entry.matrix.entries for p in row]
     rng = np.random.default_rng(20)
     var_order = ["x", "y", "z"]
     for i in range(40):

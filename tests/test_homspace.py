@@ -15,7 +15,7 @@ import pytest
 
 import boxflow
 from boxflow import experiment
-from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_add, dd_mul_d
+from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2
 from boxflow.errors import DomainError
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
@@ -279,7 +279,9 @@ def test_batch_flags_cusp_samples():
 def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     """``sl2_lagrange`` as a loop over (m, d) arrays that compacts on every
     pass in which a sample finishes: the same float operations in the same
-    order, so its results are bit-identical."""
+    order, so its results are bit-identical.  A sample whose coordinates,
+    low parts, bounds or squared norms are not finite on entry is
+    returned as it came, not converged."""
     dd = u_lo is not None
     if dd:
         c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
@@ -288,7 +290,12 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     state = [u, v, np.asarray(eu, float), np.asarray(ev, float)]
     state += [u_lo, v_lo] if dd else []
     out = [np.empty_like(a) for a in state]
-    idx = np.arange(u.shape[0])
+    entry = np.column_stack(state + [np.sum(u * u, axis=1), np.sum(v * v, axis=1)])
+    finite = np.isfinite(entry).all(axis=1)
+    for o, a in zip(out, state):
+        o[~finite] = a[~finite]
+    state = [a[finite] for a in state]
+    idx = np.nonzero(finite)[0]
     for _ in range(256):
         if idx.size == 0:
             break
@@ -305,8 +312,8 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
             uu = np.where(swap, vv, uu)
         mu = np.round(np.sum(u * v, axis=1) / uu)
         if dd:
-            ph, pl = dd_mul_d(u, lo[0], mu[:, None])
-            v, lo[1] = dd_add(v, lo[1], -ph, -pl)
+            ph, pl = oracles.dd_mul_d(u, lo[0], mu[:, None])
+            v, lo[1] = oracles.dd_add(v, lo[1], -ph, -pl)
         else:
             v = v - mu[:, None] * u
         amu = np.abs(mu)
@@ -324,7 +331,7 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     for o, a in zip(out, state):
         o[idx] = a
     u, v, eu, ev = out[:4]
-    done = np.ones(u.shape[0], dtype=bool)
+    done = finite.copy()
     done[idx] = False
     if dd:
         eu += U * np.sqrt(np.sum(u * u, axis=1))
@@ -336,7 +343,9 @@ def lagrange_batch(rng, m, d, dd):
     """Column pairs with entries from 1 to 1e8.  A third of them are near
     multiples of each other, which takes many passes to reduce; another
     third are small integer vectors, with exact ties in the norms and in
-    the rounding of mu."""
+    the rounding of mu.  Then m // 10 more pairs at ratios near +-2^30,
+    whose first mu is beyond 2^26, where Dekker's split of mu has a
+    nonzero low half."""
     scale = 10.0 ** rng.uniform(0, 8, (m, 1))
     u = rng.standard_normal((m, d)) * scale
     v = rng.standard_normal((m, d)) * scale * rng.uniform(0.1, 3, (m, 1))
@@ -350,7 +359,14 @@ def lagrange_batch(rng, m, d, dd):
     args = [u, v, rng.uniform(0, 1e-9, m), rng.uniform(0, 1e-9, m)]
     if dd:
         args += [u * U * rng.uniform(-1, 1, (m, d)), v * U * rng.uniform(-1, 1, (m, d))]
-    return args
+    n = m // 10
+    u = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(0, 4, (n, 1))
+    ratio = rng.uniform(2.0 ** 29, 2.0 ** 31, (n, 1)) * rng.choice([-1.0, 1.0], (n, 1))
+    v = u * ratio + rng.standard_normal((n, d))
+    more = [u, v, rng.uniform(0, 1e-9, n), rng.uniform(0, 1e-9, n)]
+    if dd:
+        more += [u * U * rng.uniform(-1, 1, (n, d)), v * U * rng.uniform(-1, 1, (n, d))]
+    return [np.concatenate([a, b]) for a, b in zip(args, more)]
 
 
 @pytest.mark.parametrize("dd", [False, True])
@@ -358,16 +374,31 @@ def lagrange_batch(rng, m, d, dd):
 def test_lagrange_bit_identical_to_reference_loop(d, dd):
     rng = np.random.default_rng(40 + d + 2 * dd)
     args = lagrange_batch(rng, 3000, d, dd)
-    args[0][7] = np.nan  # never converges: stopped by the pass cap
+    args[0][7] = np.nan  # returned as it came, not converged
     got = sl2_lagrange(*args)
     want = reference_lagrange(*(a.copy() for a in args))
     assert not got[4][7] and np.count_nonzero(~got[4]) == 1
+    assert got[0][7].tobytes() == args[0][7].tobytes()
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
     empty = [a[:0] for a in args]
     for g, w in zip(sl2_lagrange(*empty), reference_lagrange(*empty)):
         assert g.shape == w.shape and g.size == 0
+
+
+@pytest.mark.parametrize("dd", [False, True])
+def test_lagrange_stops_at_the_pass_cap(dd):
+    # a zero column u: mu = 0/0 never settles, so only the pass cap stops
+    # it, not converged; the other pair is reduced as usual
+    u = np.array([[0.0, 0.0], [1.0, 0.0]])
+    v = np.array([[1.0, 2.0], [7.0, 1.0]])
+    zero = np.zeros(2)
+    lo = (np.zeros((2, 2)), np.zeros((2, 2))) if dd else ()
+    with np.errstate(invalid="ignore"):
+        ru, rv, _, _, done = sl2_lagrange(u, v, zero, zero, *lo)
+    assert done.tolist() == [False, True]
+    assert ru[1].tolist() == [1.0, 0.0] and rv[1].tolist() == [0.0, 1.0]
 
 
 def test_lagrange_charges_nothing_on_a_reduced_pair():
