@@ -89,7 +89,11 @@ def builtin_catalog() -> dict:
             [["1", "x"], ["0", "1"]],
             [F(5, 2)],
             product_type=True,
-            notes="upper unipotent under the 5/2 box family",
+            closed_orbit=True,
+            period=1.0,
+            orbit_rows=[["1", "x"], ["0", "1"]],
+            notes="upper unipotent under the 5/2 box family; the periodic "
+            "horocycle of u_horo",
         ),
         _entry(
             "u_horo",

@@ -290,6 +290,31 @@ def _flow_series(mats: Sequence[PolyMatrix], s_var: str) -> PolyMatrix:
     return acc
 
 
+def _det_mp(rows):
+    """Determinant of a list of mpmath rows by Laplace expansion along the
+    first row."""
+    if not rows:
+        return mpmath.mpf(1)
+    total = mpmath.mpf(0)
+    for j, x in enumerate(rows[0]):
+        term = x * _det_mp([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _inverse_mp(m, n: int):
+    """Inverse of an n x n mpmath matrix of determinant 1: its adjugate.
+    No LU step, which can call a matrix with entries of very different
+    sizes numerically singular."""
+    rows = [[m[i, j] for j in range(n)] for i in range(n)]
+    inv = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            d = _det_mp([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            inv[i, j] = d if (i + j) % 2 == 0 else -d
+    return inv
+
+
 def _max_deviation(a, b, n: int) -> float:
     """Max-entry distance of two n x n mpmath matrices."""
     return float(max(abs(a[i, j] - b[i, j]) for i in range(n) for j in range(n)))
@@ -409,10 +434,12 @@ def limit_residual(
 ) -> float:
     """Max-entry deviation of theta(alpha, t + s t^{-q}) theta(alpha, t)^{-1}
     from the limiting flow at s, evaluated at ``_RESIDUAL_DPS`` decimal
-    digits."""
+    digits.
+
+    Precondition: det theta = 1 identically, as ``compute_flow`` requires;
+    the inverse is then the adjugate of the evaluated matrix."""
     if not t > 0:
         raise DomainError("t must be positive")
-    theta_inv = theta.inverse_sl()
     with mpmath.workdps(_RESIDUAL_DPS):
         alpha_mp = {k: mpmath.mpf(v) for k, v in alpha.items()}
         t_mp = mpmath.mpf(t)
@@ -420,7 +447,7 @@ def limit_residual(
         q_mp = mpmath.mpf(result.q.numerator) / mpmath.mpf(result.q.denominator)
         t_shift = t_mp + s_mp * mpmath.power(t_mp, -q_mp)
         a = theta.evaluate_mp({**alpha_mp, T_VAR: t_shift})
-        b_inv = theta_inv.evaluate_mp({**alpha_mp, T_VAR: t_mp})
+        b_inv = _inverse_mp(theta.evaluate_mp({**alpha_mp, T_VAR: t_mp}), theta.dim)
         prod = a * b_inv
         rho = flow_of(result).evaluate_mp({**alpha_mp, "s": s_mp})
         return _max_deviation(prod, rho, theta.dim)
@@ -535,10 +562,12 @@ def twodim_residual(
     """Deviation between flow(s) @ theta(x, y) and
     theta(x + s y^{-d} x^{-q}, y) in the right-invariant sense: both sides
     are translated back by theta(x, y)^{-1}, which turns the comparison
-    into max-entry distance between the shift cocycle and the flow."""
+    into max-entry distance between the shift cocycle and the flow.
+
+    Precondition: det theta = 1 identically, as ``twodim_flow`` requires;
+    the inverse is then the adjugate of the evaluated matrix."""
     if not (x > 0 and y > 0):
         raise DomainError("x and y must be positive")
-    theta_inv = theta_map.inverse_sl()
     with mpmath.workdps(_RESIDUAL_DPS):
         x_mp, y_mp, s_mp = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(s)
         q_mp = mpmath.mpf(result.q.numerator) / mpmath.mpf(result.q.denominator)
@@ -546,7 +575,8 @@ def twodim_residual(
             x_mp, -q_mp
         )
         a = theta_map.evaluate_mp({result.x_var: x_shift, result.y_var: y_mp})
-        base_inv = theta_inv.evaluate_mp({result.x_var: x_mp, result.y_var: y_mp})
+        base = theta_map.evaluate_mp({result.x_var: x_mp, result.y_var: y_mp})
+        base_inv = _inverse_mp(base, theta_map.dim)
         cocycle = a * base_inv
         rho = result.flow().evaluate_mp({"s": s_mp})
         return _max_deviation(cocycle, rho, theta_map.dim)

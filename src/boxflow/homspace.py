@@ -116,7 +116,8 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     the pass where its mu first becomes 0; the finished columns are
     dropped once they are half of the active ones.  A sample whose state
     is not finite on entry (a coordinate, low part or bound, or a squared
-    norm beyond float64) is returned as it came, not converged.
+    norm beyond float64), or that has a column of squared norm 0, is
+    returned as it came, not converged.
 
     Returns (u, v, eu, ev, done): float64 columns with |u| <= |v| (low
     parts rounded in, that rounding included in the bounds), the bounds,
@@ -139,7 +140,7 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
         s[b + h - 2] = _coord_dot(s[b:b + d], s[b:b + d])
         s[b + h - 1] = e
     out = (np.empty((m, d)), np.empty((m, d)), np.empty(m), np.empty(m))
-    done = np.isfinite(s).all(axis=0)
+    done = np.isfinite(s).all(axis=0) & (s[h - 2] != 0) & (s[2 * h - 2] != 0)
     idx = np.arange(m)
     fin = ~done  # active columns already written out
     if not done.all():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import mpmath
@@ -65,8 +66,10 @@ NEG_INF = _NegInfinity()
 _VAR_RE = re.compile(r"([A-Za-z_]+)(\d*)$")
 
 
+@lru_cache(maxsize=None)
 def _var_key(name: str):
-    """Sort key giving a1 < a2 < ... < a10 < s < t < x < xi < y."""
+    """Sort key giving a1 < a2 < ... < a10 < s < t < x < xi < y; computed
+    once per name."""
     m = _VAR_RE.match(name)
     if m is None:
         raise ParseError(f"illegal variable name {name!r}")
@@ -101,11 +104,40 @@ def _make_monomial(pairs: Iterable) -> Monomial:
 
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    """Merge two canonical monomials: exponents of a shared variable are
+    summed and a zero sum dropped.  A product in which two different names
+    tie in ``_var_key`` (``a1`` and ``a01``) is left to ``_make_monomial``
+    on the left factor's pairs followed by the right's, whose stable sort
+    puts the left factor's name first."""
     if not m1:
         return m2
     if not m2:
         return m1
-    return _make_monomial(list(m1) + list(m2))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            e = e1 + e2
+            if e:
+                out.append((v1, e))
+            i += 1
+            j += 1
+            continue
+        k1, k2 = _var_key(v1), _var_key(v2)
+        if k1 < k2:
+            out.append(m1[i])
+            i += 1
+        elif k2 < k1:
+            out.append(m2[j])
+            j += 1
+        else:
+            return _make_monomial(m1 + m2)
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
 
 
 # Python's float pow, element by element (see ``_float_pow``)
@@ -164,6 +196,20 @@ class GenPoly:
         self._terms = canon
         self._hash = None
         self._order = None
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "GenPoly":
+        """A polynomial that takes over the dict ``terms``, whose monomials
+        are canonical and whose coefficients are Fractions already.  Zero
+        coefficients are deleted from it, the order of the others kept;
+        no other key is hashed again."""
+        for mono in [m for m, c in terms.items() if not c]:
+            del terms[mono]
+        p = cls.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        p._order = None
+        return p
 
     def __reduce__(self):
         # rebuild from the terms alone: the cached hash depends on the
@@ -232,15 +278,20 @@ class GenPoly:
 
     def __add__(self, other) -> "GenPoly":
         other = self._coerce(other)
+        if not self._terms:
+            return other
+        if not other._terms:
+            return self
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return GenPoly(out)
+            prev = out.get(mono)
+            out[mono] = coeff if prev is None else prev + coeff
+        return GenPoly._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GenPoly":
-        return GenPoly({m: -c for m, c in self._terms.items()})
+        return GenPoly._canonical({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "GenPoly":
         return self + (-self._coerce(other))
@@ -254,8 +305,10 @@ class GenPoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _mul_monomials(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return GenPoly(out)
+                c = c1 * c2
+                prev = out.get(mono)
+                out[mono] = c if prev is None else prev + c
+        return GenPoly._canonical(out)
 
     __rmul__ = __mul__
 
@@ -286,7 +339,7 @@ class GenPoly:
             powers[var] = e - 1
             new_mono = _make_monomial(powers.items())
             out[new_mono] = out.get(new_mono, Fraction(0)) + new_c
-        return GenPoly(out)
+        return GenPoly._canonical(out)
 
     def degree_in(self, var: str):
         """Max exponent of ``var`` over stored terms; NEG_INF for zero."""
@@ -310,7 +363,7 @@ class GenPoly:
                 continue
             new_mono = _make_monomial(powers.items())
             out[new_mono] = out.get(new_mono, Fraction(0)) + coeff
-        return GenPoly(out)
+        return GenPoly._canonical(out)
 
     # -- substitution ---------------------------------------------------
 
@@ -449,7 +502,7 @@ class GenPoly:
                 limit[mono] = coeff
             else:
                 remainder[mono] = coeff
-        return GenPoly(limit), GenPoly(remainder)
+        return GenPoly._canonical(limit), GenPoly._canonical(remainder)
 
     # -- text form --------------------------------------------------------
 

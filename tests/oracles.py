@@ -1,11 +1,12 @@
-"""Reference lattice computations that the kernel tests compare against:
-exact reduction and enumeration, a float Fincke-Pohst enumeration, Haar
-sampling, ``greedy3`` and the functional double-double operations.  It
-imports nothing from ``boxflow``, so it shares no code with the kernel it
-checks."""
+"""Reference computations that the kernel tests compare against: exact
+lattice reduction and enumeration, a float Fincke-Pohst enumeration, Haar
+sampling, ``greedy3``, the functional double-double operations and the
+polynomial ring operations by concatenation and re-sorting.  It imports
+nothing from ``boxflow``, so it shares no code with the kernel it checks."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -240,3 +241,62 @@ def dd_add(ahi, alo, bhi, blo):
     t, f = two_sum(alo, blo)
     s, e = quick_two_sum(s, e + t)
     return quick_two_sum(s, e + f)
+
+
+# -- polynomial ring ---------------------------------------------------------------
+# A polynomial is a dict {monomial: Fraction coefficient}, a monomial a tuple
+# of (variable, Fraction exponent) pairs with no zero exponent, sorted by
+# ``var_key`` (stably: names that tie keep their order).  Products and sums
+# rebuild every monomial from scratch: the reference of the term maps and
+# term order of ``boxflow.polyalg``.
+
+_VAR_RE = re.compile(r"([A-Za-z_]+)(\d*)$")
+
+
+def var_key(name):
+    """a1 < a2 < ... < a10 < s < t < x < xi < y; a1 and a01 tie."""
+    m = _VAR_RE.match(name)
+    return (m.group(1), int(m.group(2)) if m.group(2) else -1)
+
+
+def make_monomial(pairs):
+    acc = {}
+    for var, exp in pairs:
+        e = Fraction(exp)
+        if e != 0:
+            acc[var] = acc.get(var, Fraction(0)) + e
+    return tuple((v, acc[v]) for v in sorted(acc, key=var_key) if acc[v] != 0)
+
+
+def _nonzero(terms):
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for mono, coeff in q.items():
+        out[mono] = out.get(mono, Fraction(0)) + coeff
+    return _nonzero(out)
+
+
+def poly_sub(p, q):
+    return poly_add(p, {m: -c for m, c in q.items()})
+
+
+def poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = make_monomial(list(m1) + list(m2))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def poly_matmul(a, b):
+    """Square matrices of polynomials; each entry summed over k in order,
+    starting from the zero polynomial."""
+    n = len(a)
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[i][j] = poly_add(out[i][j], poly_mul(a[i][k], b[k][j]))
+    return out

@@ -276,7 +276,21 @@ def test_equi_twodim_mode_uses_the_orbit_reference(tmp_path, capsys):
     assert row["rel_gap"] == "0"
 
 
-UPPER = [["1", "x"], ["0", "1"]]
+def test_equi_heis52_uses_the_horocycle_reference(tmp_path, capsys):
+    # heis52 is the matrix of u_horo: its lattices stay on the periodic
+    # horocycle, whose reference is 2, not the Haar value pi
+    code = run(["equi", "--map", "heis52", "--T", "10,100", "--grid", "256",
+                "--out", str(tmp_path)])
+    assert code == 0
+    header, *lines = (tmp_path / "equi.csv").read_text().strip().split("\n")
+    assert len(lines) == 2
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row["reference"] == row["average"] == "2"
+        assert row["rel_gap"] == "0"
+
+
+UPPER =[["1", "x"], ["0", "1"]]
 UPPER4 = [["1", "x", "0", "0"], ["0", "1", "0", "0"],
           ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
 ORBIT = {"closed_orbit": True, "period": 1.0}

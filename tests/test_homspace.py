@@ -280,8 +280,9 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     """``sl2_lagrange`` as a loop over (m, d) arrays that compacts on every
     pass in which a sample finishes: the same float operations in the same
     order, so its results are bit-identical.  A sample whose coordinates,
-    low parts, bounds or squared norms are not finite on entry is
-    returned as it came, not converged."""
+    low parts, bounds or squared norms are not finite on entry, or that
+    has a column of squared norm 0, is returned as it came, not
+    converged."""
     dd = u_lo is not None
     if dd:
         c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
@@ -290,12 +291,13 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     state = [u, v, np.asarray(eu, float), np.asarray(ev, float)]
     state += [u_lo, v_lo] if dd else []
     out = [np.empty_like(a) for a in state]
-    entry = np.column_stack(state + [np.sum(u * u, axis=1), np.sum(v * v, axis=1)])
-    finite = np.isfinite(entry).all(axis=1)
+    norms = [np.sum(u * u, axis=1), np.sum(v * v, axis=1)]
+    valid = np.isfinite(np.column_stack(state + norms)).all(axis=1)
+    valid &= (norms[0] != 0) & (norms[1] != 0)
     for o, a in zip(out, state):
-        o[~finite] = a[~finite]
-    state = [a[finite] for a in state]
-    idx = np.nonzero(finite)[0]
+        o[~valid] = a[~valid]
+    state = [a[valid] for a in state]
+    idx = np.nonzero(valid)[0]
     for _ in range(256):
         if idx.size == 0:
             break
@@ -331,7 +333,7 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     for o, a in zip(out, state):
         o[idx] = a
     u, v, eu, ev = out[:4]
-    done = finite.copy()
+    done = valid.copy()
     done[idx] = False
     if dd:
         eu += U * np.sqrt(np.sum(u * u, axis=1))
@@ -387,18 +389,59 @@ def test_lagrange_bit_identical_to_reference_loop(d, dd):
         assert g.shape == w.shape and g.size == 0
 
 
+@pytest.fixture
+def lagrange_passes(monkeypatch):
+    """The number of active columns of every ``_lagrange_pass`` call."""
+    passes = []
+    lagrange_pass = boxflow.homspace._lagrange_pass
+
+    def counting(*args):
+        passes.append(args[0].shape[1])
+        return lagrange_pass(*args)
+
+    monkeypatch.setattr(boxflow.homspace, "_lagrange_pass", counting)
+    return passes
+
+
 @pytest.mark.parametrize("dd", [False, True])
-def test_lagrange_stops_at_the_pass_cap(dd):
-    # a zero column u: mu = 0/0 never settles, so only the pass cap stops
-    # it, not converged; the other pair is reduced as usual
-    u = np.array([[0.0, 0.0], [1.0, 0.0]])
-    v = np.array([[1.0, 2.0], [7.0, 1.0]])
+def test_lagrange_stops_at_the_pass_cap(dd, lagrange_passes):
+    # |u|^2 = 1e-320 is subnormal, not 0, so the pair is reduced: its first
+    # mu = 1e-10 / 1e-320 overflows, v turns NaN and mu never settles, so
+    # only the pass cap stops it, not converged; the other pair is reduced
+    # as usual
+    u = np.array([[1e-160, 0.0], [1.0, 0.0]])
+    v = np.array([[1e150, 1.0], [7.0, 1.0]])
     zero = np.zeros(2)
     lo = (np.zeros((2, 2)), np.zeros((2, 2))) if dd else ()
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         ru, rv, _, _, done = sl2_lagrange(u, v, zero, zero, *lo)
+    assert len(lagrange_passes) == 256 and lagrange_passes[-1] == 1
     assert done.tolist() == [False, True]
+    assert np.isnan(rv[0]).all()
     assert ru[1].tolist() == [1.0, 0.0] and rv[1].tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("dd", [False, True])
+def test_lagrange_returns_a_zero_column_at_once(dd, lagrange_passes):
+    # |u|^2 = 0 or |v|^2 = 0: mu would be 0/0 on every pass, so the pair is
+    # returned as it came, not converged, and never enters a pass
+    u = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
+    v = np.array([[1.0, 2.0], [7.0, 1.0], [0.0, 0.0]])
+    e = np.array([0.0, 0.0, 1e-9])
+    lo = (np.zeros((3, 2)), np.zeros((3, 2))) if dd else ()
+    args = (u, v, e, e, *lo)
+    ru, rv, eu, ev, done = sl2_lagrange(*args)
+    assert done.tolist() == [False, True, False]
+    assert ru[[0, 2]].tolist() == u[[0, 2]].tolist()
+    assert rv[[0, 2]].tolist() == v[[0, 2]].tolist()
+    assert ru[1].tolist() == [1.0, 0.0] and rv[1].tolist() == [0.0, 1.0]
+    # the reduced pair alone: one pass moves v, the next finds mu = 0
+    assert lagrange_passes == [1, 1]
+    if not dd:
+        assert eu[[0, 2]].tolist() == ev[[0, 2]].tolist() == [0.0, 1e-9]
+    for g, w in zip((ru, rv, eu, ev, done),
+                    reference_lagrange(*(np.copy(a) for a in args))):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_lagrange_charges_nothing_on_a_reduced_pair():

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from boxflow.errors import DivergentLimitError, DomainError, ExponentError
@@ -138,6 +139,51 @@ def test_ring_laws_exact_on_random_triples():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
+
+
+def ring_case_poly(rng, variables):
+    """Up to five terms over ``variables`` in random order (so names that tie
+    in ``_var_key`` meet in either order), t-exponents +-p/q from a small
+    set so that products cancel them, and coefficients from a small set so
+    that sums cancel terms."""
+    p = GenPoly.zero()
+    for _ in range(rng.randint(0, 5)):
+        names = rng.sample(variables, rng.randint(0, len(variables)))
+        powers = {v: (rng.choice([1, -1]) * F(rng.choice([1, 2, 3]), rng.choice([1, 2, 3]))
+                      if v == "t" else rng.randint(1, 2)) for v in names}
+        p = p + GenPoly.monomial(rng.choice([-2, -1, F(1, 2), 1, 3]), powers)
+    return p
+
+
+@pytest.mark.parametrize("variables", [
+    ("a1", "s", "t", "xi"),            # t exponents +-p/q that cancel
+    ("x", "y", "a2"),                  # integer exponents only
+    ("a1", "a01", "a001", "t", "x"),   # a1, a01 and a001 tie in _var_key
+])
+def test_ring_operations_equal_the_concatenate_and_sort_reference(variables):
+    rng = random.Random(f"ring {variables}")
+    variables = list(variables)
+
+    def check(got, want):
+        assert dict(got.terms()) == want
+        assert list(got.terms()) == list(want.items())
+
+    for _ in range(300):
+        p, q = ring_case_poly(rng, variables), ring_case_poly(rng, variables)
+        a, b = dict(p.terms()), dict(q.terms())
+        check(p * q, oracles.poly_mul(a, b))
+        check(p + q, oracles.poly_add(a, b))
+        check(p - q, oracles.poly_sub(a, b))
+    for n in (2, 3):
+        for _ in range(20):
+            a, b = ([[ring_case_poly(rng, variables) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            want = oracles.poly_matmul(*([[dict(e.terms()) for e in row] for row in m]
+                                         for m in (a, b)))
+            got = PolyMatrix(a) @ PolyMatrix(b)
+            for got_row, want_row in zip(got.entries, want):
+                for g, w in zip(got_row, want_row):
+                    check(g, w)
 
 
 def test_derivative_linear_and_leibniz_exact():
