@@ -114,10 +114,11 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     norm and bound, with one column per active sample; each pass runs
     over blocks of ``BLOCK`` columns.  A sample's outputs are written on
     the pass where its mu first becomes 0; the finished columns are
-    dropped once they are half of the active ones.  A sample whose state
-    is not finite on entry (a coordinate, low part or bound, or a squared
-    norm beyond float64), or that has a column of squared norm 0, is
-    returned as it came, not converged.
+    dropped on the first pass where any finish, and after that once they
+    are half of the active ones.  A sample whose state is not finite on
+    entry (a coordinate, low part or bound, or a squared norm beyond
+    float64), or that has a column of squared norm 0, is returned as it
+    came, not converged.
 
     Returns (u, v, eu, ev, done): float64 columns with |u| <= |v| (low
     parts rounded in, that rounding included in the bounds), the bounds,
@@ -125,10 +126,6 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     """
     m, d = u.shape
     dd = u_lo is not None
-    if dd:
-        c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
-    else:
-        c_mul = c_add = U * 1.01
     # rows of one column's block: coordinates, (low parts,) |.|^2, bound;
     # u's block, then v's
     h = d * (2 if dd else 1) + 2
@@ -139,39 +136,59 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
             s[b + d:b + 2 * d] = lo.T
         s[b + h - 2] = _coord_dot(s[b:b + d], s[b:b + d])
         s[b + h - 1] = e
-    out = (np.empty((m, d)), np.empty((m, d)), np.empty(m), np.empty(m))
+    done = _lagrange_rows(s, d, dd)
+    eu, ev = s[h - 1], s[2 * h - 1]
+    if dd:
+        # the high part is the float64 rounding of the double-double value
+        eu += U * np.sqrt(s[h - 2])
+        ev += U * np.sqrt(s[2 * h - 2])
+    return s[:d].T.copy(), s[h:h + d].T.copy(), eu, ev, done
+
+
+def _lagrange_rows(s, d, dd):
+    """The passes of ``sl2_lagrange`` on its state ``s`` (one column per
+    sample), in place.  Each column is left as it was on the pass where
+    its mu first became 0, or as it came if it was not finite or had a
+    zero column on entry.  Returns the mask of the samples whose
+    reduction converged."""
+    if dd:
+        c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
+    else:
+        c_mul = c_add = U * 1.01
+    h = s.shape[0] // 2
     done = np.isfinite(s).all(axis=0) & (s[h - 2] != 0) & (s[2 * h - 2] != 0)
-    idx = np.arange(m)
-    fin = ~done  # active columns already written out
-    if not done.all():
-        _write_columns(s, fin, idx[fin], out)
+    idx = np.nonzero(done)[0]
+    # the active samples: s itself until a sample finishes, then a copy,
+    # so that the finished columns stay as they were (np.compress keeps
+    # the rows contiguous, where s[:, mask] would return them strided)
+    t = s if idx.size == s.shape[1] else np.compress(done, s, axis=1)
+    fin = np.zeros(idx.size, dtype=bool)  # active columns already written back
     # scratch rows of a pass: the dot products (mu in row 0), then the
     # product mu u and the temporaries of the double-double step
-    w = np.empty((8 if dd else 2, d, min(m, BLOCK)))
+    w = np.empty((8 if dd else 2, d, min(idx.size, BLOCK)))
     for _ in range(256):
         n_fin = np.count_nonzero(fin)
         if n_fin == fin.size:
             break
         if 2 * n_fin >= fin.size:
             keep = ~fin
-            s, idx, fin = s[:, keep], idx[keep], fin[keep]
-        moved = np.concatenate([_lagrange_pass(s[:, a:a + BLOCK], d, c_mul, c_add, dd, w)
+            t, idx, fin = np.compress(keep, t, axis=1), idx[keep], fin[keep]
+        moved = np.concatenate([_lagrange_pass(t[:, a:a + BLOCK], d, c_mul, c_add, dd, w)
                                 for a in range(0, idx.size, BLOCK)])
         new = ~(moved | fin)
         if new.any():
-            _write_columns(s, new, idx[new], out)
-            fin |= new
+            if t is s:
+                keep = ~new
+                t, idx, fin = np.compress(keep, t, axis=1), idx[keep], fin[keep]
+            else:
+                s[:, idx[new]] = np.compress(new, t, axis=1)
+                fin |= new
     else:
         # the samples still moving after the last pass
         rest = ~fin
-        _write_columns(s, rest, idx[rest], out)
+        s[:, idx[rest]] = np.compress(rest, t, axis=1)
         done[idx[rest]] = False
-    u, v, eu, ev = out
-    if dd:
-        # the high part is the float64 rounding of the double-double value
-        eu += U * np.sqrt(_coord_dot(u.T, u.T))
-        ev += U * np.sqrt(_coord_dot(v.T, v.T))
-    return u, v, eu, ev, done
+    return done
 
 
 def _lagrange_pass(s, d, c_mul, c_add, dd, w):
@@ -182,13 +199,7 @@ def _lagrange_pass(s, d, c_mul, c_add, dd, w):
     h = s.shape[0] // 2
     swap = s[h - 2] > s[2 * h - 2]
     if swap.any():
-        # exchange the halves' bits where swap is set (xor swap): exact,
-        # and branch-free where np.where on a random mask is not
-        bits = s.view(np.int64)
-        x = bits[:h] ^ bits[h:]
-        x *= swap
-        bits[:h] ^= x
-        bits[h:] ^= x
+        _swap_rows(s, 0, h, h, swap)
     uu, vv, eu, ev = s[h - 2], s[2 * h - 2], s[h - 1], s[2 * h - 1]
     cu, cv = s[:d], s[h:h + d]
     w = w[:, :, :s.shape[1]]
@@ -218,15 +229,15 @@ def _lagrange_pass(s, d, c_mul, c_add, dd, w):
     return moved
 
 
-def _write_columns(s, cols, at, out):
-    """Copy the columns ``cols`` of the ``sl2_lagrange`` state to the
-    samples ``at`` of its outputs (u, v, eu, ev)."""
-    h, d = s.shape[0] // 2, out[0].shape[1]
-    take = s[:, cols]
-    out[0][at] = take[:d].T
-    out[1][at] = take[h:h + d].T
-    out[2][at] = take[h - 1]
-    out[3][at] = take[2 * h - 1]
+def _swap_rows(s, i, j, h, swap):
+    """Exchange rows i to i + h - 1 and j to j + h - 1 of ``s`` in the
+    columns where ``swap`` is set, in place (xor swap of the bits): exact,
+    and branch-free where np.where on a random mask is not."""
+    bits = s.view(np.int64)
+    x = bits[i:i + h] ^ bits[j:j + h]
+    x *= swap
+    bits[i:i + h] ^= x
+    bits[j:j + h] ^= x
 
 
 def sl2_reduce_batch(mats: np.ndarray):
@@ -367,16 +378,6 @@ def siegel_count_exact(m, radius: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sub_step(v, ev, y, u, eu):
-    """v - y u for an integer y per sample, and the bound of the result:
-    ev + |y| eu plus the rounding of the float64 step (none when y = 0)."""
-    w = v - y[:, None] * u
-    ay = np.abs(y)
-    rnd = U * 1.01 * (ay * np.sqrt(np.sum(u * u, axis=1))
-                      + (ay > 0) * np.sqrt(np.sum(w * w, axis=1)))
-    return w, ev + ay * eu + rnd
-
-
 def sl3_greedy(b, e):
     """Greedy reduction of a batch of 3x3 column bases, carrying a
     forward-error bound for each column.
@@ -393,57 +394,97 @@ def sl3_greedy(b, e):
     exact columns stay a basis of the same lattice and the bounds follow
     them.
 
+    The state is one contiguous row per coordinate, squared norm and
+    bound of each column, with one column per active sample, as in
+    ``sl2_lagrange``; every dot product is summed in coordinate order.
+    A sample's outputs are written on the pass where it finishes, and
+    the finished columns are dropped.  A sample whose state is not finite
+    on entry (a coordinate or bound, or a squared norm beyond float64),
+    or that has a column of squared norm 0, is returned as it came, not
+    converged.
+
     Returns (b, e, done): the reduced bases, shortest column first, their
     bounds, and the mask of samples whose reduction converged.
     """
-    m = b.shape[0]
-    out_b = np.empty((m, 3, 3))
-    out_e = np.empty((m, 3))
+    out_b = np.array(b, dtype=float)
+    out_e = np.array(e, dtype=float)
+    m = out_b.shape[0]
+    # rows of column j: coordinates 5j to 5j + 2, |b_j|^2 at 5j + 3 and
+    # the bound at 5j + 4
+    s = np.empty((15, m))
+    for j in range(3):
+        c = s[5 * j:5 * j + 3]
+        c[:] = out_b[:, :, j].T
+        s[5 * j + 3] = _coord_dot(c, c)
+        s[5 * j + 4] = out_e[:, j]
     done = np.zeros(m, dtype=bool)
-    # the active samples' columns as rows: (sample, column, coordinate)
-    cols = np.array(b, dtype=float).transpose(0, 2, 1)
-    errs = np.array(e, dtype=float)
+    valid = np.isfinite(s).all(axis=0) & (s[3] != 0) & (s[8] != 0) & (s[13] != 0)
     idx = np.arange(m)
+    if not valid.all():
+        s, idx = np.compress(valid, s, axis=1), idx[valid]
     for _ in range(256):
         if idx.size == 0:
             break
-        order = np.argsort(np.sum(cols * cols, axis=2), axis=1, kind="stable")
-        cols = np.take_along_axis(cols, order[:, :, None], axis=1)
-        errs = np.take_along_axis(errs, order, axis=1)
-        b1, b2, e1, e2, ok = sl2_lagrange(cols[:, 0], cols[:, 1],
-                                          errs[:, 0], errs[:, 1])
-        b3 = cols[:, 2]
-        a = np.sum(b1 * b1, axis=1)
-        ab = np.sum(b1 * b2, axis=1)
-        c = np.sum(b2 * b2, axis=1)
-        r1 = np.sum(b1 * b3, axis=1)
-        # round(x2), x2 the second coordinate of b3's projection
-        near = np.round((a * np.sum(b2 * b3, axis=1) - ab * r1) / (a * c - ab * ab))
-        best = np.full(idx.size, np.inf)
-        y1 = np.zeros(idx.size)
-        y2 = np.zeros(idx.size)
-        for t2 in (near, near - 1.0, near + 1.0):
-            t1 = np.round((r1 - ab * t2) / a)
-            res = b3 - t1[:, None] * b1 - t2[:, None] * b2
-            nr = np.sum(res * res, axis=1)
-            take = nr < best
-            best = np.where(take, nr, best)
-            y1 = np.where(take, t1, y1)
-            y2 = np.where(take, t2, y2)
-        b3, e3 = _sub_step(b3, errs[:, 2], y1, b1, e1)
-        b3, e3 = _sub_step(b3, e3, y2, b2, e2)
-        cols = np.stack([b1, b2, b3], axis=1)
-        errs = np.stack([e1, e2, e3], axis=1)
-        fin = ~ok | (np.sum(b3 * b3, axis=1) >= c)
+        for i, j in ((0, 1), (1, 2), (0, 1)):
+            # strict >: equal lengths keep their order, as in a stable sort
+            swap = s[5 * i + 3] > s[5 * j + 3]
+            if swap.any():
+                _swap_rows(s, 5 * i, 5 * j, 5, swap)
+        # the first two columns' rows are the state of ``sl2_lagrange``
+        ok = _lagrange_rows(s[:10], 3, False)
+        _closest_step(s)
+        fin = ~ok | (s[13] >= s[8])
         if fin.any():
-            out_b[idx[fin]] = cols[fin].transpose(0, 2, 1)
-            out_e[idx[fin]] = errs[fin]
+            _write_bases(np.compress(fin, s, axis=1), idx[fin], out_b, out_e)
             done[idx[fin]] = ok[fin]
             keep = ~fin
-            cols, errs, idx = cols[keep], errs[keep], idx[keep]
-    out_b[idx] = cols.transpose(0, 2, 1)
-    out_e[idx] = errs
+            s, idx = np.compress(keep, s, axis=1), idx[keep]
+    _write_bases(s, idx, out_b, out_e)
     return out_b, out_e, done
+
+
+def _closest_step(s):
+    """b3 <- b3 - y1 b1 - y2 b2 on the state ``s`` of ``sl3_greedy``, in
+    place, for the closest vector y1 b1 + y2 b2 of L(b1, b2) to b3 among the
+    three candidates of ``_reduce_exact``, with b3's squared norm and bound:
+    e3 + |y| e_i plus the rounding of each float64 step, none where y = 0."""
+    b1, b2, b3 = s[0:3], s[5:8], s[10:13]
+    a, c = s[3], s[8]
+    # + 0.0 makes a zero sum +0.0, as np.sum does (``_coord_dot`` gives
+    # -0.0 when every term is -0.0); the steps' zero quotients, and with
+    # them the signs of b3's zero coordinates, follow it
+    ab = _coord_dot(b1, b2) + 0.0
+    r1 = _coord_dot(b1, b3) + 0.0
+    r2 = _coord_dot(b2, b3) + 0.0
+    # round(x2), x2 the second coordinate of b3's projection
+    near = np.round((a * r2 - ab * r1) / (a * c - ab * ab))
+    best = np.full(a.size, np.inf)
+    y1 = np.zeros(a.size)
+    y2 = np.zeros(a.size)
+    for t2 in (near, near - 1.0, near + 1.0):
+        t1 = np.round((r1 - ab * t2) / a)
+        res = b3 - t1 * b1 - t2 * b2
+        nr = _coord_dot(res, res)
+        take = nr < best
+        np.copyto(best, nr, where=take)
+        np.copyto(y1, t1, where=take)
+        np.copyto(y2, t2, where=take)
+    e3 = s[14]
+    for y, u, uu, eu in ((y1, b1, a, s[4]), (y2, b2, c, s[9])):
+        b3 -= y * u
+        ay = np.abs(y)
+        s[13] = _coord_dot(b3, b3)
+        rnd = U * 1.01 * (ay * np.sqrt(uu) + (ay > 0) * np.sqrt(s[13]))
+        e3 += ay * eu
+        e3 += rnd
+
+
+def _write_bases(s, at, out_b, out_e):
+    """Copy the columns of the ``sl3_greedy`` state ``s`` to the samples
+    ``at`` of its outputs (b, e)."""
+    t = s.reshape(3, 5, -1)
+    out_b[at] = t[:, :3].transpose(2, 1, 0)
+    out_e[at] = t[:, 4].T
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 ``oracles``, Siegel counts, Haar references."""
 
 import ast
+import itertools
 import math
 import os
 import subprocess
@@ -15,8 +16,11 @@ import pytest
 
 import boxflow
 from boxflow import experiment
+from boxflow.catalog import get_map
 from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2
 from boxflow.errors import DomainError
+from boxflow.experiment import BoxSpec
+from boxflow.goodness import BoxRegion, GridPoly
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
     PREC_TOL,
@@ -594,3 +598,184 @@ def test_batch3_near_cusp_matches_enumeration():
                 assert val == ref
             else:
                 assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
+
+
+def reference_sub_step(v, ev, y, u, eu):
+    """v - y u for an integer y per sample, and the bound of the result:
+    ev + |y| eu plus the rounding of the float64 step (none when y = 0)."""
+    w = v - y[:, None] * u
+    ay = np.abs(y)
+    rnd = U * 1.01 * (ay * np.sqrt(np.sum(u * u, axis=1))
+                      + (ay > 0) * np.sqrt(np.sum(w * w, axis=1)))
+    return w, ev + ay * eu + rnd
+
+
+def reference_greedy(b, e):
+    """``sl3_greedy`` on (m, 3, 3) arrays of columns, with ``np.sum`` over
+    the short axes and a stable ``argsort``: the same float operations in
+    the same order, so its results are bit-identical.  A sample whose
+    coordinates, bounds or squared column norms are not finite on entry,
+    or that has a column of squared norm 0, is returned as it came, not
+    converged."""
+    m = b.shape[0]
+    out_b = np.array(b, dtype=float)
+    out_e = np.array(e, dtype=float)
+    done = np.zeros(m, dtype=bool)
+    # the active samples' columns as rows: (sample, column, coordinate)
+    cols = out_b.transpose(0, 2, 1)
+    norms = np.sum(cols * cols, axis=2)
+    valid = np.isfinite(np.column_stack([cols.reshape(m, 9), out_e, norms])).all(axis=1)
+    valid &= (norms != 0).all(axis=1)
+    cols, errs, idx = cols[valid], out_e[valid], np.nonzero(valid)[0]
+    for _ in range(256):
+        if idx.size == 0:
+            break
+        order = np.argsort(np.sum(cols * cols, axis=2), axis=1, kind="stable")
+        cols = np.take_along_axis(cols, order[:, :, None], axis=1)
+        errs = np.take_along_axis(errs, order, axis=1)
+        b1, b2, e1, e2, ok = sl2_lagrange(cols[:, 0], cols[:, 1],
+                                          errs[:, 0], errs[:, 1])
+        b3 = cols[:, 2]
+        a = np.sum(b1 * b1, axis=1)
+        ab = np.sum(b1 * b2, axis=1)
+        c = np.sum(b2 * b2, axis=1)
+        r1 = np.sum(b1 * b3, axis=1)
+        # round(x2), x2 the second coordinate of b3's projection
+        near = np.round((a * np.sum(b2 * b3, axis=1) - ab * r1) / (a * c - ab * ab))
+        best = np.full(idx.size, np.inf)
+        y1 = np.zeros(idx.size)
+        y2 = np.zeros(idx.size)
+        for t2 in (near, near - 1.0, near + 1.0):
+            t1 = np.round((r1 - ab * t2) / a)
+            res = b3 - t1[:, None] * b1 - t2[:, None] * b2
+            nr = np.sum(res * res, axis=1)
+            take = nr < best
+            best = np.where(take, nr, best)
+            y1 = np.where(take, t1, y1)
+            y2 = np.where(take, t2, y2)
+        b3, e3 = reference_sub_step(b3, errs[:, 2], y1, b1, e1)
+        b3, e3 = reference_sub_step(b3, e3, y2, b2, e2)
+        cols = np.stack([b1, b2, b3], axis=1)
+        errs = np.stack([e1, e2, e3], axis=1)
+        fin = ~ok | (np.sum(b3 * b3, axis=1) >= c)
+        if fin.any():
+            out_b[idx[fin]] = cols[fin].transpose(0, 2, 1)
+            out_e[idx[fin]] = errs[fin]
+            done[idx[fin]] = ok[fin]
+            keep = ~fin
+            cols, errs, idx = cols[keep], errs[keep], idx[keep]
+    out_b[idx] = cols.transpose(0, 2, 1)
+    out_e[idx] = errs
+    return out_b, out_e, done
+
+
+def assert_greedy_matches_reference(b, e):
+    got = sl3_greedy(b, e)
+    want = reference_greedy(b.copy(), e.copy())
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    return got
+
+
+def heis3_benchmark_lattices():
+    """The 14,976 float64 bases of one benchmark ``heis3`` sweep (the 24^3
+    orbit points of the reference, and 24^2 jittered points at T = 10 and
+    20) with the column bounds ``certified_reduce`` starts from."""
+    heis3 = get_map("heis3")
+    cases = [(heis3.orbit_map, heis3.orbit_vars,
+              BoxRegion((0.0,) * 3, (1.0,) * 3), "grid")]
+    cases += [(heis3.matrix, heis3.map_vars,
+               BoxSpec(lam=heis3.default_lambda, T=T, grid=24).realized_region(),
+               "jitter") for T in (10.0, 20.0)]
+    gs, errs = [], []
+    for matrix, map_vars, region, method in cases:
+        pts = region.sample_points(24, 0, 24 ** region.dim, method, 1)
+        tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
+        g, _, err = experiment._entries_f64(tables, pts)
+        gs.append(g)
+        errs.append(err)
+    return np.concatenate(gs), np.concatenate(errs)
+
+
+def greedy_inputs(name):
+    """(bases, bounds) of one of the named batches of
+    ``test_greedy_bit_identical_to_reference_loop``."""
+    if name == "heis3_benchmark":
+        return heis3_benchmark_lattices()
+    if name == "random_sl3":
+        rng = np.random.default_rng(7)
+        mats = np.stack([random_sl3(rng) for _ in range(2000)])
+        return mats, np.zeros((2000, 3))
+    if name == "random_sl3_bounds":
+        rng = np.random.default_rng(9)
+        mats = np.stack([random_sl3(rng) for _ in range(1000)])
+        return mats, rng.uniform(0, 1e-9, (1000, 3))
+    if name == "near_cusp":
+        rng = np.random.default_rng(35)
+        lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.2), 200))
+        return (np.stack([reduced_basis3(rng, x) @ random_word(rng, GENS3) for x in lam]),
+                rng.uniform(0, 1e-12, (200, 3)))
+    # integer bases, many with columns of equal length, in every order:
+    # the signed permutation matrices and short words in GENS3
+    rng = np.random.default_rng(36)
+    perms = [np.eye(3)[:, p] * s for p in ([0, 1, 2], [0, 2, 1], [1, 0, 2],
+                                           [1, 2, 0], [2, 0, 1], [2, 1, 0])
+             for s in itertools.product((1.0, -1.0), repeat=3)]
+    mats = np.stack(perms + [random_word(rng, GENS3) for _ in range(500)])
+    return mats, np.zeros((mats.shape[0], 3))
+
+
+@pytest.mark.parametrize("name", ["random_sl3", "random_sl3_bounds", "heis3_benchmark",
+                                  "near_cusp", "equal_lengths"])
+def test_greedy_bit_identical_to_reference_loop(name):
+    b, e = greedy_inputs(name)
+    _, _, done = assert_greedy_matches_reference(b, e)
+    assert done.all()
+
+
+def test_greedy_compacts_over_passes_bit_identically(monkeypatch):
+    # long words in GENS3 over near-cusp bases take one to several passes,
+    # so the finished samples leave the state on at least three passes
+    rng = np.random.default_rng(37)
+    lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.5), 300))
+    mats = np.stack([reduced_basis3(rng, x) @ np.linalg.matrix_power(
+        random_word(rng, GENS3), int(rng.integers(1, 6))) for x in lam])
+    active = []
+    closest_step = boxflow.homspace._closest_step
+
+    def counting(s):
+        active.append(s.shape[1])
+        return closest_step(s)
+
+    monkeypatch.setattr(boxflow.homspace, "_closest_step", counting)
+    _, _, done = assert_greedy_matches_reference(mats, rng.uniform(0, 1e-12, (300, 3)))
+    assert done.all()
+    assert active[0] == 300 and len(active) >= 4
+    assert all(x > y for x, y in zip(active, active[1:]))
+    empty = (np.empty((0, 3, 3)), np.empty((0, 3)))
+    for g, w in zip(sl3_greedy(*empty), reference_greedy(*empty)):
+        assert g.shape == w.shape and g.size == 0
+
+
+def test_greedy_returns_a_non_finite_sample_at_once(lagrange_passes):
+    # identity; an infinite coordinate; a NaN column; a zero column; an
+    # infinite bound: only the identity is reduced, in one Lagrange pass on
+    # one column, and the others come back as they came, not converged,
+    # with no floating-point warning
+    b = np.stack([np.eye(3)] * 5)
+    b[1, 0, 2] = np.inf
+    b[2, :, 2] = np.nan
+    b[3, :, 1] = 0.0
+    e = np.zeros((5, 3))
+    e[4, 1] = np.inf
+    with np.errstate(all="raise"):
+        rb, re, done = sl3_greedy(b, e)
+        assert lagrange_passes == [1]
+        lagrange_passes.clear()
+        assert not sl3_greedy(b[1:], e[1:])[2].any()
+        assert lagrange_passes == []
+        for g, w in zip((rb, re, done), reference_greedy(b, e)):
+            assert g.tobytes() == w.tobytes()
+    assert done.tolist() == [True, False, False, False, False]
+    assert rb.tobytes() == b.tobytes() and re.tobytes() == e.tobytes()
