@@ -13,8 +13,8 @@ square of the float64 unit roundoff; Joldes, Muller and Popescu, ACM TOMS
 - ``dd_sub_mul_d``: v <- v - b u, the two above on the negated product.
 
 Each writes its result into arrays the caller owns and keeps its
-temporaries in caller-owned scratch arrays (``out=`` throughout), so a
-loop over blocks of ``BLOCK`` columns reuses one set of temporaries.
+temporaries in caller-owned scratch arrays (``out=`` throughout), so the
+passes over one chunk reuse one set of temporaries.
 The operations and their order are Dekker's two_prod, two_sum and
 quick_two_sum, so the bits are those of the textbook functional forms.
 
@@ -32,12 +32,12 @@ U2 = U * U
 MUL_D_ERR = 2.0
 ADD_ERR = 3.0
 
-# columns per block of every double-double loop (the Lagrange passes of
-# ``homspace.sl2_lagrange`` and ``goodness.GridPoly.dd``): on the
-# 16,384-sample chunks of the criterion-10 sweep the blocks' temporaries
-# stay in cache and are recycled by the allocator rather than mapped
-# afresh, which makes the double-double reduction about 1.6 times faster
-# (2-core Xeon) than whole chunks
+# samples per chunk of the 2D lattice kernel (``experiment._CHUNK``),
+# which runs on coordinate rows of this length: its states, scratch rows
+# and ``goodness.GridPoly.dd`` temporaries stay in cache and are recycled
+# by the allocator rather than mapped afresh.  Blocking the double-double
+# loops of 16,384-sample chunks this way made them about 1.6 times faster
+# (2-core Xeon)
 BLOCK = 1 << 13
 
 _SPLITTER = 134217729.0  # 2^27 + 1

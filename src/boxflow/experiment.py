@@ -6,7 +6,7 @@ Averages use deterministic midpoint tensor grids (the statements being
 checked are Riemann integrals); a seeded Monte Carlo mode with per-index
 streams is available for high dimension.  Work is partitioned into
 fixed-size chunks evaluated independently per sample, so results are
-bit-identical for any worker count.
+bit-identical for any worker count and chunk size.
 
 One kernel serves both lattice dimensions, in two stages per chunk.
 ``certified_reduce`` evaluates the matrix entries once
@@ -16,7 +16,9 @@ is within ``homspace.PREC_TOL`` of an exact reduced basis.  That is
 float64, double-double (dimension 2 only) or exact rational arithmetic,
 whichever is the cheapest whose error bound meets the tolerance.
 ``certified_observables`` then derives the shortest length and every
-observable from those bases.
+observable from those bases.  In dimension 2 the first stage runs on
+coordinate rows, one ``doubledouble.BLOCK`` of samples per chunk
+(``_sl2_tiers``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import MapEntry
-from .doubledouble import U
+from .doubledouble import BLOCK, U
 from .errors import CuspExcursionError, DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
 from .goodness import BoxRegion, GridPoly
@@ -40,14 +42,15 @@ from .homspace import (
     PREC_TOL,
     TestFunction,
     haar_expectation,
+    lagrange_rows,
     reduce_exact,
     siegel_count_exact,
     siegel_sums,
-    sl2_lagrange,
     sl3_greedy,
 )
 
-_CHUNK = 1 << 14
+# a 2D chunk is one block: its coordinate rows stay cache-sized
+_CHUNK = BLOCK
 # the 3D kernel's temporaries take about 0.8 kB per sample, so its chunks
 # are smaller and a sweep's memory stays near that of the imports
 _CHUNK3 = 1 << 10
@@ -104,77 +107,119 @@ class BoxSpec:
 # ---------------------------------------------------------------------------
 
 
+def entry_tables(matrix, map_vars):
+    """The ``GridPoly`` table of every entry of ``matrix``, compiled once
+    per box for all its chunks."""
+    return [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
+
+
 def _entries_f64(tables, pts: np.ndarray):
-    """Float64 entries g of the matrix whose entry tables (``GridPoly``)
-    are ``tables``, at the points ``pts``; their term-magnitude sums; and
-    per column the sum of the entries' rounding bounds ``c64 * mag``."""
+    """Float64 entries g (m, N, N) of the matrix whose entry tables are
+    ``tables``, at the points ``pts``; their term-magnitude sums; and per
+    column the sum of the entries' rounding bounds ``c64 * mag``.  The
+    3D branch of ``certified_reduce`` starts from these."""
     m, n = pts.shape[0], len(tables)
     g = np.empty((m, n, n))
     mag = np.empty((m, n, n))
     err = np.zeros((m, n))
     for i, row in enumerate(tables):
         for j, table in enumerate(row):
-            g[:, i, j], mag[:, i, j] = table.f64(pts)
+            table.f64(pts, g[:, i, j], mag[:, i, j])
             err[:, j] += table.c64 * mag[:, i, j]
     return g, mag, err
 
 
-def certified_reduce(matrix, map_vars, pts: np.ndarray,
+def _sl2_tiers(tables, pts: np.ndarray):
+    """The float64 and double-double tiers of ``certified_reduce`` in
+    dimension 2, on coordinate rows: the bases B (2, 2, m), B[j, i] the
+    row of coordinate i of column j, and their column bounds (2, m), inf
+    where no tier certified the sample.
+
+    The entries go straight into the float64 state of
+    ``homspace.lagrange_rows``: per column j, rows 4j and 4j + 1 hold its
+    coordinates, 4j + 2 its squared norm and 4j + 3 its bound.  The tier
+    reduces that state in place when every sample qualifies, else an
+    ``np.compress`` of it; the double-double tier evaluates its samples
+    into a 12-row state of the same shape (6 rows per column: coordinates,
+    low parts, squared norm, bound)."""
+    m = pts.shape[0]
+    s = np.empty((8, m))
+    mag = np.empty((2, 2, m))  # mag[j, i]: term magnitudes of entry (i, j)
+    for i, row in enumerate(tables):
+        for j, table in enumerate(row):
+            table.f64(pts, s[4 * j + i], mag[j, i])
+    err = s[3::4]
+    err.fill(0.0)
+    edd = np.empty((2, m))
+    for j in range(2):
+        for i in range(2):
+            err[j] += tables[i][j].c64 * mag[j, i]
+        edd[j] = mag[j, 0] * tables[0][j].cdd + mag[j, 1] * tables[1][j].cdd
+    # the reduced basis is B = g U with U = adj(g) B, so its column j
+    # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
+    # the routing takes |b_j| to be about 1
+    amp = np.stack([np.hypot(s[5], s[4]), np.hypot(s[1], s[0])])
+    B = np.empty((2, 2, m))
+    E = np.full((2, m), np.inf)  # inf: not certified (yet)
+
+    def tier(at, t, dd):
+        # |.|^2 of each column, as homspace sums it: in coordinate order
+        h = t.shape[0] // 2
+        for b in (0, h):
+            np.multiply(t[b], t[b], out=t[b + h - 2])
+            t[b + h - 2] += t[b + 1] * t[b + 1]
+        done = lagrange_rows(t, 2, dd)
+        eu, ev = t[h - 1], t[2 * h - 1]
+        if dd:
+            # the high part is the float64 rounding of the double-double value
+            eu += U * np.sqrt(t[h - 2])
+            ev += U * np.sqrt(t[2 * h - 2])
+        ok = done & (np.maximum(eu, ev) <= PREC_TOL)
+        B[:, :, at] = t.reshape(2, h, -1)[:, :2]
+        E[0, at] = np.where(ok, eu, np.inf)
+        E[1, at] = ev
+
+    f64 = err[0] * amp[0] + err[1] * amp[1] <= PREC_TOL
+    if f64.all():
+        tier(slice(None), s, False)
+    elif f64.any():
+        tier(np.nonzero(f64)[0], np.compress(f64, s, axis=1), False)
+    dd = np.isinf(E[0]) & (edd[0] * amp[0] + edd[1] * amp[1] <= PREC_TOL)
+    if dd.any():
+        p = np.compress(dd, pts, axis=0)
+        t = np.empty((12, p.shape[0]))
+        for i, row in enumerate(tables):
+            for j, table in enumerate(row):
+                table.dd(p, t[6 * j + i], t[6 * j + 2 + i])
+        t[5::6] = np.compress(dd, edd, axis=1)
+        tier(np.nonzero(dd)[0], t, True)
+    return B, E
+
+
+def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
                      limit: float = math.inf):
     """Reduced bases of the lattices g(pt) Z^N, N = 2 or 3, each column
     within ``PREC_TOL`` of the exact basis that the same integer steps
     make from g at the float64 point pt, read as an exact dyadic rational.
+    ``tables`` are the matrix's entry tables (``entry_tables``).
 
     In dimension 2 each sample takes the cheapest tier whose a-priori
     bound, from the entry magnitudes, is below the tolerance: float64,
-    then double-double; in dimension 3 it takes float64.  The bound
-    carried through the reduction then certifies it or passes it on.
-    Samples no tier certifies are evaluated and reduced in exact
+    then double-double (``_sl2_tiers``); in dimension 3 it takes float64.
+    The bound carried through the reduction then certifies it or passes
+    it on.  Samples no tier certifies are evaluated and reduced in exact
     rationals; more than ``limit`` of them raise ``PrecisionError``.
     Returns the bases (m, N, N), shortest column first, their column
     bounds (m, N) and the number of exact samples.
     """
-    tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
     m = pts.shape[0]
-    g, mag, err = _entries_f64(tables, pts)
     if matrix.dim == 3:
+        g, _, err = _entries_f64(tables, pts)
         b, e, done = sl3_greedy(g, err)
         e[~done] = np.inf
     else:
-        cdd = np.array([[t.cdd for t in row] for row in tables])
-        # the reduced basis is B = g U with U = adj(g) B, so its column j
-        # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
-        # the routing takes |b_j| to be about 1
-        amp = np.stack(
-            [np.hypot(g[:, 1, 1], g[:, 0, 1]), np.hypot(g[:, 1, 0], g[:, 0, 0])],
-            axis=1,
-        )
-        edd = mag[:, 0, :] * cdd[0] + mag[:, 1, :] * cdd[1]
-        b = np.empty((m, 2, 2))
-        e = np.full((m, 2), np.inf)  # inf: not certified (yet)
-
-        def accept(idx, reduced):
-            u, v, eu, ev, done = reduced
-            ok = done & (np.maximum(eu, ev) <= PREC_TOL)
-            b[idx, :, 0], b[idx, :, 1] = u, v
-            e[idx, 0], e[idx, 1] = np.where(ok, eu, np.inf), ev
-
-        # column by column: np.sum over the short inner axis costs ten times
-        # more, for the same left-to-right sum
-        idx = np.nonzero(functools.reduce(np.add, (err * amp).T) <= PREC_TOL)[0]
-        if idx.size:
-            accept(idx, sl2_lagrange(g[idx, :, 0], g[idx, :, 1],
-                                     err[idx, 0], err[idx, 1]))
-        idx = np.nonzero(np.isinf(e[:, 0])
-                         & (functools.reduce(np.add, (edd * amp).T) <= PREC_TOL))[0]
-        if idx.size:
-            hi = np.empty((idx.size, 2, 2))
-            lo = np.empty((idx.size, 2, 2))
-            for i in range(2):
-                for j in range(2):
-                    hi[:, i, j], lo[:, i, j] = tables[i][j].dd(pts[idx])
-            accept(idx, sl2_lagrange(hi[:, :, 0], hi[:, :, 1], edd[idx, 0],
-                                     edd[idx, 1], lo[:, :, 0], lo[:, :, 1]))
+        B, E = _sl2_tiers(tables, pts)
+        b, e = B.transpose(2, 1, 0), E.T
     # column by column: np.max over e's short inner axis costs 50 times more
     late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
     if late.size > limit:
@@ -215,9 +260,10 @@ def _eval_chunk(args):
     function), cusp-exclusion flags and the number of exactly reduced
     samples of one chunk, all from a single certified reduction per
     sample (``certified_reduce``, then ``certified_observables``)."""
-    (matrix, map_vars, region, grid, fs, start, stop, method, seed, limit) = args
+    (matrix, map_vars, tables, region, grid, fs, start, stop, method, seed,
+     limit) = args
     pts = region.sample_points(grid, start, stop, method, seed)
-    b, e, n_exact = certified_reduce(matrix, map_vars, pts, limit)
+    b, e, n_exact = certified_reduce(matrix, map_vars, tables, pts, limit)
     lam1, values, excluded = certified_observables(
         b, e, fs, lambda k: _exact_matrix(matrix, map_vars, pts[k])
     )
@@ -254,8 +300,10 @@ def _observable_values(
     limit = _EXCLUSION_BUDGET * total
     size = _CHUNK if matrix.dim == 2 else _CHUNK3
     bounds = list(range(0, total, size)) + [total]
+    tables = entry_tables(matrix, map_vars)
     tasks = [
-        (matrix, map_vars, region, grid, tuple(fs), lo, hi, method, seed, limit)
+        (matrix, map_vars, tables, region, grid, tuple(fs), lo, hi, method, seed,
+         limit)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     lam1 = np.empty(total)
@@ -267,7 +315,7 @@ def _observable_values(
         results = pool.map(_eval_chunk, tasks)
     flagged = 0
     for task, (lam, vals, excl, n_exact) in zip(tasks, results):
-        lo, hi = task[5], task[6]
+        lo, hi = task[6], task[7]
         lam1[lo:hi] = lam
         values[:, lo:hi] = vals
         excluded[lo:hi] = excl

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .doubledouble import BLOCK, U, U2, dd_add_into, dd_mul_d_into, split
+from .doubledouble import U, U2, dd_add_into, dd_mul_d_into, split
 from .errors import DomainError
 from .polyalg import NEG_INF, GenPoly
 
@@ -100,12 +100,13 @@ class GridPoly:
     """A polynomial with nonnegative integer exponents in ``var_order``,
     compiled once for evaluation at (m, k) arrays of row points.
 
-    Calling it gives the float64 values; ``f64`` also gives the sum of the
-    term magnitudes, and ``c64`` times that sum bounds the float64
-    rounding error (Higham 2002: one unit roundoff per inexact
-    coefficient, product and sum, two per ``pow``, which libm rounds
-    within one ulp).  ``dd`` evaluates in double-double, with error at
-    most ``cdd`` times the magnitude sum (the bounds of ``doubledouble``).
+    Calling it gives the float64 values.  ``f64`` writes them, and the sum
+    of the term magnitudes, into arrays the caller owns; ``c64`` times
+    that sum bounds the float64 rounding error (Higham 2002: one unit
+    roundoff per inexact coefficient, product and sum, two per ``pow``,
+    which libm rounds within one ulp).  ``dd`` evaluates in double-double,
+    with error at most ``cdd`` times the magnitude sum (the bounds of
+    ``doubledouble``).
     Terms run in ``p.terms()`` order with numpy's ``**``, which fixes
     every bit of the values.
     """
@@ -150,36 +151,33 @@ class GridPoly:
             out += val
         return out
 
-    def f64(self, pts: np.ndarray):
-        """(values, sum of the term magnitudes) at float64 points."""
-        out = np.zeros(pts.shape[0])
-        mag = np.zeros(pts.shape[0])
+    def f64(self, pts: np.ndarray, out: np.ndarray, mag: np.ndarray) -> None:
+        """The values and the sums of the term magnitudes at float64
+        points, written into the caller's (m,) arrays ``out`` and ``mag``
+        (rows of a lattice kernel's state, say)."""
+        out.fill(0.0)
+        mag.fill(0.0)
         for val in self._term_values(pts):
             out += val
-            mag += np.abs(val)
-        return out, mag
+            mag += np.abs(val, out=val)
 
-    def dd(self, pts: np.ndarray):
-        """(hi, lo) double-double values at float64 points, in blocks of
-        ``BLOCK`` points on contiguous coordinate rows, each coordinate
-        split once per block."""
-        hi = np.zeros(pts.shape[0])
-        lo = np.zeros(pts.shape[0])
+    def dd(self, pts: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+        """The double-double values at float64 points, written into the
+        caller's (m,) arrays ``hi`` and ``lo``; each coordinate is split
+        once, on a contiguous row."""
+        x = np.ascontiguousarray(pts.T)
+        xs = [split(row) for row in x]
         lows = [float(coeff - Fraction(c)) for coeff, c, _ in self.terms]
-        w = np.empty((7, min(pts.shape[0], BLOCK)))
-        for a in range(0, pts.shape[0], BLOCK):
-            x = np.ascontiguousarray(pts[a:a + BLOCK].T)
-            xs = [split(row) for row in x]
-            th, tl, *tmp = w[:, :x.shape[1]]
-            s_hi, s_lo = hi[a:a + BLOCK], lo[a:a + BLOCK]
-            for (_, c, exps), c_lo in zip(self.terms, lows):
-                th.fill(c)
-                tl.fill(c_lo)
-                for j, e in enumerate(exps):
-                    for _ in range(e):
-                        dd_mul_d_into(th, tl, x[j], xs[j], (th, tl), tmp)
-                dd_add_into(s_hi, s_lo, th, tl, tmp)
-        return hi, lo
+        th, tl, *tmp = np.empty((7, pts.shape[0]))
+        hi.fill(0.0)
+        lo.fill(0.0)
+        for (_, c, exps), c_lo in zip(self.terms, lows):
+            th.fill(c)
+            tl.fill(c_lo)
+            for j, e in enumerate(exps):
+                for _ in range(e):
+                    dd_mul_d_into(th, tl, x[j], xs[j], (th, tl), tmp)
+            dd_add_into(hi, lo, th, tl, tmp)
 
 
 def poly_grid_fn(p: GenPoly, var_order: Sequence[str]) -> GridPoly:

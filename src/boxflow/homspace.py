@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .doubledouble import ADD_ERR, BLOCK, MUL_D_ERR, U, U2, dd_sub_mul_d
+from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_sub_mul_d
 from .errors import DomainError
 
 CUSP_GUARD = 1e-6
@@ -111,8 +111,8 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     Higham (2002).  A step with mu = 0 is exact and charges nothing.
 
     The state is one contiguous row per coordinate, low part, squared
-    norm and bound, with one column per active sample; each pass runs
-    over blocks of ``BLOCK`` columns.  A sample's outputs are written on
+    norm and bound, with one column per active sample, which
+    ``lagrange_rows`` reduces in place.  A sample's outputs are written on
     the pass where its mu first becomes 0; the finished columns are
     dropped on the first pass where any finish, and after that once they
     are half of the active ones.  A sample whose state is not finite on
@@ -136,7 +136,7 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
             s[b + d:b + 2 * d] = lo.T
         s[b + h - 2] = _coord_dot(s[b:b + d], s[b:b + d])
         s[b + h - 1] = e
-    done = _lagrange_rows(s, d, dd)
+    done = lagrange_rows(s, d, dd)
     eu, ev = s[h - 1], s[2 * h - 1]
     if dd:
         # the high part is the float64 rounding of the double-double value
@@ -145,11 +145,13 @@ def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     return s[:d].T.copy(), s[h:h + d].T.copy(), eu, ev, done
 
 
-def _lagrange_rows(s, d, dd):
+def lagrange_rows(s, d, dd):
     """The passes of ``sl2_lagrange`` on its state ``s`` (one column per
-    sample), in place.  Each column is left as it was on the pass where
-    its mu first became 0, or as it came if it was not finite or had a
-    zero column on entry.  Returns the mask of the samples whose
+    sample), in place: per column of the pair, its d coordinate rows,
+    with ``dd`` its d low-part rows, then its squared norm (of the high
+    parts) and its bound.  Each column is left as it was on the pass
+    where its mu first became 0, or as it came if it was not finite or
+    had a zero column on entry.  Returns the mask of the samples whose
     reduction converged."""
     if dd:
         c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
@@ -165,7 +167,7 @@ def _lagrange_rows(s, d, dd):
     fin = np.zeros(idx.size, dtype=bool)  # active columns already written back
     # scratch rows of a pass: the dot products (mu in row 0), then the
     # product mu u and the temporaries of the double-double step
-    w = np.empty((8 if dd else 2, d, min(idx.size, BLOCK)))
+    w = np.empty((8 if dd else 2, d, idx.size))
     for _ in range(256):
         n_fin = np.count_nonzero(fin)
         if n_fin == fin.size:
@@ -173,8 +175,7 @@ def _lagrange_rows(s, d, dd):
         if 2 * n_fin >= fin.size:
             keep = ~fin
             t, idx, fin = np.compress(keep, t, axis=1), idx[keep], fin[keep]
-        moved = np.concatenate([_lagrange_pass(t[:, a:a + BLOCK], d, c_mul, c_add, dd, w)
-                                for a in range(0, idx.size, BLOCK)])
+        moved = _lagrange_pass(t, d, c_mul, c_add, dd, w)
         new = ~(moved | fin)
         if new.any():
             if t is s:
@@ -431,7 +432,7 @@ def sl3_greedy(b, e):
             if swap.any():
                 _swap_rows(s, 5 * i, 5 * j, 5, swap)
         # the first two columns' rows are the state of ``sl2_lagrange``
-        ok = _lagrange_rows(s[:10], 3, False)
+        ok = lagrange_rows(s[:10], 3, False)
         _closest_step(s)
         fin = ~ok | (s[13] >= s[8])
         if fin.any():

@@ -2,6 +2,7 @@
 agreement along the criterion-10 boxes, the exact tier, exact counts at
 ties in dimensions 2 and 3, and PrecisionError."""
 
+import functools
 import math
 import pickle
 from fractions import Fraction
@@ -14,6 +15,8 @@ from boxflow import experiment
 from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
 from boxflow.doubledouble import (
+    BLOCK,
+    U,
     U2,
     dd_add_into,
     dd_mul_d_into,
@@ -26,6 +29,7 @@ from boxflow.experiment import (
     certified_observables,
     certified_reduce,
     convergence_sweep,
+    entry_tables,
     twodim_bcondition_sweep,
 )
 from boxflow.goodness import BoxRegion
@@ -35,6 +39,7 @@ from boxflow.homspace import (
     siegel_batch,
     siegel_count_exact,
     siegel_sums,
+    sl2_lagrange,
     sl2_reduce_batch,
     sl3_greedy,
 )
@@ -43,7 +48,10 @@ from boxflow.polymatrix import PolyMatrix
 
 F = Fraction
 POLY23_LOWER = get_map("poly23_lower")
+UL = get_map("ul_product")
 HEIS3 = get_map("heis3")
+P23_TABLES = entry_tables(POLY23_LOWER.matrix, POLY23_LOWER.map_vars)
+HEIS3_TABLES = entry_tables(HEIS3.matrix, HEIS3.map_vars)
 INDICATOR = TF("indicator", 1.0)
 
 
@@ -138,7 +146,8 @@ def jittered_points(T2, n, seed):
 
 
 def kernel_mismatches(pts):
-    b, _, n_exact = certified_reduce(POLY23_LOWER.matrix, POLY23_LOWER.map_vars, pts)
+    b, _, n_exact = certified_reduce(POLY23_LOWER.matrix, POLY23_LOWER.map_vars,
+                                     P23_TABLES, pts)
     b1, b2 = b[:, :, 0], b[:, :, 1]
     lam1 = np.sqrt(np.sum(b1 * b1, axis=1))
     counts, excluded = siegel_batch(b1, b2, lam1, INDICATOR)
@@ -174,6 +183,101 @@ def test_exact_count_matches_exact_oracle():
         assert siegel_count_exact(m, 1.0) == len(oracles.exact_norms(m, 1))
 
 
+# -- the 2D kernel on coordinate rows -------------------------------------------
+
+
+def reference_certified_reduce(matrix, map_vars, pts):
+    """The 2D branch of ``certified_reduce`` before it ran on coordinate
+    rows: (m, 2, 2) entries, each tier's samples gathered into (m, 2)
+    columns for ``sl2_lagrange`` and its results scattered back.  The same
+    float operations in the same order, so its results are bit-identical.
+    No sample budget."""
+    tables = entry_tables(matrix, map_vars)
+    m = pts.shape[0]
+    g, mag, err = experiment._entries_f64(tables, pts)
+    cdd = np.array([[t.cdd for t in row] for row in tables])
+    amp = np.stack(
+        [np.hypot(g[:, 1, 1], g[:, 0, 1]), np.hypot(g[:, 1, 0], g[:, 0, 0])],
+        axis=1,
+    )
+    edd = mag[:, 0, :] * cdd[0] + mag[:, 1, :] * cdd[1]
+    b = np.empty((m, 2, 2))
+    e = np.full((m, 2), np.inf)
+
+    def accept(idx, reduced):
+        u, v, eu, ev, done = reduced
+        ok = done & (np.maximum(eu, ev) <= PREC_TOL)
+        b[idx, :, 0], b[idx, :, 1] = u, v
+        e[idx, 0], e[idx, 1] = np.where(ok, eu, np.inf), ev
+
+    idx = np.nonzero(functools.reduce(np.add, (err * amp).T) <= PREC_TOL)[0]
+    if idx.size:
+        accept(idx, sl2_lagrange(g[idx, :, 0], g[idx, :, 1],
+                                 err[idx, 0], err[idx, 1]))
+    idx = np.nonzero(np.isinf(e[:, 0])
+                     & (functools.reduce(np.add, (edd * amp).T) <= PREC_TOL))[0]
+    if idx.size:
+        hi = np.empty((idx.size, 2, 2))
+        lo = np.empty((idx.size, 2, 2))
+        for i in range(2):
+            for j in range(2):
+                tables[i][j].dd(pts[idx], hi[:, i, j], lo[:, i, j])
+        accept(idx, sl2_lagrange(hi[:, :, 0], hi[:, :, 1], edd[idx, 0],
+                                 edd[idx, 1], lo[:, :, 0], lo[:, :, 1]))
+    late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
+    for k in late:
+        b[k] = reduce_exact(experiment._exact_matrix(matrix, map_vars, pts[k]))
+        e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
+    return b, e, int(late.size)
+
+
+def _criterion_10_box(T2):
+    return BoxRegion((0.0, 0.0), (1.01 * T2 ** 4, T2))
+
+
+# (map, region, grid, first and last sample) of one chunk, and the row
+# states the tiers reduce: (rows, samples) per ``lagrange_rows`` call,
+# 8 rows for float64 and 12 for double-double
+ROW_KERNEL_CHUNKS = {
+    # every sample float64: the entries' state is reduced in place
+    "ul_product": ((UL, BoxSpec(lam=UL.default_lambda, T=1e3, grid=256).realized_region(),
+                    256, 0, BLOCK), [(8, BLOCK)]),
+    # 22 samples routed to double-double, and 215 of the 8,170 routed to
+    # float64 whose certificate fails
+    "poly23_T2_5": ((POLY23_LOWER, _criterion_10_box(5.0), 256, 0, BLOCK),
+                    [(8, 8170), (12, 237)]),
+    "poly23_T2_20": ((POLY23_LOWER, _criterion_10_box(20.0), 256, 0, BLOCK),
+                     [(8, 25), (12, 8171)]),
+    # beyond double-double: 511 of the 512 samples end in the exact tier
+    "poly23_T2_1e3": ((POLY23_LOWER, _criterion_10_box(1e3), 4096, 0, 512),
+                      [(12, 2)]),
+    "no_float64": ((POLY23_LOWER, _criterion_10_box(20.0), 256, 3 * BLOCK, 4 * BLOCK),
+                   [(12, BLOCK)]),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_KERNEL_CHUNKS))
+def test_2d_row_kernel_bit_identical_to_reference(name, monkeypatch):
+    (entry, region, grid, start, stop), states = ROW_KERNEL_CHUNKS[name]
+    pts = region.sample_points(grid, start, stop, "jitter", 3)
+    calls = []
+    lagrange_rows = experiment.lagrange_rows
+
+    def counting(t, d, dd):
+        calls.append(t.shape)
+        return lagrange_rows(t, d, dd)
+
+    monkeypatch.setattr(experiment, "lagrange_rows", counting)
+    tables = entry_tables(entry.matrix, entry.map_vars)
+    got = certified_reduce(entry.matrix, entry.map_vars, tables, pts)
+    assert calls == states
+    want = reference_certified_reduce(entry.matrix, entry.map_vars, pts)
+    assert (got[2] > 0) == (name == "poly23_T2_1e3")
+    assert got[2] == want[2]
+    for g, w in zip(got[:2], want[:2]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 # -- ties: lattice vectors exactly on the sphere --------------------------------
 
 # (columns of a constant lattice, radius); the shear's reduction meets
@@ -196,8 +300,9 @@ def test_ties_count_exactly_through_certified_kernel(rows, radius, monkeypatch):
 
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
     f = TF("indicator", radius)
-    task = (PolyMatrix(rows), ("x",), BoxRegion((0.0,), (1.0,)), 8, (f,),
-            0, 8, "jitter", 3, math.inf)
+    matrix = PolyMatrix(rows)
+    task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
+            8, (f,), 0, 8, "jitter", 3, math.inf)
     _, values, excluded, _ = experiment._eval_chunk(task)
     assert not excluded.any()
     exact = len(oracles.exact_norms(rows, radius))
@@ -237,8 +342,8 @@ def test_2d_tie_rows_on_exact_columns_skip_the_exact_lattice(name, monkeypatch):
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
     entry = get_map(name)
     region = BoxSpec(lam=entry.default_lambda, T=10.0, grid=4096).realized_region()
-    task = (entry.matrix, entry.map_vars, region, 4096, (INDICATOR,), 0, 4096,
-            "grid", 0, math.inf)
+    task = (entry.matrix, entry.map_vars, entry_tables(entry.matrix, entry.map_vars),
+            region, 4096, (INDICATOR,), 0, 4096, "grid", 0, math.inf)
     _, values, excluded, _ = experiment._eval_chunk(task)
     assert not excluded.any()
     assert values[0].tolist() == [2.0] * 4096
@@ -284,8 +389,9 @@ TIES3 = [
 
 @pytest.mark.parametrize("rows", TIES3)
 def test_3d_ties_count_exactly_through_certified_kernel(rows):
-    task = (PolyMatrix(rows), ("x",), BoxRegion((0.0,), (1.0,)), 8, (INDICATOR,),
-            0, 8, "jitter", 3, math.inf)
+    matrix = PolyMatrix(rows)
+    task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
+            8, (INDICATOR,), 0, 8, "jitter", 3, math.inf)
     _, values, excluded, _ = experiment._eval_chunk(task)
     assert not excluded.any()
     exact = len(oracles.exact_norms(rows, 1))
@@ -304,8 +410,8 @@ def test_3d_tie_rows_on_exact_columns_skip_the_exact_lattice(monkeypatch):
 
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
     region = BoxSpec(lam=HEIS3.default_lambda, T=20.0, grid=24).realized_region()
-    task = (HEIS3.matrix, HEIS3.map_vars, region, 24, (INDICATOR,), 0, 576,
-            "jitter", 1, math.inf)
+    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 24, (INDICATOR,),
+            0, 576, "jitter", 1, math.inf)
     _, values, _, _ = experiment._eval_chunk(task)
     assert values[0].tolist() == [2.0] * 576
     assert recounts == []
@@ -361,8 +467,8 @@ def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
     # the entries reach 1.8e8; the carried bounds stay below 1e-7
     region = BoxSpec(lam=HEIS3.default_lambda, T=1e3, grid=16).realized_region()
     # a budget of 0 exact samples: any sample beyond float64 raises
-    task = (HEIS3.matrix, HEIS3.map_vars, region, 16, (INDICATOR,), 0, 256,
-            "jitter", 5, 0.0)
+    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 16, (INDICATOR,),
+            0, 256, "jitter", 5, 0.0)
     _, values, excluded, n_exact = experiment._eval_chunk(task)
     assert n_exact == 0 and not excluded.any()
     assert values[0].tolist() == [2.0] * 256
@@ -374,8 +480,8 @@ def test_heis3_precision_error_beyond_float64():
     # at T = 1e4 the entries reach 1e11 and the bounds 3e-5: the exact tier
     # takes most samples, which is over budget for a sweep
     region = BoxSpec(lam=HEIS3.default_lambda, T=1e4, grid=8).realized_region()
-    task = (HEIS3.matrix, HEIS3.map_vars, region, 8, (INDICATOR,), 0, 64,
-            "jitter", 5, math.inf)
+    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 8, (INDICATOR,),
+            0, 64, "jitter", 5, math.inf)
     lam1, values, _, n_exact = experiment._eval_chunk(task)
     assert n_exact > 32
     assert lam1.tolist() == [1.0] * 64 and values[0].tolist() == [2.0] * 64

@@ -9,6 +9,7 @@ import pytest
 
 from boxflow import experiment
 from boxflow.catalog import get_map
+from boxflow.doubledouble import BLOCK
 from boxflow.errors import DomainError
 from boxflow.experiment import (
     BoxSpec,
@@ -149,7 +150,8 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
     checked = 0
     for matrix, map_vars, region, method in cases:
         total = 24 ** region.dim
-        task = (matrix, map_vars, region, 24, (f,), 0, total, method, 1, math.inf)
+        task = (matrix, map_vars, experiment.entry_tables(matrix, map_vars), region, 24,
+                (f,), 0, total, method, 1, math.inf)
         lam1, (vals,), excluded, n_exact = experiment._eval_chunk(task)
         assert not excluded.any() and n_exact == 0
         pts = region.sample_points(24, 0, total, method, 1)
@@ -172,6 +174,33 @@ def test_worker_count_independence():
     res2 = convergence_sweep(UL, (F(1), F(1, 2)), [50.0], [f], grid=32,
                              workers=2)
     assert res1.csv_text() == res2.csv_text()
+
+
+@pytest.mark.parametrize("name", ["ul_product", "poly23_lower"])
+def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
+    # every sample is computed on its own and written to its own slot: one
+    # chunk of 36,864 samples against chunks of BLOCK (4.5 per box),
+    # 2 BLOCK and 1,000, and 1,000 in two worker processes, which take
+    # the tasks and their entry tables pickled
+    entry = get_map(name)
+    if name == "ul_product":
+        region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=192).realized_region()
+        fs = (TF("indicator", 1.0), TF("bump", 1.0))
+    else:
+        region = BoxRegion((0.0, 0.0), (1.01 * 10.0 ** 4, 10.0))
+        fs = (TF("indicator", 1.0),)
+    runs = []
+    for size in (192 ** 2, BLOCK, 2 * BLOCK, 1000):
+        monkeypatch.setattr(experiment, "_CHUNK", size)
+        runs.append(experiment._observable_values(
+            entry.matrix, entry.map_vars, region, 192, fs, method="jitter", seed=5))
+    with experiment._pool(2) as pool:
+        runs.append(experiment._observable_values(
+            entry.matrix, entry.map_vars, region, 192, fs, pool=pool,
+            method="jitter", seed=5))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_heis3_worker_count_independence():

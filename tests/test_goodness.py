@@ -561,7 +561,7 @@ def grid_cases():
             cases += [(p, entry.orbit_vars, pts) for row in entry.orbit_map.entries
                       for p in row]
     # the criterion-10 box at T2 = 20, entries up to 5e11: more points than
-    # one double-double block, and not a multiple of it
+    # one 2D chunk of the lattice kernel, and not a multiple of it
     entry = builtin_catalog()["poly23_lower"]
     region = BoxRegion((0.0, 0.0), (1.01 * 20.0 ** 4, 20.0))
     pts = region.sample_points(1024, 0, 2 * BLOCK + 1000, "jitter", 5)
@@ -594,12 +594,13 @@ def test_grid_poly_bit_identical_to_both_old_evaluators():
         assert isinstance(table, GridPoly)
         ref = ReferenceEntryTerms(p, var_order)
         assert table.c64 == ref.c64 and table.cdd == ref.cdd
-        values, mag = table.f64(pts)
+        values, mag, hi, lo = np.full((4, pts.shape[0]), np.nan)
+        table.f64(pts, values, mag)
         ref_values, ref_mag = ref.f64(pts)
         assert same_bits(values, ref_values) and same_bits(mag, ref_mag)
         assert same_bits(table(pts), reference_poly_grid_fn(p, var_order)(pts))
         assert same_bits(table(pts), values)
-        hi, lo = table.dd(pts)
+        table.dd(pts, hi, lo)
         ref_hi, ref_lo = ref.dd(pts)
         assert same_bits(hi, ref_hi) and same_bits(lo, ref_lo)
         inexact += any(c != coeff for coeff, c, _ in table.terms)

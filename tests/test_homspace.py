@@ -2,6 +2,7 @@
 ``oracles``, Siegel counts, Haar references."""
 
 import ast
+import functools
 import itertools
 import math
 import os
@@ -280,10 +281,17 @@ def test_batch_flags_cusp_samples():
     assert vals[0] == 4.0 and vals[1] == 0.0
 
 
+def coord_sum(p):
+    """Row sums of (m, d) products in coordinate order, as ``sl2_lagrange``
+    sums them: a sum of -0.0 terms is -0.0, where ``np.sum`` gives +0.0."""
+    return functools.reduce(np.add, p.T)
+
+
 def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     """``sl2_lagrange`` as a loop over (m, d) arrays that compacts on every
     pass in which a sample finishes: the same float operations in the same
-    order, so its results are bit-identical.  A sample whose coordinates,
+    order, every dot product summed in coordinate order, so its results
+    are bit-identical (signs of zeros included).  A sample whose coordinates,
     low parts, bounds or squared norms are not finite on entry, or that
     has a column of squared norm 0, is returned as it came, not
     converged."""
@@ -295,7 +303,7 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     state = [u, v, np.asarray(eu, float), np.asarray(ev, float)]
     state += [u_lo, v_lo] if dd else []
     out = [np.empty_like(a) for a in state]
-    norms = [np.sum(u * u, axis=1), np.sum(v * v, axis=1)]
+    norms = [coord_sum(u * u), coord_sum(v * v)]
     valid = np.isfinite(np.column_stack(state + norms)).all(axis=1)
     valid &= (norms[0] != 0) & (norms[1] != 0)
     for o, a in zip(out, state):
@@ -306,8 +314,8 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
         if idx.size == 0:
             break
         u, v, eu, ev, *lo = state
-        uu = np.sum(u * u, axis=1)
-        vv = np.sum(v * v, axis=1)
+        uu = coord_sum(u * u)
+        vv = coord_sum(v * v)
         swap = uu > vv
         if swap.any():
             s2 = swap[:, None]
@@ -316,7 +324,7 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
             if dd:
                 lo = [np.where(s2, lo[1], lo[0]), np.where(s2, lo[0], lo[1])]
             uu = np.where(swap, vv, uu)
-        mu = np.round(np.sum(u * v, axis=1) / uu)
+        mu = np.round(coord_sum(u * v) / uu)
         if dd:
             ph, pl = oracles.dd_mul_d(u, lo[0], mu[:, None])
             v, lo[1] = oracles.dd_add(v, lo[1], -ph, -pl)
@@ -324,7 +332,7 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
             v = v - mu[:, None] * u
         amu = np.abs(mu)
         ev = ev + amu * eu + c_mul * amu * np.sqrt(uu) + c_add * (mu != 0) * np.sqrt(
-            np.sum(v * v, axis=1)
+            coord_sum(v * v)
         )
         state = [u, v, eu, ev] + lo
         fin = mu == 0
@@ -340,8 +348,8 @@ def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
     done = valid.copy()
     done[idx] = False
     if dd:
-        eu += U * np.sqrt(np.sum(u * u, axis=1))
-        ev += U * np.sqrt(np.sum(v * v, axis=1))
+        eu += U * np.sqrt(coord_sum(u * u))
+        ev += U * np.sqrt(coord_sum(v * v))
     return u, v, eu, ev, done
 
 
@@ -375,11 +383,29 @@ def lagrange_batch(rng, m, d, dd):
     return [np.concatenate([a, b]) for a, b in zip(args, more)]
 
 
+def signed_zero_pairs(rng, m, d, dd):
+    """m independent pairs of small integer columns whose zero coordinates
+    (and low parts) are -0.0 or +0.0 at random: a dot product of terms
+    that are all -0.0 sums to -0.0 in coordinate order, and so does mu."""
+    u = rng.integers(-2, 3, (8 * m, d)).astype(float)
+    v = rng.integers(-2, 3, (8 * m, d)).astype(float)
+    cross = np.cross(np.pad(u, ((0, 0), (0, 3 - d))), np.pad(v, ((0, 0), (0, 3 - d))))
+    keep = np.nonzero(np.any(cross != 0, axis=1))[0][:m]
+    cols = [u[keep], v[keep]]
+    if dd:
+        cols += [np.zeros((m, d)), np.zeros((m, d))]
+    for c in cols:
+        c[(c == 0) & (rng.random(c.shape) < 0.5)] = -0.0
+    u, v, *lo = cols
+    return [u, v, rng.uniform(0, 1e-9, m), rng.uniform(0, 1e-9, m)] + lo
+
+
 @pytest.mark.parametrize("dd", [False, True])
 @pytest.mark.parametrize("d", [2, 3])
 def test_lagrange_bit_identical_to_reference_loop(d, dd):
     rng = np.random.default_rng(40 + d + 2 * dd)
     args = lagrange_batch(rng, 3000, d, dd)
+    args = [np.concatenate([a, z]) for a, z in zip(args, signed_zero_pairs(rng, 500, d, dd))]
     args[0][7] = np.nan  # returned as it came, not converged
     got = sl2_lagrange(*args)
     want = reference_lagrange(*(a.copy() for a in args))
