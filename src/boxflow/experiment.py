@@ -16,9 +16,11 @@ is within ``homspace.PREC_TOL`` of an exact reduced basis.  That is
 float64, double-double (dimension 2 only) or exact rational arithmetic,
 whichever is the cheapest whose error bound meets the tolerance.
 ``certified_observables`` then derives the shortest length and every
-observable from those bases.  In dimension 2 the first stage runs on
-coordinate rows, one ``doubledouble.BLOCK`` of samples per chunk
-(``_sl2_tiers``).
+observable from those bases.  In both dimensions the first stage runs
+on one row state per chunk (``homspace.row_state``): the entries go
+straight into the float64 reduction state, which is reduced in place,
+and the bases leave as views of its coordinate rows.  A 2D chunk is one
+``doubledouble.BLOCK`` of samples.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ from .errors import CuspExcursionError, DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
 from .goodness import BoxRegion, GridPoly
 from .homspace import (
+    BOUND,
     PREC_TOL,
     TestFunction,
     haar_expectation,
-    lagrange_rows,
+    lagrange_reduce,
     reduce_exact,
+    row_state,
     siegel_count_exact,
     siegel_sums,
     sl3_greedy,
@@ -113,87 +117,66 @@ def entry_tables(matrix, map_vars):
     return [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
 
 
-def _entries_f64(tables, pts: np.ndarray):
-    """Float64 entries g (m, N, N) of the matrix whose entry tables are
-    ``tables``, at the points ``pts``; their term-magnitude sums; and per
-    column the sum of the entries' rounding bounds ``c64 * mag``.  The
-    3D branch of ``certified_reduce`` starts from these."""
-    m, n = pts.shape[0], len(tables)
-    g = np.empty((m, n, n))
-    mag = np.empty((m, n, n))
-    err = np.zeros((m, n))
+def _f64_state(tables, pts: np.ndarray):
+    """The float64 row state (``homspace.row_state``) of the matrices whose
+    entry tables are ``tables`` at the points ``pts``: entry (i, j) in
+    coordinate row i of column j, and as each column's bound the sum of
+    its entries' rounding bounds ``c64 * mag``; and the term-magnitude
+    sums mag[j, i] of the entries."""
+    n, m = len(tables), pts.shape[0]
+    s = row_state(n, n, m, False)
+    mag = np.empty((n, n, m))
+    s[:, BOUND] = 0.0
     for i, row in enumerate(tables):
         for j, table in enumerate(row):
-            table.f64(pts, g[:, i, j], mag[:, i, j])
-            err[:, j] += table.c64 * mag[:, i, j]
-    return g, mag, err
+            table.f64(pts, s[j, i], mag[j, i])
+            s[j, BOUND] += table.c64 * mag[j, i]
+    return s, mag
 
 
-def _sl2_tiers(tables, pts: np.ndarray):
+def _sl2_tiers(tables, pts: np.ndarray, s, mag):
     """The float64 and double-double tiers of ``certified_reduce`` in
-    dimension 2, on coordinate rows: the bases B (2, 2, m), B[j, i] the
-    row of coordinate i of column j, and their column bounds (2, m), inf
-    where no tier certified the sample.
+    dimension 2, on the float64 row state ``s`` of the entries, with term
+    magnitudes ``mag`` (``_f64_state``), in place: each sample is left
+    reduced and certified, or with an infinite first bound.
 
-    The entries go straight into the float64 state of
-    ``homspace.lagrange_rows``: per column j, rows 4j and 4j + 1 hold its
-    coordinates, 4j + 2 its squared norm and 4j + 3 its bound.  The tier
-    reduces that state in place when every sample qualifies, else an
-    ``np.compress`` of it; the double-double tier evaluates its samples
-    into a 12-row state of the same shape (6 rows per column: coordinates,
-    low parts, squared norm, bound)."""
+    The float64 tier reduces ``s`` in place when every sample qualifies,
+    else an ``np.compress`` of it; the double-double tier evaluates its
+    samples into a double-double row state and writes its results back."""
     m = pts.shape[0]
-    s = np.empty((8, m))
-    mag = np.empty((2, 2, m))  # mag[j, i]: term magnitudes of entry (i, j)
-    for i, row in enumerate(tables):
-        for j, table in enumerate(row):
-            table.f64(pts, s[4 * j + i], mag[j, i])
-    err = s[3::4]
-    err.fill(0.0)
+    err = s[:, BOUND]
     edd = np.empty((2, m))
     for j in range(2):
-        for i in range(2):
-            err[j] += tables[i][j].c64 * mag[j, i]
         edd[j] = mag[j, 0] * tables[0][j].cdd + mag[j, 1] * tables[1][j].cdd
     # the reduced basis is B = g U with U = adj(g) B, so its column j
     # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
     # the routing takes |b_j| to be about 1
-    amp = np.stack([np.hypot(s[5], s[4]), np.hypot(s[1], s[0])])
-    B = np.empty((2, 2, m))
-    E = np.full((2, m), np.inf)  # inf: not certified (yet)
+    amp = np.stack([np.hypot(s[1, 1], s[1, 0]), np.hypot(s[0, 1], s[0, 0])])
 
-    def tier(at, t, dd):
-        # |.|^2 of each column, as homspace sums it: in coordinate order
-        h = t.shape[0] // 2
-        for b in (0, h):
-            np.multiply(t[b], t[b], out=t[b + h - 2])
-            t[b + h - 2] += t[b + 1] * t[b + 1]
-        done = lagrange_rows(t, 2, dd)
-        eu, ev = t[h - 1], t[2 * h - 1]
-        if dd:
-            # the high part is the float64 rounding of the double-double value
-            eu += U * np.sqrt(t[h - 2])
-            ev += U * np.sqrt(t[2 * h - 2])
-        ok = done & (np.maximum(eu, ev) <= PREC_TOL)
-        B[:, :, at] = t.reshape(2, h, -1)[:, :2]
-        E[0, at] = np.where(ok, eu, np.inf)
-        E[1, at] = ev
+    def tier(t, dd):
+        done = lagrange_reduce(t, 2, dd)
+        ok = done & (np.maximum(t[0, BOUND], t[1, BOUND]) <= PREC_TOL)
+        t[0, BOUND, ~ok] = np.inf  # inf: not certified (yet)
 
     f64 = err[0] * amp[0] + err[1] * amp[1] <= PREC_TOL
+    s[0, BOUND, ~f64] = np.inf
     if f64.all():
-        tier(slice(None), s, False)
+        tier(s, False)
     elif f64.any():
-        tier(np.nonzero(f64)[0], np.compress(f64, s, axis=1), False)
-    dd = np.isinf(E[0]) & (edd[0] * amp[0] + edd[1] * amp[1] <= PREC_TOL)
+        t = np.compress(f64, s, axis=2)
+        tier(t, False)
+        s[..., f64] = t
+    dd = np.isinf(s[0, BOUND]) & (edd[0] * amp[0] + edd[1] * amp[1] <= PREC_TOL)
     if dd.any():
         p = np.compress(dd, pts, axis=0)
-        t = np.empty((12, p.shape[0]))
+        t = row_state(2, 2, p.shape[0], True)
         for i, row in enumerate(tables):
             for j, table in enumerate(row):
-                table.dd(p, t[6 * j + i], t[6 * j + 2 + i])
-        t[5::6] = np.compress(dd, edd, axis=1)
-        tier(np.nonzero(dd)[0], t, True)
-    return B, E
+                table.dd(p, t[j, i], t[j, 2 + i])
+        t[:, BOUND] = np.compress(dd, edd, axis=1)
+        tier(t, True)
+        s[:, :2, dd] = t[:, :2]
+        s[:, BOUND, dd] = t[:, BOUND]
 
 
 def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
@@ -203,27 +186,30 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
     make from g at the float64 point pt, read as an exact dyadic rational.
     ``tables`` are the matrix's entry tables (``entry_tables``).
 
-    In dimension 2 each sample takes the cheapest tier whose a-priori
-    bound, from the entry magnitudes, is below the tolerance: float64,
-    then double-double (``_sl2_tiers``); in dimension 3 it takes float64.
-    The bound carried through the reduction then certifies it or passes
-    it on.  Samples no tier certifies are evaluated and reduced in exact
-    rationals; more than ``limit`` of them raise ``PrecisionError``.
-    Returns the bases (m, N, N), shortest column first, their column
-    bounds (m, N) and the number of exact samples.
+    ``GridPoly.f64`` writes the entries straight into one float64 row
+    state per chunk (``_f64_state``), which the reduction changes in
+    place.  In dimension 2 each sample takes the cheapest tier whose
+    a-priori bound, from the entry magnitudes, is below the tolerance:
+    float64, then double-double (``_sl2_tiers``); in dimension 3 it takes
+    float64 (``sl3_greedy``).  The bound carried through the reduction
+    then certifies it or passes it on.  Samples no tier certifies are
+    evaluated and reduced in exact rationals; more than ``limit`` of them
+    raise ``PrecisionError``.
+    Returns the bases (m, N, N), shortest column first, and their column
+    bounds (m, N), both views of the row state, and the number of exact
+    samples.
     """
-    m = pts.shape[0]
-    if matrix.dim == 3:
-        g, _, err = _entries_f64(tables, pts)
-        b, e, done = sl3_greedy(g, err)
-        e[~done] = np.inf
+    m, n = pts.shape[0], matrix.dim
+    s, mag = _f64_state(tables, pts)
+    if n == 3:
+        s[:, BOUND, ~sl3_greedy(s)] = np.inf
     else:
-        B, E = _sl2_tiers(tables, pts)
-        b, e = B.transpose(2, 1, 0), E.T
+        _sl2_tiers(tables, pts, s, mag)
+    b, e = s[:, :n].transpose(2, 1, 0), s[:, BOUND].T
     # column by column: np.max over e's short inner axis costs 50 times more
     late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
     if late.size > limit:
-        tiers = "float64 and double-double" if matrix.dim == 2 else "float64"
+        tiers = "float64 and double-double" if n == 2 else "float64"
         raise PrecisionError(
             f"{late.size}/{m} samples of a chunk are beyond {tiers} "
             f"certification (budget {limit:g} per box)",

@@ -8,13 +8,15 @@ f(g v) for compactly supported radial f; their Haar integral is the
 plain integral of f over R^N, which gives the equidistribution
 experiments a closed-form reference.
 
-The batch helpers vectorize both dimensions over large sample arrays.
-The batch reductions (Lagrange in dimension 2, greedy in dimension 3)
-carry a forward-error bound per column, so callers can certify the
-reduced basis against ``PREC_TOL``; ``reduce_exact`` is the exact
-rational last resort for both.  ``siegel_sums``, one kernel for both
-dimensions, sums each observable in closed form over the rows of lattice
-vectors inside the ball, with no enumeration and no per-sample fallback.
+The batch reductions, Lagrange in dimension 2 (``lagrange_reduce``) and
+greedy in dimension 3 (``sl3_greedy``), change one row state in place
+(``row_state``: per column of the bases, one contiguous row of samples
+per coordinate, then its squared norm and its bound).  They carry a
+forward-error bound per column, so callers can certify the reduced basis
+against ``PREC_TOL``; ``reduce_exact`` is the exact rational last resort
+for both.  ``siegel_sums``, one kernel for both dimensions, sums each
+observable in closed form over the rows of lattice vectors inside the
+ball, with no enumeration and no per-sample fallback.
 It counts the rows that the bases' error could change exactly from
 columns that are exact as stored, and marks the other doubtful counts as
 ties, which ``siegel_count_exact`` recounts in integer arithmetic, so
@@ -97,73 +99,74 @@ def _coord_dot(x, y, out=None):
     return p[0]
 
 
-def sl2_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
-    """Lagrange-reduce a batch of column pairs (u, v), carrying a
+# The row state of a batch of bases, which the reductions below change in
+# place: an (n, h, m) float64 array, block j for column j of the m
+# samples, one contiguous row per entry of the block: the d coordinates,
+# in double-double their d low parts, then the squared norm (row NORM) and
+# the forward-error bound (row BOUND) of the column.
+NORM, BOUND = -2, -1
+
+
+def row_state(n, d, m, dd):
+    """An uninitialised row state of m bases of n columns of d coordinates,
+    with low parts if ``dd``."""
+    return np.empty((n, d * (2 if dd else 1) + 2, m))
+
+
+def _set_norms(s, d):
+    """The squared norm of every column of the row state ``s``."""
+    for c in s:
+        c[NORM] = _coord_dot(c[:d], c[:d])
+
+
+def lagrange_reduce(s, d, dd):
+    """Lagrange-reduce in place a batch of column pairs (u, v), carrying a
     forward-error bound for each column.
 
-    ``u`` and ``v`` are (m, d) float64 columns, or the high parts of
-    double-double columns whose low parts are ``u_lo`` and ``v_lo``.
-    ``eu`` and ``ev`` bound the 2-norm distance of each column to the exact
-    column it stands for.  Every step v <- v - mu u uses an integer mu, so
-    the exact columns remain a basis of the same lattice whatever mu the
-    rounded arithmetic picks; the bounds follow them with
-    ev <- ev + |mu| eu + (rounding of the step), the a-priori analysis of
-    Higham (2002).  A step with mu = 0 is exact and charges nothing.
+    ``s`` is their row state (``row_state``, two columns of d
+    coordinates), with the coordinates, the low parts of double-double
+    columns if ``dd``, and the bounds set: each bounds the 2-norm distance
+    of the column to the exact column it stands for.  Every step
+    v <- v - mu u uses an integer mu, so the exact columns remain a basis
+    of the same lattice whatever mu the rounded arithmetic picks; the
+    bounds follow them with ev <- ev + |mu| eu + (rounding of the step),
+    the a-priori analysis of Higham (2002).  A step with mu = 0 is exact
+    and charges nothing.
 
-    The state is one contiguous row per coordinate, low part, squared
-    norm and bound, with one column per active sample, which
-    ``lagrange_rows`` reduces in place.  A sample's outputs are written on
-    the pass where its mu first becomes 0; the finished columns are
-    dropped on the first pass where any finish, and after that once they
-    are half of the active ones.  A sample whose state is not finite on
-    entry (a coordinate, low part or bound, or a squared norm beyond
-    float64), or that has a column of squared norm 0, is returned as it
-    came, not converged.
-
-    Returns (u, v, eu, ev, done): float64 columns with |u| <= |v| (low
-    parts rounded in, that rounding included in the bounds), the bounds,
-    and the mask of samples whose reduction converged.
-    """
-    m, d = u.shape
-    dd = u_lo is not None
-    # rows of one column's block: coordinates, (low parts,) |.|^2, bound;
-    # u's block, then v's
-    h = d * (2 if dd else 1) + 2
-    s = np.empty((2 * h, m))
-    for b, col, lo, e in ((0, u, u_lo, eu), (h, v, v_lo, ev)):
-        s[b:b + d] = col.T
-        if dd:
-            s[b + d:b + 2 * d] = lo.T
-        s[b + h - 2] = _coord_dot(s[b:b + d], s[b:b + d])
-        s[b + h - 1] = e
+    The squared norms are computed here, and ``lagrange_rows`` runs the
+    passes.  Each column is left with |u| <= |v| as it was on the pass
+    where its mu first became 0; in double-double its bound then includes
+    the rounding of the value to its high part.  A sample whose state is
+    not finite on entry (a coordinate, low part or bound, or a squared
+    norm beyond float64), or that has a column of squared norm 0, is left
+    as it came, not converged.  Returns the mask of the samples whose
+    reduction converged."""
+    _set_norms(s, d)
     done = lagrange_rows(s, d, dd)
-    eu, ev = s[h - 1], s[2 * h - 1]
     if dd:
         # the high part is the float64 rounding of the double-double value
-        eu += U * np.sqrt(s[h - 2])
-        ev += U * np.sqrt(s[2 * h - 2])
-    return s[:d].T.copy(), s[h:h + d].T.copy(), eu, ev, done
+        for c in s:
+            c[BOUND] += U * np.sqrt(c[NORM])
+    return done
 
 
 def lagrange_rows(s, d, dd):
-    """The passes of ``sl2_lagrange`` on its state ``s`` (one column per
-    sample), in place: per column of the pair, its d coordinate rows,
-    with ``dd`` its d low-part rows, then its squared norm (of the high
-    parts) and its bound.  Each column is left as it was on the pass
-    where its mu first became 0, or as it came if it was not finite or
-    had a zero column on entry.  Returns the mask of the samples whose
-    reduction converged."""
+    """The passes of ``lagrange_reduce`` on the row state ``s`` of column
+    pairs with their squared norms set, in place.  Each column is left as
+    it was on the pass where its mu first became 0, or as it came if it
+    was not finite or had a zero column on entry.  Returns the mask of the
+    samples whose reduction converged."""
     if dd:
         c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
     else:
         c_mul = c_add = U * 1.01
-    h = s.shape[0] // 2
-    done = np.isfinite(s).all(axis=0) & (s[h - 2] != 0) & (s[2 * h - 2] != 0)
+    done = np.isfinite(s).all(axis=(0, 1)) & (s[0, NORM] != 0) & (s[1, NORM] != 0)
     idx = np.nonzero(done)[0]
     # the active samples: s itself until a sample finishes, then a copy,
-    # so that the finished columns stay as they were (np.compress keeps
-    # the rows contiguous, where s[:, mask] would return them strided)
-    t = s if idx.size == s.shape[1] else np.compress(done, s, axis=1)
+    # from which the finished columns are written back on the pass where
+    # they finish and dropped once they are half of it (np.compress keeps
+    # the rows contiguous, where s[..., mask] would return them strided)
+    t = s if idx.size == s.shape[2] else np.compress(done, s, axis=2)
     fin = np.zeros(idx.size, dtype=bool)  # active columns already written back
     # scratch rows of a pass: the dot products (mu in row 0), then the
     # product mu u and the temporaries of the double-double step
@@ -174,41 +177,41 @@ def lagrange_rows(s, d, dd):
             break
         if 2 * n_fin >= fin.size:
             keep = ~fin
-            t, idx, fin = np.compress(keep, t, axis=1), idx[keep], fin[keep]
+            t, idx, fin = np.compress(keep, t, axis=2), idx[keep], fin[keep]
         moved = _lagrange_pass(t, d, c_mul, c_add, dd, w)
         new = ~(moved | fin)
         if new.any():
             if t is s:
                 keep = ~new
-                t, idx, fin = np.compress(keep, t, axis=1), idx[keep], fin[keep]
+                t, idx, fin = np.compress(keep, t, axis=2), idx[keep], fin[keep]
             else:
-                s[:, idx[new]] = np.compress(new, t, axis=1)
+                s[..., idx[new]] = np.compress(new, t, axis=2)
                 fin |= new
     else:
         # the samples still moving after the last pass
         rest = ~fin
-        s[:, idx[rest]] = np.compress(rest, t, axis=1)
+        s[..., idx[rest]] = np.compress(rest, t, axis=2)
         done[idx[rest]] = False
     return done
 
 
 def _lagrange_pass(s, d, c_mul, c_add, dd, w):
-    """One pass of ``sl2_lagrange`` on its state ``s``, in place: swap so
-    that |u| <= |v|, then v <- v - mu u and the bound of v, with the
+    """One pass of ``lagrange_rows`` on the row state ``s``, in place: swap
+    so that |u| <= |v|, then v <- v - mu u and the bound of v, with the
     scratch rows ``w``.  Returns the mask of the columns whose step moved
     v (mu != 0)."""
-    h = s.shape[0] // 2
-    swap = s[h - 2] > s[2 * h - 2]
+    u, v = s
+    swap = u[NORM] > v[NORM]
     if swap.any():
-        _swap_rows(s, 0, h, h, swap)
-    uu, vv, eu, ev = s[h - 2], s[2 * h - 2], s[h - 1], s[2 * h - 1]
-    cu, cv = s[:d], s[h:h + d]
-    w = w[:, :, :s.shape[1]]
+        _swap(u, v, swap)
+    uu, vv, eu, ev = u[NORM], v[NORM], u[BOUND], v[BOUND]
+    cu, cv = u[:d], v[:d]
+    w = w[:, :, :s.shape[2]]
     mu = _coord_dot(cu, cv, w[0])
     np.divide(mu, uu, out=mu)
     np.round(mu, out=mu)
     if dd:
-        dd_sub_mul_d(cv, s[h + d:h + 2 * d], cu, s[d:2 * d], mu, w[1:])
+        dd_sub_mul_d(cv, v[d:2 * d], cu, u[d:2 * d], mu, w[1:])
     else:
         np.multiply(mu, cu, out=w[1])
         np.subtract(cv, w[1], out=cv)
@@ -230,29 +233,15 @@ def _lagrange_pass(s, d, c_mul, c_add, dd, w):
     return moved
 
 
-def _swap_rows(s, i, j, h, swap):
-    """Exchange rows i to i + h - 1 and j to j + h - 1 of ``s`` in the
-    columns where ``swap`` is set, in place (xor swap of the bits): exact,
+def _swap(x, y, swap):
+    """Exchange the column blocks ``x`` and ``y`` of a row state in the
+    samples where ``swap`` is set, in place (xor swap of the bits): exact,
     and branch-free where np.where on a random mask is not."""
-    bits = s.view(np.int64)
-    x = bits[i:i + h] ^ bits[j:j + h]
-    x *= swap
-    bits[i:i + h] ^= x
-    bits[j:j + h] ^= x
-
-
-def sl2_reduce_batch(mats: np.ndarray):
-    """Lagrange-reduce a batch of float64 column bases.  Returns
-    (b1, b2, lam1) with b1 the shortest basis vector per sample.
-
-    This is the float64 tier of ``sl2_lagrange`` taking the entries as
-    exact, kept as the float64 entry point of ``bench/oracle.py`` until
-    the benchmark leaves it (ROADMAP item 2)."""
-    zero = np.zeros(mats.shape[0])
-    u, v, _, _, done = sl2_lagrange(mats[:, :, 0], mats[:, :, 1], zero, zero)
-    if not done.all():
-        raise DomainError("batch reduction did not converge")
-    return u, v, np.sqrt(np.sum(u * u, axis=1))
+    a, b = x.view(np.int64), y.view(np.int64)
+    t = a ^ b
+    t *= swap
+    a ^= t
+    b ^= t
 
 
 def _dot(x, y):
@@ -379,78 +368,68 @@ def siegel_count_exact(m, radius: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sl3_greedy(b, e):
-    """Greedy reduction of a batch of 3x3 column bases, carrying a
+def sl3_greedy(s):
+    """Greedy reduction in place of a batch of 3x3 column bases, carrying a
     forward-error bound for each column.
 
-    ``b`` is (m, 3, 3) float64 with the bases in the columns b[:, :, j];
-    ``e`` (m, 3) bounds the 2-norm distance of each column to the exact
+    ``s`` is their row state (``row_state``) with the coordinates and the
+    bounds set: each bounds the 2-norm distance of the column to the exact
     column it stands for.  Each pass sorts the columns by length,
-    Lagrange-reduces the first two (``sl2_lagrange``) and subtracts from
-    the third the closest vector of the lattice they span, found among
-    three candidates as in ``_reduce_exact``; it stops once the third is
-    no shorter than the second.  In dimension at most 4 the result is
-    Minkowski-reduced (Semaev 2001; Nguyen and Stehle 2009), so
-    |b_i| = lambda_i.  As in ``sl2_lagrange`` every step is integer, so the
-    exact columns stay a basis of the same lattice and the bounds follow
-    them.
+    Lagrange-reduces the first two (``lagrange_rows`` on their blocks) and
+    subtracts from the third the closest vector of the lattice they span,
+    found among three candidates as in ``_reduce_exact``; it stops once
+    the third is no shorter than the second.  In dimension at most 4 the
+    result is Minkowski-reduced (Semaev 2001; Nguyen and Stehle 2009), so
+    |b_i| = lambda_i.  As in ``lagrange_reduce`` every step is integer, so
+    the exact columns stay a basis of the same lattice and the bounds
+    follow them; every dot product is summed in coordinate order.
 
-    The state is one contiguous row per coordinate, squared norm and
-    bound of each column, with one column per active sample, as in
-    ``sl2_lagrange``; every dot product is summed in coordinate order.
-    A sample's outputs are written on the pass where it finishes, and
-    the finished columns are dropped.  A sample whose state is not finite
-    on entry (a coordinate or bound, or a squared norm beyond float64),
-    or that has a column of squared norm 0, is returned as it came, not
-    converged.
-
-    Returns (b, e, done): the reduced bases, shortest column first, their
-    bounds, and the mask of samples whose reduction converged.
+    The squared norms are computed here.  A sample's columns are written
+    back on the pass where it finishes, as ``lagrange_rows`` writes them,
+    and the finished samples are dropped.  A sample whose state is not
+    finite on entry (a coordinate or bound, or a squared norm beyond
+    float64), or that has a column of squared norm 0, is left as it came,
+    not converged.  Returns the mask of the samples whose reduction
+    converged; the columns of each are left shortest first.
     """
-    out_b = np.array(b, dtype=float)
-    out_e = np.array(e, dtype=float)
-    m = out_b.shape[0]
-    # rows of column j: coordinates 5j to 5j + 2, |b_j|^2 at 5j + 3 and
-    # the bound at 5j + 4
-    s = np.empty((15, m))
-    for j in range(3):
-        c = s[5 * j:5 * j + 3]
-        c[:] = out_b[:, :, j].T
-        s[5 * j + 3] = _coord_dot(c, c)
-        s[5 * j + 4] = out_e[:, j]
-    done = np.zeros(m, dtype=bool)
-    valid = np.isfinite(s).all(axis=0) & (s[3] != 0) & (s[8] != 0) & (s[13] != 0)
-    idx = np.arange(m)
-    if not valid.all():
-        s, idx = np.compress(valid, s, axis=1), idx[valid]
+    _set_norms(s, 3)
+    done = (np.isfinite(s).all(axis=(0, 1)) & (s[0, NORM] != 0)
+            & (s[1, NORM] != 0) & (s[2, NORM] != 0))
+    idx = np.nonzero(done)[0]
+    # the active samples: s itself until a sample finishes, then a copy
+    t = s if idx.size == s.shape[2] else np.compress(done, s, axis=2)
     for _ in range(256):
         if idx.size == 0:
             break
         for i, j in ((0, 1), (1, 2), (0, 1)):
             # strict >: equal lengths keep their order, as in a stable sort
-            swap = s[5 * i + 3] > s[5 * j + 3]
+            swap = t[i, NORM] > t[j, NORM]
             if swap.any():
-                _swap_rows(s, 5 * i, 5 * j, 5, swap)
-        # the first two columns' rows are the state of ``sl2_lagrange``
-        ok = lagrange_rows(s[:10], 3, False)
-        _closest_step(s)
-        fin = ~ok | (s[13] >= s[8])
+                _swap(t[i], t[j], swap)
+        ok = lagrange_rows(t[:2], 3, False)
+        _closest_step(t)
+        fin = ~ok | (t[2, NORM] >= t[1, NORM])
         if fin.any():
-            _write_bases(np.compress(fin, s, axis=1), idx[fin], out_b, out_e)
+            if t is not s:
+                s[..., idx[fin]] = np.compress(fin, t, axis=2)
             done[idx[fin]] = ok[fin]
             keep = ~fin
-            s, idx = np.compress(keep, s, axis=1), idx[keep]
-    _write_bases(s, idx, out_b, out_e)
-    return out_b, out_e, done
+            t, idx = np.compress(keep, t, axis=2), idx[keep]
+    # the samples still moving after the last pass
+    if t is not s:
+        s[..., idx] = t
+    done[idx] = False
+    return done
 
 
 def _closest_step(s):
-    """b3 <- b3 - y1 b1 - y2 b2 on the state ``s`` of ``sl3_greedy``, in
-    place, for the closest vector y1 b1 + y2 b2 of L(b1, b2) to b3 among the
-    three candidates of ``_reduce_exact``, with b3's squared norm and bound:
-    e3 + |y| e_i plus the rounding of each float64 step, none where y = 0."""
-    b1, b2, b3 = s[0:3], s[5:8], s[10:13]
-    a, c = s[3], s[8]
+    """b3 <- b3 - y1 b1 - y2 b2 on the row state ``s`` of ``sl3_greedy``,
+    in place, for the closest vector y1 b1 + y2 b2 of L(b1, b2) to b3 among
+    the three candidates of ``_reduce_exact``, with b3's squared norm and
+    bound: e3 + |y| e_i plus the rounding of each float64 step, none where
+    y = 0."""
+    b1, b2, b3 = s[:, :3]
+    a, c = s[0, NORM], s[1, NORM]
     # + 0.0 makes a zero sum +0.0, as np.sum does (``_coord_dot`` gives
     # -0.0 when every term is -0.0); the steps' zero quotients, and with
     # them the signs of b3's zero coordinates, follow it
@@ -470,22 +449,14 @@ def _closest_step(s):
         np.copyto(best, nr, where=take)
         np.copyto(y1, t1, where=take)
         np.copyto(y2, t2, where=take)
-    e3 = s[14]
-    for y, u, uu, eu in ((y1, b1, a, s[4]), (y2, b2, c, s[9])):
+    e3 = s[2, BOUND]
+    for y, u, uu, eu in ((y1, b1, a, s[0, BOUND]), (y2, b2, c, s[1, BOUND])):
         b3 -= y * u
         ay = np.abs(y)
-        s[13] = _coord_dot(b3, b3)
-        rnd = U * 1.01 * (ay * np.sqrt(uu) + (ay > 0) * np.sqrt(s[13]))
+        s[2, NORM] = _coord_dot(b3, b3)
+        rnd = U * 1.01 * (ay * np.sqrt(uu) + (ay > 0) * np.sqrt(s[2, NORM]))
         e3 += ay * eu
         e3 += rnd
-
-
-def _write_bases(s, at, out_b, out_e):
-    """Copy the columns of the ``sl3_greedy`` state ``s`` to the samples
-    ``at`` of its outputs (b, e)."""
-    t = s.reshape(3, 5, -1)
-    out_b[at] = t[:, :3].transpose(2, 1, 0)
-    out_e[at] = t[:, 4].T
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +642,3 @@ def siegel_sums(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, fs):
         # the origin, in row 0, has profile value 1 for both kinds
         values[i] = np.where(excluded, 0.0, total - 1.0)
     return values, excluded, ties & ~excluded
-
-
-def siegel_batch(b1: np.ndarray, b2: np.ndarray, lam1: np.ndarray, f: TestFunction):
-    """(values, excluded) of ``siegel_sums`` on Lagrange-reduced 2D bases
-    taken within ``PREC_TOL`` of exact ones: the float64 counts, with no
-    tie recount.  Kept for ``bench/oracle.py`` (ROADMAP item 2)."""
-    values, excluded, _ = siegel_sums(np.stack([b1, b2], axis=2),
-                                      np.full(b1.shape, PREC_TOL), lam1, (f,))
-    return values[0], excluded

@@ -174,7 +174,7 @@ def greedy3(g):
         cols.sort(key=lambda w: _dot3(w, w))
         u, v, b3 = cols
         uu, vv = _dot3(u, u), _dot3(v, v)
-        for _ in range(256):  # Lagrange, as sl2_lagrange
+        for _ in range(256):  # Lagrange, as lagrange_reduce
             if uu > vv:
                 u, v, uu, vv = v, u, vv, uu
             mu = float(round(_dot3(u, v) / uu))

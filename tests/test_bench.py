@@ -46,9 +46,10 @@ def test_workload_passes_its_gates_traced_and_untraced(name):
     assert tracer.spans
     assert set(tracer.absent) <= STALE_NAMES
     if getattr(wl, "oracle", False):
-        per_box = wl.oracle_check(st)
-        assert set(per_box) == {f"{T:g}" for T in wl.T_list}
-        assert all(box["compared"] > 0 for box in per_box.values())
+        # the float64-only kernels that the bench oracle compares are gone
+        # from boxflow; test_certified.py compares the certified kernel,
+        # recount included, with the exact oracle on these boxes
+        assert wl.oracle_check(st) is None
 
 
 def test_benchmark_command_completes_a_correct_run(tmp_path):

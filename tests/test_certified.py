@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
+from rowstate import entries_f64, lagrange, reduce_bases
 
 from boxflow import experiment
 from boxflow.catalog import get_map
@@ -36,12 +37,8 @@ from boxflow.goodness import BoxRegion
 from boxflow.homspace import (
     PREC_TOL,
     reduce_exact,
-    siegel_batch,
     siegel_count_exact,
     siegel_sums,
-    sl2_lagrange,
-    sl2_reduce_batch,
-    sl3_greedy,
 )
 from boxflow.homspace import TestFunction as TF
 from boxflow.polymatrix import PolyMatrix
@@ -51,6 +48,7 @@ POLY23_LOWER = get_map("poly23_lower")
 UL = get_map("ul_product")
 HEIS3 = get_map("heis3")
 P23_TABLES = entry_tables(POLY23_LOWER.matrix, POLY23_LOWER.map_vars)
+UL_TABLES = entry_tables(UL.matrix, UL.map_vars)
 HEIS3_TABLES = entry_tables(HEIS3.matrix, HEIS3.map_vars)
 INDICATOR = TF("indicator", 1.0)
 
@@ -135,27 +133,37 @@ def test_in_place_forms_are_the_functional_forms_bit_for_bit():
 # -- the kernel against the exact oracle ------------------------------------------
 
 
-def jittered_points(T2, n, seed):
-    """n distinct cells of the criterion-10 box [0, 1.01 T2^4] x [0, T2]
-    at grid 1024, one uniform (full-mantissa) point in each."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, int(T2)]))
-    cells = rng.choice(1024 * 1024, size=n, replace=False)
-    multi = np.stack(np.unravel_index(cells, (1024, 1024)), axis=-1)
-    spans = np.array([1.01 * T2 ** 4, T2])
-    return spans * (multi + rng.random(multi.shape)) / 1024
+def jittered_points(upper, grid, n, seed, stream):
+    """n distinct cells of the grid x grid tessellation of the box
+    [0, upper[0]] x [0, upper[1]], one uniform (full-mantissa) point in
+    each, seeded by (seed, stream)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    cells = rng.choice(grid * grid, size=n, replace=False)
+    multi = np.stack(np.unravel_index(cells, (grid, grid)), axis=-1)
+    return np.array(upper) * (multi + rng.random(multi.shape)) / grid
 
 
-def kernel_mismatches(pts):
-    b, _, n_exact = certified_reduce(POLY23_LOWER.matrix, POLY23_LOWER.map_vars,
-                                     P23_TABLES, pts)
-    b1, b2 = b[:, :, 0], b[:, :, 1]
-    lam1 = np.sqrt(np.sum(b1 * b1, axis=1))
-    counts, excluded = siegel_batch(b1, b2, lam1, INDICATOR)
+def criterion_10_points(T2, n, seed):
+    """n points of the criterion-10 box [0, 1.01 T2^4] x [0, T2] at grid
+    1024."""
+    return jittered_points((1.01 * T2 ** 4, T2), 1024, n, seed, int(T2))
+
+
+def kernel_mismatches(entry, tables, pts):
+    """Indicator counts and shortest lengths that differ from the exact
+    oracle's, of the certified kernel as a sweep runs it: the kernel's own
+    column bounds and the exact recount of ties.  Returns them with the
+    number of exact-tier samples."""
+    def exact(k):
+        return experiment._exact_matrix(entry.matrix, entry.map_vars, pts[k])
+
+    b, e, n_exact = certified_reduce(entry.matrix, entry.map_vars, tables, pts)
+    lam1, (counts,), excluded = certified_observables(b, e, (INDICATOR,), exact)
     assert not excluded.any()
     bad_count = bad_lam1 = 0
     for k in range(pts.shape[0]):
-        point = {v: F(float(x)) for v, x in zip(POLY23_LOWER.map_vars, pts[k])}
-        m = POLY23_LOWER.matrix.evaluate_exact(point)
+        point = {v: F(float(x)) for v, x in zip(entry.map_vars, pts[k])}
+        m = entry.matrix.evaluate_exact(point)
         bad_count += counts[k] != len(oracles.exact_norms(m, 1))
         bad_lam1 += abs(lam1[k] - math.sqrt(oracles.exact_shortest_sq(m))) > PREC_TOL
     return bad_count, bad_lam1, n_exact
@@ -164,19 +172,30 @@ def kernel_mismatches(pts):
 @pytest.mark.parametrize("T2", [5.0, 10.0, 20.0])
 def test_kernel_matches_exact_oracle_on_criterion_10_boxes(T2):
     # float64 alone mismatches on about 60 of these 400 points at T2 = 10
-    bad_count, bad_lam1, _ = kernel_mismatches(jittered_points(T2, 400, 2024))
+    bad_count, bad_lam1, _ = kernel_mismatches(
+        POLY23_LOWER, P23_TABLES, criterion_10_points(T2, 400, 2024))
+    assert (bad_count, bad_lam1) == (0, 0)
+
+
+@pytest.mark.parametrize("T", [1e2, 1e3])
+def test_kernel_matches_exact_oracle_on_sweep2d_ul_boxes(T):
+    # the boxes of the benchmark's sweep2d_ul workload, at its grid
+    upper = BoxSpec(lam=UL.default_lambda, T=T, grid=256).realized_region().upper
+    pts = jittered_points(upper, 256, 400, 2024, int(T))
+    bad_count, bad_lam1, _ = kernel_mismatches(UL, UL_TABLES, pts)
     assert (bad_count, bad_lam1) == (0, 0)
 
 
 def test_exact_tier_takes_what_double_double_cannot_certify():
     # at T2 = 40 the entries reach 3e14, beyond the double-double bound
-    bad_count, bad_lam1, n_exact = kernel_mismatches(jittered_points(40.0, 24, 7))
+    bad_count, bad_lam1, n_exact = kernel_mismatches(
+        POLY23_LOWER, P23_TABLES, criterion_10_points(40.0, 24, 7))
     assert n_exact > 0
     assert (bad_count, bad_lam1) == (0, 0)
 
 
 def test_exact_count_matches_exact_oracle():
-    pts = jittered_points(10.0, 100, 11)
+    pts = criterion_10_points(10.0, 100, 11)
     for k in range(pts.shape[0]):
         point = {v: F(float(x)) for v, x in zip(POLY23_LOWER.map_vars, pts[k])}
         m = POLY23_LOWER.matrix.evaluate_exact(point)
@@ -189,12 +208,12 @@ def test_exact_count_matches_exact_oracle():
 def reference_certified_reduce(matrix, map_vars, pts):
     """The 2D branch of ``certified_reduce`` before it ran on coordinate
     rows: (m, 2, 2) entries, each tier's samples gathered into (m, 2)
-    columns for ``sl2_lagrange`` and its results scattered back.  The same
+    columns for ``lagrange_reduce`` and its results scattered back.  The same
     float operations in the same order, so its results are bit-identical.
     No sample budget."""
     tables = entry_tables(matrix, map_vars)
     m = pts.shape[0]
-    g, mag, err = experiment._entries_f64(tables, pts)
+    g, mag, err = entries_f64(tables, pts)
     cdd = np.array([[t.cdd for t in row] for row in tables])
     amp = np.stack(
         [np.hypot(g[:, 1, 1], g[:, 0, 1]), np.hypot(g[:, 1, 0], g[:, 0, 0])],
@@ -212,8 +231,7 @@ def reference_certified_reduce(matrix, map_vars, pts):
 
     idx = np.nonzero(functools.reduce(np.add, (err * amp).T) <= PREC_TOL)[0]
     if idx.size:
-        accept(idx, sl2_lagrange(g[idx, :, 0], g[idx, :, 1],
-                                 err[idx, 0], err[idx, 1]))
+        accept(idx, lagrange(g[idx, :, 0], g[idx, :, 1], err[idx, 0], err[idx, 1]))
     idx = np.nonzero(np.isinf(e[:, 0])
                      & (functools.reduce(np.add, (edd * amp).T) <= PREC_TOL))[0]
     if idx.size:
@@ -222,8 +240,8 @@ def reference_certified_reduce(matrix, map_vars, pts):
         for i in range(2):
             for j in range(2):
                 tables[i][j].dd(pts[idx], hi[:, i, j], lo[:, i, j])
-        accept(idx, sl2_lagrange(hi[:, :, 0], hi[:, :, 1], edd[idx, 0],
-                                 edd[idx, 1], lo[:, :, 0], lo[:, :, 1]))
+        accept(idx, lagrange(hi[:, :, 0], hi[:, :, 1], edd[idx, 0],
+                             edd[idx, 1], lo[:, :, 0], lo[:, :, 1]))
     late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
     for k in late:
         b[k] = reduce_exact(experiment._exact_matrix(matrix, map_vars, pts[k]))
@@ -236,23 +254,24 @@ def _criterion_10_box(T2):
 
 
 # (map, region, grid, first and last sample) of one chunk, and the row
-# states the tiers reduce: (rows, samples) per ``lagrange_rows`` call,
-# 8 rows for float64 and 12 for double-double
+# states the tiers reduce: (columns, rows per column, samples) per
+# ``lagrange_reduce`` call, 4 rows per column in float64 and 6 in
+# double-double
 ROW_KERNEL_CHUNKS = {
     # every sample float64: the entries' state is reduced in place
     "ul_product": ((UL, BoxSpec(lam=UL.default_lambda, T=1e3, grid=256).realized_region(),
-                    256, 0, BLOCK), [(8, BLOCK)]),
+                    256, 0, BLOCK), [(2, 4, BLOCK)]),
     # 22 samples routed to double-double, and 215 of the 8,170 routed to
     # float64 whose certificate fails
     "poly23_T2_5": ((POLY23_LOWER, _criterion_10_box(5.0), 256, 0, BLOCK),
-                    [(8, 8170), (12, 237)]),
+                    [(2, 4, 8170), (2, 6, 237)]),
     "poly23_T2_20": ((POLY23_LOWER, _criterion_10_box(20.0), 256, 0, BLOCK),
-                     [(8, 25), (12, 8171)]),
+                     [(2, 4, 25), (2, 6, 8171)]),
     # beyond double-double: 511 of the 512 samples end in the exact tier
     "poly23_T2_1e3": ((POLY23_LOWER, _criterion_10_box(1e3), 4096, 0, 512),
-                      [(12, 2)]),
+                      [(2, 6, 2)]),
     "no_float64": ((POLY23_LOWER, _criterion_10_box(20.0), 256, 3 * BLOCK, 4 * BLOCK),
-                   [(12, BLOCK)]),
+                   [(2, 6, BLOCK)]),
 }
 
 
@@ -261,13 +280,13 @@ def test_2d_row_kernel_bit_identical_to_reference(name, monkeypatch):
     (entry, region, grid, start, stop), states = ROW_KERNEL_CHUNKS[name]
     pts = region.sample_points(grid, start, stop, "jitter", 3)
     calls = []
-    lagrange_rows = experiment.lagrange_rows
+    lagrange_reduce = experiment.lagrange_reduce
 
     def counting(t, d, dd):
         calls.append(t.shape)
-        return lagrange_rows(t, d, dd)
+        return lagrange_reduce(t, d, dd)
 
-    monkeypatch.setattr(experiment, "lagrange_rows", counting)
+    monkeypatch.setattr(experiment, "lagrange_reduce", counting)
     tables = entry_tables(entry.matrix, entry.map_vars)
     got = certified_reduce(entry.matrix, entry.map_vars, tables, pts)
     assert calls == states
@@ -321,10 +340,12 @@ def test_tie_recount_fires_on_ties_only(rows, radius):
         mats[i] = [[a + x * y / a, x / a], [y / a, 1 / a]]
     at = int(rng.integers(0, 300))
     mats[at] = np.array(rows, dtype=float)
-    b1, b2, lam1 = sl2_reduce_batch(mats)
+    b, _, done = reduce_bases(mats, np.zeros((300, 2)))
+    assert done.all()
+    lam1 = np.sqrt(np.sum(b[:, :, 0] ** 2, axis=1))
     # the bounds the sweeps allow a certified basis
-    _, _, (ties,) = siegel_sums(np.stack([b1, b2], axis=2), np.full((300, 2), PREC_TOL),
-                                lam1, (TF("indicator", radius),))
+    _, _, (ties,) = siegel_sums(b, np.full((300, 2), PREC_TOL), lam1,
+                                (TF("indicator", radius),))
     assert np.nonzero(ties)[0].tolist() == [at]
 
 
@@ -425,7 +446,7 @@ def test_3d_exact_columns_are_counted_as_stored(monkeypatch):
     mats = np.array([[[0.6, -1.2, 0.0], [0.8, 0.9, 0.0], [0.0, 0.0, 1.3]]])
     assert math.hypot(0.6, 0.8) == 1.0
     exact = [[F(float(x)) for x in row] for row in mats[0]]
-    b, e, done = sl3_greedy(mats, np.zeros((1, 3)))
+    b, e, done = reduce_bases(mats, np.zeros((1, 3)))
     assert done.all() and np.max(e) <= PREC_TOL
     _, values, _ = certified_observables(b, e, (INDICATOR,), lambda k: exact)
     assert values[0].tolist() == [len(oracles.exact_norms(exact, 1))] == [0]
@@ -447,7 +468,7 @@ def test_sl3_greedy_bounds_cover_the_distance_to_the_exact_lattice():
     # a column no step moves keeps it
     err = np.array([[_round_up(sum(abs(F(float(x)) - x) for x in col))
                      for col in zip(*m)] for m in exact])
-    b, e, done = sl3_greedy(mats, err)
+    b, e, done = reduce_bases(mats, err)
     assert done.all()
     grew = 0
     for m, basis, bound, start in zip(exact, b, e, err):

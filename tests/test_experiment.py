@@ -176,27 +176,35 @@ def test_worker_count_independence():
     assert res1.csv_text() == res2.csv_text()
 
 
-@pytest.mark.parametrize("name", ["ul_product", "poly23_lower"])
+@pytest.mark.parametrize("name", ["ul_product", "poly23_lower", "heis3"])
 def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
     # every sample is computed on its own and written to its own slot: one
-    # chunk of 36,864 samples against chunks of BLOCK (4.5 per box),
-    # 2 BLOCK and 1,000, and 1,000 in two worker processes, which take
-    # the tasks and their entry tables pickled
+    # chunk of the whole box against smaller chunks (in 2D, 36,864 samples
+    # in chunks of BLOCK, 4.5 per box, 2 BLOCK and 1,000; in 3D, 4,096 in
+    # chunks of 1,024 and 1,000), and 1,000 in two worker processes, which
+    # take the tasks and their entry tables pickled
     entry = get_map(name)
+    grid, chunk, sizes = 192, "_CHUNK", (BLOCK, 2 * BLOCK, 1000)
     if name == "ul_product":
         region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=192).realized_region()
         fs = (TF("indicator", 1.0), TF("bump", 1.0))
-    else:
+    elif name == "poly23_lower":
         region = BoxRegion((0.0, 0.0), (1.01 * 10.0 ** 4, 10.0))
         fs = (TF("indicator", 1.0),)
+    else:
+        grid, chunk, sizes = 64, "_CHUNK3", (1024, 1000)
+        region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=64).realized_region()
+        # at R = 1 every heis3 value is 2; at R = 1.5 the bump's values
+        # are all distinct
+        fs = (TF("indicator", 1.5), TF("bump", 1.5))
     runs = []
-    for size in (192 ** 2, BLOCK, 2 * BLOCK, 1000):
-        monkeypatch.setattr(experiment, "_CHUNK", size)
+    for size in (grid ** 2,) + sizes:
+        monkeypatch.setattr(experiment, chunk, size)
         runs.append(experiment._observable_values(
-            entry.matrix, entry.map_vars, region, 192, fs, method="jitter", seed=5))
+            entry.matrix, entry.map_vars, region, grid, fs, method="jitter", seed=5))
     with experiment._pool(2) as pool:
         runs.append(experiment._observable_values(
-            entry.matrix, entry.map_vars, region, 192, fs, pool=pool,
+            entry.matrix, entry.map_vars, region, grid, fs, pool=pool,
             method="jitter", seed=5))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):

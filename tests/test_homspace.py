@@ -1,5 +1,6 @@
 """Lattice space: the float64 kernels against the reference oracles of
-``oracles``, Siegel counts, Haar references."""
+``oracles``, Siegel counts, Haar references, and no public kernel that
+only the tests or the benchmark call."""
 
 import ast
 import functools
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from rowstate import entries_f64, lagrange, reduce_bases
 
 import boxflow
 from boxflow import experiment
@@ -24,14 +26,12 @@ from boxflow.experiment import BoxSpec
 from boxflow.goodness import BoxRegion, GridPoly
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
+    NORM,
     PREC_TOL,
     haar_expectation,
     parse_observable,
-    siegel_batch,
+    reduce_exact,
     siegel_sums,
-    sl2_lagrange,
-    sl2_reduce_batch,
-    sl3_greedy,
 )
 
 
@@ -67,17 +67,51 @@ def random_word(rng, gens):
     return word
 
 
+def as_exact(g):
+    """The float64 matrix g read as exact rationals."""
+    return [[Fraction(float(x)) for x in row] for row in g]
+
+
+def certified(mats):
+    """(b, e) of the float64 reduction of bases read as exact rationals,
+    which must certify every sample."""
+    b, e, done = reduce_bases(mats, np.zeros(mats.shape[:2]))
+    assert done.all() and np.max(e) <= PREC_TOL
+    return b, e
+
+
+def kernel(mats, fs):
+    """(lam1, values, excluded) of the certified kernel on float64 bases
+    read as exact rationals: the reduction, then
+    ``certified_observables``."""
+    return experiment.certified_observables(*certified(mats), fs,
+                                            lambda k: as_exact(mats[k]))
+
+
+def reduce2(mats):
+    """(b1, b2, lam1) of the float64 2D kernel on a batch of bases read as
+    exact: the reduced columns, shortest first, and lambda_1."""
+    b, _ = certified(mats)
+    return b[:, :, 0], b[:, :, 1], np.sqrt(np.sum(b[:, :, 0] ** 2, axis=1))
+
+
+def siegel_values(b, f):
+    """(values, excluded) of ``certified_observables`` on reduced bases
+    b (m, N, N) that are exact as stored: zero column bounds, and ties
+    recounted from b read as exact rationals."""
+    _, (values,), excluded = experiment.certified_observables(
+        b, np.zeros(b.shape[:2]), (f,), lambda k: as_exact(b[k]))
+    return values, excluded
+
+
 def kernel_shortest(g):
     """lambda_1 of the column lattice of g from the float64 kernel."""
-    if g.shape[0] == 2:
-        return sl2_reduce_batch(g[None])[2][0]
-    return kernel3(g[None], ())[0][0]
+    return kernel(g[None], ())[0][0]
 
 
 def siegel2(mats, f):
     """Siegel values of the float64 2D kernel on a batch of bases."""
-    b1, b2, lam1 = sl2_reduce_batch(mats)
-    vals, excluded = siegel_batch(b1, b2, lam1, f)
+    _, (vals,), excluded = kernel(mats, (f,))
     assert not excluded.any()
     return vals
 
@@ -94,14 +128,14 @@ def test_oracles_import_nothing_from_boxflow():
 
 
 def test_reduce_identity():
-    b1, b2, lam1 = sl2_reduce_batch(np.eye(2)[None])
+    b1, b2, lam1 = reduce2(np.eye(2)[None])
     assert lam1[0] == pytest.approx(1.0)
     assert sorted(np.abs(np.stack([b1[0], b2[0]])).sum(axis=1).tolist()) == [1.0, 1.0]
 
 
 def test_reduce_shear_case():
     g = np.array([[1.0, 0.9], [0.0, 1.0]])
-    b1, b2, lam1 = sl2_reduce_batch(g[None])
+    b1, b2, lam1 = reduce2(g[None])
     assert lam1[0] == pytest.approx(oracles.shortest(g))
     assert {(1.0, 0.0), (-1.0, 0.0)} & {tuple(b1[0]), tuple(b2[0])}
 
@@ -113,7 +147,7 @@ def test_reduce_diagonal():
 def test_reduce_matches_enumeration_random():
     rng = np.random.default_rng(42)
     mats = np.stack([random_sl2(rng) for _ in range(100)])
-    _, _, lam1 = sl2_reduce_batch(mats)
+    _, _, lam1 = reduce2(mats)
     for g, lam in zip(mats, lam1):
         assert lam == pytest.approx(oracles.shortest(g), rel=1e-9)
 
@@ -163,7 +197,7 @@ def test_siegel_matches_enumeration_random():
         g = random_sl2(rng) if rng.random() < 0.7 else random_sl3(rng)
         if kernel_shortest(g) < 0.3:
             continue
-        val = siegel2(g[None], f)[0] if g.shape[0] == 2 else kernel3(g[None], (f,))[1][0][0]
+        val = siegel2(g[None], f)[0] if g.shape[0] == 2 else kernel(g[None], (f,))[1][0][0]
         assert val == oracles.siegel_sum(g, f)
         checked += 1
 
@@ -256,7 +290,7 @@ def test_parse_observable():
 def test_batch_reduction_matches_scalar():
     rng = np.random.default_rng(31)
     mats = np.stack([random_sl2(rng) for _ in range(500)])
-    b1, b2, lam1 = sl2_reduce_batch(mats)
+    b1, b2, lam1 = reduce2(mats)
     for i in range(0, 500, 17):
         assert lam1[i] == pytest.approx(oracles.shortest(mats[i]), rel=1e-12)
 
@@ -264,9 +298,9 @@ def test_batch_reduction_matches_scalar():
 def test_batch_siegel_matches_scalar():
     rng = np.random.default_rng(32)
     mats = np.stack([random_sl2(rng) for _ in range(400)])
-    b1, b2, lam1 = sl2_reduce_batch(mats)
+    b1, b2, lam1 = reduce2(mats)
     for f in (TF("indicator", 1.0), TF("bump", 1.2)):
-        vals, excluded = siegel_batch(b1, b2, lam1, f)
+        vals, excluded = siegel_values(np.stack([b1, b2], axis=2), f)
         assert not excluded.any()
         for i in range(0, 400, 13):
             assert vals[i] == pytest.approx(oracles.siegel_sum(mats[i], f), rel=1e-12)
@@ -275,20 +309,21 @@ def test_batch_siegel_matches_scalar():
 def test_batch_flags_cusp_samples():
     tiny = 1e-8
     mats = np.stack([np.eye(2), np.diag([tiny, 1 / tiny])])
-    b1, b2, lam1 = sl2_reduce_batch(mats)
-    vals, excluded = siegel_batch(b1, b2, lam1, TF("indicator", 1.0))
+    b1, b2, lam1 = reduce2(mats)
+    (vals,), excluded, _ = siegel_sums(np.stack([b1, b2], axis=2), np.zeros((2, 2)),
+                                       lam1, (TF("indicator", 1.0),))
     assert not excluded[0] and excluded[1]
     assert vals[0] == 4.0 and vals[1] == 0.0
 
 
 def coord_sum(p):
-    """Row sums of (m, d) products in coordinate order, as ``sl2_lagrange``
-    sums them: a sum of -0.0 terms is -0.0, where ``np.sum`` gives +0.0."""
+    """Row sums of (m, d) products in coordinate order, as
+    ``lagrange_reduce`` sums them: a sum of -0.0 terms is -0.0, where ``np.sum`` gives +0.0."""
     return functools.reduce(np.add, p.T)
 
 
 def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
-    """``sl2_lagrange`` as a loop over (m, d) arrays that compacts on every
+    """``lagrange_reduce`` as a loop over (m, d) arrays that compacts on every
     pass in which a sample finishes: the same float operations in the same
     order, every dot product summed in coordinate order, so its results
     are bit-identical (signs of zeros included).  A sample whose coordinates,
@@ -407,7 +442,7 @@ def test_lagrange_bit_identical_to_reference_loop(d, dd):
     args = lagrange_batch(rng, 3000, d, dd)
     args = [np.concatenate([a, z]) for a, z in zip(args, signed_zero_pairs(rng, 500, d, dd))]
     args[0][7] = np.nan  # returned as it came, not converged
-    got = sl2_lagrange(*args)
+    got = lagrange(*args)
     want = reference_lagrange(*(a.copy() for a in args))
     assert not got[4][7] and np.count_nonzero(~got[4]) == 1
     assert got[0][7].tobytes() == args[0][7].tobytes()
@@ -415,7 +450,7 @@ def test_lagrange_bit_identical_to_reference_loop(d, dd):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
     empty = [a[:0] for a in args]
-    for g, w in zip(sl2_lagrange(*empty), reference_lagrange(*empty)):
+    for g, w in zip(lagrange(*empty), reference_lagrange(*empty)):
         assert g.shape == w.shape and g.size == 0
 
 
@@ -426,7 +461,7 @@ def lagrange_passes(monkeypatch):
     lagrange_pass = boxflow.homspace._lagrange_pass
 
     def counting(*args):
-        passes.append(args[0].shape[1])
+        passes.append(args[0].shape[-1])
         return lagrange_pass(*args)
 
     monkeypatch.setattr(boxflow.homspace, "_lagrange_pass", counting)
@@ -444,7 +479,7 @@ def test_lagrange_stops_at_the_pass_cap(dd, lagrange_passes):
     zero = np.zeros(2)
     lo = (np.zeros((2, 2)), np.zeros((2, 2))) if dd else ()
     with np.errstate(invalid="ignore", over="ignore"):
-        ru, rv, _, _, done = sl2_lagrange(u, v, zero, zero, *lo)
+        ru, rv, _, _, done = lagrange(u, v, zero, zero, *lo)
     assert len(lagrange_passes) == 256 and lagrange_passes[-1] == 1
     assert done.tolist() == [False, True]
     assert np.isnan(rv[0]).all()
@@ -460,7 +495,7 @@ def test_lagrange_returns_a_zero_column_at_once(dd, lagrange_passes):
     e = np.array([0.0, 0.0, 1e-9])
     lo = (np.zeros((3, 2)), np.zeros((3, 2))) if dd else ()
     args = (u, v, e, e, *lo)
-    ru, rv, eu, ev, done = sl2_lagrange(*args)
+    ru, rv, eu, ev, done = lagrange(*args)
     assert done.tolist() == [False, True, False]
     assert ru[[0, 2]].tolist() == u[[0, 2]].tolist()
     assert rv[[0, 2]].tolist() == v[[0, 2]].tolist()
@@ -480,7 +515,7 @@ def test_lagrange_charges_nothing_on_a_reduced_pair():
     u = np.array([[1.0, 0.0], [0.5, 0.25]])
     v = np.array([[0.3, 1.0], [-1.0, 1.5]])
     zero = np.zeros(2)
-    ru, rv, eu, ev, done = sl2_lagrange(u, v, zero, zero)
+    ru, rv, eu, ev, done = lagrange(u, v, zero, zero)
     assert done.all() and (ru == u).all() and (rv == v).all()
     assert eu.tolist() == ev.tolist() == [0.0, 0.0]
 
@@ -503,7 +538,7 @@ def test_batch_siegel_near_cusp_matches_scalar():
     )))
     lam1 = np.sqrt(np.sum(b1 * b1, axis=1))
     for f in (TF("indicator", 1.0), TF("bump", 1.2)):
-        vals, excluded = siegel_batch(b1, b2, lam1, f)
+        vals, excluded = siegel_values(np.stack([b1, b2], axis=2), f)
         assert not excluded.any()
         for i in range(lam.size):
             ref = oracles.siegel_sum(np.column_stack([b1[i], b2[i]]), f)
@@ -520,7 +555,7 @@ def test_batch_siegel_deep_cusp_matches_direct_sum(lam1):
     b1, b2 = reduced_basis(lam1, rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * math.pi))
     radius = 0.987654321  # R / lambda_1 far from an integer
     for f in (TF("indicator", radius), TF("bump", radius)):
-        (val,), (excluded,) = siegel_batch(b1[None], b2[None], np.array([lam1]), f)
+        (val,), (excluded,) = siegel_values(np.column_stack([b1, b2])[None], f)
         assert not excluded
         direct = oracles.siegel_sum(np.column_stack([b1, b2]), f)
         if f.kind == "indicator":
@@ -543,17 +578,6 @@ def test_import_path_leaves_out_scipy_integrate_and_stats():
 # -- dimension-3 batch kernel ------------------------------------------------------
 
 
-def kernel3(mats, fs):
-    """(lam1, values, excluded) of the certified kernel on float64 bases
-    read as exact rationals: greedy reduction, which must certify every
-    sample in float64, then ``certified_observables``."""
-    b, e, done = sl3_greedy(mats, np.zeros((mats.shape[0], 3)))
-    assert done.all() and np.max(e) <= PREC_TOL
-    return experiment.certified_observables(
-        b, e, fs, lambda k: [[Fraction(float(x)) for x in row] for row in mats[k]]
-    )
-
-
 def test_batch3_indicator_matches_enumeration_with_ties():
     # the elementary factors of random_sl3 often leave a unit column, so
     # many of these lattices hold vectors exactly on the unit sphere; the
@@ -562,10 +586,10 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     mats = np.stack([random_sl3(rng) for _ in range(2000)])
     zero = np.zeros((2000, 3))
     f = TF("indicator", 1.0)
-    lam1, (vals,), excluded = kernel3(mats, (f,))
+    lam1, (vals,), excluded = kernel(mats, (f,))
     assert not excluded.any()
     brute = np.array([oracles.siegel_sum(g, f) for g in mats])
-    b, e, _ = sl3_greedy(mats, zero)
+    b, e, _ = reduce_bases(mats, zero)
     (raw,), _, (ties,) = siegel_sums(b, e, lam1, (f,))
     assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
     assert vals.tolist() == brute.tolist()
@@ -575,7 +599,7 @@ def test_batch3_bump_matches_enumeration():
     rng = np.random.default_rng(13)
     mats = np.stack([random_sl3(rng) for _ in range(200)])
     f = TF("bump", 1.2)
-    _, (vals,), _ = kernel3(mats, (f,))
+    _, (vals,), _ = kernel(mats, (f,))
     for g, val in zip(mats, vals):
         ref = oracles.siegel_sum(g, f)
         assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
@@ -584,7 +608,7 @@ def test_batch3_bump_matches_enumeration():
 def test_batch3_shortest_matches_enumeration():
     rng = np.random.default_rng(8)
     mats = np.stack([random_sl3(rng) for _ in range(100)])
-    b, _, done = sl3_greedy(mats, np.zeros((100, 3)))
+    b, _, done = reduce_bases(mats, np.zeros((100, 3)))
     assert done.all()
     for g, basis in zip(mats, b):
         assert np.linalg.norm(basis[:, 0]) == pytest.approx(oracles.shortest(g), rel=1e-9)
@@ -608,7 +632,7 @@ def test_batch3_near_cusp_matches_enumeration():
     lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.2), 40))
     bases = [reduced_basis3(rng, x) for x in lam]
     mats = np.stack([g @ random_word(rng, GENS3) for g in bases])
-    b, _, done = sl3_greedy(mats, np.zeros((40, 3)))
+    b, _, done = reduce_bases(mats, np.zeros((40, 3)))
     assert done.all()
     lam1 = np.linalg.norm(b[:, :, 0], axis=1)
     shortest = [oracles.shortest(basis) for basis in bases]
@@ -616,7 +640,7 @@ def test_batch3_near_cusp_matches_enumeration():
     for x, found in zip(shortest, lam1):
         assert found == pytest.approx(x, rel=1e-9)
     for f in (TF("indicator", 1.0), TF("bump", 1.2)):
-        _, (vals,), excluded = kernel3(mats, (f,))
+        _, (vals,), excluded = kernel(mats, (f,))
         assert not excluded.any()
         for basis, val in zip(bases, vals):
             ref = oracles.siegel_sum(basis, f)
@@ -638,8 +662,9 @@ def reference_sub_step(v, ev, y, u, eu):
 
 def reference_greedy(b, e):
     """``sl3_greedy`` on (m, 3, 3) arrays of columns, with ``np.sum`` over
-    the short axes and a stable ``argsort``: the same float operations in
-    the same order, so its results are bit-identical.  A sample whose
+    the short axes, a stable ``argsort`` and ``reference_lagrange``: the
+    same float operations in the same order, so its results are
+    bit-identical.  A sample whose
     coordinates, bounds or squared column norms are not finite on entry,
     or that has a column of squared norm 0, is returned as it came, not
     converged."""
@@ -659,8 +684,8 @@ def reference_greedy(b, e):
         order = np.argsort(np.sum(cols * cols, axis=2), axis=1, kind="stable")
         cols = np.take_along_axis(cols, order[:, :, None], axis=1)
         errs = np.take_along_axis(errs, order, axis=1)
-        b1, b2, e1, e2, ok = sl2_lagrange(cols[:, 0], cols[:, 1],
-                                          errs[:, 0], errs[:, 1])
+        b1, b2, e1, e2, ok = reference_lagrange(cols[:, 0], cols[:, 1],
+                                                errs[:, 0], errs[:, 1])
         b3 = cols[:, 2]
         a = np.sum(b1 * b1, axis=1)
         ab = np.sum(b1 * b2, axis=1)
@@ -696,7 +721,7 @@ def reference_greedy(b, e):
 
 
 def assert_greedy_matches_reference(b, e):
-    got = sl3_greedy(b, e)
+    got = reduce_bases(b, e)
     want = reference_greedy(b.copy(), e.copy())
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -718,7 +743,7 @@ def heis3_benchmark_lattices():
     for matrix, map_vars, region, method in cases:
         pts = region.sample_points(24, 0, 24 ** region.dim, method, 1)
         tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
-        g, _, err = experiment._entries_f64(tables, pts)
+        g, _, err = entries_f64(tables, pts)
         gs.append(g)
         errs.append(err)
     return np.concatenate(gs), np.concatenate(errs)
@@ -771,7 +796,7 @@ def test_greedy_compacts_over_passes_bit_identically(monkeypatch):
     closest_step = boxflow.homspace._closest_step
 
     def counting(s):
-        active.append(s.shape[1])
+        active.append(s.shape[-1])
         return closest_step(s)
 
     monkeypatch.setattr(boxflow.homspace, "_closest_step", counting)
@@ -780,8 +805,34 @@ def test_greedy_compacts_over_passes_bit_identically(monkeypatch):
     assert active[0] == 300 and len(active) >= 4
     assert all(x > y for x, y in zip(active, active[1:]))
     empty = (np.empty((0, 3, 3)), np.empty((0, 3)))
-    for g, w in zip(sl3_greedy(*empty), reference_greedy(*empty)):
+    for g, w in zip(reduce_bases(*empty), reference_greedy(*empty)):
         assert g.shape == w.shape and g.size == 0
+
+
+def test_greedy_writes_back_the_samples_still_moving_at_the_pass_cap(monkeypatch):
+    # a closest step that leaves b3's squared norm NaN keeps every sample
+    # moving until the pass cap.  With every sample valid the state is
+    # reduced in place throughout; with one non-finite sample the others
+    # are reduced in a copy, which only the write-back after the last pass
+    # returns to the state
+    rng = np.random.default_rng(38)
+    mats = np.stack([random_sl3(rng) for _ in range(20)])
+    e = rng.uniform(0, 1e-12, (20, 3))
+    active = []
+    closest_step = boxflow.homspace._closest_step
+
+    def stuck(s):
+        active.append(s.shape[-1])
+        closest_step(s)
+        s[2, NORM] = np.nan
+
+    monkeypatch.setattr(boxflow.homspace, "_closest_step", stuck)
+    in_place = [np.copy(x) for x in reduce_bases(mats[1:], e[1:])]
+    mats[0, :, 2] = np.nan
+    b, got_e, done = reduce_bases(mats, e)
+    assert active == [19] * 512 and not done.any() and not in_place[2].any()
+    assert b[1:].tobytes() == in_place[0].tobytes() != mats[1:].tobytes()
+    assert got_e[1:].tobytes() == in_place[1].tobytes()
 
 
 def test_greedy_returns_a_non_finite_sample_at_once(lagrange_passes):
@@ -796,12 +847,76 @@ def test_greedy_returns_a_non_finite_sample_at_once(lagrange_passes):
     e = np.zeros((5, 3))
     e[4, 1] = np.inf
     with np.errstate(all="raise"):
-        rb, re, done = sl3_greedy(b, e)
+        rb, re, done = reduce_bases(b, e)
         assert lagrange_passes == [1]
         lagrange_passes.clear()
-        assert not sl3_greedy(b[1:], e[1:])[2].any()
+        assert not reduce_bases(b[1:], e[1:])[2].any()
         assert lagrange_passes == []
         for g, w in zip((rb, re, done), reference_greedy(b, e)):
             assert g.tobytes() == w.tobytes()
     assert done.tolist() == [True, False, False, False, False]
     assert rb.tobytes() == b.tobytes() and re.tobytes() == e.tobytes()
+
+
+def reference_certified_reduce3(matrix, map_vars, pts):
+    """The 3D branch of ``certified_reduce`` before it ran on one row state:
+    (m, 3, 3) entries, ``reference_greedy``, then the exact tier on the
+    samples it leaves uncertified.  The same float operations in the same
+    order, so its results are bit-identical.  No sample budget."""
+    g, _, err = entries_f64(experiment.entry_tables(matrix, map_vars), pts)
+    b, e, done = reference_greedy(g, err)
+    e[~done] = np.inf
+    late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
+    for k in late:
+        b[k] = reduce_exact(experiment._exact_matrix(matrix, map_vars, pts[k]))
+        e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
+    return b, e, int(late.size)
+
+
+def _heis3_chunk(T, grid, stop):
+    heis3 = get_map("heis3")
+    region = BoxSpec(lam=heis3.default_lambda, T=T, grid=grid).realized_region()
+    return heis3.matrix, heis3.map_vars, region, grid, stop
+
+
+# (matrix, variables, region, grid, last sample) of one 3D chunk
+ROW_KERNEL_CHUNKS3 = {
+    "orbit": (get_map("heis3").orbit_map, get_map("heis3").orbit_vars,
+              BoxRegion((0.0,) * 3, (1.0,) * 3), 24, 1024),
+    "T_20": _heis3_chunk(20.0, 24, 576),
+    "T_1e3": _heis3_chunk(1e3, 32, 1024),
+    # entries up to 1e11: most samples end in the exact tier
+    "T_1e4": _heis3_chunk(1e4, 8, 64),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_KERNEL_CHUNKS3))
+def test_3d_row_kernel_bit_identical_to_reference(name):
+    matrix, map_vars, region, grid, stop = ROW_KERNEL_CHUNKS3[name]
+    pts = region.sample_points(grid, 0, stop, "jitter", 3)
+    got = experiment.certified_reduce(matrix, map_vars,
+                                      experiment.entry_tables(matrix, map_vars), pts)
+    want = reference_certified_reduce3(matrix, map_vars, pts)
+    assert (got[2] > 0) == (name == "T_1e4")
+    assert got[2] == want[2]
+    for g, w in zip(got[:2], want[:2]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# -- tooling -----------------------------------------------------------------------
+
+
+def test_every_public_homspace_function_has_a_caller_in_src():
+    # a kernel that only the tests or the benchmark call is dead code in src/
+    src = Path(boxflow.__file__).parent
+    trees = {f.name: ast.parse(f.read_text()) for f in src.glob("*.py")}
+    refs = [(n, n.id if isinstance(n, ast.Name) else n.attr)
+            for t in trees.values() for n in ast.walk(t)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+    dead = []
+    for fn in trees["homspace.py"].body:
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+            own = set(map(id, ast.walk(fn)))
+            if not any(name == fn.name and id(n) not in own for n, name in refs):
+                dead.append(fn.name)
+    assert dead == []
