@@ -32,12 +32,13 @@ U2 = U * U
 MUL_D_ERR = 2.0
 ADD_ERR = 3.0
 
-# samples per chunk of the 2D lattice kernel (``experiment._CHUNK``),
-# which runs on coordinate rows of this length: its states, scratch rows
-# and ``goodness.GridPoly.dd`` temporaries stay in cache and are recycled
-# by the allocator rather than mapped afresh.  Blocking the double-double
-# loops of 16,384-sample chunks this way made them about 1.6 times faster
-# (2-core Xeon)
+# samples per chunk of the lattice kernel in both dimensions
+# (``experiment._CHUNK``), which runs on coordinate rows of this length:
+# its states, scratch rows and ``goodness.GridPoly.dd`` temporaries stay
+# in cache and are recycled by the allocator rather than mapped afresh.
+# Blocking the double-double loops of 16,384-sample chunks this way made
+# them about 1.6 times faster (2-core Xeon); in 3D a chunk of this size
+# makes about 8 times fewer numpy calls per sample than one of 1,024
 BLOCK = 1 << 13
 
 _SPLITTER = 134217729.0  # 2^27 + 1

@@ -19,8 +19,8 @@ whichever is the cheapest whose error bound meets the tolerance.
 observable from those bases.  In both dimensions the first stage runs
 on one row state per chunk (``homspace.row_state``): the entries go
 straight into the float64 reduction state, which is reduced in place,
-and the bases leave as views of its coordinate rows.  A 2D chunk is one
-``doubledouble.BLOCK`` of samples.
+and the bases leave as views of its coordinate rows.  A chunk is one
+``doubledouble.BLOCK`` of samples in both dimensions.
 """
 
 from __future__ import annotations
@@ -53,11 +53,9 @@ from .homspace import (
     sl3_greedy,
 )
 
-# a 2D chunk is one block: its coordinate rows stay cache-sized
+# a chunk is one block in both dimensions: its coordinate rows stay
+# cache-sized
 _CHUNK = BLOCK
-# the 3D kernel's temporaries take about 0.8 kB per sample, so its chunks
-# are smaller and a sweep's memory stays near that of the imports
-_CHUNK3 = 1 << 10
 _EXCLUSION_BUDGET = 1e-3
 
 
@@ -121,17 +119,20 @@ def _f64_state(tables, pts: np.ndarray):
     """The float64 row state (``homspace.row_state``) of the matrices whose
     entry tables are ``tables`` at the points ``pts``: entry (i, j) in
     coordinate row i of column j, and as each column's bound the sum of
-    its entries' rounding bounds ``c64 * mag``; and the term-magnitude
-    sums mag[j, i] of the entries."""
+    its entries' rounding bounds ``c64 * mag``; and, in dimension 2, the
+    term-magnitude sums mag[j, i] of the entries, which the double-double
+    routing reads (None in dimension 3, whose entries share one row)."""
     n, m = len(tables), pts.shape[0]
     s = row_state(n, n, m, False)
-    mag = np.empty((n, n, m))
+    keep = n == 2
+    mag = np.empty((n, n, m) if keep else (1, 1, m))
     s[:, BOUND] = 0.0
     for i, row in enumerate(tables):
         for j, table in enumerate(row):
-            table.f64(pts, s[j, i], mag[j, i])
-            s[j, BOUND] += table.c64 * mag[j, i]
-    return s, mag
+            r = mag[j, i] if keep else mag[0, 0]
+            table.f64(pts, s[j, i], r)
+            s[j, BOUND] += table.c64 * r
+    return s, mag if keep else None
 
 
 def _sl2_tiers(tables, pts: np.ndarray, s, mag):
@@ -141,13 +142,10 @@ def _sl2_tiers(tables, pts: np.ndarray, s, mag):
     reduced and certified, or with an infinite first bound.
 
     The float64 tier reduces ``s`` in place when every sample qualifies,
-    else an ``np.compress`` of it; the double-double tier evaluates its
-    samples into a double-double row state and writes its results back."""
-    m = pts.shape[0]
+    else an ``np.compress`` of it.  When some sample misses it, the
+    double-double tier evaluates the samples it qualifies into a
+    double-double row state and writes its results back."""
     err = s[:, BOUND]
-    edd = np.empty((2, m))
-    for j in range(2):
-        edd[j] = mag[j, 0] * tables[0][j].cdd + mag[j, 1] * tables[1][j].cdd
     # the reduced basis is B = g U with U = adj(g) B, so its column j
     # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
     # the routing takes |b_j| to be about 1
@@ -166,7 +164,13 @@ def _sl2_tiers(tables, pts: np.ndarray, s, mag):
         t = np.compress(f64, s, axis=2)
         tier(t, False)
         s[..., f64] = t
-    dd = np.isinf(s[0, BOUND]) & (edd[0] * amp[0] + edd[1] * amp[1] <= PREC_TOL)
+    missed = np.isinf(s[0, BOUND])
+    if not missed.any():
+        return
+    edd = np.empty((2, pts.shape[0]))
+    for j in range(2):
+        edd[j] = mag[j, 0] * tables[0][j].cdd + mag[j, 1] * tables[1][j].cdd
+    dd = missed & (edd[0] * amp[0] + edd[1] * amp[1] <= PREC_TOL)
     if dd.any():
         p = np.compress(dd, pts, axis=0)
         t = row_state(2, 2, p.shape[0], True)
@@ -250,9 +254,15 @@ def _eval_chunk(args):
      limit) = args
     pts = region.sample_points(grid, start, stop, method, seed)
     b, e, n_exact = certified_reduce(matrix, map_vars, tables, pts, limit)
-    lam1, values, excluded = certified_observables(
-        b, e, fs, lambda k: _exact_matrix(matrix, map_vars, pts[k])
-    )
+    # the points go before the observables, whose temporaries set a 3D
+    # chunk's peak memory; a tie's point is drawn again, by its index
+    del pts
+
+    def exact(k):
+        pt = region.sample_points(grid, start + k, start + k + 1, method, seed)[0]
+        return _exact_matrix(matrix, map_vars, pt)
+
+    lam1, values, excluded = certified_observables(b, e, fs, exact)
     return lam1, values, excluded, n_exact
 
 
@@ -284,8 +294,7 @@ def _observable_values(
             f"a {region.dim}-dimensional box for {len(map_vars)} map variables")
     total = grid ** region.dim
     limit = _EXCLUSION_BUDGET * total
-    size = _CHUNK if matrix.dim == 2 else _CHUNK3
-    bounds = list(range(0, total, size)) + [total]
+    bounds = list(range(0, total, _CHUNK)) + [total]
     tables = entry_tables(matrix, map_vars)
     tasks = [
         (matrix, map_vars, tables, region, grid, tuple(fs), lo, hi, method, seed,

@@ -126,18 +126,21 @@ class GridPoly:
             if powers:
                 raise DomainError(f"unbound variables {sorted(powers)} in grid function")
             c = float(coeff)
+            # the coefficient as a double-double: c and its low part
+            inexact = Fraction(c) != coeff
+            c_lo = float(coeff - Fraction(c)) if inexact else 0.0
             # products val * x^e; the first is exact for a power-of-two val
             mults = sum(1 for e in exps if e) - (math.frexp(abs(c))[0] == 0.5)
             pows = sum(2 for e in exps if e > 1)
-            n64 = max(n64, (c != coeff) + pows + max(mults, 0))
+            n64 = max(n64, inexact + pows + max(mults, 0))
             ndd = max(ndd, 1 + 2 * sum(exps))
-            self.terms.append((coeff, c, exps))
+            self.terms.append((c, c_lo, exps))
         n = len(self.terms)
         self.c64 = (n64 + max(n - 1, 0)) * U * 1.01
         self.cdd = (ndd + 3 * n) * U2 * 1.01
 
     def _term_values(self, pts: np.ndarray):
-        for _, c, exps in self.terms:
+        for c, _, exps in self.terms:
             val = np.full(pts.shape[0], c)
             for j, e in enumerate(exps):
                 if e:
@@ -167,11 +170,10 @@ class GridPoly:
         once, on a contiguous row."""
         x = np.ascontiguousarray(pts.T)
         xs = [split(row) for row in x]
-        lows = [float(coeff - Fraction(c)) for coeff, c, _ in self.terms]
         th, tl, *tmp = np.empty((7, pts.shape[0]))
         hi.fill(0.0)
         lo.fill(0.0)
-        for (_, c, exps), c_lo in zip(self.terms, lows):
+        for c, c_lo, exps in self.terms:
             th.fill(c)
             tl.fill(c_lo)
             for j, e in enumerate(exps):

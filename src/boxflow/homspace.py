@@ -430,12 +430,14 @@ def _closest_step(s):
     y = 0."""
     b1, b2, b3 = s[:, :3]
     a, c = s[0, NORM], s[1, NORM]
+    # scratch rows: a candidate and the products of a dot product
+    res, p = np.empty((2, 3, a.size))
     # + 0.0 makes a zero sum +0.0, as np.sum does (``_coord_dot`` gives
     # -0.0 when every term is -0.0); the steps' zero quotients, and with
     # them the signs of b3's zero coordinates, follow it
-    ab = _coord_dot(b1, b2) + 0.0
-    r1 = _coord_dot(b1, b3) + 0.0
-    r2 = _coord_dot(b2, b3) + 0.0
+    ab = _coord_dot(b1, b2, p) + 0.0
+    r1 = _coord_dot(b1, b3, p) + 0.0
+    r2 = _coord_dot(b2, b3, p) + 0.0
     # round(x2), x2 the second coordinate of b3's projection
     near = np.round((a * r2 - ab * r1) / (a * c - ab * ab))
     best = np.full(a.size, np.inf)
@@ -443,17 +445,19 @@ def _closest_step(s):
     y2 = np.zeros(a.size)
     for t2 in (near, near - 1.0, near + 1.0):
         t1 = np.round((r1 - ab * t2) / a)
-        res = b3 - t1 * b1 - t2 * b2
-        nr = _coord_dot(res, res)
+        # res = b3 - t1 b1 - t2 b2
+        np.subtract(b3, np.multiply(t1, b1, out=p), out=res)
+        res -= np.multiply(t2, b2, out=p)
+        nr = _coord_dot(res, res, p)
         take = nr < best
         np.copyto(best, nr, where=take)
         np.copyto(y1, t1, where=take)
         np.copyto(y2, t2, where=take)
     e3 = s[2, BOUND]
     for y, u, uu, eu in ((y1, b1, a, s[0, BOUND]), (y2, b2, c, s[1, BOUND])):
-        b3 -= y * u
+        b3 -= np.multiply(y, u, out=p)
         ay = np.abs(y)
-        s[2, NORM] = _coord_dot(b3, b3)
+        s[2, NORM] = _coord_dot(b3, b3, p)
         rnd = U * 1.01 * (ay * np.sqrt(uu) + (ay > 0) * np.sqrt(s[2, NORM]))
         e3 += ay * eu
         e3 += rnd
@@ -471,10 +475,16 @@ _ROW_SLACK = 1e-13
 def _interval(centre, disc, scale):
     """First integer lo and number n of the integers x with
     scale^2 (x - centre)^2 <= disc, per sample."""
-    half = np.sqrt(np.maximum(disc, 0.0)) / scale
-    lo = np.ceil(centre - half)
-    n = np.where(disc >= 0.0,
-                 np.maximum(np.floor(centre + half) - lo + 1.0, 0.0), 0.0)
+    half = np.sqrt(np.maximum(disc, 0.0))
+    half /= scale
+    lo = np.subtract(centre, half)
+    np.ceil(lo, out=lo)
+    n = np.add(centre, half, out=half)
+    np.floor(n, out=n)
+    n -= lo
+    n += 1.0
+    np.maximum(n, 0.0, out=n)
+    n[~(disc >= 0.0)] = 0.0
     return lo, n
 
 
@@ -499,20 +509,28 @@ def _shape(b):
     of b2, b3 orthogonal to b1, h2 = |p2|, nu = p2.p3/|p2|^2 and the height
     h3 = |p2 x p3|/|p2| of p3 over the line of p2.  In dimension 2, which
     has no b3 (mu13 = nu = 0, h3 = inf), h2 = |det(b1, b2)|/|b1|.  The
-    determinant and the cross product avoid cancelling squared lengths."""
+    determinant and the cross product avoid cancelling squared lengths.
+    In dimension 3, p2 and p3 take scratch rows."""
     c = b.transpose(2, 1, 0)  # c[j]: the coordinate rows of column j
-    b11 = _coord_dot(c[0], c[0])
-    m12 = _coord_dot(c[0], c[1]) / b11
-    if b.shape[2] == 2:
+    n, m = b.shape[2], b.shape[0]
+    # scratch rows: the products of a dot product, p2 and p3
+    w = np.empty((1 if n == 2 else 3, n, m))
+    x = w[0]
+    b11 = _coord_dot(c[0], c[0], x).copy()
+    m12 = _coord_dot(c[0], c[1], x) / b11
+    if n == 2:
         h2 = np.abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) / np.sqrt(b11)
         return b11, m12, 0.0, h2, 0.0, np.inf
-    m13 = _coord_dot(c[0], c[2]) / b11
-    p2 = c[1] - m12 * c[0]
-    p3 = c[2] - m13 * c[0]
-    h2 = np.sqrt(_coord_dot(p2, p2))
-    nu = _coord_dot(p2, p3) / (h2 * h2)
+    p2, p3 = w[1], w[2]
+    m13 = _coord_dot(c[0], c[2], x) / b11
+    np.multiply(m12, c[0], out=p2)
+    np.subtract(c[1], p2, out=p2)
+    np.multiply(m13, c[0], out=p3)
+    np.subtract(c[2], p3, out=p3)
+    h2 = np.sqrt(_coord_dot(p2, p2, x))
+    nu = _coord_dot(p2, p3, x) / (h2 * h2)
     x = np.cross(p2, p3, axis=0)
-    return b11, m12, m13, h2, nu, np.sqrt(_coord_dot(x, x)) / h2
+    return b11, m12, m13, h2, nu, np.sqrt(_coord_dot(x, x, x)) / h2
 
 
 def _rows(shape, r):
@@ -538,25 +556,41 @@ def _rows(shape, r):
         for j in range(int(np.max(n, initial=0.0))):
             c2 = lo + j
             d2 = (h2 * (c2 + c3 * nu)) ** 2 + (c3 * h3) ** 2
-            yield (2.0, c2, c3, -(c2 * m12 + c3 * m13),
-                   np.where(j < n, d2, r * r + 1.0))
+            np.copyto(d2, r * r + 1.0, where=~(j < n))
+            yield 2.0, c2, c3, -(c2 * m12 + c3 * m13), d2
 
 
-def _exact_rows(b, c2, c3: int, radius: float) -> np.ndarray:
-    """Integers c1 with |c1 b1 + c2 b2 + c3 b3| <= radius (c3 = 0 in
-    dimension 2), per sample, on the float64 columns read as exact dyadic
-    rationals; counted once per distinct row, in integer arithmetic
-    (``_row_count_exact``)."""
+def _exact_rows(b, own, c2, c3: int, radius: float, n) -> None:
+    """Write into n[own] the number of integers c1 with
+    |c1 b1 + c2 b2 + c3 b3| <= radius (c3 = 0 in dimension 2) of each
+    sample of the mask ``own``, on the float64 columns read as exact dyadic
+    rationals, in integer arithmetic (``_row_count_exact``).
+
+    Each row is counted once.  The first sample's row is compared with
+    every other in place, column row by column row under float ==, which
+    holds for -0.0 and 0.0, the same rational; its count goes to all the
+    samples equal to it (every sample of a ``heis3`` chunk).  Only the
+    other rows are gathered, and np.unique finds the distinct ones."""
     d = b.shape[1]
-    w2 = np.where((c2 != 0)[:, None], b[:, :, 1], 0.0)
-    w3 = b[:, :, 2] if c3 else np.zeros_like(w2)
-    rows = np.column_stack([b[:, :, 0], w2, w3, c2])
+    c2 = np.broadcast_to(c2, own.shape)
+    first = int(np.argmax(own))
+    same = own & (c2 == c2[first])
+    # the columns of the row: b2 only where c2 != 0, b3 only where c3 != 0
+    for j in (0,) + ((1,) if c2[first] else ()) + ((2,) if c3 else ()):
+        for i in range(d):
+            same &= b[:, i, j] == b[first, i, j]
+    rest = np.flatnonzero(own & ~same)
+    k = np.concatenate([[first], rest])
+    w2 = np.where((c2[k] != 0)[:, None], b[k, :, 1], 0.0)
+    w3 = b[k, :, 2] if c3 else np.zeros_like(w2)
+    rows = np.column_stack([b[k, :, 0], w2, w3, c2[k]])
     width = rows.shape[1]
     # one void item per row: np.unique sorts those far faster than axis=0
-    keys, inv = np.unique(rows.view(np.dtype((np.void, rows.itemsize * width))),
-                          return_inverse=True)
+    keys, inv = np.unique(
+        rows[1:].view(np.dtype((np.void, rows.itemsize * width))),
+        return_inverse=True)
     counts = []
-    for key in keys.view(float).reshape(-1, width):
+    for key in np.concatenate([rows[:1], keys.view(float).reshape(-1, width)]):
         w = [int(key[-1]) * Fraction(x) + c3 * Fraction(y)
              for x, y in zip(key[d:2 * d], key[2 * d:3 * d])]
         (v1, vw), den = _integer_scaled([key[:d], w])
@@ -564,14 +598,26 @@ def _exact_rows(b, c2, c3: int, radius: float) -> np.ndarray:
         a, beta = _dot(v1, v1), _dot(v1, vw)
         counts.append(_row_count_exact(a, beta, a * _dot(vw, vw) - beta * beta,
                                        r2.numerator, r2.denominator))
-    return np.array(counts, dtype=float)[inv.ravel()]
+    n[same] = counts[0]
+    n[rest] = np.array(counts[1:], dtype=float)[inv.ravel()]
+
+
+def _margin(shape, eps, norm1, big):
+    """sum_i c_i eps_i for the bounds c_i of the coefficients of the
+    vectors of norm at most ``big``, per sample."""
+    _, m12, m13, h2, nu, h3 = shape
+    reach = big / norm1
+    c3_max = big / h3
+    c2_max = big / h2 + np.abs(nu) * c3_max
+    c1_max = reach + np.abs(m12) * c2_max + np.abs(m13) * c3_max
+    return sum(k * x for k, x in zip((c1_max, c2_max, c3_max), eps))
 
 
 def _row_sums(b, e, shape, f: TestFunction):
     """Sum of the profile of ``f`` over the lattice vectors, the origin
     included, per sample, and the mask of the samples whose indicator
     count the column bounds ``e`` leave in doubt (``siegel_sums``)."""
-    b11, m12, m13, h2, nu, h3 = shape
+    b11 = shape[0]
     norm1 = np.sqrt(b11)
     radius = f.radius
     r2 = radius * radius
@@ -585,31 +631,33 @@ def _row_sums(b, e, shape, f: TestFunction):
     c = b.transpose(2, 1, 0)
     eps = [e[:, j] + _ROW_SLACK * np.sqrt(_coord_dot(c[j], c[j]))
            for j in range(b.shape[2])]
-    # coefficient bounds of the vectors of norm at most R + 1
     big = radius + 1.0
-    reach = big / norm1
-    c3_max = big / h3
-    c2_max = big / h2 + np.abs(nu) * c3_max
-    c1_max = reach + np.abs(m12) * c2_max + np.abs(m13) * c3_max
-    rho = sum(k * x for k, x in zip((c1_max, c2_max, c3_max), eps))
+    rho = _margin(shape, eps, norm1, big)
     ties = rho > 1.0
     exact_cols = e == 0.0
-    for w, c2, c3, centre, d2 in _rows(shape, radius + np.minimum(rho, 1.0)):
+    # rows up to R + min(rho, 1) can hold a doubtful vector
+    r = np.add(radius, np.minimum(rho, 1.0, out=rho), out=rho)
+    for w, c2, c3, centre, d2 in _rows(shape, r):
         n = _interval(centre, r2 - d2, norm1)[1]
-        rho_row = (np.abs(centre) + reach) * eps[0] + np.abs(c2) * eps[1]
+        # |c1| <= |centre| + (R + 1)/|b1| for the row's vectors of norm <= R + 1
+        rho_row = (np.abs(centre) + big / norm1) * eps[0] + np.abs(c2) * eps[1]
         if c3:
             rho_row += c3 * eps[2]
-        inner = np.maximum(radius - rho_row, 0.0)
+        # the discriminants at the radii R + rho_row and R - rho_row
         outer = radius + rho_row
-        doubt = (_interval(centre, inner * inner - d2, norm1)[1]
-                 != _interval(centre, outer * outer - d2, norm1)[1])
+        outer *= outer
+        outer -= d2
+        inner = np.maximum(radius - rho_row, 0.0, out=rho_row)
+        inner *= inner
+        inner -= d2
+        doubt = (_interval(centre, inner, norm1)[1]
+                 != _interval(centre, outer, norm1)[1])
         if doubt.any():
             own = (doubt & exact_cols[:, 0] & ((c2 == 0) | exact_cols[:, 1])
                    & (c3 == 0 or exact_cols[:, 2]))
             ties |= doubt & ~own
             if own.any():
-                n[own] = _exact_rows(b[own], np.broadcast_to(c2, n.shape)[own],
-                                     c3, radius)
+                _exact_rows(b, own, c2, c3, radius, n)
         total += w * n
     return total, ties
 

@@ -83,6 +83,16 @@ def exact_norms(m, radius):
     return _norms_within(exact_reduce(m), Fraction(radius) ** 2)
 
 
+def row_count(b1, w, radius):
+    """Integers c1 with |c1 b1 + w| <= radius, for rational vectors
+    b1 != 0 and w, by scanning c1 over |c1| |b1| <= radius + |w|."""
+    b1, w = [Fraction(x) for x in b1], [Fraction(x) for x in w]
+    r2 = Fraction(radius) ** 2
+    span = math.ceil((radius + math.sqrt(_dot(w, w))) / math.sqrt(_dot(b1, b1))) + 1
+    vecs = ([c1 * x + y for x, y in zip(b1, w)] for c1 in range(-span, span + 1))
+    return sum(1 for v in vecs if _dot(v, v) <= r2)
+
+
 def exact_shortest_sq(m):
     """Exact squared length of a shortest nonzero lattice vector."""
     cols = exact_reduce(m)

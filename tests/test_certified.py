@@ -12,7 +12,7 @@ import oracles
 import pytest
 from rowstate import entries_f64, lagrange, reduce_bases
 
-from boxflow import experiment
+from boxflow import experiment, homspace
 from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
 from boxflow.doubledouble import (
@@ -450,6 +450,33 @@ def test_3d_exact_columns_are_counted_as_stored(monkeypatch):
     assert done.all() and np.max(e) <= PREC_TOL
     _, values, _ = certified_observables(b, e, (INDICATOR,), lambda k: exact)
     assert values[0].tolist() == [len(oracles.exact_norms(exact, 1))] == [0]
+
+
+def test_exact_rows_count_each_row_exactly():
+    # rows c1 b1 + c2 b2 + c3 b3 of a mixed batch: samples equal to the
+    # first sample's row (one of them outside the mask), one whose b1 holds
+    # -0.0 where the first holds 0.0, one whose b2 differs (the same row
+    # while c2 = 0), and distinct dyadic rows; with c3 = 0 and c2 = 0 or
+    # 1, and with c3 = 1 and c2 per sample
+    rng = np.random.default_rng(41)
+    base = np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    b = np.repeat(base[None], 40, axis=0)
+    b[5, 1, 0] = -0.0
+    b[6, :, 1] = (0.75, 1.25, 0.0)
+    b[20:] += rng.integers(-8, 9, (20, 3, 3)) / 16
+    own = np.ones(40, dtype=bool)
+    own[[3, 30]] = False
+    c2_per_sample = np.where(np.arange(40) < 20, 1.0, rng.integers(-2, 3, 40))
+    for c2, c3 in ((0, 0), (1, 0), (c2_per_sample, 1)):
+        n = np.full(40, -1.0)
+        homspace._exact_rows(b, own, c2, c3, 1.5, n)
+        c2 = np.broadcast_to(c2, (40,))
+        want = [
+            oracles.row_count(b[k, :, 0], [F(c2[k]) * F(x) + c3 * F(y) for x, y
+                                           in zip(b[k, :, 1], b[k, :, 2])], 1.5)
+            if own[k] else -1.0 for k in range(40)]
+        assert n.tolist() == want
+        assert len({want[k] for k in range(20, 40) if own[k]} - {want[0]}) > 0
 
 
 def _round_up(q):

@@ -1,6 +1,7 @@
 """Sweep engine: periodicity oracle, change of variables, determinism."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -180,11 +181,11 @@ def test_worker_count_independence():
 def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
     # every sample is computed on its own and written to its own slot: one
     # chunk of the whole box against smaller chunks (in 2D, 36,864 samples
-    # in chunks of BLOCK, 4.5 per box, 2 BLOCK and 1,000; in 3D, 4,096 in
-    # chunks of 1,024 and 1,000), and 1,000 in two worker processes, which
-    # take the tasks and their entry tables pickled
+    # in chunks of BLOCK, 4.5 per box, 2 BLOCK and 1,000; in 3D, 9,216 in
+    # chunks of BLOCK, 1,024 and 1,000), and 1,000 in two worker processes,
+    # which take the tasks and their entry tables pickled
     entry = get_map(name)
-    grid, chunk, sizes = 192, "_CHUNK", (BLOCK, 2 * BLOCK, 1000)
+    grid, sizes = 192, (BLOCK, 2 * BLOCK, 1000)
     if name == "ul_product":
         region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=192).realized_region()
         fs = (TF("indicator", 1.0), TF("bump", 1.0))
@@ -192,14 +193,15 @@ def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
         region = BoxRegion((0.0, 0.0), (1.01 * 10.0 ** 4, 10.0))
         fs = (TF("indicator", 1.0),)
     else:
-        grid, chunk, sizes = 64, "_CHUNK3", (1024, 1000)
-        region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=64).realized_region()
+        grid, sizes = 96, (BLOCK, 1024, 1000)
+        region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=96).realized_region()
         # at R = 1 every heis3 value is 2; at R = 1.5 the bump's values
         # are all distinct
         fs = (TF("indicator", 1.5), TF("bump", 1.5))
+    assert grid ** 2 > BLOCK
     runs = []
     for size in (grid ** 2,) + sizes:
-        monkeypatch.setattr(experiment, chunk, size)
+        monkeypatch.setattr(experiment, "_CHUNK", size)
         runs.append(experiment._observable_values(
             entry.matrix, entry.map_vars, region, grid, fs, method="jitter", seed=5))
     with experiment._pool(2) as pool:
@@ -211,30 +213,110 @@ def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_heis3_worker_count_independence():
-    # 3D chunks are smaller: three of them per box here
+def chunk_peak(task):
+    """The tracemalloc peak of one ``_eval_chunk`` of ``task``, above what
+    was allocated before it, after one warm-up run."""
+    experiment._eval_chunk(task)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        experiment._eval_chunk(task)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_3d_chunk_takes_little_more_memory_than_a_2d_chunk():
+    # one BLOCK of heis3's closed-orbit reference (the orbit map on its
+    # period cube, grid 24, indicator at R = 1) against one BLOCK of a
+    # ul_product box at T = 1e3 (grid 256, indicator and bump at R = 1)
+    orbit = BoxRegion((0.0,) * 3, (float(HEIS3.period),) * 3)
+    heis3 = (HEIS3.orbit_map, HEIS3.orbit_vars,
+             experiment.entry_tables(HEIS3.orbit_map, HEIS3.orbit_vars), orbit, 24,
+             (TF("indicator", 1.0),), 0, BLOCK, "grid", 0, math.inf)
+    box = BoxSpec(lam=UL.default_lambda, T=1e3, grid=256).realized_region()
+    ul = (UL.matrix, UL.map_vars, experiment.entry_tables(UL.matrix, UL.map_vars), box,
+          256, (TF("indicator", 1.0), TF("bump", 1.0)), 0, BLOCK, "jitter", 1, math.inf)
+    assert chunk_peak(heis3) <= 1.25 * chunk_peak(ul)
+
+
+@pytest.mark.parametrize("method", ["grid", "jitter", "mc"])
+@pytest.mark.parametrize("entry", [UL, HEIS3], ids=["ul_product", "heis3"])
+def test_a_tie_is_recounted_at_the_point_drawn_for_it(entry, method, monkeypatch):
+    # a chunk drops its points once its bases are reduced and draws a tie's
+    # point again: sample 17 of a chunk starting at 1,000, marked as a tie,
+    # is recounted from the exact matrix at the point the chunk drew
+    start, stop, k = 1000, 1064, 17
+    region = BoxSpec(lam=entry.default_lambda, T=20.0, grid=40).realized_region()
+    real_sums = experiment.siegel_sums
+    recounted = []
+
+    def one_tie(*args):
+        values, excluded, ties = real_sums(*args)
+        ties[0, k] = True
+        return values, excluded, ties
+
+    def record(m, radius):
+        recounted.append(m)
+        return -1
+
+    monkeypatch.setattr(experiment, "siegel_sums", one_tie)
+    monkeypatch.setattr(experiment, "siegel_count_exact", record)
+    task = (entry.matrix, entry.map_vars,
+            experiment.entry_tables(entry.matrix, entry.map_vars), region, 40,
+            (TF("indicator", 1.0),), start, stop, method, 3, math.inf)
+    values = experiment._eval_chunk(task)[1]
+    pt = region.sample_points(40, start, stop, method, 3)[k]
+    assert recounted == [experiment._exact_matrix(entry.matrix, entry.map_vars, pt)]
+    assert values[0, k] == -1
+
+
+def counting_pools(monkeypatch):
+    """Record every process pool that the sweeps open, and the number of
+    tasks of each ``map`` call on it: one call per box of more than one
+    chunk."""
+    pools, tasks = [], []
+
+    class Counting(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+        def map(self, fn, items, **kwargs):
+            items = list(items)
+            tasks.append(len(items))
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Counting)
+    return pools, tasks
+
+
+def test_heis3_worker_count_independence(monkeypatch):
+    # a grid-48 box is one chunk of BLOCK; chunks of 1,024 make it three
+    # tasks, so the pool runs them
+    monkeypatch.setattr(experiment, "_CHUNK", 1024)
+    pools, tasks = counting_pools(monkeypatch)
     f = TF("indicator", 1.0)
     res1 = convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [f], grid=48,
                              workers=1, method="jitter", seed=4)
     res2 = convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [f], grid=48,
                              workers=2, method="jitter", seed=4)
+    assert len(pools) == 1 and tasks == [3]
     assert res1.csv_text() == res2.csv_text()
 
 
 def test_one_process_pool_per_sweep(monkeypatch):
-    # three boxes of three chunks each share one pool
-    pools = []
-    real = experiment.ProcessPoolExecutor
-
-    def counting(*args, **kwargs):
-        pools.append(real(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", counting)
+    # three boxes of three chunks of 1,024 each share one pool
+    monkeypatch.setattr(experiment, "_CHUNK", 1024)
+    pools, tasks = counting_pools(monkeypatch)
     f = TF("indicator", 1.0)
     args = (HEIS3, HEIS3.default_lambda, [10.0, 20.0, 30.0], [f])
     res2 = convergence_sweep(*args, grid=48, workers=2, method="jitter", seed=4)
-    assert len(pools) == 1
+    assert len(pools) == 1 and tasks == [3, 3, 3]
     res1 = convergence_sweep(*args, grid=48, workers=1, method="jitter", seed=4)
     assert len(pools) == 1
     assert res1.csv_text() == res2.csv_text()

@@ -603,7 +603,7 @@ def test_grid_poly_bit_identical_to_both_old_evaluators():
         table.dd(pts, hi, lo)
         ref_hi, ref_lo = ref.dd(pts)
         assert same_bits(hi, ref_hi) and same_bits(lo, ref_lo)
-        inexact += any(c != coeff for coeff, c, _ in table.terms)
+        inexact += any(c != coeff for coeff, c, _ in ref.terms)
         constant += any(not any(e) for _, _, e in table.terms)
     assert inexact > 10 and constant > 10
 
