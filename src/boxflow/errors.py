@@ -48,20 +48,17 @@ class NilpotencyError(BoxflowError):
 
 
 class CuspExcursionError(BoxflowError):
-    """Lattice too deep in the cusp for safe enumeration, or too many
-    grid samples tripped the enumeration guard."""
-
-    def __init__(self, message, excluded=0, total=0):
-        super().__init__(message)
-        self.excluded = excluded
-        self.total = total
+    """A sample's Siegel sum needs more rows of lattice vectors than the
+    row cap allows (``homspace.ROW_CAP``): its lattice is too deep in the
+    cusp for the radius, or the radius is too large."""
 
 
 class PrecisionError(BoxflowError):
     """Too many grid samples lie beyond what float64 and double-double
     arithmetic can certify: their reduced-basis error bound exceeds the
-    tolerance, and exact reduction of that many samples is out of budget.
-    An average over the box would not describe the stated trajectory."""
+    tolerance, and exact reduction of that many samples is over the
+    exact tier's cost budget.  The budget caps cost, not precision: every
+    sample the exact tier takes is exact."""
 
     def __init__(self, message, flagged=0, total=0):
         super().__init__(message)

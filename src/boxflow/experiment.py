@@ -37,7 +37,7 @@ import numpy as np
 
 from .catalog import MapEntry
 from .doubledouble import BLOCK, U
-from .errors import CuspExcursionError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
 from .goodness import BoxRegion, GridPoly
 from .homspace import (
@@ -56,7 +56,8 @@ from .homspace import (
 # a chunk is one block in both dimensions: its coordinate rows stay
 # cache-sized
 _CHUNK = BLOCK
-_EXCLUSION_BUDGET = 1e-3
+# the share of a box's samples the exact tier may take: a cost cap
+_EXACT_BUDGET = 1e-3
 
 
 def _check_grid(grid: int) -> None:
@@ -216,7 +217,7 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
         tiers = "float64 and double-double" if n == 2 else "float64"
         raise PrecisionError(
             f"{late.size}/{m} samples of a chunk are beyond {tiers} "
-            f"certification (budget {limit:g} per box)",
+            f"certification (exact-tier cost budget {limit:g} per box)",
             flagged=int(late.size), total=m,
         )
     for k in late:
@@ -226,17 +227,17 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
 
 
 def certified_observables(b: np.ndarray, e: np.ndarray, fs, exact):
-    """Shortest lengths, Siegel observables (one row per test function in
-    ``fs``) and cusp-exclusion flags of the bases ``b`` with column bounds
-    ``e`` that ``certified_reduce`` returns, in closed form
-    (``siegel_sums``).  The indicator counts the bases leave in doubt are
-    recounted from ``exact(k)``, the matrix of rationals of sample k, so
-    every count is the exact lattice's."""
+    """Shortest lengths and Siegel observables (one row per test function
+    in ``fs``) of the bases ``b`` with column bounds ``e`` that
+    ``certified_reduce`` returns, in closed form (``siegel_sums``).  The
+    indicator counts the bases leave in doubt are recounted from
+    ``exact(k)``, the matrix of rationals of sample k, so every count is
+    the exact lattice's."""
     lam1 = np.sqrt(functools.reduce(np.add, (b[:, :, 0] * b[:, :, 0]).T))
-    values, excluded, ties = siegel_sums(b, e, lam1, fs)
+    values, ties = siegel_sums(b, e, fs)
     for i, k in zip(*np.nonzero(ties)):
         values[i, k] = siegel_count_exact(exact(k), fs[i].radius)
-    return lam1, values, excluded
+    return lam1, values
 
 
 def _exact_matrix(matrix, map_vars, pt):
@@ -247,9 +248,9 @@ def _exact_matrix(matrix, map_vars, pt):
 
 def _eval_chunk(args):
     """Shortest-vector lengths, observable values (one row per test
-    function), cusp-exclusion flags and the number of exactly reduced
-    samples of one chunk, all from a single certified reduction per
-    sample (``certified_reduce``, then ``certified_observables``)."""
+    function) and the number of exactly reduced samples of one chunk, all
+    from a single certified reduction per sample (``certified_reduce``,
+    then ``certified_observables``)."""
     (matrix, map_vars, tables, region, grid, fs, start, stop, method, seed,
      limit) = args
     pts = region.sample_points(grid, start, stop, method, seed)
@@ -262,8 +263,8 @@ def _eval_chunk(args):
         pt = region.sample_points(grid, start + k, start + k + 1, method, seed)[0]
         return _exact_matrix(matrix, map_vars, pt)
 
-    lam1, values, excluded = certified_observables(b, e, fs, exact)
-    return lam1, values, excluded, n_exact
+    lam1, values = certified_observables(b, e, fs, exact)
+    return lam1, values, n_exact
 
 
 def _pool(workers: int):
@@ -282,10 +283,10 @@ def _observable_values(
     method: str = "grid",
     seed: int = 0,
 ):
-    """(lam1, values, excluded) over the box's samples: shortest-vector
-    lengths, one row of observable values per test function in ``fs``, and
-    the cusp-exclusion flags.  The chunks run in ``pool`` (``_pool``) when
-    there is one and more than one chunk."""
+    """(lam1, values) over the box's samples: shortest-vector lengths and
+    one row of observable values per test function in ``fs``, for every
+    sample.  The chunks run in ``pool`` (``_pool``) when there is one and
+    more than one chunk."""
     if matrix.dim not in (2, 3):
         raise DomainError(
             f"lattice observables need 2x2 or 3x3 matrices, not {matrix.dim}x{matrix.dim}")
@@ -293,7 +294,7 @@ def _observable_values(
         raise DomainError(
             f"a {region.dim}-dimensional box for {len(map_vars)} map variables")
     total = grid ** region.dim
-    limit = _EXCLUSION_BUDGET * total
+    limit = _EXACT_BUDGET * total
     bounds = list(range(0, total, _CHUNK)) + [total]
     tables = entry_tables(matrix, map_vars)
     tasks = [
@@ -303,44 +304,28 @@ def _observable_values(
     ]
     lam1 = np.empty(total)
     values = np.empty((len(fs), total))
-    excluded = np.empty(total, dtype=bool)
     if pool is None or len(tasks) == 1:
         results = map(_eval_chunk, tasks)
     else:
         results = pool.map(_eval_chunk, tasks)
     flagged = 0
-    for task, (lam, vals, excl, n_exact) in zip(tasks, results):
+    for task, (lam, vals, n_exact) in zip(tasks, results):
         lo, hi = task[6], task[7]
         lam1[lo:hi] = lam
         values[:, lo:hi] = vals
-        excluded[lo:hi] = excl
         flagged += n_exact
     if flagged > limit:
         raise PrecisionError(
             f"{flagged}/{total} samples are beyond floating-point "
-            f"certification",
+            f"certification (over the exact tier's cost budget)",
             flagged=flagged, total=total,
         )
-    return lam1, values, excluded
+    return lam1, values
 
 
-def _average(values: np.ndarray, excluded: np.ndarray):
-    """(average over the samples kept, number cusp-excluded, bound on what
-    the excluded samples can move the average)."""
-    total = values.shape[0]
-    n_excl = int(np.count_nonzero(excluded))
-    if n_excl > _EXCLUSION_BUDGET * total:
-        raise CuspExcursionError(
-            f"cusp guard tripped on {n_excl}/{total} samples",
-            excluded=n_excl,
-            total=total,
-        )
-    kept = values[~excluded]
-    avg = math.fsum(kept.tolist()) / kept.shape[0]
-    bound = 0.0
-    if n_excl:
-        bound = n_excl / total * float(np.max(kept))
-    return avg, n_excl, bound
+def _average(values: np.ndarray) -> float:
+    """The mean of the values of every sample, summed exactly."""
+    return math.fsum(values.tolist()) / values.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +338,11 @@ def birkhoff_average(entry: MapEntry, box: BoxSpec, f: TestFunction,
                      seed: int = 0) -> float:
     """Midpoint grid average of the observable over the realized box."""
     with _pool(workers) as pool:
-        _, values, excluded = _observable_values(
+        _, values = _observable_values(
             entry.matrix, entry.map_vars, box.realized_region(), box.grid, (f,),
             pool=pool, method=method, seed=seed,
         )
-    return _average(values[0], excluded)[0]
+    return _average(values[0])
 
 
 def subbox_average(entry: MapEntry, lam, T: float, J: Optional[BoxRegion],
@@ -382,7 +367,7 @@ def nondivergence_fraction(entry: MapEntry, box: BoxSpec,
     """Fraction of grid samples whose lattice stays eps0-deep in the
     compact part, per eps0."""
     with _pool(workers) as pool:
-        lam1, _, _ = _observable_values(
+        lam1, _ = _observable_values(
             entry.matrix, entry.map_vars, box.realized_region(), box.grid, (),
             pool=pool,
         )
@@ -397,10 +382,10 @@ def periodic_reference(entry: MapEntry, f: TestFunction) -> float:
         raise DomainError(f"{entry.name} is not a closed-orbit entry")
     k = len(entry.orbit_vars)
     region = BoxRegion((0.0,) * k, (float(entry.period),) * k)
-    _, values, excluded = _observable_values(
+    _, values = _observable_values(
         entry.orbit_map, entry.orbit_vars, region, 4096 if k == 1 else 24, (f,)
     )
-    return _average(values[0], excluded)[0]
+    return _average(values[0])
 
 
 @dataclass(frozen=True)
@@ -480,14 +465,14 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
     rows = []
     with _pool(workers) as pool:
         for T, region in zip(params, regions):
-            lam1, values, excluded = _observable_values(
+            lam1, values = _observable_values(
                 entry.matrix, entry.map_vars, region, grid, f_list,
                 pool=pool, method=method, seed=seed,
             )
             nondiv = _nondiv(lam1, eps0_list)
-            averages = [_average(vals, excluded) for vals in values]
-            del lam1, values, excluded  # one box's samples in memory at a time
-            for f, ref, (average, n_excl, bound) in zip(f_list, refs, averages):
+            averages = [_average(vals) for vals in values]
+            del lam1, values  # one box's samples in memory at a time
+            for f, ref, average in zip(f_list, refs, averages):
                 gap = average - ref
                 rows.append(
                     ResultRow(
@@ -498,8 +483,10 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
                         gap=gap,
                         rel_gap=abs(gap) / abs(ref) if ref else float("inf"),
                         samples=grid ** region.dim,
-                        excluded=n_excl,
-                        error_bound=bound,
+                        # every sample is counted and no numeric bound exists
+                        # yet; both keep their values for the CSVs and the bench
+                        excluded=0,
+                        error_bound=0.0,
                         nondiv=nondiv,
                         seed=seed,
                     )

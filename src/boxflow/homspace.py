@@ -20,7 +20,7 @@ ball, with no enumeration and no per-sample fallback.
 It counts the rows that the bases' error could change exactly from
 columns that are exact as stored, and marks the other doubtful counts as
 ties, which ``siegel_count_exact`` recounts in integer arithmetic, so
-every indicator count is the exact lattice's.
+every indicator count is the exact lattice's, however deep in the cusp.
 ``experiment.certified_reduce`` and ``experiment.certified_observables``
 put these pieces together into one kernel for both dimensions."""
 
@@ -33,9 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_sub_mul_d
-from .errors import DomainError
+from .errors import CuspExcursionError, DomainError
 
-CUSP_GUARD = 1e-6
 # a certified reduced basis lies within this 2-norm distance, per column,
 # of an exact basis of the stated lattice
 PREC_TOL = 1e-6
@@ -470,6 +469,10 @@ def _closest_step(s):
 # rounding slack of the row geometry of a reduced basis, relative to each
 # column's length per unit coefficient, in the margin of an indicator count
 _ROW_SLACK = 1e-13
+# the most rows (c2, c3) that one sample may need (``_rows``): a row costs
+# 0.25-0.4 ms on a chunk of one doubledouble.BLOCK of samples (2 cores), so
+# a chunk's row loop stays under about 0.4 s per observable
+ROW_CAP = 1000
 
 
 def _interval(centre, disc, scale):
@@ -546,12 +549,18 @@ def _rows(shape, r):
     and 2 for the others.  The rows c3 = 0 are shared by all samples, up to
     the largest c2 any of them needs: a sample beyond its own last row has
     d2 > r^2.  A sample without a row c3 > 0 yields d2 = r^2 + 1.  Every
-    step is monotone in r, so no row loses vectors as r grows."""
+    step is monotone in r, so no row loses vectors as r grows.  A sample
+    needs at most r/h2 + 1 + (r/h3)(2 r/h2 + 1) rows; when that bound
+    exceeds ``ROW_CAP`` for any sample, it raises ``CuspExcursionError``."""
     _, m12, m13, h2, nu, h3 = shape
     r = np.broadcast_to(r, h2.shape)
-    for c2 in range(int(np.max(r / h2, initial=0.0)) + 1):
+    reach2, reach3 = r / h2, r / h3
+    if np.any(reach2 + 1.0 + reach3 * (2.0 * reach2 + 1.0) > ROW_CAP):
+        raise CuspExcursionError(f"a sample needs more than {ROW_CAP} rows of "
+                                 "lattice vectors: too deep in the cusp for the radius")
+    for c2 in range(int(np.max(reach2, initial=0.0)) + 1):
         yield 1.0 if c2 == 0 else 2.0, c2, 0, -c2 * m12, (c2 * h2) ** 2
-    for c3 in range(1, int(np.max(r / h3, initial=0.0)) + 1):
+    for c3 in range(1, int(np.max(reach3, initial=0.0)) + 1):
         lo, n = _interval(-c3 * nu, r * r - (c3 * h3) ** 2, h2)
         for j in range(int(np.max(n, initial=0.0))):
             c2 = lo + j
@@ -662,7 +671,7 @@ def _row_sums(b, e, shape, f: TestFunction):
     return total, ties
 
 
-def siegel_sums(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, fs):
+def siegel_sums(b: np.ndarray, e: np.ndarray, fs):
     """Siegel observables of a batch of reduced bases (m, N, N), N = 2 or 3,
     shortest column first, one row per test function in ``fs``, summed in
     closed form over the rows of ``_rows`` from one ``_shape``; and the
@@ -677,16 +686,14 @@ def siegel_sums(b: np.ndarray, e: np.ndarray, lam1: np.ndarray, fs):
     unit vector e1 that the lattices of ``heis3`` and of the 2D
     closed-orbit maps keep on the sphere R = 1) is counted exactly from
     them (``_exact_rows``); any other uncertain row marks its sample as a
-    tie, to be recounted from the exact lattice.  Samples under the
-    enumeration guard are excluded: value 0 and no tie.
-    Returns (values, excluded, ties).
+    tie, to be recounted from the exact lattice.  Every sample is counted
+    (``_rows`` caps its rows at ``ROW_CAP``).  Returns (values, ties).
     """
-    excluded = lam1 < CUSP_GUARD
     shape = _shape(b)
     values = np.empty((len(fs), b.shape[0]))
     ties = np.zeros(values.shape, dtype=bool)
     for i, f in enumerate(fs):
         total, ties[i] = _row_sums(b, e, shape, f)
         # the origin, in row 0, has profile value 1 for both kinds
-        values[i] = np.where(excluded, 0.0, total - 1.0)
-    return values, excluded, ties & ~excluded
+        values[i] = total - 1.0
+    return values, ties

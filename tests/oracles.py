@@ -93,6 +93,33 @@ def row_count(b1, w, radius):
     return sum(1 for v in vecs if _dot(v, v) <= r2)
 
 
+def diagonal_sum(d, kind, radius):
+    """Exact Siegel sum over the nonzero vectors of the lattice diag(d) Z^N
+    (rational d_i) of the indicator (``kind`` "indicator") or the bump
+    (1 - (r/R)^2)^2 of radius R, with no enumeration along the first
+    axis: each row w of the other coordinates holds the c1 with
+    |c1| <= n = floor(sqrt(R^2 - |w|^2) / |d_1|), summed with the power
+    sums of 1..n, which may be billions of vectors deep in the cusp."""
+    d = [Fraction(x) for x in d]
+    r2 = Fraction(radius) ** 2
+    spans = [math.isqrt(math.floor(r2 / (x * x))) for x in d[1:]]
+    total = Fraction(-1)  # the origin
+    for c in itertools.product(*(range(-s, s + 1) for s in spans)):
+        rest = r2 - sum((ci * x) ** 2 for ci, x in zip(c, d[1:]))
+        if rest < 0:
+            continue
+        n = math.isqrt(math.floor(rest / (d[0] * d[0])))
+        if kind == "indicator":
+            total += 2 * n + 1
+            continue
+        # the sum of (a - q c1^2)^2 over |c1| <= n
+        a, q = rest / r2, d[0] * d[0] / r2
+        s2 = Fraction(n * (n + 1) * (2 * n + 1), 3)
+        s4 = Fraction(n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1), 15)
+        total += (2 * n + 1) * a * a - 2 * a * q * s2 + q * q * s4
+    return total
+
+
 def exact_shortest_sq(m):
     """Exact squared length of a shortest nonzero lattice vector."""
     cols = exact_reduce(m)

@@ -158,8 +158,7 @@ def kernel_mismatches(entry, tables, pts):
         return experiment._exact_matrix(entry.matrix, entry.map_vars, pts[k])
 
     b, e, n_exact = certified_reduce(entry.matrix, entry.map_vars, tables, pts)
-    lam1, (counts,), excluded = certified_observables(b, e, (INDICATOR,), exact)
-    assert not excluded.any()
+    lam1, (counts,) = certified_observables(b, e, (INDICATOR,), exact)
     bad_count = bad_lam1 = 0
     for k in range(pts.shape[0]):
         point = {v: F(float(x)) for v, x in zip(entry.map_vars, pts[k])}
@@ -322,8 +321,7 @@ def test_ties_count_exactly_through_certified_kernel(rows, radius, monkeypatch):
     matrix = PolyMatrix(rows)
     task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
             8, (f,), 0, 8, "jitter", 3, math.inf)
-    _, values, excluded, _ = experiment._eval_chunk(task)
-    assert not excluded.any()
+    _, values, _ = experiment._eval_chunk(task)
     exact = len(oracles.exact_norms(rows, radius))
     assert values[0].tolist() == [exact] * 8
     # the constant columns are exact as stored, so the tie rows are counted
@@ -342,10 +340,9 @@ def test_tie_recount_fires_on_ties_only(rows, radius):
     mats[at] = np.array(rows, dtype=float)
     b, _, done = reduce_bases(mats, np.zeros((300, 2)))
     assert done.all()
-    lam1 = np.sqrt(np.sum(b[:, :, 0] ** 2, axis=1))
     # the bounds the sweeps allow a certified basis
-    _, _, (ties,) = siegel_sums(b, np.full((300, 2), PREC_TOL), lam1,
-                                (TF("indicator", radius),))
+    _, (ties,) = siegel_sums(b, np.full((300, 2), PREC_TOL),
+                             (TF("indicator", radius),))
     assert np.nonzero(ties)[0].tolist() == [at]
 
 
@@ -365,8 +362,7 @@ def test_2d_tie_rows_on_exact_columns_skip_the_exact_lattice(name, monkeypatch):
     region = BoxSpec(lam=entry.default_lambda, T=10.0, grid=4096).realized_region()
     task = (entry.matrix, entry.map_vars, entry_tables(entry.matrix, entry.map_vars),
             region, 4096, (INDICATOR,), 0, 4096, "grid", 0, math.inf)
-    _, values, excluded, _ = experiment._eval_chunk(task)
-    assert not excluded.any()
+    _, values, _ = experiment._eval_chunk(task)
     assert values[0].tolist() == [2.0] * 4096
     assert recounts == []
 
@@ -413,8 +409,7 @@ def test_3d_ties_count_exactly_through_certified_kernel(rows):
     matrix = PolyMatrix(rows)
     task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
             8, (INDICATOR,), 0, 8, "jitter", 3, math.inf)
-    _, values, excluded, _ = experiment._eval_chunk(task)
-    assert not excluded.any()
+    _, values, _ = experiment._eval_chunk(task)
     exact = len(oracles.exact_norms(rows, 1))
     assert values[0].tolist() == [exact] * 8
 
@@ -433,7 +428,7 @@ def test_3d_tie_rows_on_exact_columns_skip_the_exact_lattice(monkeypatch):
     region = BoxSpec(lam=HEIS3.default_lambda, T=20.0, grid=24).realized_region()
     task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 24, (INDICATOR,),
             0, 576, "jitter", 1, math.inf)
-    _, values, _, _ = experiment._eval_chunk(task)
+    _, values, _ = experiment._eval_chunk(task)
     assert values[0].tolist() == [2.0] * 576
     assert recounts == []
 
@@ -448,7 +443,7 @@ def test_3d_exact_columns_are_counted_as_stored(monkeypatch):
     exact = [[F(float(x)) for x in row] for row in mats[0]]
     b, e, done = reduce_bases(mats, np.zeros((1, 3)))
     assert done.all() and np.max(e) <= PREC_TOL
-    _, values, _ = certified_observables(b, e, (INDICATOR,), lambda k: exact)
+    _, values = certified_observables(b, e, (INDICATOR,), lambda k: exact)
     assert values[0].tolist() == [len(oracles.exact_norms(exact, 1))] == [0]
 
 
@@ -517,8 +512,8 @@ def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
     # a budget of 0 exact samples: any sample beyond float64 raises
     task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 16, (INDICATOR,),
             0, 256, "jitter", 5, 0.0)
-    _, values, excluded, n_exact = experiment._eval_chunk(task)
-    assert n_exact == 0 and not excluded.any()
+    _, values, n_exact = experiment._eval_chunk(task)
+    assert n_exact == 0
     assert values[0].tolist() == [2.0] * 256
     res = convergence_sweep(HEIS3, HEIS3.default_lambda, [1e3], [INDICATOR], grid=16)
     assert (res.rows[0].average, res.rows[0].reference) == (2.0, 2.0)
@@ -530,7 +525,7 @@ def test_heis3_precision_error_beyond_float64():
     region = BoxSpec(lam=HEIS3.default_lambda, T=1e4, grid=8).realized_region()
     task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 8, (INDICATOR,),
             0, 64, "jitter", 5, math.inf)
-    lam1, values, _, n_exact = experiment._eval_chunk(task)
+    lam1, values, n_exact = experiment._eval_chunk(task)
     assert n_exact > 32
     assert lam1.tolist() == [1.0] * 64 and values[0].tolist() == [2.0] * 64
     with pytest.raises(PrecisionError) as err:
@@ -545,6 +540,32 @@ def test_equi_exits_1_on_heis3_precision_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "float64 certification" in capsys.readouterr().err
+
+
+# -- deep in the cusp -------------------------------------------------------------
+
+# constant lattices with b1 = e1/2e6 (2D) and e1/1e7 (3D), whose other
+# columns are too long for a vector of norm <= 1: one row c1 b1 of 4e6 and
+# 2e7 vectors, with c1 b1 on the sphere R = 1 at c1 = 2e6 and 1e7
+DEEP = [
+    [[F(1, 2 * 10 ** 6), 0], [0, 2 * 10 ** 6]],
+    [[F(1, 10 ** 7), 0, 0], [0, 3000, 0], [0, 0, F(10 ** 4, 3)]],
+]
+
+
+@pytest.mark.parametrize("rows", DEEP, ids=["2d_lam1_5e-7", "3d_lam1_1e-7"])
+def test_deep_cusp_samples_count_exactly_through_certified_kernel(rows):
+    matrix = PolyMatrix(rows)
+    fs = (INDICATOR, TF("bump", 1.0))
+    task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
+            8, fs, 0, 8, "jitter", 3, math.inf)
+    _, (counts, bumps), _ = experiment._eval_chunk(task)
+    diag = [row[i] for i, row in enumerate(rows)]
+    count = oracles.diagonal_sum(diag, "indicator", 1)
+    assert count == 2 / diag[0]
+    assert counts.tolist() == [count] * 8
+    bump = float(oracles.diagonal_sum(diag, "bump", 1))
+    assert bumps.tolist() == pytest.approx([bump] * 8, rel=1e-12)
 
 
 # -- beyond the certifiable range -----------------------------------------------

@@ -321,3 +321,21 @@ def test_equi_rejects_catalog_maps_it_cannot_measure(tmp_path, capsys, item, cod
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_equi_exits_1_beyond_the_row_cap(tmp_path, capsys, workers):
+    # lambda_1 = lambda_2 = 1e-4 needs about 1e4 rows at R = 1; the 9,216
+    # samples are two chunks, which two workers take in worker processes
+    item = {"name": "cusp3", "dim": 3, "vars": ["x", "y"],
+            "entries": [["1/10000", "0", "x"], ["0", "1/10000", "y"],
+                        ["0", "0", "100000000"]],
+            "default_lambda": ["1", "1"]}
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps({"maps": [item]}))
+    out = tmp_path / "out"
+    assert run(["equi", "--map", "cusp3", "--catalog", str(cat_path), "--T", "10",
+                "--grid", "96", "--workers", workers, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "rows of lattice vectors" in err and "Traceback" not in err
+    assert not any(out.glob("*.csv"))

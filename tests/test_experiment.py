@@ -11,7 +11,7 @@ import pytest
 from boxflow import experiment
 from boxflow.catalog import get_map
 from boxflow.doubledouble import BLOCK
-from boxflow.errors import DomainError
+from boxflow.errors import CuspExcursionError, DomainError
 from boxflow.experiment import (
     BoxSpec,
     birkhoff_average,
@@ -22,7 +22,9 @@ from boxflow.experiment import (
     twodim_bcondition_sweep,
 )
 from boxflow.goodness import BoxRegion, GridPoly
+from boxflow.homspace import ROW_CAP
 from boxflow.homspace import TestFunction as TF
+from boxflow.polymatrix import PolyMatrix
 
 F = Fraction
 
@@ -153,8 +155,8 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
         total = 24 ** region.dim
         task = (matrix, map_vars, experiment.entry_tables(matrix, map_vars), region, 24,
                 (f,), 0, total, method, 1, math.inf)
-        lam1, (vals,), excluded, n_exact = experiment._eval_chunk(task)
-        assert not excluded.any() and n_exact == 0
+        lam1, (vals,), n_exact = experiment._eval_chunk(task)
+        assert n_exact == 0
         pts = region.sample_points(24, 0, total, method, 1)
         mats = np.empty((total, 3, 3))
         for i, row in enumerate(matrix.entries):
@@ -213,6 +215,45 @@ def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+# a constant 3D lattice with lambda_1 = lambda_2 = 1e-4: about 1e4 rows
+# c3 = 0 at R = 1, for every sample
+CUSP3 = PolyMatrix([[F(1, 10 ** 4), 0, 0], [0, F(1, 10 ** 4), 0], [0, 0, 10 ** 8]])
+
+
+@pytest.mark.parametrize("case", ["3d_deep_cusp", "2d_huge_radius"])
+def test_the_row_cap_raises_whatever_the_chunk_size(case, monkeypatch):
+    # a sample whose rows exceed ROW_CAP raises, in whichever chunk it lies,
+    # at the chunk sizes of test_results_do_not_depend_on_the_chunk_size.
+    # In 2D a sample needs R lambda_1 + 1 rows, and lambda_1 < 1.075: at
+    # R = ROW_CAP some samples of a ul_product box exceed the cap, and at
+    # R = 0.9 ROW_CAP none does and every chunk of the box runs
+    grid, sizes = 96, (BLOCK, 2 * BLOCK, 1000)
+    if case == "3d_deep_cusp":
+        matrix, map_vars = CUSP3, ("x", "y")
+        region = BoxRegion((0.0, 0.0), (1.0, 1.0))
+        fs = (TF("bump", 1.0),)
+    else:
+        matrix, map_vars = UL.matrix, UL.map_vars
+        region = BoxSpec(lam=UL.default_lambda, T=1e3, grid=grid).realized_region()
+        fs = (TF("indicator", float(ROW_CAP)),)
+        lam1, _ = experiment._observable_values(
+            matrix, map_vars, region, grid, (TF("indicator", 0.9 * ROW_CAP),),
+            method="jitter", seed=5)
+        assert 0.999 < np.max(lam1) < 1.075
+    assert grid ** 2 > BLOCK
+    messages = []
+    for size in (grid ** 2,) + sizes:
+        monkeypatch.setattr(experiment, "_CHUNK", size)
+        with pytest.raises(CuspExcursionError) as err:
+            experiment._observable_values(matrix, map_vars, region, grid, fs,
+                                          method="jitter", seed=5)
+        messages.append(str(err.value))
+    with experiment._pool(2) as pool, pytest.raises(CuspExcursionError) as err:
+        experiment._observable_values(matrix, map_vars, region, grid, fs, pool=pool,
+                                      method="jitter", seed=5)
+    assert messages == [str(err.value)] * 4
+
+
 def chunk_peak(task):
     """The tracemalloc peak of one ``_eval_chunk`` of ``task``, above what
     was allocated before it, after one warm-up run."""
@@ -256,9 +297,9 @@ def test_a_tie_is_recounted_at_the_point_drawn_for_it(entry, method, monkeypatch
     recounted = []
 
     def one_tie(*args):
-        values, excluded, ties = real_sums(*args)
+        values, ties = real_sums(*args)
         ties[0, k] = True
-        return values, excluded, ties
+        return values, ties
 
     def record(m, radius):
         recounted.append(m)

@@ -81,7 +81,7 @@ def certified(mats):
 
 
 def kernel(mats, fs):
-    """(lam1, values, excluded) of the certified kernel on float64 bases
+    """(lam1, values) of the certified kernel on float64 bases
     read as exact rationals: the reduction, then
     ``certified_observables``."""
     return experiment.certified_observables(*certified(mats), fs,
@@ -96,12 +96,12 @@ def reduce2(mats):
 
 
 def siegel_values(b, f):
-    """(values, excluded) of ``certified_observables`` on reduced bases
-    b (m, N, N) that are exact as stored: zero column bounds, and ties
-    recounted from b read as exact rationals."""
-    _, (values,), excluded = experiment.certified_observables(
+    """Values of ``certified_observables`` on reduced bases b (m, N, N)
+    that are exact as stored: zero column bounds, and ties recounted from
+    b read as exact rationals."""
+    _, (values,) = experiment.certified_observables(
         b, np.zeros(b.shape[:2]), (f,), lambda k: as_exact(b[k]))
-    return values, excluded
+    return values
 
 
 def kernel_shortest(g):
@@ -111,9 +111,7 @@ def kernel_shortest(g):
 
 def siegel2(mats, f):
     """Siegel values of the float64 2D kernel on a batch of bases."""
-    _, (vals,), excluded = kernel(mats, (f,))
-    assert not excluded.any()
-    return vals
+    return kernel(mats, (f,))[1][0]
 
 
 def test_oracles_import_nothing_from_boxflow():
@@ -300,20 +298,28 @@ def test_batch_siegel_matches_scalar():
     mats = np.stack([random_sl2(rng) for _ in range(400)])
     b1, b2, lam1 = reduce2(mats)
     for f in (TF("indicator", 1.0), TF("bump", 1.2)):
-        vals, excluded = siegel_values(np.stack([b1, b2], axis=2), f)
-        assert not excluded.any()
+        vals = siegel_values(np.stack([b1, b2], axis=2), f)
         for i in range(0, 400, 13):
             assert vals[i] == pytest.approx(oracles.siegel_sum(mats[i], f), rel=1e-12)
 
 
-def test_batch_flags_cusp_samples():
+def test_batch_counts_deep_cusp_samples_exactly():
+    # lambda_1 = 1e-8 is counted like any sample: one row of 2e8 vectors,
+    # in closed form; the float 1e-8 is above 1e-8, so c1 = 1e8 is outside
     tiny = 1e-8
     mats = np.stack([np.eye(2), np.diag([tiny, 1 / tiny])])
     b1, b2, lam1 = reduce2(mats)
-    (vals,), excluded, _ = siegel_sums(np.stack([b1, b2], axis=2), np.zeros((2, 2)),
-                                       lam1, (TF("indicator", 1.0),))
-    assert not excluded[0] and excluded[1]
-    assert vals[0] == 4.0 and vals[1] == 0.0
+    (vals,), _ = siegel_sums(np.stack([b1, b2], axis=2), np.zeros((2, 2)),
+                             (TF("indicator", 1.0),))
+    assert vals.tolist() == [4.0, 199_999_998.0]
+    assert vals[1] == oracles.diagonal_sum([tiny, 1 / tiny], "indicator", 1.0)
+
+
+def test_diagonal_oracle_matches_enumeration():
+    d = [Fraction(1, 3), Fraction(1, 2), Fraction(6)]
+    norms = oracles.exact_norms([[d[0], 0, 0], [0, d[1], 0], [0, 0, d[2]]], 2)
+    assert oracles.diagonal_sum(d, "indicator", 2) == len(norms) == 72
+    assert oracles.diagonal_sum(d, "bump", 2) == sum((1 - n / 4) ** 2 for n in norms)
 
 
 def coord_sum(p):
@@ -538,8 +544,7 @@ def test_batch_siegel_near_cusp_matches_scalar():
     )))
     lam1 = np.sqrt(np.sum(b1 * b1, axis=1))
     for f in (TF("indicator", 1.0), TF("bump", 1.2)):
-        vals, excluded = siegel_values(np.stack([b1, b2], axis=2), f)
-        assert not excluded.any()
+        vals = siegel_values(np.stack([b1, b2], axis=2), f)
         for i in range(lam.size):
             ref = oracles.siegel_sum(np.column_stack([b1[i], b2[i]]), f)
             if f.kind == "indicator":
@@ -555,8 +560,7 @@ def test_batch_siegel_deep_cusp_matches_direct_sum(lam1):
     b1, b2 = reduced_basis(lam1, rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * math.pi))
     radius = 0.987654321  # R / lambda_1 far from an integer
     for f in (TF("indicator", radius), TF("bump", radius)):
-        (val,), (excluded,) = siegel_values(np.column_stack([b1, b2])[None], f)
-        assert not excluded
+        (val,) = siegel_values(np.column_stack([b1, b2])[None], f)
         direct = oracles.siegel_sum(np.column_stack([b1, b2]), f)
         if f.kind == "indicator":
             assert val == direct
@@ -586,11 +590,10 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     mats = np.stack([random_sl3(rng) for _ in range(2000)])
     zero = np.zeros((2000, 3))
     f = TF("indicator", 1.0)
-    lam1, (vals,), excluded = kernel(mats, (f,))
-    assert not excluded.any()
+    lam1, (vals,) = kernel(mats, (f,))
     brute = np.array([oracles.siegel_sum(g, f) for g in mats])
     b, e, _ = reduce_bases(mats, zero)
-    (raw,), _, (ties,) = siegel_sums(b, e, lam1, (f,))
+    (raw,), (ties,) = siegel_sums(b, e, (f,))
     assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
     assert vals.tolist() == brute.tolist()
 
@@ -599,7 +602,7 @@ def test_batch3_bump_matches_enumeration():
     rng = np.random.default_rng(13)
     mats = np.stack([random_sl3(rng) for _ in range(200)])
     f = TF("bump", 1.2)
-    _, (vals,), _ = kernel(mats, (f,))
+    _, (vals,) = kernel(mats, (f,))
     for g, val in zip(mats, vals):
         ref = oracles.siegel_sum(g, f)
         assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
@@ -640,8 +643,7 @@ def test_batch3_near_cusp_matches_enumeration():
     for x, found in zip(shortest, lam1):
         assert found == pytest.approx(x, rel=1e-9)
     for f in (TF("indicator", 1.0), TF("bump", 1.2)):
-        _, (vals,), excluded = kernel(mats, (f,))
-        assert not excluded.any()
+        _, (vals,) = kernel(mats, (f,))
         for basis, val in zip(bases, vals):
             ref = oracles.siegel_sum(basis, f)
             if f.kind == "indicator":
