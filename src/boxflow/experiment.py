@@ -65,6 +65,12 @@ def _check_grid(grid: int) -> None:
         raise DomainError("need at least 8 grid points per axis")
 
 
+def _check_eps0(eps0_list: Sequence[float]) -> None:
+    # eps0 <= 0 holds every lattice, and nan or inf none
+    if not all(0 < e < math.inf for e in eps0_list):
+        raise DomainError("eps0 values must be positive and finite")
+
+
 def _side(T, l) -> float:
     """The box side T^l in float64, which must not overflow."""
     try:
@@ -366,6 +372,7 @@ def nondivergence_fraction(entry: MapEntry, box: BoxSpec,
                            workers: int = 1) -> dict:
     """Fraction of grid samples whose lattice stays eps0-deep in the
     compact part, per eps0."""
+    _check_eps0(eps0_list)
     with _pool(workers) as pool:
         lam1, _ = _observable_values(
             entry.matrix, entry.map_vars, box.realized_region(), box.grid, (),
@@ -459,6 +466,7 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
         raise DomainError(f"{name} must increase")
     if not all(0 < T < math.inf for T in params):
         raise DomainError(f"{name} must be positive and finite")
+    _check_eps0(eps0_list)
     regions = [box_of(T) for T in params]
     refs = [periodic_reference(entry, f) if entry.closed_orbit
             else haar_expectation(f, entry.dim) for f in f_list]

@@ -269,6 +269,9 @@ def good_inequality_check(
         raise DomainError("delta must be positive")
     if c < 1:
         raise DomainError("C must be at least 1")
+    # for alpha <= 0 the right-hand side does not shrink with delta
+    if not alpha > 0:
+        raise DomainError("alpha must be positive")
     fnorm = sup_norm(f, box, grid)
     if fnorm == 0:
         raise DomainError("sup norm vanishes; inequality is vacuous")
@@ -428,6 +431,8 @@ def besicovitch_select(
         raise DomainError("centers and half-widths must be finite")
     if np.any(hws <= 0):
         raise DomainError("half-widths must be positive")
+    if bound is not None and bound < 1:
+        raise DomainError("the multiplicity bound must be at least 1")
     k = pts.shape[1]
     if bound is None:
         bound = 2 ** k + 1

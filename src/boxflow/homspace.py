@@ -91,7 +91,9 @@ def haar_expectation(f: TestFunction, n: int) -> float:
 
 def _coord_dot(x, y, out=None):
     """Per-sample dot products of (d, m) coordinate rows, summed in
-    coordinate order; ``out`` is an optional (d, m) scratch array."""
+    coordinate order; ``out`` is an optional (d, m) scratch array.  The
+    result is a view of the products' first row, ``out[0]`` when ``out``
+    is given, which the next call on the same ``out`` overwrites."""
     p = np.multiply(x, y, out=out)
     for row in p[1:]:
         p[0] += row
@@ -431,9 +433,10 @@ def _closest_step(s):
     a, c = s[0, NORM], s[1, NORM]
     # scratch rows: a candidate and the products of a dot product
     res, p = np.empty((2, 3, a.size))
-    # + 0.0 makes a zero sum +0.0, as np.sum does (``_coord_dot`` gives
-    # -0.0 when every term is -0.0); the steps' zero quotients, and with
-    # them the signs of b3's zero coordinates, follow it
+    # + 0.0 copies each dot product out of the scratch row p, which the
+    # next ``_coord_dot`` overwrites (without it ab, r1 and r2 would all
+    # read the last one); it also makes a zero sum +0.0, as np.sum does,
+    # and the signs of b3's zero coordinates follow that
     ab = _coord_dot(b1, b2, p) + 0.0
     r1 = _coord_dot(b1, b3, p) + 0.0
     r2 = _coord_dot(b2, b3, p) + 0.0

@@ -1,5 +1,5 @@
 """Reference computations that the kernel tests compare against: exact
-lattice reduction and enumeration, a float Fincke-Pohst enumeration, Haar
+lattice reduction, enumeration and distances, a float Fincke-Pohst enumeration, Haar
 sampling, ``greedy3``, the functional double-double operations and the
 polynomial ring operations by concatenation and re-sorting.  It imports
 nothing from ``boxflow``, so it shares no code with the kernel it checks."""
@@ -118,6 +118,27 @@ def diagonal_sum(d, kind, radius):
         s4 = Fraction(n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1), 15)
         total += (2 * n + 1) * a * a - 2 * a * q * s2 + q * q * s4
     return total
+
+
+def lattice_distances_sq(m, vecs):
+    """Exact squared distances from the vectors ``vecs`` (read as
+    rationals) to the column lattice of the d x 2 or 3 x 3 matrix m: to
+    the lattice vector whose coordinates in the exactly reduced basis are
+    those of the vector's projection onto its span, rounded.  That vector
+    is the nearest one for any vector within a small fraction of
+    lambda_1 of the lattice."""
+    cols = exact_reduce(m)
+    gram = [[_dot(a, b) for b in cols] for a in cols]
+    adj = adjugate(gram)
+    det = _dot(adj[0], gram[0])
+    out = []
+    for x in vecs:
+        x = [Fraction(t) for t in x]
+        rhs = [_dot(b, x) for b in cols]
+        c = [round(_dot(row, rhs) / det) for row in adj]
+        diff = [t - _dot(c, coords) for t, coords in zip(x, zip(*cols))]
+        out.append(_dot(diff, diff))
+    return out
 
 
 def exact_shortest_sq(m):

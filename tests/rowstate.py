@@ -1,26 +1,8 @@
-"""Adapters between the (m, N, N) arrays of bases that the tests and their
-reference paths hold and the row state that ``boxflow.homspace`` reduces
-in place."""
-
-import numpy as np
+"""Adapters between the (m, d) columns and (m, N, N) arrays of bases that
+the tests hold and the row state that ``boxflow.homspace`` reduces in
+place."""
 
 from boxflow.homspace import BOUND, lagrange_reduce, row_state, sl3_greedy
-
-
-def entries_f64(tables, pts):
-    """Float64 entries g (m, N, N) of the matrix whose entry tables are
-    ``tables``, at the points ``pts``; their term-magnitude sums; and per
-    column the sum of the entries' rounding bounds ``c64 * mag``: the
-    entry loop of the reference paths, one (m, N, N) array per quantity."""
-    m, n = pts.shape[0], len(tables)
-    g = np.empty((m, n, n))
-    mag = np.empty((m, n, n))
-    err = np.zeros((m, n))
-    for i, row in enumerate(tables):
-        for j, table in enumerate(row):
-            table.f64(pts, g[:, i, j], mag[:, i, j])
-            err[:, j] += table.c64 * mag[:, i, j]
-    return g, mag, err
 
 
 def lagrange(u, v, eu, ev, u_lo=None, v_lo=None):

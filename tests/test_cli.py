@@ -152,6 +152,20 @@ def test_invalid_counts_are_domain_errors(tmp_path, capsys, args):
      "overflows"),
     (["good", "--poly", "x^2", "--box", "0,inf", "--deltas", "0.1", "--alpha", "1/2"],
      "box corners must be finite"),
+    (["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=-1,nan,inf"],
+     "eps0 values must be positive and finite"),
+    (["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=0.1,nan"],
+     "eps0 values must be positive and finite"),
+    (["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=inf"],
+     "eps0 values must be positive and finite"),
+    (["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "8", "--eps0=0"],
+     "eps0 values must be positive and finite"),
+    (["good", "--poly", "x", "--box", "0,1", "--deltas", "0.1", "--alpha", "-1"],
+     "alpha must be positive"),
+    (["good", "--poly", "x", "--box", "0,1", "--deltas", "0.1", "--alpha", "0"],
+     "alpha must be positive"),
+    (["cover", "--random", "5,2", "--bound", "0"], "multiplicity bound must be at least 1"),
+    (["cover", "--random", "5,2", "--bound", "-3"], "multiplicity bound must be at least 1"),
 ])
 def test_bad_boxes_and_radii_are_domain_errors(tmp_path, capsys, args, message):
     with warnings.catch_warnings():

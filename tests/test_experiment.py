@@ -88,9 +88,11 @@ def test_subbox_degenerate_cell():
 
 def test_nondivergence_identity_and_monotone():
     box = BoxSpec(lam=(F(1), F(1, 2)), T=100.0, grid=48)
-    fractions = nondivergence_fraction(UL, box, [0.1, 0.05, 0.0])
-    assert fractions[0.0] == 1.0
+    fractions = nondivergence_fraction(UL, box, [0.1, 0.05])
     assert fractions[0.05] >= fractions[0.1] >= 0.9
+    # eps0 = 0 holds every lattice: no compact set, so no measurement
+    with pytest.raises(DomainError):
+        nondivergence_fraction(UL, box, [0.1, 0.0])
 
 
 def test_nondivergence_horocycle():
@@ -481,8 +483,8 @@ def test_constant_map_average_is_pointwise_value():
     avg = birkhoff_average(entry, box, f)
     point_value = oracles.siegel_sum(np.eye(2), f)
     assert avg == point_value == 4.0
-    fr = nondivergence_fraction(entry, box, [1.0, 0.0])
-    assert fr[1.0] == 1.0 and fr[0.0] == 1.0
+    fr = nondivergence_fraction(entry, box, [1.0])
+    assert fr[1.0] == 1.0
     rows = convergence_sweep(entry, (F(1),), [10.0, 20.0], [f], grid=64).rows
     assert all(r.average == point_value for r in rows)
 

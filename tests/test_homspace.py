@@ -1,36 +1,37 @@
 """Lattice space: the float64 kernels against the reference oracles of
-``oracles``, Siegel counts, Haar references, and no public kernel that
-only the tests or the benchmark call."""
+``oracles`` and against their bound contract (coverage of the exact
+lattice, and each bound update by its formula), Siegel counts, Haar
+references, and no public kernel that only the tests or the benchmark
+call."""
 
 import ast
-import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
-from rowstate import entries_f64, lagrange, reduce_bases
+from rowstate import lagrange, reduce_bases
 
 import boxflow
-from boxflow import experiment
-from boxflow.catalog import get_map
+from boxflow import experiment, homspace
 from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2
 from boxflow.errors import DomainError
-from boxflow.experiment import BoxSpec
-from boxflow.goodness import BoxRegion, GridPoly
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
+    BOUND,
     NORM,
     PREC_TOL,
     haar_expectation,
+    lagrange_reduce,
+    lagrange_rows,
     parse_observable,
-    reduce_exact,
+    row_state,
     siegel_sums,
 )
 
@@ -69,7 +70,7 @@ def random_word(rng, gens):
 
 def as_exact(g):
     """The float64 matrix g read as exact rationals."""
-    return [[Fraction(float(x)) for x in row] for row in g]
+    return [[F(float(x)) for x in row] for row in g]
 
 
 def certified(mats):
@@ -316,91 +317,19 @@ def test_batch_counts_deep_cusp_samples_exactly():
 
 
 def test_diagonal_oracle_matches_enumeration():
-    d = [Fraction(1, 3), Fraction(1, 2), Fraction(6)]
+    d = [F(1, 3), F(1, 2), F(6)]
     norms = oracles.exact_norms([[d[0], 0, 0], [0, d[1], 0], [0, 0, d[2]]], 2)
     assert oracles.diagonal_sum(d, "indicator", 2) == len(norms) == 72
     assert oracles.diagonal_sum(d, "bump", 2) == sum((1 - n / 4) ** 2 for n in norms)
 
 
-def coord_sum(p):
-    """Row sums of (m, d) products in coordinate order, as
-    ``lagrange_reduce`` sums them: a sum of -0.0 terms is -0.0, where ``np.sum`` gives +0.0."""
-    return functools.reduce(np.add, p.T)
-
-
-def reference_lagrange(u, v, eu, ev, u_lo=None, v_lo=None):
-    """``lagrange_reduce`` as a loop over (m, d) arrays that compacts on every
-    pass in which a sample finishes: the same float operations in the same
-    order, every dot product summed in coordinate order, so its results
-    are bit-identical (signs of zeros included).  A sample whose coordinates,
-    low parts, bounds or squared norms are not finite on entry, or that
-    has a column of squared norm 0, is returned as it came, not
-    converged."""
-    dd = u_lo is not None
-    if dd:
-        c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
-    else:
-        c_mul = c_add = U * 1.01
-    state = [u, v, np.asarray(eu, float), np.asarray(ev, float)]
-    state += [u_lo, v_lo] if dd else []
-    out = [np.empty_like(a) for a in state]
-    norms = [coord_sum(u * u), coord_sum(v * v)]
-    valid = np.isfinite(np.column_stack(state + norms)).all(axis=1)
-    valid &= (norms[0] != 0) & (norms[1] != 0)
-    for o, a in zip(out, state):
-        o[~valid] = a[~valid]
-    state = [a[valid] for a in state]
-    idx = np.nonzero(valid)[0]
-    for _ in range(256):
-        if idx.size == 0:
-            break
-        u, v, eu, ev, *lo = state
-        uu = coord_sum(u * u)
-        vv = coord_sum(v * v)
-        swap = uu > vv
-        if swap.any():
-            s2 = swap[:, None]
-            u, v = np.where(s2, v, u), np.where(s2, u, v)
-            eu, ev = np.where(swap, ev, eu), np.where(swap, eu, ev)
-            if dd:
-                lo = [np.where(s2, lo[1], lo[0]), np.where(s2, lo[0], lo[1])]
-            uu = np.where(swap, vv, uu)
-        mu = np.round(coord_sum(u * v) / uu)
-        if dd:
-            ph, pl = oracles.dd_mul_d(u, lo[0], mu[:, None])
-            v, lo[1] = oracles.dd_add(v, lo[1], -ph, -pl)
-        else:
-            v = v - mu[:, None] * u
-        amu = np.abs(mu)
-        ev = ev + amu * eu + c_mul * amu * np.sqrt(uu) + c_add * (mu != 0) * np.sqrt(
-            coord_sum(v * v)
-        )
-        state = [u, v, eu, ev] + lo
-        fin = mu == 0
-        if fin.any():
-            for o, a in zip(out, state):
-                o[idx[fin]] = a[fin]
-            keep = ~fin
-            state = [a[keep] for a in state]
-            idx = idx[keep]
-    for o, a in zip(out, state):
-        o[idx] = a
-    u, v, eu, ev = out[:4]
-    done = valid.copy()
-    done[idx] = False
-    if dd:
-        eu += U * np.sqrt(coord_sum(u * u))
-        ev += U * np.sqrt(coord_sum(v * v))
-    return u, v, eu, ev, done
-
-
 def lagrange_batch(rng, m, d, dd):
-    """Column pairs with entries from 1 to 1e8.  A third of them are near
-    multiples of each other, which takes many passes to reduce; another
-    third are small integer vectors, with exact ties in the norms and in
-    the rounding of mu.  Then m // 10 more pairs at ratios near +-2^30,
-    whose first mu is beyond 2^26, where Dekker's split of mu has a
-    nonzero low half."""
+    """Column pairs [u, v] with entries from 1 to 1e8, and in double-double
+    their low parts [u_lo, v_lo].  A third of them are near multiples of
+    each other, which takes many passes to reduce; another third are small
+    integer vectors, with exact ties in the norms and in the rounding of
+    mu.  Then m // 10 more pairs at ratios near +-2^30, whose first mu is
+    beyond 2^26, where Dekker's split of mu has a nonzero low half."""
     scale = 10.0 ** rng.uniform(0, 8, (m, 1))
     u = rng.standard_normal((m, d)) * scale
     v = rng.standard_normal((m, d)) * scale * rng.uniform(0.1, 3, (m, 1))
@@ -411,66 +340,54 @@ def lagrange_batch(rng, m, d, dd):
     cross = np.cross(np.pad(iu, ((0, 0), (0, 3 - d))), np.pad(iv, ((0, 0), (0, 3 - d))))
     independent = np.nonzero(np.any(cross != 0, axis=1))[0][:k]
     u[k:2 * k], v[k:2 * k] = iu[independent], iv[independent]
-    args = [u, v, rng.uniform(0, 1e-9, m), rng.uniform(0, 1e-9, m)]
-    if dd:
-        args += [u * U * rng.uniform(-1, 1, (m, d)), v * U * rng.uniform(-1, 1, (m, d))]
     n = m // 10
-    u = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(0, 4, (n, 1))
+    far = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(0, 4, (n, 1))
     ratio = rng.uniform(2.0 ** 29, 2.0 ** 31, (n, 1)) * rng.choice([-1.0, 1.0], (n, 1))
-    v = u * ratio + rng.standard_normal((n, d))
-    more = [u, v, rng.uniform(0, 1e-9, n), rng.uniform(0, 1e-9, n)]
+    cols = [np.concatenate([u, far]),
+            np.concatenate([v, far * ratio + rng.standard_normal((n, d))])]
     if dd:
-        more += [u * U * rng.uniform(-1, 1, (n, d)), v * U * rng.uniform(-1, 1, (n, d))]
-    return [np.concatenate([a, b]) for a, b in zip(args, more)]
-
-
-def signed_zero_pairs(rng, m, d, dd):
-    """m independent pairs of small integer columns whose zero coordinates
-    (and low parts) are -0.0 or +0.0 at random: a dot product of terms
-    that are all -0.0 sums to -0.0 in coordinate order, and so does mu."""
-    u = rng.integers(-2, 3, (8 * m, d)).astype(float)
-    v = rng.integers(-2, 3, (8 * m, d)).astype(float)
-    cross = np.cross(np.pad(u, ((0, 0), (0, 3 - d))), np.pad(v, ((0, 0), (0, 3 - d))))
-    keep = np.nonzero(np.any(cross != 0, axis=1))[0][:m]
-    cols = [u[keep], v[keep]]
-    if dd:
-        cols += [np.zeros((m, d)), np.zeros((m, d))]
-    for c in cols:
-        c[(c == 0) & (rng.random(c.shape) < 0.5)] = -0.0
-    u, v, *lo = cols
-    return [u, v, rng.uniform(0, 1e-9, m), rng.uniform(0, 1e-9, m)] + lo
+        cols += [c * U * rng.uniform(-1, 1, c.shape) for c in cols]
+    return cols
 
 
 @pytest.mark.parametrize("dd", [False, True])
 @pytest.mark.parametrize("d", [2, 3])
-def test_lagrange_bit_identical_to_reference_loop(d, dd):
+def test_lagrange_bounds_cover_the_distance_to_the_exact_lattice(d, dd):
+    # the pairs start exact, with bound 0, so their bounds carry the
+    # charged rounding alone: each column of a converged pair lies within
+    # its bound of the exact lattice L(u, v), and the first is a shortest
+    # vector up to its bound
     rng = np.random.default_rng(40 + d + 2 * dd)
-    args = lagrange_batch(rng, 3000, d, dd)
-    args = [np.concatenate([a, z]) for a, z in zip(args, signed_zero_pairs(rng, 500, d, dd))]
-    args[0][7] = np.nan  # returned as it came, not converged
-    got = lagrange(*args)
-    want = reference_lagrange(*(a.copy() for a in args))
-    assert not got[4][7] and np.count_nonzero(~got[4]) == 1
-    assert got[0][7].tobytes() == args[0][7].tobytes()
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
-    empty = [a[:0] for a in args]
-    for g, w in zip(lagrange(*empty), reference_lagrange(*empty)):
-        assert g.shape == w.shape and g.size == 0
+    cols = lagrange_batch(rng, 300, d, dd)
+    cols[0][7] = np.nan  # returned as it came, not converged
+    zero = np.zeros(cols[0].shape[0])
+    u, v, eu, ev, done = lagrange(cols[0], cols[1], zero, zero, *cols[2:])
+    assert not done[7] and np.count_nonzero(~done) == 1
+    assert u[7].tobytes() == cols[0][7].tobytes()
+    for k in np.nonzero(done)[0]:
+        # the input pair as rationals (high plus low part), exactly reduced
+        m = [[sum(F(float(c[k, i])) for c in cols[j::2]) for j in (0, 1)] for i in range(d)]
+        m = list(zip(*oracles.exact_reduce(m)))
+        for dist2, bound in zip(oracles.lattice_distances_sq(m, (u[k], v[k])), (eu[k], ev[k])):
+            assert dist2 <= F(float(bound)) ** 2
+        # up to the rounding of the two norms
+        lam1 = math.sqrt(sum(row[0] ** 2 for row in m))
+        assert abs(np.linalg.norm(u[k]) - lam1) <= eu[k] + 4 * U * lam1
+    empty = lagrange(*(c[:0] for c in cols[:2]), zero[:0], zero[:0], *(c[:0] for c in cols[2:]))
+    assert [x.shape for x in empty] == [(0, d), (0, d), (0,), (0,), (0,)]
 
 
 @pytest.fixture
 def lagrange_passes(monkeypatch):
     """The number of active columns of every ``_lagrange_pass`` call."""
     passes = []
-    lagrange_pass = boxflow.homspace._lagrange_pass
+    lagrange_pass = homspace._lagrange_pass
 
     def counting(*args):
         passes.append(args[0].shape[-1])
         return lagrange_pass(*args)
 
-    monkeypatch.setattr(boxflow.homspace, "_lagrange_pass", counting)
+    monkeypatch.setattr(homspace, "_lagrange_pass", counting)
     return passes
 
 
@@ -492,6 +409,26 @@ def test_lagrange_stops_at_the_pass_cap(dd, lagrange_passes):
     assert ru[1].tolist() == [1.0, 0.0] and rv[1].tolist() == [0.0, 1.0]
 
 
+def test_lagrange_writes_back_the_pairs_still_moving_at_the_pass_cap(monkeypatch):
+    # a pass that reports every pair as moved keeps them all active until
+    # the pass cap.  With every pair valid the state is reduced in place
+    # throughout; with one non-finite pair the others are reduced in a
+    # copy, which only the write-back after the last pass returns to the
+    # state
+    lagrange_pass = homspace._lagrange_pass
+    monkeypatch.setattr(homspace, "_lagrange_pass", lambda *args: lagrange_pass(*args) | True)
+    rng = np.random.default_rng(39)
+    u, v = rng.standard_normal((2, 20, 2)) * [[[1.0]], [[1e3]]]
+    e = rng.uniform(0, 1e-12, 20)
+    in_place = [np.copy(x) for x in lagrange(u[1:], v[1:], e[1:], e[1:])]
+    u[0] = np.nan
+    got = lagrange(u, v, e, e)
+    assert not got[4].any() and not in_place[4].any()
+    for g, w in zip(got[:4], in_place[:4]):
+        assert g[1:].tobytes() == w.tobytes()
+    assert in_place[1].tobytes() != v[1:].tobytes()
+
+
 @pytest.mark.parametrize("dd", [False, True])
 def test_lagrange_returns_a_zero_column_at_once(dd, lagrange_passes):
     # |u|^2 = 0 or |v|^2 = 0: mu would be 0/0 on every pass, so the pair is
@@ -510,9 +447,6 @@ def test_lagrange_returns_a_zero_column_at_once(dd, lagrange_passes):
     assert lagrange_passes == [1, 1]
     if not dd:
         assert eu[[0, 2]].tolist() == ev[[0, 2]].tolist() == [0.0, 1e-9]
-    for g, w in zip((ru, rv, eu, ev, done),
-                    reference_lagrange(*(np.copy(a) for a in args))):
-        assert g.tobytes() == w.tobytes()
 
 
 def test_lagrange_charges_nothing_on_a_reduced_pair():
@@ -524,6 +458,38 @@ def test_lagrange_charges_nothing_on_a_reduced_pair():
     ru, rv, eu, ev, done = lagrange(u, v, zero, zero)
     assert done.all() and (ru == u).all() and (rv == v).all()
     assert eu.tolist() == ev.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("dd", [False, True])
+def test_lagrange_charges_the_documented_bounds(dd):
+    # pair 0 takes one step, v <- v - 3 u, to v = (42000, 144000) of norm
+    # 150000, then mu = 0; pair 1 is reduced, mu = 0 at once.  A pass
+    # charges v with ev + |mu| eu + c_mul |mu| |u| + c_add [mu != 0] |v|, v
+    # after the step, with c_mul = c_add = 1.01 U in float64 and 1.01 (2, 3)
+    # U^2 in double-double; the terms are of one size, so dropping any of
+    # them shows.  lagrange_reduce then adds U |b| to each double-double
+    # column b, the rounding of its value to the high part
+    c_mul, c_add = (MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01) if dd else (U * 1.01,) * 2
+    scale = 1e-16 if dd else 1.0
+    eu, ev = np.array([1e-11, 1e-11]) * scale, np.array([3e-11, 3e-11]) * scale
+    s = row_state(2, 2, 2, dd)
+    s[0, :2] = [[2.0 ** 17, 1.0], [0.0, 0.0]]
+    s[1, :2] = [[435216.0, 0.4375], [144000.0, 1.5]]
+    if dd:
+        s[:, 2:4] = 0.0
+    s[0, BOUND], s[1, BOUND] = eu, ev
+    t = s.copy()
+    homspace._set_norms(s, 2)
+    assert lagrange_rows(s, 2, dd).all()
+    assert s[1, :2, 0].tolist() == [42000.0, 144000.0]
+    want = F(ev[0]) + 3 * F(eu[0]) + 3 * F(c_mul) * 2 ** 17 + F(c_add) * 150000
+    assert abs(F(s[1, BOUND, 0]) - want) <= 1e-14 * want
+    assert s[0, BOUND].tolist() == eu.tolist() and s[1, BOUND, 1] == ev[1]
+    assert lagrange_reduce(t, 2, dd).all()
+    for j, norms in ((0, (2 ** 17, 1)), (1, (150000, F(25, 16)))):
+        for k, norm in enumerate(norms):
+            want = F(s[j, BOUND, k]) + (F(U) * norm if dd else 0)
+            assert abs(F(t[j, BOUND, k]) - want) <= 1e-14 * want
 
 
 def reduced_basis(lam1, mu, theta):
@@ -596,6 +562,8 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     (raw,), (ties,) = siegel_sums(b, e, (f,))
     assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
     assert vals.tolist() == brute.tolist()
+    for g, lam in zip(mats, lam1):
+        assert lam == pytest.approx(oracles.shortest(g), rel=1e-9)
 
 
 def test_batch3_bump_matches_enumeration():
@@ -652,163 +620,85 @@ def test_batch3_near_cusp_matches_enumeration():
                 assert val == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, ref))
 
 
-def reference_sub_step(v, ev, y, u, eu):
-    """v - y u for an integer y per sample, and the bound of the result:
-    ev + |y| eu plus the rounding of the float64 step (none when y = 0)."""
-    w = v - y[:, None] * u
-    ay = np.abs(y)
-    rnd = U * 1.01 * (ay * np.sqrt(np.sum(u * u, axis=1))
-                      + (ay > 0) * np.sqrt(np.sum(w * w, axis=1)))
-    return w, ev + ay * eu + rnd
-
-
-def reference_greedy(b, e):
-    """``sl3_greedy`` on (m, 3, 3) arrays of columns, with ``np.sum`` over
-    the short axes, a stable ``argsort`` and ``reference_lagrange``: the
-    same float operations in the same order, so its results are
-    bit-identical.  A sample whose
-    coordinates, bounds or squared column norms are not finite on entry,
-    or that has a column of squared norm 0, is returned as it came, not
-    converged."""
-    m = b.shape[0]
-    out_b = np.array(b, dtype=float)
-    out_e = np.array(e, dtype=float)
-    done = np.zeros(m, dtype=bool)
-    # the active samples' columns as rows: (sample, column, coordinate)
-    cols = out_b.transpose(0, 2, 1)
-    norms = np.sum(cols * cols, axis=2)
-    valid = np.isfinite(np.column_stack([cols.reshape(m, 9), out_e, norms])).all(axis=1)
-    valid &= (norms != 0).all(axis=1)
-    cols, errs, idx = cols[valid], out_e[valid], np.nonzero(valid)[0]
-    for _ in range(256):
-        if idx.size == 0:
-            break
-        order = np.argsort(np.sum(cols * cols, axis=2), axis=1, kind="stable")
-        cols = np.take_along_axis(cols, order[:, :, None], axis=1)
-        errs = np.take_along_axis(errs, order, axis=1)
-        b1, b2, e1, e2, ok = reference_lagrange(cols[:, 0], cols[:, 1],
-                                                errs[:, 0], errs[:, 1])
-        b3 = cols[:, 2]
-        a = np.sum(b1 * b1, axis=1)
-        ab = np.sum(b1 * b2, axis=1)
-        c = np.sum(b2 * b2, axis=1)
-        r1 = np.sum(b1 * b3, axis=1)
-        # round(x2), x2 the second coordinate of b3's projection
-        near = np.round((a * np.sum(b2 * b3, axis=1) - ab * r1) / (a * c - ab * ab))
-        best = np.full(idx.size, np.inf)
-        y1 = np.zeros(idx.size)
-        y2 = np.zeros(idx.size)
-        for t2 in (near, near - 1.0, near + 1.0):
-            t1 = np.round((r1 - ab * t2) / a)
-            res = b3 - t1[:, None] * b1 - t2[:, None] * b2
-            nr = np.sum(res * res, axis=1)
-            take = nr < best
-            best = np.where(take, nr, best)
-            y1 = np.where(take, t1, y1)
-            y2 = np.where(take, t2, y2)
-        b3, e3 = reference_sub_step(b3, errs[:, 2], y1, b1, e1)
-        b3, e3 = reference_sub_step(b3, e3, y2, b2, e2)
-        cols = np.stack([b1, b2, b3], axis=1)
-        errs = np.stack([e1, e2, e3], axis=1)
-        fin = ~ok | (np.sum(b3 * b3, axis=1) >= c)
-        if fin.any():
-            out_b[idx[fin]] = cols[fin].transpose(0, 2, 1)
-            out_e[idx[fin]] = errs[fin]
-            done[idx[fin]] = ok[fin]
-            keep = ~fin
-            cols, errs, idx = cols[keep], errs[keep], idx[keep]
-    out_b[idx] = cols.transpose(0, 2, 1)
-    out_e[idx] = errs
-    return out_b, out_e, done
-
-
-def assert_greedy_matches_reference(b, e):
-    got = reduce_bases(b, e)
-    want = reference_greedy(b.copy(), e.copy())
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
-    return got
-
-
-def heis3_benchmark_lattices():
-    """The 14,976 float64 bases of one benchmark ``heis3`` sweep (the 24^3
-    orbit points of the reference, and 24^2 jittered points at T = 10 and
-    20) with the column bounds ``certified_reduce`` starts from."""
-    heis3 = get_map("heis3")
-    cases = [(heis3.orbit_map, heis3.orbit_vars,
-              BoxRegion((0.0,) * 3, (1.0,) * 3), "grid")]
-    cases += [(heis3.matrix, heis3.map_vars,
-               BoxSpec(lam=heis3.default_lambda, T=T, grid=24).realized_region(),
-               "jitter") for T in (10.0, 20.0)]
-    gs, errs = [], []
-    for matrix, map_vars, region, method in cases:
-        pts = region.sample_points(24, 0, 24 ** region.dim, method, 1)
-        tables = [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
-        g, _, err = entries_f64(tables, pts)
-        gs.append(g)
-        errs.append(err)
-    return np.concatenate(gs), np.concatenate(errs)
+def test_closest_step_charges_the_documented_bound():
+    # b3 = y1 b1 + y2 b2 + r for (y1, y2) = (3, -2), (3, 0) and (0, 0), on
+    # b1 = 2^17 e1 and b2 = 2^17 e2: the step leaves b3 = r, and charges
+    # e3 + |y| e_i plus 1.01 U (|y| |b_i| + |b3|), b3 after each step, none
+    # where y = 0; the terms are of one size, so dropping any of them shows
+    r = np.array([50000.0, 30000.0, 70000.0])
+    y = np.array([[3.0, -2.0], [3.0, 0.0], [0.0, 0.0]])
+    e = np.array([1e-11, 2e-11, 3e-11])
+    s = row_state(3, 3, 3, False)
+    s[0, :3], s[1, :3] = np.eye(3)[:, :1] * 2.0 ** 17, np.eye(3)[:, 1:2] * 2.0 ** 17
+    s[2, :3] = r[:, None] + 2.0 ** 17 * np.stack([y[:, 0], y[:, 1], 0 * y[:, 0]])
+    s[:, BOUND] = e[:, None]
+    homspace._set_norms(s, 3)
+    homspace._closest_step(s)
+    assert (s[2, :3] == r[:, None]).all() and (s[2, NORM] == r @ r).all()
+    for k, (y1, y2) in enumerate(y):
+        b3 = r + 2.0 ** 17 * np.array([0.0, y2, 0.0])  # after the first step
+        want = F(e[2]) + abs(F(y1)) * F(e[0]) + abs(F(y2)) * F(e[1])
+        for yi, norm in ((y1, np.linalg.norm(b3)), (y2, np.linalg.norm(r))):
+            if yi:
+                want += F(U * 1.01) * (abs(F(yi)) * 2 ** 17 + F(norm))
+        assert abs(F(s[2, BOUND, k]) - want) <= 1e-14 * want
 
 
 def greedy_inputs(name):
-    """(bases, bounds) of one of the named batches of
-    ``test_greedy_bit_identical_to_reference_loop``."""
-    if name == "heis3_benchmark":
-        return heis3_benchmark_lattices()
-    if name == "random_sl3":
-        rng = np.random.default_rng(7)
-        mats = np.stack([random_sl3(rng) for _ in range(2000)])
-        return mats, np.zeros((2000, 3))
-    if name == "random_sl3_bounds":
-        rng = np.random.default_rng(9)
-        mats = np.stack([random_sl3(rng) for _ in range(1000)])
-        return mats, rng.uniform(0, 1e-9, (1000, 3))
+    """Bases of one of the named batches of
+    ``test_greedy_matches_the_exact_oracle``, and the bases of the same
+    lattices that the oracle reads."""
     if name == "near_cusp":
         rng = np.random.default_rng(35)
         lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.2), 200))
-        return (np.stack([reduced_basis3(rng, x) @ random_word(rng, GENS3) for x in lam]),
-                rng.uniform(0, 1e-12, (200, 3)))
-    # integer bases, many with columns of equal length, in every order:
-    # the signed permutation matrices and short words in GENS3
+        bases = np.stack([reduced_basis3(rng, x) for x in lam])
+        return np.stack([g @ random_word(rng, GENS3) for g in bases]), bases
+    # integer bases of Z^3, many with columns of equal length, in every
+    # order: the signed permutation matrices and short words in GENS3
     rng = np.random.default_rng(36)
     perms = [np.eye(3)[:, p] * s for p in ([0, 1, 2], [0, 2, 1], [1, 0, 2],
                                            [1, 2, 0], [2, 0, 1], [2, 1, 0])
              for s in itertools.product((1.0, -1.0), repeat=3)]
     mats = np.stack(perms + [random_word(rng, GENS3) for _ in range(500)])
-    return mats, np.zeros((mats.shape[0], 3))
+    return mats, mats
 
 
-@pytest.mark.parametrize("name", ["random_sl3", "random_sl3_bounds", "heis3_benchmark",
-                                  "near_cusp", "equal_lengths"])
-def test_greedy_bit_identical_to_reference_loop(name):
-    b, e = greedy_inputs(name)
-    _, _, done = assert_greedy_matches_reference(b, e)
-    assert done.all()
+@pytest.mark.parametrize("name", ["near_cusp", "equal_lengths"])
+def test_greedy_matches_the_exact_oracle(name):
+    mats, bases = greedy_inputs(name)
+    f = TF("indicator", 1.0)
+    lam1, (vals,) = kernel(mats, (f,))
+    for g, lam, val in zip(bases, lam1, vals):
+        assert lam == pytest.approx(oracles.shortest(g), rel=1e-9)
+        assert val == oracles.siegel_sum(g, f)
 
 
-def test_greedy_compacts_over_passes_bit_identically(monkeypatch):
+def test_greedy_compacts_over_passes(monkeypatch):
     # long words in GENS3 over near-cusp bases take one to several passes,
     # so the finished samples leave the state on at least three passes
     rng = np.random.default_rng(37)
     lam = np.exp(rng.uniform(math.log(1e-3), math.log(0.5), 300))
-    mats = np.stack([reduced_basis3(rng, x) @ np.linalg.matrix_power(
-        random_word(rng, GENS3), int(rng.integers(1, 6))) for x in lam])
+    bases, mats = [], []
+    for x in lam:
+        bases.append(reduced_basis3(rng, x))
+        mats.append(bases[-1] @ np.linalg.matrix_power(random_word(rng, GENS3),
+                                                       int(rng.integers(1, 6))))
     active = []
-    closest_step = boxflow.homspace._closest_step
+    closest_step = homspace._closest_step
 
     def counting(s):
         active.append(s.shape[-1])
         return closest_step(s)
 
-    monkeypatch.setattr(boxflow.homspace, "_closest_step", counting)
-    _, _, done = assert_greedy_matches_reference(mats, rng.uniform(0, 1e-12, (300, 3)))
+    monkeypatch.setattr(homspace, "_closest_step", counting)
+    b, _, done = reduce_bases(np.stack(mats), rng.uniform(0, 1e-12, (300, 3)))
     assert done.all()
     assert active[0] == 300 and len(active) >= 4
     assert all(x > y for x, y in zip(active, active[1:]))
-    empty = (np.empty((0, 3, 3)), np.empty((0, 3)))
-    for g, w in zip(reduce_bases(*empty), reference_greedy(*empty)):
-        assert g.shape == w.shape and g.size == 0
+    for g, basis in zip(bases, b):
+        assert np.linalg.norm(basis[:, 0]) == pytest.approx(oracles.shortest(g), rel=1e-9)
+    empty = reduce_bases(np.empty((0, 3, 3)), np.empty((0, 3)))
+    assert [x.shape for x in empty] == [(0, 3, 3), (0, 3), (0,)]
 
 
 def test_greedy_writes_back_the_samples_still_moving_at_the_pass_cap(monkeypatch):
@@ -821,14 +711,14 @@ def test_greedy_writes_back_the_samples_still_moving_at_the_pass_cap(monkeypatch
     mats = np.stack([random_sl3(rng) for _ in range(20)])
     e = rng.uniform(0, 1e-12, (20, 3))
     active = []
-    closest_step = boxflow.homspace._closest_step
+    closest_step = homspace._closest_step
 
     def stuck(s):
         active.append(s.shape[-1])
         closest_step(s)
         s[2, NORM] = np.nan
 
-    monkeypatch.setattr(boxflow.homspace, "_closest_step", stuck)
+    monkeypatch.setattr(homspace, "_closest_step", stuck)
     in_place = [np.copy(x) for x in reduce_bases(mats[1:], e[1:])]
     mats[0, :, 2] = np.nan
     b, got_e, done = reduce_bases(mats, e)
@@ -854,55 +744,8 @@ def test_greedy_returns_a_non_finite_sample_at_once(lagrange_passes):
         lagrange_passes.clear()
         assert not reduce_bases(b[1:], e[1:])[2].any()
         assert lagrange_passes == []
-        for g, w in zip((rb, re, done), reference_greedy(b, e)):
-            assert g.tobytes() == w.tobytes()
     assert done.tolist() == [True, False, False, False, False]
     assert rb.tobytes() == b.tobytes() and re.tobytes() == e.tobytes()
-
-
-def reference_certified_reduce3(matrix, map_vars, pts):
-    """The 3D branch of ``certified_reduce`` before it ran on one row state:
-    (m, 3, 3) entries, ``reference_greedy``, then the exact tier on the
-    samples it leaves uncertified.  The same float operations in the same
-    order, so its results are bit-identical.  No sample budget."""
-    g, _, err = entries_f64(experiment.entry_tables(matrix, map_vars), pts)
-    b, e, done = reference_greedy(g, err)
-    e[~done] = np.inf
-    late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
-    for k in late:
-        b[k] = reduce_exact(experiment._exact_matrix(matrix, map_vars, pts[k]))
-        e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
-    return b, e, int(late.size)
-
-
-def _heis3_chunk(T, grid, stop):
-    heis3 = get_map("heis3")
-    region = BoxSpec(lam=heis3.default_lambda, T=T, grid=grid).realized_region()
-    return heis3.matrix, heis3.map_vars, region, grid, stop
-
-
-# (matrix, variables, region, grid, last sample) of one 3D chunk
-ROW_KERNEL_CHUNKS3 = {
-    "orbit": (get_map("heis3").orbit_map, get_map("heis3").orbit_vars,
-              BoxRegion((0.0,) * 3, (1.0,) * 3), 24, 1024),
-    "T_20": _heis3_chunk(20.0, 24, 576),
-    "T_1e3": _heis3_chunk(1e3, 32, 1024),
-    # entries up to 1e11: most samples end in the exact tier
-    "T_1e4": _heis3_chunk(1e4, 8, 64),
-}
-
-
-@pytest.mark.parametrize("name", list(ROW_KERNEL_CHUNKS3))
-def test_3d_row_kernel_bit_identical_to_reference(name):
-    matrix, map_vars, region, grid, stop = ROW_KERNEL_CHUNKS3[name]
-    pts = region.sample_points(grid, 0, stop, "jitter", 3)
-    got = experiment.certified_reduce(matrix, map_vars,
-                                      experiment.entry_tables(matrix, map_vars), pts)
-    want = reference_certified_reduce3(matrix, map_vars, pts)
-    assert (got[2] > 0) == (name == "T_1e4")
-    assert got[2] == want[2]
-    for g, w in zip(got[:2], want[:2]):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 # -- tooling -----------------------------------------------------------------------
