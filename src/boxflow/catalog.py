@@ -1,21 +1,24 @@
 """Named trajectory maps used by the symbolic checks and the experiments.
 
 The built-in maps span one and two parameters, matrix sizes 2 and 3, and
-product / non-product type.  Catalogs can also be loaded from a JSON file
-with the same fields as :class:`MapEntry`; entries are serialized as text
+product / non-product type; both that type and the limit's reference are
+derived from the map.  Catalogs can also be loaded from a JSON file with
+the same fields as :class:`MapEntry`; entries are serialized as text
 matrices of generalized polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CatalogError
+from .errors import CatalogError, DomainError
 from .polyalg import GenPoly
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, lie_algebra
 
 F = Fraction
 
@@ -26,56 +29,68 @@ class MapEntry:
     dim: int
     map_vars: tuple
     matrix: PolyMatrix
-    product_type: bool
     default_lambda: tuple
-    closed_orbit: bool = False
-    period: Optional[float] = None
-    # map whose per-period average over orbit_vars defines the reference
-    # measure when the orbit closure is proper (a circle orbit for the
-    # horocycle entries, a compact nilmanifold for the dimension-3 one)
-    orbit_map: Optional[PolyMatrix] = None
-    orbit_vars: tuple = ("x",)
     notes: str = ""
 
     @property
     def k(self) -> int:
         return len(self.map_vars)
 
+    @property
+    def product_type(self) -> bool:
+        """Whether g(x) = g(x_1 e_1) ... g(x_k e_k), the product taken in
+        the order of ``map_vars``."""
+        factors = [self.matrix.substitute({w: 0 for w in self.map_vars if w != v})
+                   for v in self.map_vars]
+        product = functools.reduce(operator.matmul, factors, PolyMatrix.identity(self.dim))
+        return product == self.matrix
+
+    @functools.cached_property
+    def orbit(self):
+        """The closed orbit that carries the limit measure, by the Lie algebra
+        h the map generates (``lie_algebra``): None for h = sl(N), the Haar
+        case.  For h spanned by off-diagonal E_s, s in S (empty for a constant
+        map), the orbit map g(0) (I + sum x_s E_s) on the fundamental domain
+        [0, 1)^S of its integer points, and its variables.  Else DomainError."""
+        n = self.dim
+        basis = lie_algebra(self.matrix, self.map_vars)
+        if len(basis) == n * n - 1:
+            return None
+        # |S| = dim h: h is the span of the E_s, none diagonal as h is in
+        # sl(N); S runs by superdiagonal, as E12, E23, E13 in SL(3)
+        support = sorted({s for b in basis for s, c in enumerate(b) if c},
+                         key=lambda s: (s % n - s // n, s))
+        if len(support) != len(basis):
+            raise DomainError(
+                f"{self.name}: no limit reference for a Lie algebra of dimension {len(basis)}"
+                f" that is neither sl({n}) nor spanned by off-diagonal elementary matrices")
+        # x_s for the flat position s = i N + j of E_ij
+        u = PolyMatrix([[GenPoly.variable(f"x{i * n + j}") if i * n + j in support
+                         else int(i == j) for j in range(n)] for i in range(n)])
+        g0 = self.matrix.substitute({v: 0 for v in self.map_vars})
+        return g0 @ u, tuple(f"x{s}" for s in support)
+
     def validate(self) -> None:
-        for label, m in (("map", self.matrix), ("orbit map", self.orbit_map)):
-            if m is None:
-                continue
-            if m.dim != self.dim:
-                raise CatalogError(
-                    f"{self.name}: {label} is {m.dim}x{m.dim}, dim field is {self.dim}")
-            if m.determinant() != GenPoly.const(1):
-                raise CatalogError(
-                    f"{self.name}: {label} is not unimodular, det = "
-                    f"{m.determinant().to_text()}"
-                )
+        if self.matrix.dim != self.dim:
+            raise CatalogError(
+                f"{self.name}: map is {self.matrix.dim}x{self.matrix.dim}, "
+                f"dim field is {self.dim}")
+        if self.matrix.determinant() != GenPoly.const(1):
+            raise CatalogError(
+                f"{self.name}: map is not unimodular, det = "
+                f"{self.matrix.determinant().to_text()}"
+            )
         if len(self.default_lambda) != len(self.map_vars):
             raise CatalogError(f"{self.name}: one box exponent per variable")
-        if self.closed_orbit and (self.period is None or self.orbit_map is None):
-            raise CatalogError(
-                f"{self.name}: closed-orbit entries need a period and an "
-                "orbit map"
-            )
 
 
-def _entry(name, rows, lam, *, dim=2, map_vars=("x",), product_type=False,
-           closed_orbit=False, period=None, orbit_rows=None,
-           orbit_vars=("x",), notes=""):
+def _entry(name, rows, lam, *, dim=2, map_vars=("x",), notes=""):
     e = MapEntry(
         name=name,
         dim=dim,
         map_vars=tuple(map_vars),
         matrix=PolyMatrix.from_text(rows),
-        product_type=product_type,
         default_lambda=tuple(Fraction(v) for v in lam),
-        closed_orbit=closed_orbit,
-        period=period,
-        orbit_map=PolyMatrix.from_text(orbit_rows) if orbit_rows else None,
-        orbit_vars=tuple(orbit_vars),
         notes=notes,
     )
     e.validate()
@@ -88,10 +103,6 @@ def builtin_catalog() -> dict:
             "heis52",
             [["1", "x"], ["0", "1"]],
             [F(5, 2)],
-            product_type=True,
-            closed_orbit=True,
-            period=1.0,
-            orbit_rows=[["1", "x"], ["0", "1"]],
             notes="upper unipotent under the 5/2 box family; the periodic "
             "horocycle of u_horo",
         ),
@@ -99,20 +110,12 @@ def builtin_catalog() -> dict:
             "u_horo",
             [["1", "x"], ["0", "1"]],
             [F(1)],
-            product_type=True,
-            closed_orbit=True,
-            period=1.0,
-            orbit_rows=[["1", "x"], ["0", "1"]],
             notes="periodic horocycle through the standard lattice",
         ),
         _entry(
             "u_squared",
             [["1", "x^2"], ["0", "1"]],
             [F(5, 4)],
-            product_type=True,
-            closed_orbit=True,
-            period=1.0,
-            orbit_rows=[["1", "x"], ["0", "1"]],
             notes="quadratic reparametrization of the periodic horocycle",
         ),
         _entry(
@@ -120,18 +123,13 @@ def builtin_catalog() -> dict:
             [["1 + x * y", "x"], ["y", "1"]],
             [F(1), F(1, 2)],
             map_vars=("x", "y"),
-            product_type=True,
-            notes="upper times lower unipotent; limit group SL(2,R) "
-            "(semisimple), asserted by the catalog author",
+            notes="upper times lower unipotent; limit group SL(2,R)",
         ),
         _entry(
             "poly23",
             [["1", "x^2 + x * y^3"], ["0", "1"]],
             [F(1, 2), F(1)],
             map_vars=("x", "y"),
-            closed_orbit=True,
-            period=1.0,
-            orbit_rows=[["1", "x"], ["0", "1"]],
             notes="mixed-degree upper unipotent; orbit stays on the "
             "periodic horocycle",
         ),
@@ -144,7 +142,7 @@ def builtin_catalog() -> dict:
             [F(1), F(1, 2)],
             map_vars=("x", "y"),
             notes="mixed-degree map seeded with a lower unipotent; limit "
-            "group SL(2,R) (semisimple), asserted by the catalog author",
+            "group SL(2,R)",
         ),
         _entry(
             "heis3",
@@ -156,15 +154,6 @@ def builtin_catalog() -> dict:
             [F(3, 2), F(5, 4)],
             dim=3,
             map_vars=("x", "y"),
-            product_type=True,
-            closed_orbit=True,
-            period=1.0,
-            orbit_rows=[
-                ["1", "x", "z"],
-                ["0", "1", "y"],
-                ["0", "0", "1"],
-            ],
-            orbit_vars=("x", "y", "z"),
             notes="two elementary unipotents in SL(3); orbit closure is "
             "the compact nilmanifold of the full upper unipotent group",
         ),
@@ -191,12 +180,7 @@ def dump_catalog(path: str, entries: dict) -> None:
                 "dim": e.dim,
                 "vars": list(e.map_vars),
                 "entries": e.matrix.to_text(),
-                "product_type": e.product_type,
                 "default_lambda": [str(v) for v in e.default_lambda],
-                "closed_orbit": e.closed_orbit,
-                "period": e.period,
-                "orbit_entries": e.orbit_map.to_text() if e.orbit_map else None,
-                "orbit_vars": list(e.orbit_vars),
                 "notes": e.notes,
             }
         )
@@ -219,18 +203,9 @@ def load_catalog(path: str) -> dict:
                 dim=item["dim"],
                 map_vars=tuple(item["vars"]),
                 matrix=PolyMatrix.from_text(item["entries"]),
-                product_type=bool(item.get("product_type", False)),
                 default_lambda=tuple(
                     Fraction(v) for v in item["default_lambda"]
                 ),
-                closed_orbit=bool(item.get("closed_orbit", False)),
-                period=item.get("period"),
-                orbit_map=(
-                    PolyMatrix.from_text(item["orbit_entries"])
-                    if item.get("orbit_entries")
-                    else None
-                ),
-                orbit_vars=tuple(item.get("orbit_vars", ("x",))),
                 notes=item.get("notes", ""),
             )
             entry.validate()

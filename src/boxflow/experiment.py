@@ -91,6 +91,8 @@ class BoxSpec:
 
     def __post_init__(self):
         _check_grid(self.grid)
+        if not all(l > 0 for l in self.lam):
+            raise DomainError("box exponents must be positive")
         if not 0 < self.T < math.inf:
             raise DomainError("box parameter must be positive and finite")
         if self.J is not None:
@@ -382,16 +384,16 @@ def nondivergence_fraction(entry: MapEntry, box: BoxSpec,
 
 
 def periodic_reference(entry: MapEntry, f: TestFunction) -> float:
-    """Per-period average of the observable over the closed orbit, by
-    midpoint tensor quadrature of the orbit map (one axis per orbit
-    parameter)."""
-    if not entry.closed_orbit or entry.orbit_map is None:
-        raise DomainError(f"{entry.name} is not a closed-orbit entry")
-    k = len(entry.orbit_vars)
-    region = BoxRegion((0.0,) * k, (float(entry.period),) * k)
-    _, values = _observable_values(
-        entry.orbit_map, entry.orbit_vars, region, 4096 if k == 1 else 24, (f,)
-    )
+    """Average of the observable over the closed orbit ``MapEntry.orbit``,
+    by midpoint tensor quadrature of the orbit map on [0, 1]^k; a constant
+    map's orbit is one lattice, one sample on a dummy axis."""
+    if entry.orbit is None:
+        raise DomainError(f"{entry.name} has the Haar reference")
+    orbit, names = entry.orbit
+    grid = {0: 1, 1: 4096}.get(len(names), 24)
+    names = names or ("x",)
+    region = BoxRegion((0.0,) * len(names), (1.0,) * len(names))
+    _, values = _observable_values(orbit, names, region, grid, (f,))
     return _average(values[0])
 
 
@@ -456,9 +458,9 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
            method: str) -> ExperimentResult:
     """One result row per box parameter T in ``params`` and observable:
     the average over the box ``box_of(T)`` against the reference, with the
-    nondivergence fractions of the same samples.  The reference is the
-    one-period orbit average for closed-orbit entries (the limit lives on
-    the closed orbit, not the full space), the Haar integral otherwise.
+    nondivergence fractions of the same samples.  The reference is the Haar
+    integral when the map generates SL(N), else the average over the closed
+    orbit where the limit lives (``periodic_reference``).
     ``name`` names the parameters in the messages of the checks."""
     _check_grid(grid)
     params = [float(T) for T in params]
@@ -468,8 +470,8 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
         raise DomainError(f"{name} must be positive and finite")
     _check_eps0(eps0_list)
     regions = [box_of(T) for T in params]
-    refs = [periodic_reference(entry, f) if entry.closed_orbit
-            else haar_expectation(f, entry.dim) for f in f_list]
+    refs = [haar_expectation(f, entry.dim) if entry.orbit is None
+            else periodic_reference(entry, f) for f in f_list]
     rows = []
     with _pool(workers) as pool:
         for T, region in zip(params, regions):

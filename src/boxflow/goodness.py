@@ -250,6 +250,12 @@ class GoodCheck:
     slack: float
 
 
+def _check_alpha(alpha) -> None:
+    # for alpha <= 0 the bound (delta / sup|f|)^alpha does not shrink with delta
+    if not alpha > 0:
+        raise DomainError("alpha must be positive")
+
+
 def good_inequality_check(
     f: Callable,
     box: BoxRegion,
@@ -269,9 +275,7 @@ def good_inequality_check(
         raise DomainError("delta must be positive")
     if c < 1:
         raise DomainError("C must be at least 1")
-    # for alpha <= 0 the right-hand side does not shrink with delta
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    _check_alpha(alpha)
     fnorm = sup_norm(f, box, grid)
     if fnorm == 0:
         raise DomainError("sup norm vanishes; inequality is vacuous")
@@ -300,6 +304,7 @@ def _sublevel_fit(f: Callable, box: BoxRegion, alpha,
                   delta_grid: Sequence[float], grid: int):
     """(``fit_min_c``, sup|f| on the grid, ``sublevel_measure`` per delta)
     from one sorted evaluation of f."""
+    _check_alpha(alpha)
     if len(delta_grid) == 0:
         raise DomainError("need a nonempty delta grid")
     fnorm = sup_norm(f, box, grid)
@@ -548,6 +553,7 @@ def relative_size_neighborhoods(
         if m == 0:
             raise DomainError("variety polynomial must be nonconstant")
         alpha = Fraction(1, 2 * m * l * k)
+    _check_alpha(alpha)
     a = float(alpha)
     delta = (eps / (c * n_cover)) ** (1.0 / a)
     return NeighborhoodSpec(

@@ -225,3 +225,39 @@ class PolyMatrix:
         return mpmath.matrix(
             [[e.evaluate_mp(point) for e in row] for row in self.entries]
         )
+
+
+def lie_algebra(g: PolyMatrix, map_vars) -> list:
+    """A basis of the Lie algebra h of the group that the values g(0)^-1 g(x)
+    generate, as flattened N*N rows of Fractions kept independent by exact
+    row reduction: the coefficient matrices of g^-1 dg/dx_i (g(0)^-1 cancels)
+    closed under brackets.  Conjugation by those values, which lie in the
+    group of h, adds nothing; h lies in sl(N), where the closure stops."""
+    n = g.dim
+    g_inv = g.inverse_sl()
+    rows, mats = [], []  # the basis with its pivots, and as matrices
+
+    def add(m: PolyMatrix) -> None:
+        coeffs = {}
+        for s, p in enumerate(p for row in m.entries for p in row):
+            for mono, c in p.terms():
+                coeffs.setdefault(mono, [0] * (n * n))[s] = c
+        for v in coeffs.values():
+            for p, b in rows:
+                f = v[p]
+                v = [a - f * c for a, c in zip(v, b)]
+            p = next((s for s, a in enumerate(v) if a), None)
+            if p is not None:
+                b = [a / v[p] for a in v]
+                rows.append((p, b))
+                mats.append(PolyMatrix([b[s:s + n] for s in range(0, n * n, n)]))
+
+    for v in map_vars:
+        add(g_inv @ g.differentiate(v))
+    # mats grows as it is walked, so each element meets every earlier one
+    for i, x in enumerate(mats):
+        if len(rows) == n * n - 1:
+            break
+        for y in mats[:i]:
+            add(x @ y - y @ x)
+    return [b for _, b in rows]

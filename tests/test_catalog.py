@@ -1,4 +1,5 @@
-"""Catalog integrity: spans, unimodularity, file round trip."""
+"""Catalog integrity: spans, unimodularity, file round trip, and the
+reference rule and product type derived from the map."""
 
 import json
 
@@ -52,7 +53,9 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "catalog.json"
     dump_catalog(str(path), cat)
     assert load_catalog(str(path)) == cat
-    assert all("sl" not in item for item in json.loads(path.read_text())["maps"])
+    # no hand-set flag is written: product type and reference are derived
+    keys = {"name", "dim", "vars", "entries", "default_lambda", "notes"}
+    assert all(set(item) == keys for item in json.loads(path.read_text())["maps"])
 
 
 def test_malformed_catalog(tmp_path):
@@ -65,27 +68,84 @@ def test_malformed_catalog(tmp_path):
         load_catalog(str(path))
 
 
-UPPER = [["1", "x"], ["0", "1"]]
+UPPER3 = [["1", "x", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 DET2 = [["2", "x"], ["0", "1"]]
 
 
-@pytest.mark.parametrize("rows,orbit_rows,message", [
-    (UPPER, [["1", "x", "z"], ["0", "1", "y"], ["0", "0", "1"]],
-     "orbit map is 3x3, dim field is 2"),
-    (UPPER, DET2, "orbit map is not unimodular, det = 2"),
-    (DET2, None, "map is not unimodular, det = 2"),
+@pytest.mark.parametrize("rows,message", [
+    (UPPER3, "map is 3x3, dim field is 2"),
+    (DET2, "map is not unimodular, det = 2"),
 ])
-def test_maps_must_be_unimodular_of_the_entry_dimension(rows, orbit_rows, message):
+def test_maps_must_be_unimodular_of_the_entry_dimension(rows, message):
     entry = MapEntry(
         name="custom",
         dim=2,
         map_vars=("x",),
         matrix=PolyMatrix.from_text(rows),
-        product_type=True,
         default_lambda=(1,),
-        closed_orbit=orbit_rows is not None,
-        period=1.0,
-        orbit_map=PolyMatrix.from_text(orbit_rows) if orbit_rows else None,
     )
     with pytest.raises(CatalogError, match=message):
         entry.validate()
+
+
+# the hand-set flags the built-ins carried before both were derived: the
+# orbit support S (None for Haar) and the product type
+FORMER_FLAGS = {
+    "heis52": ([(0, 1)], True),
+    "u_horo": ([(0, 1)], True),
+    "u_squared": ([(0, 1)], True),
+    "ul_product": (None, True),
+    "poly23": ([(0, 1)], False),
+    "poly23_lower": (None, False),
+    "heis3": ([(0, 1), (1, 2), (0, 2)], True),
+}
+
+
+def test_derived_reference_rule_and_product_type_match_the_former_flags():
+    cat = builtin_catalog()
+    assert set(cat) == set(FORMER_FLAGS)
+    for name, (support, product_type) in FORMER_FLAGS.items():
+        entry = cat[name]
+        assert entry.product_type is product_type, name
+        if support is None:
+            assert entry.orbit is None, name
+            continue
+        orbit, names = entry.orbit
+        expected = [[1 if i == j else 0 for j in range(entry.dim)]
+                    for i in range(entry.dim)]
+        for (i, j), v in zip(support, names):
+            expected[i][j] = GenPoly.variable(v)
+        assert orbit == PolyMatrix(expected), name
+
+
+def test_the_orbit_is_computed_once_per_entry(monkeypatch):
+    import boxflow.catalog as catalog
+
+    calls = []
+    real = catalog.lie_algebra
+    monkeypatch.setattr(catalog, "lie_algebra", lambda *a: calls.append(a) or real(*a))
+    entry = builtin_catalog()["heis3"]
+    assert not calls
+    assert entry.orbit is entry.orbit
+    assert len(calls) == 1
+
+
+def test_orbits_of_maps_outside_the_catalog():
+    # g(0) = diag(2, 1/2) times the horocycle: the orbit map is g(0) u(x1)
+    entry = MapEntry(name="shifted", dim=2, map_vars=("x",),
+                     matrix=PolyMatrix.from_text([["2", "2 * x"], ["0", "1/2"]]),
+                     default_lambda=(1,))
+    assert entry.orbit == (PolyMatrix.from_text([["2", "2 * x1"], ["0", "1/2"]]), ("x1",))
+    # g^-1 g' = E12 + x E23: its coefficients span no Lie algebra, and their
+    # bracket E13 completes the upper unipotent group
+    entry = MapEntry(name="bracket", dim=3, map_vars=("x",), default_lambda=(1,),
+                     matrix=PolyMatrix.from_text([["1", "x", "1/3 * x^3"],
+                                                  ["0", "1", "1/2 * x^2"], ["0", "0", "1"]]))
+    assert entry.orbit == (PolyMatrix.from_text([["1", "x1", "x2"], ["0", "1", "x5"],
+                                                 ["0", "0", "1"]]), ("x1", "x5", "x2"))
+    # upper times lower unipotents in SL(3) generate sl(3): Haar
+    ul3 = PolyMatrix.from_text([["1", "x", "0"], ["0", "1", "x"], ["0", "0", "1"]]) @ \
+        PolyMatrix.from_text([["1", "0", "0"], ["y", "1", "0"], ["0", "y", "1"]])
+    entry = MapEntry(name="ul3", dim=3, map_vars=("x", "y"), matrix=ul3,
+                     default_lambda=(1, 1))
+    assert entry.orbit is None

@@ -264,7 +264,7 @@ def _heis3_chunk(T, grid, stop):
 # (matrix, variables, region, grid, last sample) of one 3D chunk, and the
 # number of its samples that end in the exact tier
 ROW_KERNEL_CHUNKS3 = {
-    "orbit": ((HEIS3.orbit_map, HEIS3.orbit_vars, BoxRegion((0.0,) * 3, (1.0,) * 3),
+    "orbit": ((*HEIS3.orbit, BoxRegion((0.0,) * 3, (1.0,) * 3),
                24, 1024), 0),
     "T_20": (_heis3_chunk(20.0, 24, 576), 0),
     "T_1e3": (_heis3_chunk(1e3, 32, 1024), 0),

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, artifact determinism."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -166,6 +167,11 @@ def test_invalid_counts_are_domain_errors(tmp_path, capsys, args):
      "alpha must be positive"),
     (["cover", "--random", "5,2", "--bound", "0"], "multiplicity bound must be at least 1"),
     (["cover", "--random", "5,2", "--bound", "-3"], "multiplicity bound must be at least 1"),
+    # boxes that do not expand
+    (["equi", "--map", "ul_product", "--T", "10,100", "--grid", "8", "--lambda=-1,1/2"],
+     "box exponents must be positive"),
+    (["equi", "--map", "ul_product", "--T", "10,100", "--grid", "8", "--lambda=1,0"],
+     "box exponents must be positive"),
 ])
 def test_bad_boxes_and_radii_are_domain_errors(tmp_path, capsys, args, message):
     with warnings.catch_warnings():
@@ -307,21 +313,21 @@ def test_equi_heis52_uses_the_horocycle_reference(tmp_path, capsys):
 UPPER =[["1", "x"], ["0", "1"]]
 UPPER4 = [["1", "x", "0", "0"], ["0", "1", "0", "0"],
           ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
-ORBIT = {"closed_orbit": True, "period": 1.0}
+NO_REFERENCE = "no limit reference for a Lie algebra of dimension"
 
 
 @pytest.mark.parametrize("item,code,message", [
-    # an orbit map of another dimension than the map
-    ({**ORBIT, "orbit_entries": [["1", "x", "z"], ["0", "1", "y"], ["0", "0", "1"]],
-      "orbit_vars": ["x", "y", "z"]}, 3, "orbit map is 3x3, dim field is 2"),
-    # an orbit map that is not unimodular
-    ({**ORBIT, "orbit_entries": [["2", "x"], ["0", "1"]]}, 3,
-     "orbit map is not unimodular"),
+    # sl(2) in a block of SL(3): neither the Haar nor an orbit reference
+    ({"dim": 3, "vars": ["x", "y"], "default_lambda": ["1", "1/2"],
+      "entries": [["1 + x*y", "x", "0"], ["y", "1", "0"], ["0", "0", "1"]]}, 1,
+     f"custom: {NO_REFERENCE} 3 "),
+    # exp(x (E12 + E23)): a one-dimensional algebra off the elementary matrices
+    ({"dim": 3, "entries": [["1", "x", "1/2*x^2"], ["0", "1", "x"], ["0", "0", "1"]]}, 1,
+     f"custom: {NO_REFERENCE} 1 "),
     # a map that is not unimodular; the former "sl" switch no longer exempts it
     ({"entries": [["2", "x"], ["0", "1"]], "sl": False}, 3, "map is not unimodular"),
     # a unimodular 4x4 map, whose lattices no kernel reduces
-    ({"dim": 4, "entries": UPPER4, **ORBIT, "orbit_entries": UPPER4}, 1,
-     "2x2 or 3x3 matrices, not 4x4"),
+    ({"dim": 4, "entries": UPPER4}, 1, "2x2 or 3x3 matrices, not 4x4"),
 ])
 def test_equi_rejects_catalog_maps_it_cannot_measure(tmp_path, capsys, item, code,
                                                      message):
@@ -337,10 +343,29 @@ def test_equi_rejects_catalog_maps_it_cannot_measure(tmp_path, capsys, item, cod
     assert not any(out.glob("*.csv"))
 
 
+def test_a_catalog_file_keeps_no_hand_set_reference(tmp_path, capsys):
+    # the keys that once set the reference by hand are ignored: ul_product
+    # generates SL(2), whose reference is the Haar value pi
+    item = {"name": "custom", "dim": 2, "vars": ["x", "y"],
+            "entries": [["1 + x * y", "x"], ["y", "1"]], "default_lambda": ["1", "1/2"],
+            "closed_orbit": True, "period": 1.0, "orbit_entries": UPPER,
+            "orbit_vars": ["x"], "product_type": False}
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps({"maps": [item]}))
+    assert run(["equi", "--map", "custom", "--catalog", str(cat_path),
+                "--T", "10", "--grid", "16", "--out", str(tmp_path)]) == 0
+    header, line = (tmp_path / "equi.csv").read_text().strip().split("\n")
+    row = dict(zip(header.split(","), line.split(",")))
+    assert float(row["reference"]) == math.pi
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_equi_exits_1_beyond_the_row_cap(tmp_path, capsys, workers):
-    # lambda_1 = lambda_2 = 1e-4 needs about 1e4 rows at R = 1; the 9,216
-    # samples are two chunks, which two workers take in worker processes
+    # lambda_1 = lambda_2 = 1e-4 needs about 1e4 rows at R = 1.  The map
+    # generates a unipotent group, so the reference averages its orbit
+    # through g(0) Z^N, which is as deep in the cusp and raises in-process
+    # before any box; a worker's raise is left to test_experiment's
+    # test_the_row_cap_raises_whatever_the_chunk_size
     item = {"name": "cusp3", "dim": 3, "vars": ["x", "y"],
             "entries": [["1/10000", "0", "x"], ["0", "1/10000", "y"],
                         ["0", "0", "100000000"]],

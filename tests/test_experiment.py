@@ -147,8 +147,7 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
     # the 14,976 lattices of one benchmark heis3 sweep: the 24^3 orbit
     # points of the reference, and 24^2 jittered points at T = 10 and 20
     f = TF("indicator", 1.0)
-    cases = [(HEIS3.orbit_map, HEIS3.orbit_vars,
-              BoxRegion((0.0,) * 3, (1.0,) * 3), "grid")]
+    cases = [(*HEIS3.orbit, BoxRegion((0.0,) * 3, (1.0,) * 3), "grid")]
     cases += [(HEIS3.matrix, HEIS3.map_vars,
                BoxSpec(lam=HEIS3.default_lambda, T=T, grid=24).realized_region(),
                "jitter") for T in (10.0, 20.0)]
@@ -277,9 +276,8 @@ def test_a_3d_chunk_takes_little_more_memory_than_a_2d_chunk():
     # one BLOCK of heis3's closed-orbit reference (the orbit map on its
     # period cube, grid 24, indicator at R = 1) against one BLOCK of a
     # ul_product box at T = 1e3 (grid 256, indicator and bump at R = 1)
-    orbit = BoxRegion((0.0,) * 3, (float(HEIS3.period),) * 3)
-    heis3 = (HEIS3.orbit_map, HEIS3.orbit_vars,
-             experiment.entry_tables(HEIS3.orbit_map, HEIS3.orbit_vars), orbit, 24,
+    orbit = BoxRegion((0.0,) * 3, (1.0,) * 3)
+    heis3 = (*HEIS3.orbit, experiment.entry_tables(*HEIS3.orbit), orbit, 24,
              (TF("indicator", 1.0),), 0, BLOCK, "grid", 0, math.inf)
     box = BoxSpec(lam=UL.default_lambda, T=1e3, grid=256).realized_region()
     ul = (UL.matrix, UL.map_vars, experiment.entry_tables(UL.matrix, UL.map_vars), box,
@@ -443,8 +441,7 @@ def test_lattice_observables_need_dimension_2_or_3():
     rows = [["1", "x", "0", "0"], ["0", "1", "0", "0"],
             ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     entry = MapEntry(name="sl4", dim=4, map_vars=("x",),
-                     matrix=PolyMatrix.from_text(rows), product_type=True,
-                     default_lambda=(F(1),))
+                     matrix=PolyMatrix.from_text(rows), default_lambda=(F(1),))
     box = BoxSpec(lam=(F(1),), T=10.0, grid=16)
     with pytest.raises(DomainError, match="2x2 or 3x3 matrices, not 4x4"):
         birkhoff_average(entry, box, TF("indicator", 1.0))
@@ -470,7 +467,6 @@ def _identity_entry():
             dim=2,
             map_vars=("x",),
             matrix=PolyMatrix.from_text([["1", "0"], ["0", "1"]]),
-            product_type=True,
             default_lambda=(F(1),),
         )
     return IDENTITY_ENTRY
@@ -485,8 +481,10 @@ def test_constant_map_average_is_pointwise_value():
     assert avg == point_value == 4.0
     fr = nondivergence_fraction(entry, box, [1.0])
     assert fr[1.0] == 1.0
+    # the orbit of a constant map is its one lattice, not the whole space:
+    # the reference is the pointwise value, not the Haar value pi
     rows = convergence_sweep(entry, (F(1),), [10.0, 20.0], [f], grid=64).rows
-    assert all(r.average == point_value for r in rows)
+    assert all(r.average == r.reference == point_value for r in rows)
 
 
 def test_monotone_nondivergence_all_catalog_maps():

@@ -173,6 +173,20 @@ def test_certificate_lhs_is_the_per_delta_sublevel_measure():
         assert cert.c == max(1.0, fit_min_c(f, box, cert.alpha, deltas, grid))
 
 
+@pytest.mark.parametrize("alpha", [0, -1, F(-1, 2), math.nan])
+def test_fit_and_neighborhoods_reject_alpha_not_positive(alpha):
+    # for alpha <= 0 the bound (delta / sup|f|)^alpha does not shrink with
+    # delta: no "minimal constant" of it, and no 1 / alpha
+    calls = (
+        lambda: fit_min_c(fx, UNIT, alpha, [0.1, 0.2], grid=100),
+        lambda: relative_size_neighborhoods(parse_poly("v1"), ["v1"], r=1.0, eps=0.5,
+                                            k=1, l=1, c=1.0, n_cover=2, alpha=alpha),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            call()
+
+
 # -- sup extension ------------------------------------------------------------------
 
 
@@ -554,12 +568,12 @@ def grid_cases():
             pts = box.realized_region().sample_points(grid, 0, grid ** entry.k,
                                                       "jitter", 5)
             cases += [(p, entry.map_vars, pts) for row in entry.matrix.entries for p in row]
-        if entry.orbit_map is not None:
-            k = len(entry.orbit_vars)
-            region = BoxRegion((0.0,) * k, (float(entry.period),) * k)
+        if entry.orbit is not None:
+            orbit, names = entry.orbit
+            k = len(names)
+            region = BoxRegion((0.0,) * k, (1.0,) * k)
             pts = region.sample_points(16, 0, 16 ** k, "jitter", 5)
-            cases += [(p, entry.orbit_vars, pts) for row in entry.orbit_map.entries
-                      for p in row]
+            cases += [(p, names, pts) for row in orbit.entries for p in row]
     # the criterion-10 box at T2 = 20, entries up to 5e11: more points than
     # one 2D chunk of the lattice kernel, and not a multiple of it
     entry = builtin_catalog()["poly23_lower"]
