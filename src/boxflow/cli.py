@@ -67,7 +67,7 @@ def _parse_box(text: str) -> BoxRegion:
 
 
 def _parse_pair(text: str):
-    n, k = (int(v) for v in text.split(","))
+    n, k = (_parse_positive(v) for v in text.split(","))
     return n, k
 
 
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_cover.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", type=_points_file,
                        help="CSV of center coords + halfwidth")
-    group.add_argument("--random", type=_typed(_parse_pair, "two integers n,k"),
+    group.add_argument("--random", type=_typed(_parse_pair, "two integers n,k >= 1"),
                        help="n,k random instance")
     p_cover.add_argument("--bound", type=int, default=None,
                          help="multiplicity bound (default 2^k + 1)")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BoxflowError, DomainError, NilpotencyError
 from .polyalg import NEG_INF, T_VAR, GenPoly
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, adjugate
 
 XI_VAR = "xi"
 
@@ -128,14 +128,6 @@ class FlowResult:
     @property
     def generator(self) -> PolyMatrix:
         return self.limits[0]
-
-    def is_degenerate(self, alpha: Mapping[str, object]) -> bool:
-        """Exact rational test that alpha lies where every M_l vanishes."""
-        point = {v: Fraction(alpha[v]) for v in self.alpha_vars if v in alpha}
-        for poly in self.degenerate_locus:
-            if poly.evaluate_exact(point) != 0:
-                return False
-        return True
 
 
 def _taylor_shift_t(matrix: PolyMatrix, max_order: int) -> PolyMatrix:
@@ -290,31 +282,6 @@ def _flow_series(mats: Sequence[PolyMatrix], s_var: str) -> PolyMatrix:
     return acc
 
 
-def _det_mp(rows):
-    """Determinant of a list of mpmath rows by Laplace expansion along the
-    first row."""
-    if not rows:
-        return mpmath.mpf(1)
-    total = mpmath.mpf(0)
-    for j, x in enumerate(rows[0]):
-        term = x * _det_mp([r[:j] + r[j + 1:] for r in rows[1:]])
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _inverse_mp(m, n: int):
-    """Inverse of an n x n mpmath matrix of determinant 1: its adjugate.
-    No LU step, which can call a matrix with entries of very different
-    sizes numerically singular."""
-    rows = [[m[i, j] for j in range(n)] for i in range(n)]
-    inv = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            d = _det_mp([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-            inv[i, j] = d if (i + j) % 2 == 0 else -d
-    return inv
-
-
 def _max_deviation(a, b, n: int) -> float:
     """Max-entry distance of two n x n mpmath matrices."""
     return float(max(abs(a[i, j] - b[i, j]) for i in range(n) for j in range(n)))
@@ -447,8 +414,8 @@ def limit_residual(
         q_mp = mpmath.mpf(result.q.numerator) / mpmath.mpf(result.q.denominator)
         t_shift = t_mp + s_mp * mpmath.power(t_mp, -q_mp)
         a = theta.evaluate_mp({**alpha_mp, T_VAR: t_shift})
-        b_inv = _inverse_mp(theta.evaluate_mp({**alpha_mp, T_VAR: t_mp}), theta.dim)
-        prod = a * b_inv
+        b = theta.evaluate_mp({**alpha_mp, T_VAR: t_mp})
+        prod = a * mpmath.matrix(adjugate(b.tolist()))
         rho = flow_of(result).evaluate_mp({**alpha_mp, "s": s_mp})
         return _max_deviation(prod, rho, theta.dim)
 
@@ -576,7 +543,6 @@ def twodim_residual(
         )
         a = theta_map.evaluate_mp({result.x_var: x_shift, result.y_var: y_mp})
         base = theta_map.evaluate_mp({result.x_var: x_mp, result.y_var: y_mp})
-        base_inv = _inverse_mp(base, theta_map.dim)
-        cocycle = a * base_inv
+        cocycle = a * mpmath.matrix(adjugate(base.tolist()))
         rho = result.flow().evaluate_mp({"s": s_mp})
         return _max_deviation(cocycle, rho, theta_map.dim)

@@ -1,10 +1,9 @@
 """Measure growth of polynomial sublevel sets on boxes.
 
 Implements the sublevel inequality |{|f| < delta}| <= C (delta/sup|f|)^a |B|
-with grid-based measure estimates, the sup-extension bound it implies, a
-greedy bounded-multiplicity cube covering, and the relative-size
-neighborhood construction used to control trajectories near a polynomial
-variety.
+with grid-based measure estimates, a greedy bounded-multiplicity cube
+covering, and the relative-size neighborhood construction used to control
+trajectories near a polynomial variety.
 
 Functions evaluated on grids follow one calling convention: ``f(points)``
 takes an (m, k) array of row points and returns an (m,) array.
@@ -271,10 +270,10 @@ def good_inequality_check(
     The right-hand side gets the documented grid slack 2k/grid to absorb
     cell-boundary effects of the midpoint estimate.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    if c < 1:
-        raise DomainError("C must be at least 1")
+    if not 0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
+    if not 1 <= c < math.inf:
+        raise DomainError("C must be at least 1 and finite")
     _check_alpha(alpha)
     fnorm = sup_norm(f, box, grid)
     if fnorm == 0:
@@ -297,13 +296,6 @@ def fit_min_c(
     The function values are evaluated once; sublevel counts for all deltas
     come from a sorted search, identical to per-delta midpoint estimates.
     """
-    return _sublevel_fit(f, box, alpha, delta_grid, grid)[0]
-
-
-def _sublevel_fit(f: Callable, box: BoxRegion, alpha,
-                  delta_grid: Sequence[float], grid: int):
-    """(``fit_min_c``, sup|f| on the grid, ``sublevel_measure`` per delta)
-    from one sorted evaluation of f."""
     _check_alpha(alpha)
     if len(delta_grid) == 0:
         raise DomainError("need a nonempty delta grid")
@@ -315,80 +307,18 @@ def _sublevel_fit(f: Callable, box: BoxRegion, alpha,
     deltas = np.asarray(delta_grid, dtype=float)
     lhs = np.searchsorted(vals, deltas, side="left") * cell
     ratios = lhs / ((deltas / fnorm) ** float(alpha) * box.volume)
-    return float(np.max(ratios)), fnorm, lhs
+    return float(np.max(ratios))
 
 
 def transfer_delta_grid(alpha, slack: float) -> np.ndarray:
     """Log-spaced relative deltas from 0.005 to 0.9, dense enough that the
     sublevel ratio can drift at most by the grid slack between neighbors:
     spacing r satisfies r^alpha <= 1 + slack."""
+    _check_alpha(alpha)
     lo, hi = 0.005, 0.9
     r = (1.0 + slack) ** (1.0 / float(alpha))
     n = max(2, int(math.ceil(math.log(hi / lo) / math.log(r))) + 1)
     return np.geomspace(lo, hi, n)
-
-
-@dataclass(frozen=True)
-class GoodCertificate:
-    """Sublevel-growth certificate for a polynomial on a box."""
-
-    c: float
-    alpha: Fraction
-    delta_grid: tuple
-    lhs: tuple
-    rhs: tuple
-
-    @property
-    def holds_everywhere(self) -> bool:
-        return all(l <= r for l, r in zip(self.lhs, self.rhs))
-
-
-def certify_polynomial(
-    p: GenPoly,
-    box: BoxRegion,
-    var_order: Sequence[str],
-    degree_bound: int,
-    delta_grid: Sequence[float],
-    grid: int = 200,
-) -> GoodCertificate:
-    """Fit the constant on the delta grid for a degree-bounded polynomial,
-    with the exponent pinned to 1/(k*l)."""
-    k = len(var_order)
-    alpha = Fraction(1, k * degree_bound)
-    c, fnorm, lhs = _sublevel_fit(poly_grid_fn(p, var_order), box, alpha,
-                                  delta_grid, grid)
-    c = max(1.0, c)
-    rhs = [c * (delta / fnorm) ** float(alpha) * box.volume for delta in delta_grid]
-    return GoodCertificate(
-        c=c, alpha=alpha, delta_grid=tuple(delta_grid), lhs=tuple(lhs.tolist()),
-        rhs=tuple(rhs),
-    )
-
-
-def sup_extension(
-    f: Callable,
-    box: BoxRegion,
-    sub: BoxRegion,
-    r: float,
-    c: float,
-    alpha,
-    grid: int,
-) -> float:
-    """From sup < R on a positive-measure sub-box, bound the sup on the
-    whole box by R' = C^(1/a) * R * (|E| / |E'|)^(1/a); verified on the grid."""
-    if not box.contains(sub):
-        raise DomainError("sub-region must lie inside the box")
-    sup_sub = sup_norm(f, sub, grid)
-    if not sup_sub < r:
-        raise DomainError(f"precondition fails: sup over sub-region {sup_sub} >= {r}")
-    a = float(alpha)
-    r_prime = c ** (1.0 / a) * r * (box.volume / sub.volume) ** (1.0 / a)
-    sup_full = sup_norm(f, box, grid)
-    if not sup_full < r_prime:
-        raise DomainError(
-            f"extension bound violated on the grid: {sup_full} >= {r_prime}"
-        )
-    return r_prime
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 The asymptotic pipeline works with matrices that are declared unimodular
 (symbolic determinant identically 1), so the inverse is the adjugate and
 stays polynomial; general algebraic-group inverses are rational functions
-and out of scope.
+and out of scope.  ``determinant`` and ``adjugate`` expand by Laplace on rows
+of any ring, so the exact matrices here and the 60-digit evaluations of the
+residuals in ``flowlimit`` share them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -154,41 +155,7 @@ class PolyMatrix:
     # -- determinant and unimodular inverse -------------------------------------
 
     def determinant(self) -> GenPoly:
-        n = self.dim
-        if n == 1:
-            return self.entries[0][0]
-        if n == 2:
-            (a, b), (c, d) = self.entries
-            return a * d - b * c
-        det = GenPoly.zero()
-        sign = 1
-        for j in range(n):
-            minor = self._minor(0, j)
-            det = det + Fraction(sign) * self.entries[0][j] * minor.determinant()
-            sign = -sign
-        return det
-
-    def _minor(self, i: int, j: int) -> "PolyMatrix":
-        rows = [
-            [e for jj, e in enumerate(row) if jj != j]
-            for ii, row in enumerate(self.entries)
-            if ii != i
-        ]
-        return PolyMatrix(rows)
-
-    def adjugate(self) -> "PolyMatrix":
-        n = self.dim
-        if n == 1:
-            return PolyMatrix([[1]])
-        cof = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                sign = Fraction(-1) ** (i + j)
-                row.append(sign * self._minor(i, j).determinant())
-            cof.append(row)
-        # transpose of the cofactor matrix
-        return PolyMatrix([[cof[j][i] for j in range(n)] for i in range(n)])
+        return determinant(self.entries)
 
     def inverse_sl(self) -> "PolyMatrix":
         """Inverse of a matrix with symbolic determinant 1 (the adjugate).
@@ -199,7 +166,7 @@ class PolyMatrix:
         det = self.determinant()
         if det != GenPoly.const(1):
             raise DeterminantError(det.to_text())
-        return self.adjugate()
+        return PolyMatrix(adjugate(self.entries))
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -225,6 +192,34 @@ class PolyMatrix:
         return mpmath.matrix(
             [[e.evaluate_mp(point) for e in row] for row in self.entries]
         )
+
+
+def determinant(rows):
+    """Determinant of a square list of rows by Laplace expansion along the
+    first row.  The entries may come from any ring whose elements take
+    ``+``, ``-`` and ``*`` with each other and with the integers 0 and 1:
+    GenPoly, Fraction, or mpmath numbers."""
+    if len(rows) < 2:  # 0 x 0 minors come from the adjugate of a 1 x 1 matrix
+        return rows[0][0] if rows else 1
+    total = 0
+    for j, x in enumerate(rows[0]):
+        term = x * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def adjugate(rows) -> list:
+    """Adjugate of a square list of rows, as a list of rows: the inverse
+    of a matrix of determinant 1.  Every entry is a ``determinant``, with
+    no pivot step that could call a matrix with entries of very different
+    sizes numerically singular."""
+    n = len(rows)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            d = determinant([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            adj[i][j] = d if (i + j) % 2 == 0 else -d
+    return adj
 
 
 def lie_algebra(g: PolyMatrix, map_vars) -> list:

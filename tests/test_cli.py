@@ -172,6 +172,15 @@ def test_invalid_counts_are_domain_errors(tmp_path, capsys, args):
      "box exponents must be positive"),
     (["equi", "--map", "ul_product", "--T", "10,100", "--grid", "8", "--lambda=1,0"],
      "box exponents must be positive"),
+    # deltas and constants that are not finite
+    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "nan", "--alpha", "1/2"],
+     "delta must be positive and finite"),
+    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.01,inf", "--alpha", "1/2"],
+     "delta must be positive and finite"),
+    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+      "--C", "nan"], "C must be at least 1 and finite"),
+    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+      "--C", "inf"], "C must be at least 1 and finite"),
 ])
 def test_bad_boxes_and_radii_are_domain_errors(tmp_path, capsys, args, message):
     with warnings.catch_warnings():
@@ -200,6 +209,9 @@ EQUI = ["equi", "--map", "ul_product", "--T", "10"]
     GOOD[:8] + ["1/0"],
     ["cover", "--random", "abc"],
     ["cover", "--random", "5"],
+    ["cover", "--random=-3,2"],
+    ["cover", "--random", "0,2"],
+    ["cover", "--random", "5,0"],
 ])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:

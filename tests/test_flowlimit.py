@@ -116,8 +116,6 @@ def test_flow_52_limit_matrices(flow_52):
 
 def test_flow_52_degenerate_locus(flow_52):
     assert flow_52.degenerate_locus == (parse_poly("5/2 * a1"),)
-    assert flow_52.is_degenerate({"a1": 0})
-    assert not flow_52.is_degenerate({"a1": F(1, 3)})
 
 
 def test_flow_52_symbolic_flow(flow_52):

@@ -15,7 +15,6 @@ from boxflow.goodness import (
     GridPoly,
     RelSizeStatus,
     besicovitch_select,
-    certify_polynomial,
     fit_min_c,
     good_inequality_check,
     poly_grid_fn,
@@ -23,8 +22,8 @@ from boxflow.goodness import (
     relative_size_neighborhoods,
     sublevel_measure,
     sublevel_measure_mc,
-    sup_extension,
     sup_norm,
+    transfer_delta_grid,
 )
 from boxflow.polyalg import GenPoly, parse_poly
 from boxflow.polymatrix import PolyMatrix
@@ -149,28 +148,22 @@ def test_fit_invariant_under_scaling_and_translation():
         assert sc == pytest.approx(base, abs=slack + 1e-9)
 
 
-def test_certificate_alpha_pinned():
-    p = parse_poly("x^2")
-    cert = certify_polynomial(
-        p, UNIT, ["x"], degree_bound=2, delta_grid=[0.01, 0.09], grid=300
-    )
-    assert cert.alpha == F(1, 2)
-    assert cert.c >= 1.0
-    assert cert.holds_everywhere
-
-
-def test_certificate_lhs_is_the_per_delta_sublevel_measure():
-    # deltas 0.25 and 0.5 equal midpoint values of |x| on the 8-point grid,
-    # where the strict inequality |f| < delta decides the count
+def test_fit_min_c_is_the_max_per_delta_sublevel_ratio():
+    # delta = 0.125 equals the first midpoint value of |x| on the 8-cell
+    # grid, where the strict inequality |f| < delta decides the count
     cases = [(parse_poly("x"), BoxRegion((0.0,), (2.0,)), ["x"], 8,
               [0.125, 0.25, 0.3, 0.5, 2.0]),
              (parse_poly("x^3 - x*y + 1/3"), BoxRegion((-1.0, 0.0), (2.0, 1.5)),
               ["x", "y"], 90, [0.01, 0.05, 0.2, 0.7])]
     for p, box, var_order, grid, deltas in cases:
         f = poly_grid_fn(p, var_order)
-        cert = certify_polynomial(p, box, var_order, 3, deltas, grid=grid)
-        assert cert.lhs == tuple(sublevel_measure(f, box, d, grid) for d in deltas)
-        assert cert.c == max(1.0, fit_min_c(f, box, cert.alpha, deltas, grid))
+        alpha = F(1, 3 * len(var_order))
+        lhs = np.array([sublevel_measure(f, box, d, grid) for d in deltas])
+        ratios = lhs / ((np.array(deltas) / sup_norm(f, box, grid)) ** float(alpha)
+                        * box.volume)
+        for d, ratio in zip(deltas, ratios.tolist()):
+            assert fit_min_c(f, box, alpha, [d], grid) == ratio
+        assert fit_min_c(f, box, alpha, deltas, grid) == max(ratios.tolist())
 
 
 @pytest.mark.parametrize("alpha", [0, -1, F(-1, 2), math.nan])
@@ -179,52 +172,13 @@ def test_fit_and_neighborhoods_reject_alpha_not_positive(alpha):
     # delta: no "minimal constant" of it, and no 1 / alpha
     calls = (
         lambda: fit_min_c(fx, UNIT, alpha, [0.1, 0.2], grid=100),
+        lambda: transfer_delta_grid(alpha, 0.01),
         lambda: relative_size_neighborhoods(parse_poly("v1"), ["v1"], r=1.0, eps=0.5,
                                             k=1, l=1, c=1.0, n_cover=2, alpha=alpha),
     )
     for call in calls:
         with pytest.raises(DomainError, match="alpha must be positive"):
             call()
-
-
-# -- sup extension ------------------------------------------------------------------
-
-
-def test_sup_extension_linear():
-    e = BoxRegion((0.0,), (2.0,))
-    e_sub = BoxRegion((0.0,), (1.0,))
-    r_prime = sup_extension(fx, e, e_sub, r=1.5, c=1.0, alpha=1, grid=50)
-    assert r_prime == pytest.approx(3.0)
-
-
-def test_sup_extension_degenerate_nesting():
-    r_prime = sup_extension(fx, UNIT, UNIT, r=1.5, c=1.0, alpha=1, grid=50)
-    assert r_prime == pytest.approx(1.5)
-
-
-def test_sup_extension_constant():
-    f = lambda p: np.full(p.shape[0], 0.5)
-    r_prime = sup_extension(f, UNIT, UNIT, r=1.0, c=1.0, alpha=F(1, 2), grid=20)
-    assert r_prime >= 1.0
-
-
-def test_sup_extension_precondition():
-    e_sub = BoxRegion((0.0,), (1.0,))
-    e = BoxRegion((0.0,), (2.0,))
-    with pytest.raises(DomainError):
-        sup_extension(fx, e, e_sub, r=0.5, c=1.0, alpha=1, grid=50)
-
-
-def test_sup_extension_random_polynomials():
-    rng = random.Random(77)
-    for _ in range(40):
-        coeffs = [rng.uniform(-1, 1) for _ in range(3)]
-        f = lambda p, c=coeffs: c[0] + c[1] * p[:, 0] + c[2] * p[:, 0] ** 2
-        e = BoxRegion((0.0,), (2.0,))
-        e_sub = BoxRegion((0.0,), (rng.uniform(0.5, 1.5),))
-        r = sup_norm(f, e_sub, 60) * 1.1 + 1e-6
-        r_prime = sup_extension(f, e, e_sub, r=r, c=2.0, alpha=F(1, 2), grid=60)
-        assert sup_norm(f, e, 60) < r_prime
 
 
 # -- covering ----------------------------------------------------------------------

