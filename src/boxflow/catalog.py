@@ -26,11 +26,14 @@ F = Fraction
 @dataclass(frozen=True)
 class MapEntry:
     name: str
-    dim: int
     map_vars: tuple
     matrix: PolyMatrix
     default_lambda: tuple
     notes: str = ""
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.dim
 
     @property
     def k(self) -> int:
@@ -71,10 +74,6 @@ class MapEntry:
         return g0 @ u, tuple(f"x{s}" for s in support)
 
     def validate(self) -> None:
-        if self.matrix.dim != self.dim:
-            raise CatalogError(
-                f"{self.name}: map is {self.matrix.dim}x{self.matrix.dim}, "
-                f"dim field is {self.dim}")
         if self.matrix.determinant() != GenPoly.const(1):
             raise CatalogError(
                 f"{self.name}: map is not unimodular, det = "
@@ -84,10 +83,9 @@ class MapEntry:
             raise CatalogError(f"{self.name}: one box exponent per variable")
 
 
-def _entry(name, rows, lam, *, dim=2, map_vars=("x",), notes=""):
+def _entry(name, rows, lam, *, map_vars=("x",), notes=""):
     e = MapEntry(
         name=name,
-        dim=dim,
         map_vars=tuple(map_vars),
         matrix=PolyMatrix.from_text(rows),
         default_lambda=tuple(Fraction(v) for v in lam),
@@ -152,7 +150,6 @@ def builtin_catalog() -> dict:
                 ["0", "0", "1"],
             ],
             [F(3, 2), F(5, 4)],
-            dim=3,
             map_vars=("x", "y"),
             notes="two elementary unipotents in SL(3); orbit closure is "
             "the compact nilmanifold of the full upper unipotent group",
@@ -177,7 +174,6 @@ def dump_catalog(path: str, entries: dict) -> None:
         data.append(
             {
                 "name": e.name,
-                "dim": e.dim,
                 "vars": list(e.map_vars),
                 "entries": e.matrix.to_text(),
                 "default_lambda": [str(v) for v in e.default_lambda],
@@ -200,7 +196,6 @@ def load_catalog(path: str) -> dict:
         for item in raw["maps"]:
             entry = MapEntry(
                 name=item["name"],
-                dim=item["dim"],
                 map_vars=tuple(item["vars"]),
                 matrix=PolyMatrix.from_text(item["entries"]),
                 default_lambda=tuple(

@@ -1,6 +1,8 @@
-"""Numerical sweeps: Birkhoff averages of lattice observables over
-expanding boxes and subboxes, nondivergence fractions, and the
-two-variable box-exponent experiments.
+"""Numerical sweeps, the only way to measure a box: ``convergence_sweep``
+over expanding boxes and their subboxes, and ``twodim_bcondition_sweep``
+over the two-variable box-exponent boxes.  Each gives, per box and lattice
+observable, the Birkhoff average, the reference, their gap and the
+nondivergence fractions of the same samples.
 
 Averages use deterministic midpoint tensor grids (the statements being
 checked are Riemann integrals); a seeded Monte Carlo mode with per-index
@@ -60,17 +62,6 @@ _CHUNK = BLOCK
 _EXACT_BUDGET = 1e-3
 
 
-def _check_grid(grid: int) -> None:
-    if grid < 8:
-        raise DomainError("need at least 8 grid points per axis")
-
-
-def _check_eps0(eps0_list: Sequence[float]) -> None:
-    # eps0 <= 0 holds every lattice, and nan or inf none
-    if not all(0 < e < math.inf for e in eps0_list):
-        raise DomainError("eps0 values must be positive and finite")
-
-
 def _side(T, l) -> float:
     """The box side T^l in float64, which must not overflow."""
     try:
@@ -79,38 +70,13 @@ def _side(T, l) -> float:
         raise DomainError(f"box side {float(T):g}^{float(l):g} overflows") from None
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    """Box family member: realized region {(a_1 T^l1, ..., a_k T^lk)} for
-    a in the subbox J of the unit cube (J = None means the full cube)."""
-
-    lam: tuple
-    T: float
-    grid: int
-    J: Optional[BoxRegion] = None
-
-    def __post_init__(self):
-        _check_grid(self.grid)
-        if not all(l > 0 for l in self.lam):
-            raise DomainError("box exponents must be positive")
-        if not 0 < self.T < math.inf:
-            raise DomainError("box parameter must be positive and finite")
-        if self.J is not None:
-            k = len(self.lam)
-            unit = BoxRegion((0.0,) * k, (1.0,) * k)
-            if self.J.dim != k or not unit.contains(self.J):
-                raise DomainError("J must be a subbox of the unit cube")
-
-    @property
-    def k(self) -> int:
-        return len(self.lam)
-
-    def realized_region(self) -> BoxRegion:
-        # J = None is the unit cube, whose corners scale exactly
-        J = self.J or BoxRegion((0.0,) * self.k, (1.0,) * self.k)
-        scales = [_side(self.T, l) for l in self.lam]
-        return BoxRegion(tuple(j * s for j, s in zip(J.lower, scales)),
-                         tuple(j * s for j, s in zip(J.upper, scales)))
+def _realized_box(lam, T: float, J: Optional[BoxRegion] = None) -> BoxRegion:
+    """The box {(a_1 T^l1, ..., a_k T^lk) : a in J} for the subbox J of the
+    unit cube; J = None is the whole cube, whose corners scale exactly."""
+    J = J or BoxRegion((0.0,) * len(lam), (1.0,) * len(lam))
+    scales = [_side(T, l) for l in lam]
+    return BoxRegion(tuple(j * s for j, s in zip(J.lower, scales)),
+                     tuple(j * s for j, s in zip(J.upper, scales)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +302,6 @@ def _average(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / values.shape[0]
 
 
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-
-def birkhoff_average(entry: MapEntry, box: BoxSpec, f: TestFunction,
-                     workers: int = 1, method: str = "grid",
-                     seed: int = 0) -> float:
-    """Midpoint grid average of the observable over the realized box."""
-    with _pool(workers) as pool:
-        _, values = _observable_values(
-            entry.matrix, entry.map_vars, box.realized_region(), box.grid, (f,),
-            pool=pool, method=method, seed=seed,
-        )
-    return _average(values[0])
-
-
-def subbox_average(entry: MapEntry, lam, T: float, J: Optional[BoxRegion],
-                   f: TestFunction, grid: int, workers: int = 1) -> float:
-    """Average over the alpha-grid in J of the observable along the
-    rescaled map; midpoints map to midpoints of the realized box, so this
-    is ``birkhoff_average`` over the box with subbox J."""
-    box = BoxSpec(lam=tuple(Fraction(v) for v in lam), T=T, grid=grid, J=J)
-    return birkhoff_average(entry, box, f, workers=workers)
-
-
 def _nondiv(lam1: np.ndarray, eps0_list: Sequence[float]) -> tuple:
     total = lam1.shape[0]
     return tuple(
@@ -369,23 +309,15 @@ def _nondiv(lam1: np.ndarray, eps0_list: Sequence[float]) -> tuple:
     )
 
 
-def nondivergence_fraction(entry: MapEntry, box: BoxSpec,
-                           eps0_list: Sequence[float],
-                           workers: int = 1) -> dict:
-    """Fraction of grid samples whose lattice stays eps0-deep in the
-    compact part, per eps0."""
-    _check_eps0(eps0_list)
-    with _pool(workers) as pool:
-        lam1, _ = _observable_values(
-            entry.matrix, entry.map_vars, box.realized_region(), box.grid, (),
-            pool=pool,
-        )
-    return dict(_nondiv(lam1, eps0_list))
+# ---------------------------------------------------------------------------
+# public operations
+# ---------------------------------------------------------------------------
 
 
-def periodic_reference(entry: MapEntry, f: TestFunction) -> float:
-    """Average of the observable over the closed orbit ``MapEntry.orbit``,
-    by midpoint tensor quadrature of the orbit map on [0, 1]^k; a constant
+def periodic_reference(entry: MapEntry, fs: Sequence[TestFunction]) -> list:
+    """Averages of the observables ``fs`` over the closed orbit
+    ``MapEntry.orbit``, one per observable, from one reduction of the orbit:
+    midpoint tensor quadrature of the orbit map on [0, 1]^k; a constant
     map's orbit is one lattice, one sample on a dummy axis."""
     if entry.orbit is None:
         raise DomainError(f"{entry.name} has the Haar reference")
@@ -393,8 +325,8 @@ def periodic_reference(entry: MapEntry, f: TestFunction) -> float:
     grid = {0: 1, 1: 4096}.get(len(names), 24)
     names = names or ("x",)
     region = BoxRegion((0.0,) * len(names), (1.0,) * len(names))
-    _, values = _observable_values(orbit, names, region, grid, (f,))
-    return _average(values[0])
+    _, values = _observable_values(orbit, names, region, grid, fs)
+    return [_average(vals) for vals in values]
 
 
 @dataclass(frozen=True)
@@ -462,16 +394,21 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
     integral when the map generates SL(N), else the average over the closed
     orbit where the limit lives (``periodic_reference``).
     ``name`` names the parameters in the messages of the checks."""
-    _check_grid(grid)
+    if grid < 8:
+        raise DomainError("need at least 8 grid points per axis")
     params = [float(T) for T in params]
     if any(b >= a for a, b in zip(params[1:], params[:-1])):
         raise DomainError(f"{name} must increase")
     if not all(0 < T < math.inf for T in params):
         raise DomainError(f"{name} must be positive and finite")
-    _check_eps0(eps0_list)
+    # eps0 <= 0 holds every lattice, and nan or inf none
+    if not all(0 < e < math.inf for e in eps0_list):
+        raise DomainError("eps0 values must be positive and finite")
     regions = [box_of(T) for T in params]
-    refs = [haar_expectation(f, entry.dim) if entry.orbit is None
-            else periodic_reference(entry, f) for f in f_list]
+    if entry.orbit is None:
+        refs = [haar_expectation(f, entry.dim) for f in f_list]
+    else:
+        refs = periodic_reference(entry, f_list)
     rows = []
     with _pool(workers) as pool:
         for T, region in zip(params, regions):
@@ -484,6 +421,8 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
             del lam1, values  # one box's samples in memory at a time
             for f, ref, average in zip(f_list, refs, averages):
                 gap = average - ref
+                # against a zero reference only a zero gap is finite
+                rel_gap = abs(gap) / abs(ref) if ref else (math.inf if gap else 0.0)
                 rows.append(
                     ResultRow(
                         T=T,
@@ -491,7 +430,7 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
                         average=average,
                         reference=ref,
                         gap=gap,
-                        rel_gap=abs(gap) / abs(ref) if ref else float("inf"),
+                        rel_gap=rel_gap,
                         samples=grid ** region.dim,
                         # every sample is counted and no numeric bound exists
                         # yet; both keep their values for the CSVs and the bench
@@ -516,11 +455,17 @@ def convergence_sweep(
     workers: int = 1,
     method: str = "grid",
 ) -> ExperimentResult:
-    """Subbox averages against the reference measure along increasing T."""
+    """Averages over the boxes {(a_1 T^l1, ..., a_k T^lk) : a in J} against
+    the reference measure along increasing T, for the box exponents l in
+    ``lam`` and the subbox J of the unit cube (None: the whole cube)."""
     lam = tuple(Fraction(v) for v in lam)
+    if not all(l > 0 for l in lam):
+        raise DomainError("box exponents must be positive")
+    unit = BoxRegion((0.0,) * len(lam), (1.0,) * len(lam))
+    if J is not None and (J.dim != len(lam) or not unit.contains(J)):
+        raise DomainError("J must be a subbox of the unit cube")
     return _sweep(
-        entry, "box parameter", T_list,
-        lambda T: BoxSpec(lam=lam, T=T, grid=grid, J=J).realized_region(),
+        entry, "box parameter", T_list, lambda T: _realized_box(lam, T, J),
         f_list, grid, eps0_list, seed, workers, method,
     )
 

@@ -15,15 +15,7 @@ import pytest
 
 from boxflow.catalog import builtin_catalog
 from boxflow.cli import main as cli_main
-from boxflow.experiment import (
-    BoxSpec,
-    birkhoff_average,
-    convergence_sweep,
-    nondivergence_fraction,
-    periodic_reference,
-    subbox_average,
-    twodim_bcondition_sweep,
-)
+from boxflow.experiment import convergence_sweep, twodim_bcondition_sweep
 from boxflow.flowlimit import (
     compute_flow,
     group_law_check,
@@ -296,16 +288,11 @@ def test_criterion_07_equidistribution_headline():
     f = TF("indicator", 1.0)
     t0 = time.time()
     lam = (F(1), F(1, 2))
-    gap100 = abs(
-        birkhoff_average(entry, BoxSpec(lam=lam, T=1e2, grid=1000), f) - math.pi
-    ) / math.pi
-    gap1000 = abs(
-        birkhoff_average(entry, BoxSpec(lam=lam, T=1e3, grid=1000), f) - math.pi
-    ) / math.pi
-    sub = subbox_average(
-        entry, lam, 1e3, BoxRegion((0.5, 0.5), (1.0, 1.0)), f, grid=1000
-    )
-    gap_sub = abs(sub - math.pi) / math.pi
+    rows = convergence_sweep(entry, lam, [1e2, 1e3], [f], grid=1000).rows
+    gap100, gap1000 = (abs(r.average - math.pi) / math.pi for r in rows)
+    sub = convergence_sweep(entry, lam, [1e3], [f], grid=1000,
+                            J=BoxRegion((0.5, 0.5), (1.0, 1.0))).rows[0]
+    gap_sub = abs(sub.average - math.pi) / math.pi
     elapsed = time.time() - t0
     _criterion(
         7,
@@ -320,14 +307,13 @@ def test_criterion_07_equidistribution_headline():
 def test_criterion_08_proper_limit_sanity():
     entry = CATALOG["u_horo"]
     f = TF("indicator", 1.0)
-    ref = periodic_reference(entry, f)
     ok = True
     details = []
-    for T in (10.0, 100.0, 1000.0):
-        avg = birkhoff_average(entry, BoxSpec(lam=(F(1),), T=T, grid=4096), f)
-        rel = abs(avg - ref) / ref
-        details.append(f"T={T:g}: {rel:.2e}")
-        ok = ok and rel < 1e-3 and abs(avg - math.pi) / math.pi > 0.10
+    for row in convergence_sweep(entry, (F(1),), [10.0, 100.0, 1000.0], [f],
+                                 grid=4096).rows:
+        details.append(f"T={row.T:g}: {row.rel_gap:.2e}")
+        ok = (ok and row.rel_gap < 1e-3
+              and abs(row.average - math.pi) / math.pi > 0.10)
     _criterion(
         8,
         "periodic horocycle averages match the one-period reference within "
@@ -338,14 +324,16 @@ def test_criterion_08_proper_limit_sanity():
 
 
 def test_criterion_09_nondivergence():
+    # the sweep measures the default observable too; only nondiv is read
+    f = TF("indicator", 1.0)
     bad = []
     for name, entry in CATALOG.items():
         grid = 4096 if entry.k == 1 else 64
-        for T in (1e2, 1e3):
-            box = BoxSpec(lam=entry.default_lambda, T=T, grid=grid)
-            frac = nondivergence_fraction(entry, box, [0.1])[0.1]
+        for row in convergence_sweep(entry, entry.default_lambda, [1e2, 1e3], [f],
+                                     grid=grid, eps0_list=[0.1]).rows:
+            [(_, frac)] = row.nondiv
             if frac < 0.9:
-                bad.append(f"{name} T={T:g}: {frac:.3f}")
+                bad.append(f"{name} T={row.T:g}: {frac:.3f}")
     _criterion(
         9,
         "every catalog map keeps >= 90% of samples eps0 = 0.1 deep in the "

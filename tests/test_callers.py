@@ -28,3 +28,13 @@ def test_every_public_name_in_src_has_a_caller():
     # the one exception writes the documented JSON catalog format, for
     # users' own catalogs
     assert dead == ["catalog.dump_catalog"]
+
+
+def test_the_criteria_use_every_name_they_import():
+    # the criteria are the program's specification: they import only what
+    # they run
+    criteria = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    used = {n.id for n in ast.walk(criteria) if isinstance(n, ast.Name)}
+    imported = [(a.asname or a.name).split(".")[0] for n in ast.walk(criteria)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names]
+    assert [name for name in imported if name not in used] == []

@@ -53,9 +53,16 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "catalog.json"
     dump_catalog(str(path), cat)
     assert load_catalog(str(path)) == cat
-    # no hand-set flag is written: product type and reference are derived
-    keys = {"name", "dim", "vars", "entries", "default_lambda", "notes"}
-    assert all(set(item) == keys for item in json.loads(path.read_text())["maps"])
+    # no hand-set field is written: the matrix size, product type and
+    # reference are derived from the map
+    data = json.loads(path.read_text())
+    keys = {"name", "vars", "entries", "default_lambda", "notes"}
+    assert all(set(item) == keys for item in data["maps"])
+    # a catalog written with the retired dim key loads unchanged
+    for item in data["maps"]:
+        item["dim"] = len(item["entries"])
+    path.write_text(json.dumps(data))
+    assert load_catalog(str(path)) == cat
 
 
 def test_malformed_catalog(tmp_path):
@@ -68,23 +75,14 @@ def test_malformed_catalog(tmp_path):
         load_catalog(str(path))
 
 
-UPPER3 = [["1", "x", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-DET2 = [["2", "x"], ["0", "1"]]
-
-
-@pytest.mark.parametrize("rows,message", [
-    (UPPER3, "map is 3x3, dim field is 2"),
-    (DET2, "map is not unimodular, det = 2"),
-])
-def test_maps_must_be_unimodular_of_the_entry_dimension(rows, message):
+def test_maps_must_be_unimodular():
     entry = MapEntry(
         name="custom",
-        dim=2,
         map_vars=("x",),
-        matrix=PolyMatrix.from_text(rows),
+        matrix=PolyMatrix.from_text([["2", "x"], ["0", "1"]]),
         default_lambda=(1,),
     )
-    with pytest.raises(CatalogError, match=message):
+    with pytest.raises(CatalogError, match="map is not unimodular, det = 2"):
         entry.validate()
 
 
@@ -132,13 +130,13 @@ def test_the_orbit_is_computed_once_per_entry(monkeypatch):
 
 def test_orbits_of_maps_outside_the_catalog():
     # g(0) = diag(2, 1/2) times the horocycle: the orbit map is g(0) u(x1)
-    entry = MapEntry(name="shifted", dim=2, map_vars=("x",),
+    entry = MapEntry(name="shifted", map_vars=("x",),
                      matrix=PolyMatrix.from_text([["2", "2 * x"], ["0", "1/2"]]),
                      default_lambda=(1,))
     assert entry.orbit == (PolyMatrix.from_text([["2", "2 * x1"], ["0", "1/2"]]), ("x1",))
     # g^-1 g' = E12 + x E23: its coefficients span no Lie algebra, and their
     # bracket E13 completes the upper unipotent group
-    entry = MapEntry(name="bracket", dim=3, map_vars=("x",), default_lambda=(1,),
+    entry = MapEntry(name="bracket", map_vars=("x",), default_lambda=(1,),
                      matrix=PolyMatrix.from_text([["1", "x", "1/3 * x^3"],
                                                   ["0", "1", "1/2 * x^2"], ["0", "0", "1"]]))
     assert entry.orbit == (PolyMatrix.from_text([["1", "x1", "x2"], ["0", "1", "x5"],
@@ -146,6 +144,6 @@ def test_orbits_of_maps_outside_the_catalog():
     # upper times lower unipotents in SL(3) generate sl(3): Haar
     ul3 = PolyMatrix.from_text([["1", "x", "0"], ["0", "1", "x"], ["0", "0", "1"]]) @ \
         PolyMatrix.from_text([["1", "0", "0"], ["y", "1", "0"], ["0", "y", "1"]])
-    entry = MapEntry(name="ul3", dim=3, map_vars=("x", "y"), matrix=ul3,
+    entry = MapEntry(name="ul3", map_vars=("x", "y"), matrix=ul3,
                      default_lambda=(1, 1))
     assert entry.orbit is None

@@ -25,7 +25,6 @@ from boxflow.doubledouble import (
 )
 from boxflow.errors import PrecisionError
 from boxflow.experiment import (
-    BoxSpec,
     certified_observables,
     certified_reduce,
     convergence_sweep,
@@ -181,7 +180,7 @@ def test_kernel_matches_exact_oracle_on_criterion_10_boxes(T2):
 @pytest.mark.parametrize("T", [1e2, 1e3])
 def test_kernel_matches_exact_oracle_on_sweep2d_ul_boxes(T):
     # the boxes of the benchmark's sweep2d_ul workload, at its grid
-    upper = BoxSpec(lam=UL.default_lambda, T=T, grid=256).realized_region().upper
+    upper = experiment._realized_box(UL.default_lambda, T).upper
     pts = jittered_points(upper, 256, 400, 2024, int(T))
     bad, _ = kernel_mismatches(UL.matrix, UL.map_vars, pts)
     assert bad == (0, 0, 0)
@@ -216,7 +215,7 @@ def _criterion_10_box(T2):
 # double-double
 ROW_KERNEL_CHUNKS = {
     # every sample float64: the entries' state is reduced in place
-    "ul_product": ((UL, BoxSpec(lam=UL.default_lambda, T=1e3, grid=256).realized_region(),
+    "ul_product": ((UL, experiment._realized_box(UL.default_lambda, 1e3),
                     256, 0, BLOCK), [(2, 4, BLOCK)]),
     # 22 samples routed to double-double, and 215 of the 8,170 routed to
     # float64 whose certificate fails
@@ -257,7 +256,7 @@ def test_2d_bounds_cover_the_distance_to_the_exact_lattice(name, monkeypatch):
 
 
 def _heis3_chunk(T, grid, stop):
-    region = BoxSpec(lam=HEIS3.default_lambda, T=T, grid=grid).realized_region()
+    region = experiment._realized_box(HEIS3.default_lambda, T)
     return HEIS3.matrix, HEIS3.map_vars, region, grid, stop
 
 
@@ -346,7 +345,7 @@ def test_2d_tie_rows_on_exact_columns_skip_the_exact_lattice(name, monkeypatch):
 
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
     entry = get_map(name)
-    region = BoxSpec(lam=entry.default_lambda, T=10.0, grid=4096).realized_region()
+    region = experiment._realized_box(entry.default_lambda, 10.0)
     task = (entry.matrix, entry.map_vars, entry_tables(entry.matrix, entry.map_vars),
             region, 4096, (INDICATOR,), 0, 4096, "grid", 0, math.inf)
     _, values, _ = experiment._eval_chunk(task)
@@ -412,7 +411,7 @@ def test_3d_tie_rows_on_exact_columns_skip_the_exact_lattice(monkeypatch):
         return siegel_count_exact(m, r)
 
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
-    region = BoxSpec(lam=HEIS3.default_lambda, T=20.0, grid=24).realized_region()
+    region = experiment._realized_box(HEIS3.default_lambda, 20.0)
     task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 24, (INDICATOR,),
             0, 576, "jitter", 1, math.inf)
     _, values, _ = experiment._eval_chunk(task)
@@ -490,7 +489,7 @@ def test_sl3_greedy_bounds_cover_the_distance_to_the_exact_lattice():
 
 def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
     # the entries reach 1.8e8; the carried bounds stay below 1e-7
-    region = BoxSpec(lam=HEIS3.default_lambda, T=1e3, grid=16).realized_region()
+    region = experiment._realized_box(HEIS3.default_lambda, 1e3)
     # a budget of 0 exact samples: any sample beyond float64 raises
     task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 16, (INDICATOR,),
             0, 256, "jitter", 5, 0.0)
@@ -504,7 +503,7 @@ def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
 def test_heis3_precision_error_beyond_float64():
     # at T = 1e4 the entries reach 1e11 and the bounds 3e-5: the exact tier
     # takes most samples, which is over budget for a sweep
-    region = BoxSpec(lam=HEIS3.default_lambda, T=1e4, grid=8).realized_region()
+    region = experiment._realized_box(HEIS3.default_lambda, 1e4)
     task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 8, (INDICATOR,),
             0, 64, "jitter", 5, math.inf)
     lam1, values, n_exact = experiment._eval_chunk(task)

@@ -119,14 +119,18 @@ def test_cover_points_file_errors_are_usage_errors(tmp_path, capsys, text, messa
     assert not out.exists()
 
 
+# The cases of the tables below carry fixed ids (the positional ids they
+# were first collected under), so a new case renames no other test.
 @pytest.mark.parametrize("args", [
-    ["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
-     "--grid", "50", "--mc-samples", "-5"],
-    ["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
-     "--grid", "50", "--mc-samples", "0"],
-    ["flow", "--map", "heis52", "--trials", "-1"],
-    ["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "0"],
-    ["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "4"],
+    pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+                  "--grid", "50", "--mc-samples", "-5"],
+                 id="args0"),
+    pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+                  "--grid", "50", "--mc-samples", "0"],
+                 id="args1"),
+    pytest.param(["flow", "--map", "heis52", "--trials", "-1"], id="args2"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "0"], id="args3"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "4"], id="args4"),
 ])
 def test_invalid_counts_are_domain_errors(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 1
@@ -135,52 +139,82 @@ def test_invalid_counts_are_domain_errors(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["equi", "--map", "ul_product", "--T", "10", "--lambda", "1"],
-     "1-dimensional box for 2 map variables"),
-    (["equi", "--map", "ul_product", "--T", "10", "--obs", "siegel:indicator:nan"],
-     "radius must be positive and finite"),
-    (["equi", "--map", "ul_product", "--T", "10", "--obs", "siegel:indicator:inf"],
-     "radius must be positive and finite"),
-    (["equi", "--map", "ul_product", "--T", "10,inf", "--grid", "16"],
-     "box parameter must be positive and finite"),
-    (["equi", "--map", "ul_product", "--T", "1e200", "--lambda", "2,1", "--grid", "16"],
-     "overflows"),
-    (["equi", "--map", "poly23_lower", "--t2", "5,inf", "--grid", "16"],
-     "T2 values must be positive and finite"),
-    (["equi", "--map", "poly23_lower", "--t2", "nan", "--grid", "16"],
-     "T2 values must be positive and finite"),
-    (["equi", "--map", "poly23_lower", "--t2", "1e100", "--grid", "16"],
-     "overflows"),
-    (["good", "--poly", "x^2", "--box", "0,inf", "--deltas", "0.1", "--alpha", "1/2"],
-     "box corners must be finite"),
-    (["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=-1,nan,inf"],
-     "eps0 values must be positive and finite"),
-    (["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=0.1,nan"],
-     "eps0 values must be positive and finite"),
-    (["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=inf"],
-     "eps0 values must be positive and finite"),
-    (["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "8", "--eps0=0"],
-     "eps0 values must be positive and finite"),
-    (["good", "--poly", "x", "--box", "0,1", "--deltas", "0.1", "--alpha", "-1"],
-     "alpha must be positive"),
-    (["good", "--poly", "x", "--box", "0,1", "--deltas", "0.1", "--alpha", "0"],
-     "alpha must be positive"),
-    (["cover", "--random", "5,2", "--bound", "0"], "multiplicity bound must be at least 1"),
-    (["cover", "--random", "5,2", "--bound", "-3"], "multiplicity bound must be at least 1"),
+    pytest.param(["equi", "--map", "ul_product", "--T", "10", "--lambda", "1"],
+                 "1-dimensional box for 2 map variables",
+                 id="args0-1-dimensional box for 2 map variables"),
+    pytest.param(["equi", "--map", "ul_product", "--T", "10", "--obs", "siegel:indicator:nan"],
+                 "radius must be positive and finite",
+                 id="args1-radius must be positive and finite"),
+    pytest.param(["equi", "--map", "ul_product", "--T", "10", "--obs", "siegel:indicator:inf"],
+                 "radius must be positive and finite",
+                 id="args2-radius must be positive and finite"),
+    pytest.param(["equi", "--map", "ul_product", "--T", "10,inf", "--grid", "16"],
+                 "box parameter must be positive and finite",
+                 id="args3-box parameter must be positive and finite"),
+    pytest.param(["equi", "--map", "ul_product", "--T", "1e200", "--lambda", "2,1",
+                  "--grid", "16"],
+                 "overflows",
+                 id="args4-overflows"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "5,inf", "--grid", "16"],
+                 "T2 values must be positive and finite",
+                 id="args5-T2 values must be positive and finite"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "nan", "--grid", "16"],
+                 "T2 values must be positive and finite",
+                 id="args6-T2 values must be positive and finite"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "1e100", "--grid", "16"],
+                 "overflows",
+                 id="args7-overflows"),
+    pytest.param(["good", "--poly", "x^2", "--box", "0,inf", "--deltas", "0.1", "--alpha", "1/2"],
+                 "box corners must be finite",
+                 id="args8-box corners must be finite"),
+    pytest.param(["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=-1,nan,inf"],
+                 "eps0 values must be positive and finite",
+                 id="args9-eps0 values must be positive and finite"),
+    pytest.param(["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=0.1,nan"],
+                 "eps0 values must be positive and finite",
+                 id="args10-eps0 values must be positive and finite"),
+    pytest.param(["equi", "--map", "u_horo", "--T", "10", "--grid", "8", "--eps0=inf"],
+                 "eps0 values must be positive and finite",
+                 id="args11-eps0 values must be positive and finite"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "5", "--grid", "8", "--eps0=0"],
+                 "eps0 values must be positive and finite",
+                 id="args12-eps0 values must be positive and finite"),
+    pytest.param(["good", "--poly", "x", "--box", "0,1", "--deltas", "0.1", "--alpha", "-1"],
+                 "alpha must be positive",
+                 id="args13-alpha must be positive"),
+    pytest.param(["good", "--poly", "x", "--box", "0,1", "--deltas", "0.1", "--alpha", "0"],
+                 "alpha must be positive",
+                 id="args14-alpha must be positive"),
+    pytest.param(["cover", "--random", "5,2", "--bound", "0"],
+                 "multiplicity bound must be at least 1",
+                 id="args15-multiplicity bound must be at least 1"),
+    pytest.param(["cover", "--random", "5,2", "--bound", "-3"],
+                 "multiplicity bound must be at least 1",
+                 id="args16-multiplicity bound must be at least 1"),
     # boxes that do not expand
-    (["equi", "--map", "ul_product", "--T", "10,100", "--grid", "8", "--lambda=-1,1/2"],
-     "box exponents must be positive"),
-    (["equi", "--map", "ul_product", "--T", "10,100", "--grid", "8", "--lambda=1,0"],
-     "box exponents must be positive"),
+    pytest.param(["equi", "--map", "ul_product", "--T", "10,100", "--grid", "8",
+                  "--lambda=-1,1/2"],
+                 "box exponents must be positive",
+                 id="args17-box exponents must be positive"),
+    pytest.param(["equi", "--map", "ul_product", "--T", "10,100", "--grid", "8", "--lambda=1,0"],
+                 "box exponents must be positive",
+                 id="args18-box exponents must be positive"),
     # deltas and constants that are not finite
-    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "nan", "--alpha", "1/2"],
-     "delta must be positive and finite"),
-    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.01,inf", "--alpha", "1/2"],
-     "delta must be positive and finite"),
-    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
-      "--C", "nan"], "C must be at least 1 and finite"),
-    (["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
-      "--C", "inf"], "C must be at least 1 and finite"),
+    pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "nan", "--alpha", "1/2"],
+                 "delta must be positive and finite",
+                 id="args19-delta must be positive and finite"),
+    pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.01,inf",
+                  "--alpha", "1/2"],
+                 "delta must be positive and finite",
+                 id="args20-delta must be positive and finite"),
+    pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+                  "--C", "nan"],
+                 "C must be at least 1 and finite",
+                 id="args21-C must be at least 1 and finite"),
+    pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
+                  "--C", "inf"],
+                 "C must be at least 1 and finite",
+                 id="args22-C must be at least 1 and finite"),
 ])
 def test_bad_boxes_and_radii_are_domain_errors(tmp_path, capsys, args, message):
     with warnings.catch_warnings():
@@ -195,23 +229,23 @@ EQUI = ["equi", "--map", "ul_product", "--T", "10"]
 
 
 @pytest.mark.parametrize("args", [
-    ["equi", "--map", "ul_product", "--T", "abc"],
-    EQUI + ["--eps0", "x"],
-    EQUI + ["--obs", "siegel:indicator:abc"],
-    ["equi", "--map", "poly23_lower", "--t2", "5", "--b", "x"],
-    EQUI + ["--lambda", "x,1"],
-    EQUI + ["--lambda", "1/0"],
-    EQUI + ["--J", "0,1;0"],
-    ["flow", "--map", "heis52", "--lambda", "1/0"],
-    GOOD[:4] + ["0"] + GOOD[5:],
-    GOOD[:6] + ["x"] + GOOD[7:],
-    GOOD[:8] + ["x"],
-    GOOD[:8] + ["1/0"],
-    ["cover", "--random", "abc"],
-    ["cover", "--random", "5"],
-    ["cover", "--random=-3,2"],
-    ["cover", "--random", "0,2"],
-    ["cover", "--random", "5,0"],
+    pytest.param(["equi", "--map", "ul_product", "--T", "abc"], id="args0"),
+    pytest.param(EQUI + ["--eps0", "x"], id="args1"),
+    pytest.param(EQUI + ["--obs", "siegel:indicator:abc"], id="args2"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "5", "--b", "x"], id="args3"),
+    pytest.param(EQUI + ["--lambda", "x,1"], id="args4"),
+    pytest.param(EQUI + ["--lambda", "1/0"], id="args5"),
+    pytest.param(EQUI + ["--J", "0,1;0"], id="args6"),
+    pytest.param(["flow", "--map", "heis52", "--lambda", "1/0"], id="args7"),
+    pytest.param(GOOD[:4] + ["0"] + GOOD[5:], id="args8"),
+    pytest.param(GOOD[:6] + ["x"] + GOOD[7:], id="args9"),
+    pytest.param(GOOD[:8] + ["x"], id="args10"),
+    pytest.param(GOOD[:8] + ["1/0"], id="args11"),
+    pytest.param(["cover", "--random", "abc"], id="args12"),
+    pytest.param(["cover", "--random", "5"], id="args13"),
+    pytest.param(["cover", "--random=-3,2"], id="args14"),
+    pytest.param(["cover", "--random", "0,2"], id="args15"),
+    pytest.param(["cover", "--random", "5,0"], id="args16"),
 ])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:
@@ -322,6 +356,23 @@ def test_equi_heis52_uses_the_horocycle_reference(tmp_path, capsys):
         assert row["rel_gap"] == "0"
 
 
+def test_equi_a_zero_gap_to_a_zero_reference_is_no_gap(tmp_path, capsys):
+    # no vector of diag(2, 1/2) Z^2 is shorter than 1/2: at radius 0.4 the
+    # average and the reference are both 0, and so is the relative gap
+    item = {"name": "const", "vars": ["x"], "entries": [["2", "0"], ["0", "1/2"]],
+            "default_lambda": ["1"]}
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps({"maps": [item]}))
+    out = tmp_path / "out"
+    assert run(["equi", "--map", "const", "--catalog", str(cat_path), "--T", "10",
+                "--grid", "8", "--obs", "siegel:indicator:0.4,siegel:bump:0.4",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("reference=0.000000 rel_gap=0.0000%") == 2
+    header, *lines = (out / "equi.csv").read_text().strip().split("\n")
+    for line in lines:
+        assert dict(zip(header.split(","), line.split(",")))["rel_gap"] == "0"
+
+
 UPPER =[["1", "x"], ["0", "1"]]
 UPPER4 = [["1", "x", "0", "0"], ["0", "1", "0", "0"],
           ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
@@ -330,20 +381,24 @@ NO_REFERENCE = "no limit reference for a Lie algebra of dimension"
 
 @pytest.mark.parametrize("item,code,message", [
     # sl(2) in a block of SL(3): neither the Haar nor an orbit reference
-    ({"dim": 3, "vars": ["x", "y"], "default_lambda": ["1", "1/2"],
-      "entries": [["1 + x*y", "x", "0"], ["y", "1", "0"], ["0", "0", "1"]]}, 1,
-     f"custom: {NO_REFERENCE} 3 "),
+    pytest.param({"vars": ["x", "y"], "default_lambda": ["1", "1/2"],
+                  "entries": [["1 + x*y", "x", "0"], ["y", "1", "0"], ["0", "0", "1"]]},
+                 1, f"custom: {NO_REFERENCE} 3 ",
+                 id="item0-1-custom: no limit reference for a Lie algebra of dimension 3 "),
     # exp(x (E12 + E23)): a one-dimensional algebra off the elementary matrices
-    ({"dim": 3, "entries": [["1", "x", "1/2*x^2"], ["0", "1", "x"], ["0", "0", "1"]]}, 1,
-     f"custom: {NO_REFERENCE} 1 "),
+    pytest.param({"entries": [["1", "x", "1/2*x^2"], ["0", "1", "x"], ["0", "0", "1"]]},
+                 1, f"custom: {NO_REFERENCE} 1 ",
+                 id="item1-1-custom: no limit reference for a Lie algebra of dimension 1 "),
     # a map that is not unimodular; the former "sl" switch no longer exempts it
-    ({"entries": [["2", "x"], ["0", "1"]], "sl": False}, 3, "map is not unimodular"),
+    pytest.param({"entries": [["2", "x"], ["0", "1"]], "sl": False}, 3, "map is not unimodular",
+                 id="item2-3-map is not unimodular"),
     # a unimodular 4x4 map, whose lattices no kernel reduces
-    ({"dim": 4, "entries": UPPER4}, 1, "2x2 or 3x3 matrices, not 4x4"),
+    pytest.param({"entries": UPPER4}, 1, "2x2 or 3x3 matrices, not 4x4",
+                 id="item3-1-2x2 or 3x3 matrices, not 4x4"),
 ])
 def test_equi_rejects_catalog_maps_it_cannot_measure(tmp_path, capsys, item, code,
                                                      message):
-    item = {"name": "custom", "dim": 2, "vars": ["x"], "entries": UPPER,
+    item = {"name": "custom", "vars": ["x"], "entries": UPPER,
             "default_lambda": ["1"], **item}
     cat_path = tmp_path / "cat.json"
     cat_path.write_text(json.dumps({"maps": [item]}))
@@ -358,7 +413,7 @@ def test_equi_rejects_catalog_maps_it_cannot_measure(tmp_path, capsys, item, cod
 def test_a_catalog_file_keeps_no_hand_set_reference(tmp_path, capsys):
     # the keys that once set the reference by hand are ignored: ul_product
     # generates SL(2), whose reference is the Haar value pi
-    item = {"name": "custom", "dim": 2, "vars": ["x", "y"],
+    item = {"name": "custom", "vars": ["x", "y"],
             "entries": [["1 + x * y", "x"], ["y", "1"]], "default_lambda": ["1", "1/2"],
             "closed_orbit": True, "period": 1.0, "orbit_entries": UPPER,
             "orbit_vars": ["x"], "product_type": False}
@@ -378,7 +433,7 @@ def test_equi_exits_1_beyond_the_row_cap(tmp_path, capsys, workers):
     # through g(0) Z^N, which is as deep in the cusp and raises in-process
     # before any box; a worker's raise is left to test_experiment's
     # test_the_row_cap_raises_whatever_the_chunk_size
-    item = {"name": "cusp3", "dim": 3, "vars": ["x", "y"],
+    item = {"name": "cusp3", "vars": ["x", "y"],
             "entries": [["1/10000", "0", "x"], ["0", "1/10000", "y"],
                         ["0", "0", "100000000"]],
             "default_lambda": ["1", "1"]}

@@ -9,16 +9,12 @@ import oracles
 import pytest
 
 from boxflow import experiment
-from boxflow.catalog import get_map
+from boxflow.catalog import MapEntry, get_map
 from boxflow.doubledouble import BLOCK
 from boxflow.errors import CuspExcursionError, DomainError
 from boxflow.experiment import (
-    BoxSpec,
-    birkhoff_average,
     convergence_sweep,
-    nondivergence_fraction,
     periodic_reference,
-    subbox_average,
     twodim_bcondition_sweep,
 )
 from boxflow.goodness import BoxRegion, GridPoly
@@ -33,77 +29,97 @@ UL = get_map("ul_product")
 HEIS3 = get_map("heis3")
 
 
-def test_box_spec_validation():
-    with pytest.raises(DomainError):
-        BoxSpec(lam=(F(1),), T=10.0, grid=4)
-    with pytest.raises(DomainError):
-        BoxSpec(lam=(F(1),), T=10.0, grid=16,
-                J=BoxRegion((0.0,), (1.5,)))
+def average(entry, lam, T, f, grid, **kwargs):
+    """The one row's average of a one-box, one-observable sweep."""
+    [row] = convergence_sweep(entry, lam, [T], [f], grid=grid, **kwargs).rows
+    return row.average
 
 
-def test_box_spec_realized_region():
-    box = BoxSpec(lam=(F(1), F(1, 2)), T=100.0, grid=16)
-    region = box.realized_region()
+def test_convergence_sweep_checks_exponents_and_subbox():
+    f = [TF("indicator", 1.0)]
+    with pytest.raises(DomainError, match="box exponents must be positive"):
+        convergence_sweep(UL, (F(1), F(0)), [10.0], f, grid=16)
+    for J in (BoxRegion((0.0,), (1.5,)), BoxRegion((0.0,), (1.0,))):
+        with pytest.raises(DomainError, match="J must be a subbox of the unit cube"):
+            convergence_sweep(UL, (F(1), F(1, 2)), [10.0], f, J=J, grid=16)
+
+
+def test_realized_box_scales_the_subbox():
+    region = experiment._realized_box((F(1), F(1, 2)), 100.0)
     assert region.lower == (0.0, 0.0)
     assert region.upper == (100.0, 10.0)
-    sub = BoxSpec(lam=(F(1),), T=100.0, grid=16,
-                  J=BoxRegion((0.5,), (1.0,)))
-    assert sub.realized_region().lower == (50.0,)
+    sub = experiment._realized_box((F(1),), 100.0, BoxRegion((0.5,), (1.0,)))
+    assert sub.lower == (50.0,)
+    with pytest.raises(DomainError, match="overflows"):
+        experiment._realized_box((F(1), F(400)), 10.0)
 
 
 def test_birkhoff_periodicity_oracle():
     # the horocycle observable has period 1; averages over [0,1] and
     # [0,10] agree
-    f = TF("indicator", 1.2)
-    a1 = birkhoff_average(U_HORO, BoxSpec(lam=(F(1),), T=1.0, grid=4096), f)
-    a10 = birkhoff_average(U_HORO, BoxSpec(lam=(F(1),), T=10.0, grid=4096), f)
-    assert a1 == pytest.approx(a10, abs=1e-3)
-    f_small = TF("indicator", 0.5)
-    b1 = birkhoff_average(U_HORO, BoxSpec(lam=(F(1),), T=1.0, grid=4096), f_small)
-    b10 = birkhoff_average(U_HORO, BoxSpec(lam=(F(1),), T=10.0, grid=4096), f_small)
-    assert b1 == pytest.approx(b10, abs=1e-3)
+    fs = [TF("indicator", 1.2), TF("indicator", 0.5)]
+    rows = convergence_sweep(U_HORO, (F(1),), [1.0, 10.0], fs, grid=4096).rows
+    for r1, r10 in zip(rows[:2], rows[2:]):
+        assert r1.average == pytest.approx(r10.average, abs=1e-3)
 
 
 def test_birkhoff_grid_precondition():
-    with pytest.raises(DomainError):
-        BoxSpec(lam=(F(1),), T=1.0, grid=7)
+    with pytest.raises(DomainError, match="need at least 8 grid points"):
+        convergence_sweep(U_HORO, (F(1),), [1.0], [TF("indicator", 1.0)], grid=7)
 
 
 def test_subbox_full_cube_matches_birkhoff():
-    # midpoints map to midpoints under the axiswise rescaling, so the two
-    # averages agree exactly on the full cube
+    # midpoints map to midpoints under the axiswise rescaling, so the unit
+    # cube as J gives the full box's average exactly
     f = TF("indicator", 1.0)
-    box = BoxSpec(lam=(F(1), F(1, 2)), T=50.0, grid=32)
-    direct = birkhoff_average(UL, box, f)
-    via_alpha = subbox_average(UL, (F(1), F(1, 2)), 50.0, None, f, grid=32)
-    assert via_alpha == direct
+    direct = average(UL, (F(1), F(1, 2)), 50.0, f, 32)
+    unit = BoxRegion((0.0, 0.0), (1.0, 1.0))
+    assert average(UL, (F(1), F(1, 2)), 50.0, f, 32, J=unit) == direct
 
 
 def test_subbox_degenerate_cell():
     f = TF("indicator", 1.0)
     tiny = BoxRegion((0.5, 0.5), (0.500001, 0.500001))
-    val = subbox_average(UL, (F(1), F(1, 2)), 50.0, tiny, f, grid=8)
-    assert val >= 0.0
+    assert average(UL, (F(1), F(1, 2)), 50.0, f, 8, J=tiny) >= 0.0
+
+
+def nondiv(entry, lam, T, grid, eps0_list):
+    """The nondivergence fractions of one box, by eps0."""
+    [row] = convergence_sweep(entry, lam, [T], [TF("indicator", 1.0)], grid=grid,
+                              eps0_list=eps0_list).rows
+    return dict(row.nondiv)
 
 
 def test_nondivergence_identity_and_monotone():
-    box = BoxSpec(lam=(F(1), F(1, 2)), T=100.0, grid=48)
-    fractions = nondivergence_fraction(UL, box, [0.1, 0.05])
+    fractions = nondiv(UL, (F(1), F(1, 2)), 100.0, 48, [0.1, 0.05])
     assert fractions[0.05] >= fractions[0.1] >= 0.9
     # eps0 = 0 holds every lattice: no compact set, so no measurement
     with pytest.raises(DomainError):
-        nondivergence_fraction(UL, box, [0.1, 0.0])
+        nondiv(UL, (F(1), F(1, 2)), 100.0, 48, [0.1, 0.0])
 
 
 def test_nondivergence_horocycle():
-    box = BoxSpec(lam=(F(1),), T=1000.0, grid=2048)
-    fractions = nondivergence_fraction(U_HORO, box, [0.1])
-    assert fractions[0.1] >= 0.9
+    assert nondiv(U_HORO, (F(1),), 1000.0, 2048, [0.1])[0.1] >= 0.9
 
 
 def test_periodic_reference_horocycle():
     # one-period average of the unit-ball count on the closed orbit is 2
-    assert periodic_reference(U_HORO, TF("indicator", 1.0)) == pytest.approx(2.0)
+    assert periodic_reference(U_HORO, [TF("indicator", 1.0)]) == [pytest.approx(2.0)]
+
+
+def test_periodic_reference_reduces_the_orbit_once_for_all_observables(monkeypatch):
+    # one pass for two observables gives the bits of one pass each
+    fs = [TF("indicator", 1.5), TF("bump", 1.5)]
+    alone = [periodic_reference(HEIS3, [f])[0] for f in fs]
+    calls = []
+    real = experiment._observable_values
+    monkeypatch.setattr(experiment, "_observable_values",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    assert periodic_reference(HEIS3, fs) == alone
+    assert len(calls) == 1
+    calls.clear()
+    convergence_sweep(HEIS3, HEIS3.default_lambda, [10.0, 20.0], fs, grid=8)
+    assert len(calls) == 1 + 2  # the orbit once, then each box
 
 
 def test_convergence_sweep_closed_orbit_reference():
@@ -134,13 +150,9 @@ def test_heis3_orbit_reference_and_average():
     # the orbit closure is the compact nilmanifold of the upper unipotent
     # group; almost every lattice there holds exactly the two unit vectors
     f = TF("indicator", 1.0)
-    ref = periodic_reference(HEIS3, f)
-    assert ref == pytest.approx(2.0)
-    box = BoxSpec(lam=HEIS3.default_lambda, T=20.0, grid=24)
-    avg = birkhoff_average(HEIS3, box, f)
-    assert avg == pytest.approx(ref, rel=1e-6)
-    res = convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [f], grid=24)
-    assert res.rows[0].reference == pytest.approx(2.0)
+    [row] = convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [f], grid=24).rows
+    assert row.reference == pytest.approx(2.0)
+    assert row.average == pytest.approx(row.reference, rel=1e-6)
 
 
 def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
@@ -149,7 +161,7 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
     f = TF("indicator", 1.0)
     cases = [(*HEIS3.orbit, BoxRegion((0.0,) * 3, (1.0,) * 3), "grid")]
     cases += [(HEIS3.matrix, HEIS3.map_vars,
-               BoxSpec(lam=HEIS3.default_lambda, T=T, grid=24).realized_region(),
+               experiment._realized_box(HEIS3.default_lambda, T),
                "jitter") for T in (10.0, 20.0)]
     checked = 0
     for matrix, map_vars, region, method in cases:
@@ -190,14 +202,14 @@ def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
     entry = get_map(name)
     grid, sizes = 192, (BLOCK, 2 * BLOCK, 1000)
     if name == "ul_product":
-        region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=192).realized_region()
+        region = experiment._realized_box(entry.default_lambda, 1e3)
         fs = (TF("indicator", 1.0), TF("bump", 1.0))
     elif name == "poly23_lower":
         region = BoxRegion((0.0, 0.0), (1.01 * 10.0 ** 4, 10.0))
         fs = (TF("indicator", 1.0),)
     else:
         grid, sizes = 96, (BLOCK, 1024, 1000)
-        region = BoxSpec(lam=entry.default_lambda, T=1e3, grid=96).realized_region()
+        region = experiment._realized_box(entry.default_lambda, 1e3)
         # at R = 1 every heis3 value is 2; at R = 1.5 the bump's values
         # are all distinct
         fs = (TF("indicator", 1.5), TF("bump", 1.5))
@@ -235,7 +247,7 @@ def test_the_row_cap_raises_whatever_the_chunk_size(case, monkeypatch):
         fs = (TF("bump", 1.0),)
     else:
         matrix, map_vars = UL.matrix, UL.map_vars
-        region = BoxSpec(lam=UL.default_lambda, T=1e3, grid=grid).realized_region()
+        region = experiment._realized_box(UL.default_lambda, 1e3)
         fs = (TF("indicator", float(ROW_CAP)),)
         lam1, _ = experiment._observable_values(
             matrix, map_vars, region, grid, (TF("indicator", 0.9 * ROW_CAP),),
@@ -279,7 +291,7 @@ def test_a_3d_chunk_takes_little_more_memory_than_a_2d_chunk():
     orbit = BoxRegion((0.0,) * 3, (1.0,) * 3)
     heis3 = (*HEIS3.orbit, experiment.entry_tables(*HEIS3.orbit), orbit, 24,
              (TF("indicator", 1.0),), 0, BLOCK, "grid", 0, math.inf)
-    box = BoxSpec(lam=UL.default_lambda, T=1e3, grid=256).realized_region()
+    box = experiment._realized_box(UL.default_lambda, 1e3)
     ul = (UL.matrix, UL.map_vars, experiment.entry_tables(UL.matrix, UL.map_vars), box,
           256, (TF("indicator", 1.0), TF("bump", 1.0)), 0, BLOCK, "jitter", 1, math.inf)
     assert chunk_peak(heis3) <= 1.25 * chunk_peak(ul)
@@ -292,7 +304,7 @@ def test_a_tie_is_recounted_at_the_point_drawn_for_it(entry, method, monkeypatch
     # point again: sample 17 of a chunk starting at 1,000, marked as a tie,
     # is recounted from the exact matrix at the point the chunk drew
     start, stop, k = 1000, 1064, 17
-    region = BoxSpec(lam=entry.default_lambda, T=20.0, grid=40).realized_region()
+    region = experiment._realized_box(entry.default_lambda, 20.0)
     real_sums = experiment.siegel_sums
     recounted = []
 
@@ -365,20 +377,20 @@ def test_one_process_pool_per_sweep(monkeypatch):
 
 def test_sampling_methods_agree_statistically():
     f = TF("indicator", 1.0)
-    box = BoxSpec(lam=(F(1), F(1, 2)), T=100.0, grid=128)
-    grid_avg = birkhoff_average(UL, box, f)
-    jit_avg = birkhoff_average(UL, box, f, method="jitter", seed=3)
-    mc_avg = birkhoff_average(UL, box, f, method="mc", seed=3)
+    lam = (F(1), F(1, 2))
+    grid_avg = average(UL, lam, 100.0, f, 128)
+    jit_avg = average(UL, lam, 100.0, f, 128, method="jitter", seed=3)
+    mc_avg = average(UL, lam, 100.0, f, 128, method="mc", seed=3)
     assert jit_avg == pytest.approx(grid_avg, rel=0.05)
     assert mc_avg == pytest.approx(grid_avg, rel=0.10)
 
 
 def test_jitter_deterministic_under_seed():
     f = TF("indicator", 1.0)
-    box = BoxSpec(lam=(F(1), F(1, 2)), T=100.0, grid=64)
-    a = birkhoff_average(UL, box, f, method="jitter", seed=9)
-    b = birkhoff_average(UL, box, f, method="jitter", seed=9)
-    c = birkhoff_average(UL, box, f, method="jitter", seed=10)
+    lam = (F(1), F(1, 2))
+    a = average(UL, lam, 100.0, f, 64, method="jitter", seed=9)
+    b = average(UL, lam, 100.0, f, 64, method="jitter", seed=9)
+    c = average(UL, lam, 100.0, f, 64, method="jitter", seed=10)
     assert a == b
     assert a != c
 
@@ -411,7 +423,7 @@ def test_twodim_sweep_uses_the_orbit_reference_on_closed_orbit_maps():
     poly23 = get_map("poly23")
     f = TF("indicator", 1.0)
     res = twodim_bcondition_sweep(poly23, 4, [5.0], [f], grid=64)
-    assert res.rows[0].reference == periodic_reference(poly23, f) == 2.0
+    assert [res.rows[0].reference] == periodic_reference(poly23, [f]) == [2.0]
     assert res.rows[0].average == 2.0 and res.rows[0].rel_gap == 0.0
 
 
@@ -435,16 +447,12 @@ def test_sweeps_check_the_parameter_list_before_any_reference(monkeypatch):
 
 
 def test_lattice_observables_need_dimension_2_or_3():
-    from boxflow.catalog import MapEntry
-    from boxflow.polymatrix import PolyMatrix
-
     rows = [["1", "x", "0", "0"], ["0", "1", "0", "0"],
             ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
-    entry = MapEntry(name="sl4", dim=4, map_vars=("x",),
+    entry = MapEntry(name="sl4", map_vars=("x",),
                      matrix=PolyMatrix.from_text(rows), default_lambda=(F(1),))
-    box = BoxSpec(lam=(F(1),), T=10.0, grid=16)
     with pytest.raises(DomainError, match="2x2 or 3x3 matrices, not 4x4"):
-        birkhoff_average(entry, box, TF("indicator", 1.0))
+        average(entry, (F(1),), 10.0, TF("indicator", 1.0), 16)
 
 
 def test_twodim_sweep_b_must_exceed_p():
@@ -459,12 +467,8 @@ IDENTITY_ENTRY = None
 def _identity_entry():
     global IDENTITY_ENTRY
     if IDENTITY_ENTRY is None:
-        from boxflow.catalog import MapEntry
-        from boxflow.polymatrix import PolyMatrix
-
         IDENTITY_ENTRY = MapEntry(
             name="const_identity",
-            dim=2,
             map_vars=("x",),
             matrix=PolyMatrix.from_text([["1", "0"], ["0", "1"]]),
             default_lambda=(F(1),),
@@ -475,16 +479,23 @@ def _identity_entry():
 def test_constant_map_average_is_pointwise_value():
     entry = _identity_entry()
     f = TF("indicator", 1.0)
-    box = BoxSpec(lam=(F(1),), T=10.0, grid=64)
-    avg = birkhoff_average(entry, box, f)
     point_value = oracles.siegel_sum(np.eye(2), f)
-    assert avg == point_value == 4.0
-    fr = nondivergence_fraction(entry, box, [1.0])
-    assert fr[1.0] == 1.0
+    assert point_value == 4.0
     # the orbit of a constant map is its one lattice, not the whole space:
     # the reference is the pointwise value, not the Haar value pi
-    rows = convergence_sweep(entry, (F(1),), [10.0, 20.0], [f], grid=64).rows
+    rows = convergence_sweep(entry, (F(1),), [10.0, 20.0], [f], grid=64,
+                             eps0_list=[1.0]).rows
     assert all(r.average == r.reference == point_value for r in rows)
+    assert all(r.nondiv == ((1.0, 1.0),) for r in rows)
+
+
+def test_a_nonzero_gap_to_a_zero_reference_is_infinite(monkeypatch):
+    # no catalog map has a zero reference and a nonzero average, so the
+    # reference is patched to 0; a zero gap to a zero reference reads 0
+    # (test_cli's constant map)
+    monkeypatch.setattr(experiment, "periodic_reference", lambda entry, fs: [0.0] * len(fs))
+    [row] = convergence_sweep(U_HORO, (F(1),), [10.0], [TF("indicator", 1.0)], grid=64).rows
+    assert row.average > 0 and row.rel_gap == math.inf
 
 
 def test_monotone_nondivergence_all_catalog_maps():
@@ -492,8 +503,7 @@ def test_monotone_nondivergence_all_catalog_maps():
 
     for entry in builtin_catalog().values():
         grid = 512 if entry.k == 1 else 32
-        box = BoxSpec(lam=entry.default_lambda, T=100.0, grid=grid)
-        frac = nondivergence_fraction(entry, box, [0.1, 0.05])
+        frac = nondiv(entry, entry.default_lambda, 100.0, grid, [0.1, 0.05])
         assert frac[0.05] >= frac[0.1]
 
 

@@ -512,15 +512,14 @@ def grid_cases():
     ``poly23_lower`` on 2 BLOCK + 1000 points, and seeded polynomials with
     inexact coefficients and constant terms."""
     from boxflow.catalog import builtin_catalog
-    from boxflow.experiment import BoxSpec
+    from boxflow.experiment import _realized_box
 
     cases = []
     for entry in builtin_catalog().values():
         grid = 4096 if entry.k == 1 else 64
         for T in (10.0, 1e3):
-            box = BoxSpec(lam=entry.default_lambda, T=T, grid=grid)
-            pts = box.realized_region().sample_points(grid, 0, grid ** entry.k,
-                                                      "jitter", 5)
+            box = _realized_box(entry.default_lambda, T)
+            pts = box.sample_points(grid, 0, grid ** entry.k, "jitter", 5)
             cases += [(p, entry.map_vars, pts) for row in entry.matrix.entries for p in row]
         if entry.orbit is not None:
             orbit, names = entry.orbit
