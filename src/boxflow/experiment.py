@@ -48,6 +48,7 @@ from .homspace import (
     TestFunction,
     haar_expectation,
     lagrange_reduce,
+    orbit_averages,
     reduce_exact,
     row_state,
     siegel_count_exact,
@@ -316,17 +317,15 @@ def _nondiv(lam1: np.ndarray, eps0_list: Sequence[float]) -> tuple:
 
 def periodic_reference(entry: MapEntry, fs: Sequence[TestFunction]) -> list:
     """Averages of the observables ``fs`` over the closed orbit
-    ``MapEntry.orbit``, one per observable, from one reduction of the orbit:
-    midpoint tensor quadrature of the orbit map on [0, 1]^k; a constant
-    map's orbit is one lattice, one sample on a dummy axis."""
+    ``MapEntry.orbit``, g(0) (I + sum x_s E_s) on [0, 1]^S, one per
+    observable, in closed form (``homspace.orbit_averages``); a constant
+    map's orbit is its one lattice."""
     if entry.orbit is None:
         raise DomainError(f"{entry.name} has the Haar reference")
     orbit, names = entry.orbit
-    grid = {0: 1, 1: 4096}.get(len(names), 24)
-    names = names or ("x",)
-    region = BoxRegion((0.0,) * len(names), (1.0,) * len(names))
-    _, values = _observable_values(orbit, names, region, grid, fs)
-    return [_average(vals) for vals in values]
+    g0 = orbit.evaluate_exact(dict.fromkeys(names, 0))
+    # x_s names the flat position s = i N + j of E_ij
+    return orbit_averages(g0, [divmod(int(x[1:]), entry.dim) for x in names], fs)
 
 
 @dataclass(frozen=True)

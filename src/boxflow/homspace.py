@@ -70,19 +70,29 @@ def parse_observable(text: str) -> TestFunction:
     return TestFunction(kind=parts[1], radius=float(parts[2]))
 
 
+# the integrals over R^k, k = 0..3, of the indicator of the ball of radius
+# rho, a_k rho^k, and of ((rho^2 - |z|^2)/rho^2)^2 on it, b_k rho^k / c_k
+_BALL = (1.0, 2.0, math.pi, 4.0 / 3.0 * math.pi)
+_BUMP = ((1.0, 1.0), (16.0, 15.0), (math.pi, 3.0), (32.0 * math.pi, 105.0))
+
+
+def slice_integral(f: TestFunction, k: int, rho: float) -> float:
+    """Integral of the profile of f over a k-dimensional affine subspace
+    (k = 0..3) at distance sqrt(R^2 - rho^2) from the origin, rho <= R: on
+    it |y|^2 = R^2 - rho^2 + |z|^2, so the ball leaves the k-ball of radius
+    rho, and the bump ((rho^2 - |z|^2)/R^2)^2 on it."""
+    if f.kind == INDICATOR_BALL:
+        return _BALL[k] * rho ** k
+    b, c = _BUMP[k]
+    return b * rho ** k / c * (rho / f.radius) ** 4
+
+
 def haar_expectation(f: TestFunction, n: int) -> float:
     """Integral of the profile over R^n - the Haar reference value of the
-    Siegel observable."""
+    Siegel observable: the slice of every coordinate, through the origin."""
     if n not in (2, 3):
         raise DomainError("only dimensions 2 and 3 are supported")
-    if f.kind == INDICATOR_BALL:
-        if n == 2:
-            return math.pi * f.radius ** 2
-        return 4.0 / 3.0 * math.pi * f.radius ** 3
-    # the bump (1 - (r/R)^2)^2 integrates to pi R^2/3 and 32 pi R^3/105
-    if n == 2:
-        return math.pi * f.radius ** 2 / 3.0
-    return 32.0 * math.pi * f.radius ** 3 / 105.0
+    return slice_integral(f, n, f.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +333,41 @@ def _row_count_exact(a, beta, delta, p, q) -> int:
     return (s - beta) // a + (s + beta) // a + 1
 
 
+def _ldl(w):
+    """(d, l) with w = l diag(d) l^T and l unit lower triangular, for the
+    rational Gram matrix w of a basis b_0, b_1, ..., in exact arithmetic:
+    d_j is the squared distance of b_j from the span of the b_i before it."""
+    n = len(w)
+    d, l = [], [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        d.append(Fraction(w[j][j]) - sum(l[j][k] ** 2 * d[k] for k in range(j)))
+        for i in range(j + 1, n):
+            l[i][j] = (w[i][j] - sum(l[i][k] * l[j][k] * d[k] for k in range(j))) / d[j]
+    return d, l
+
+
+def _lattice_rows(d, l, k, r2):
+    """Fincke-Pohst in exact arithmetic, for (d, l) = ``_ldl(w)``: the
+    integers c_k, ..., c_{n-1} with sum_j c_j b_j within squared distance
+    r2 of the span of b_0, ..., b_{k-1}.  One row per c = (c_{k+1}, ...):
+    yields (c, lo, hi, q, centre), its vectors having c_k from lo to hi and
+    squared distance q + d_k (c_k - centre)^2."""
+    n = len(d)
+
+    def level(j, c, q):
+        centre = -sum(l[i][j] * ci for i, ci in enumerate(c, j + 1))
+        p, m = centre.numerator, centre.denominator
+        s = math.isqrt(math.floor((r2 - q) / d[j] * m * m))  # |m c_j - p| <= s
+        lo, hi = -((s - p) // m), (p + s) // m
+        if j == k:
+            yield c, lo, hi, q, centre
+            return
+        for x in range(lo, hi + 1):
+            yield from level(j - 1, (x,) + c, q + d[j] * (x - centre) ** 2)
+
+    return level(n - 1, (), 0)
+
+
 def siegel_count_exact(m, radius: float) -> int:
     """Nonzero vectors of norm at most ``radius`` in the column lattice of a
     2x2 or 3x3 matrix of rationals, counted in integer arithmetic.
@@ -362,6 +407,65 @@ def siegel_count_exact(m, radius: float) -> int:
                  for j, cj in enumerate(c, 1))
         count += _row_count_exact(a, beta, a * ww - beta * beta, p, q)
     return count
+
+
+def orbit_averages(g0, support, fs) -> list:
+    """Averages of the Siegel observables of ``fs`` over the closed orbit
+    g0 u(x) Z^N, u(x) = I + sum x_ij E_ij over (i, j) in S = ``support``,
+    x in [0, 1]^S, for a rational g0, by the slice form of Siegel's mean
+    value theorem.  Coordinate i of u(x) v is free when some v_j with
+    (i, j) in S is nonzero: summed over v_i in Z and integrated over x, it
+    covers R once.  S is closed under composition, so the free set F is
+    decided by the other coordinates: those that would free one of them
+    are 0, and the rest, C, run over Z.  Per value of v_C (the rows of
+    ``_lattice_rows`` on G = g0^T g0 in the order F, C) the term is
+    ``slice_integral`` at the distance of g0 (v_C + R^F) from the origin,
+    over the Jacobian sqrt(det G_FF).  With F empty a row of values
+    f(g0 v) is summed in closed form, exact for the indicator.  The rows
+    and slices, those of v and -v counted once, may number ``ROW_CAP``;
+    more raise ``CuspExcursionError``."""
+    n = len(g0)
+    g = [[sum(Fraction(r[i]) * r[j] for r in g0) for j in range(n)] for i in range(n)]
+    averages = []
+    for f in fs:
+        r2, rows, terms, size = Fraction(f.radius) ** 2, [], [], 0
+        for mask in range(1 << n):
+            free = [i for i in range(n) if mask >> i & 1]
+            held = [j for j in range(n) if j not in free
+                    and not any((i, j) in support for i in range(n) if i not in free)]
+            if not held or not all(any((i, j) in support for j in held) for i in free):
+                continue
+            d, l = _ldl([[g[a][b] for b in free + held] for a in free + held])
+            jac = math.sqrt(math.prod(d[:len(free)]))
+            for c, lo, hi, q, centre in _lattice_rows(d, l, len(free), r2):
+                # -v has the terms of v: the rows c > 0 count twice, and of
+                # the row c = 0 (centre 0) the slices x > 0
+                sign = next((x for x in reversed(c) if x), 0)
+                if sign < 0:
+                    continue
+                lo = max(lo, 1) if free and not sign else lo
+                size += max(hi - lo + 1, 0) if free else 1  # slices, or a row
+                if size > ROW_CAP:
+                    raise CuspExcursionError(_TOO_DEEP)
+                rows.append((free, held, jac, d[len(free)], 2.0 if free or sign else 1.0,
+                             c, lo, hi, q, centre))
+        for free, held, jac, dk, w, c, lo, hi, q, centre in rows:
+            m = hi - lo + 1
+            if not free:  # the points of a row, with the origin when c = 0
+                if m > 0:
+                    terms.append(w * (float(m) if f.kind == INDICATOR_BALL else _bump_row(
+                        float(m), float(lo + Fraction(m - 1, 2) - centre),
+                        float(r2 - q), float(r2), float(dk / r2))))
+                if not any(c):
+                    terms.append(-1.0)
+                continue
+            for x in range(lo, hi + 1):
+                v = dict(zip(held, (x,) + c))
+                if all(any(v[j] for j in held if (i, j) in support) for i in free):
+                    rho = math.sqrt(r2 - q - dk * (x - centre) ** 2)
+                    terms.append(w * slice_integral(f, len(free), rho) / jac)
+        averages.append(math.fsum(terms))
+    return averages
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +580,8 @@ _ROW_SLACK = 1e-13
 # 0.25-0.4 ms on a chunk of one doubledouble.BLOCK of samples (2 cores), so
 # a chunk's row loop stays under about 0.4 s per observable
 ROW_CAP = 1000
+_TOO_DEEP = (f"a sample needs more than {ROW_CAP} rows of lattice vectors: "
+             "too deep in the cusp for the radius")
 
 
 def _interval(centre, disc, scale):
@@ -559,8 +665,7 @@ def _rows(shape, r):
     r = np.broadcast_to(r, h2.shape)
     reach2, reach3 = r / h2, r / h3
     if np.any(reach2 + 1.0 + reach3 * (2.0 * reach2 + 1.0) > ROW_CAP):
-        raise CuspExcursionError(f"a sample needs more than {ROW_CAP} rows of "
-                                 "lattice vectors: too deep in the cusp for the radius")
+        raise CuspExcursionError(_TOO_DEEP)
     for c2 in range(int(np.max(reach2, initial=0.0)) + 1):
         yield 1.0 if c2 == 0 else 2.0, c2, 0, -c2 * m12, (c2 * h2) ** 2
     for c3 in range(1, int(np.max(reach3, initial=0.0)) + 1):

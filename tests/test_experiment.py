@@ -1,5 +1,6 @@
 """Sweep engine: periodicity oracle, change of variables, determinism."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -107,8 +108,9 @@ def test_periodic_reference_horocycle():
     assert periodic_reference(U_HORO, [TF("indicator", 1.0)]) == [pytest.approx(2.0)]
 
 
-def test_periodic_reference_reduces_the_orbit_once_for_all_observables(monkeypatch):
-    # one pass for two observables gives the bits of one pass each
+def test_periodic_reference_runs_no_lattice_chunk(monkeypatch):
+    # the reference is a closed form: one call for two observables gives the
+    # bits of one call each, and only the boxes run the lattice kernel
     fs = [TF("indicator", 1.5), TF("bump", 1.5)]
     alone = [periodic_reference(HEIS3, [f])[0] for f in fs]
     calls = []
@@ -116,10 +118,96 @@ def test_periodic_reference_reduces_the_orbit_once_for_all_observables(monkeypat
     monkeypatch.setattr(experiment, "_observable_values",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     assert periodic_reference(HEIS3, fs) == alone
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == []
     convergence_sweep(HEIS3, HEIS3.default_lambda, [10.0, 20.0], fs, grid=8)
-    assert len(calls) == 1 + 2  # the orbit once, then each box
+    assert len(calls) == 2  # each box, and no chunk for the reference
+
+
+# the slice sums of heis3 (v = (a, b, c): the planes c != 0, the lines
+# b != 0 = c and the points a != 0 = b = c) and of the horocycle (the lines
+# n != 0 and the points m != 0), rho^2 = R^2 - delta^2 for a slice at
+# distance delta: the ball gives pi rho^2, 2 rho and 1, the bump
+# pi rho^6/(3 R^4), 16 rho^5/(15 R^4) and (rho^2/R^2)^2
+SLICE_SUMS = {
+    ("heis3", "indicator", 1.0): 2.0,
+    ("heis3", "indicator", 1.5): 5 * math.pi / 2 + 2 * math.sqrt(5) + 2,
+    ("heis3", "indicator", 2.5): 15 * math.pi + 2 * math.sqrt(21) + 10,
+    ("heis3", "bump", 1.0): 0.0,
+    ("heis3", "bump", 1.5): (2 * math.pi * 1.25 ** 3 / 3 + 32 * 1.25 ** 2.5 / 15) / 1.5 ** 4
+    + 50 / 81,
+    ("heis3", "bump", 2.5): (2 * math.pi * (5.25 ** 3 + 2.25 ** 3) / 3
+                             + 32 * (5.25 ** 2.5 + 2.25 ** 2.5) / 15) / 2.5 ** 4
+    + 2 * (0.84 ** 2 + 0.36 ** 2),
+    ("u_horo", "indicator", 1.0): 2.0,
+    ("u_horo", "indicator", 1.5): 2 * math.sqrt(5) + 2,
+    ("u_horo", "indicator", 2.5): 2 * math.sqrt(21) + 10,
+    ("u_horo", "bump", 1.0): 0.0,
+    ("u_horo", "bump", 1.5): 32 * 1.25 ** 2.5 / 15 / 1.5 ** 4 + 50 / 81,
+    ("u_horo", "bump", 2.5): 32 * (5.25 ** 2.5 + 2.25 ** 2.5) / 15 / 2.5 ** 4
+    + 2 * (0.84 ** 2 + 0.36 ** 2),
+}
+
+
+@pytest.mark.parametrize("name,kind,radius", sorted(SLICE_SUMS))
+def test_closed_orbit_references_are_the_slice_sums(name, kind, radius):
+    [ref] = periodic_reference(get_map(name), [TF(kind, radius)])
+    assert ref == pytest.approx(SLICE_SUMS[name, kind, radius], rel=1e-12, abs=0.0)
+    # at R = 1 only the points +-e1 count, each exactly
+    if radius == 1.0:
+        assert ref == SLICE_SUMS[name, kind, radius]
+
+
+def slice_map(rows, map_vars=("x",)):
+    return MapEntry(name="slices", map_vars=map_vars, matrix=PolyMatrix.from_text(rows),
+                    default_lambda=(F(1),) * len(map_vars))
+
+
+# the orbit oracle is exact on a horocycle; on heis3, exact along x12, its
+# midpoint rule's relative error at m = 64 is 2.2e-4 (indicator) and
+# 5.5e-9 (bump) at R = 1.5 (oracles.orbit_average)
+@pytest.mark.parametrize("entry,g0,support,m,tolerance", [
+    pytest.param(U_HORO, [[1, 0], [0, 1]], [(0, 1)], 1, (1e-12, 1e-12), id="u_horo"),
+    pytest.param(HEIS3, np.eye(3), [(0, 1), (1, 2), (0, 2)], 64, (5e-4, 2e-8), id="heis3"),
+    # g(0) = diag(2, 1/2): the lines n != 0 have Jacobian 2
+    pytest.param(slice_map([["2", "2 * x"], ["0", "1/2"]]), [[2, 0], [0, 0.5]], [(0, 1)], 1,
+                 (1e-12, 1e-12), id="g0_horo"),
+])
+def test_closed_orbit_references_match_the_orbit_oracle(entry, g0, support, m, tolerance):
+    for kind, rel in zip(("indicator", "bump"), tolerance):
+        for radius in (1.0, 1.5, 2.5):
+            [ref] = periodic_reference(entry, [TF(kind, radius)])
+            want = oracles.orbit_average(g0, support, kind, radius, m)
+            assert ref == pytest.approx(want, rel=rel, abs=1e-12), (kind, radius)
+
+
+def test_a_catalog_orbit_through_another_lattice_matches_the_orbit_oracle(tmp_path):
+    # g(0) = diag(2, 1/2, 1) and the orbit of E13 and E23, read from a JSON
+    # catalog; the oracle is exact along x13, with m = 64 along x23
+    item = {"name": "g0_3d", "vars": ["x", "y"], "default_lambda": ["1", "1"],
+            "entries": [["2", "0", "x"], ["0", "1/2", "y"], ["0", "0", "1"]]}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"maps": [item]}))
+    entry = get_map("g0_3d", str(path))
+    g0 = [[2, 0, 0], [0, 0.5, 0], [0, 0, 1]]
+    for kind, rel in (("indicator", 1e-4), ("bump", 1e-8)):
+        for radius in (1.0, 1.5, 2.5):
+            [ref] = periodic_reference(entry, [TF(kind, radius)])
+            want = oracles.orbit_average(g0, [(0, 2), (1, 2)], kind, radius, 64)
+            assert ref == pytest.approx(want, rel=rel, abs=1e-12), (kind, radius)
+
+
+def test_the_closed_orbit_enumeration_raises_beyond_the_row_cap():
+    # diag(1e-4, 1e4) u(x): the 20,000 points (m 1e-4, 0) of norm <= 1 are
+    # one row, counted in closed form.  The lines n != 0 count once per
+    # sign: at R = 9.99e6 the 999 of them and the row take the cap, and at
+    # R = 1e7 the 1,000 of them raise, with the lattice kernel's message
+    entry = slice_map([["1/10000", "1/10000 * x"], ["0", "10000"]])
+    assert periodic_reference(entry, [TF("indicator", 1.0)]) == [20000.0]
+    periodic_reference(entry, [TF("indicator", 9.99e6)])
+    with pytest.raises(CuspExcursionError) as err:
+        periodic_reference(entry, [TF("indicator", 1e7)])
+    assert str(err.value) == (f"a sample needs more than {ROW_CAP} rows of lattice vectors: "
+                              "too deep in the cusp for the radius")
 
 
 def test_convergence_sweep_closed_orbit_reference():

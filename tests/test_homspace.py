@@ -239,6 +239,17 @@ def test_haar_expectation_bump_closed_forms():
         )
 
 
+def test_haar_references_keep_the_bits_of_their_closed_forms():
+    # the Haar reference is the slice of every coordinate through the
+    # origin, and gives the bits of the closed forms above
+    for radius in (0.4, 1.0, 1.5, 2.5, 1e-6, 1e100):
+        ind, bump = TF("indicator", radius), TF("bump", radius)
+        assert haar_expectation(ind, 2) == math.pi * radius ** 2
+        assert haar_expectation(ind, 3) == 4.0 / 3.0 * math.pi * radius ** 3
+        assert haar_expectation(bump, 2) == math.pi * radius ** 2 / 3.0
+        assert haar_expectation(bump, 3) == 32.0 * math.pi * radius ** 3 / 105.0
+
+
 def test_haar_sample_deterministic():
     assert np.array_equal(oracles.haar_sample(5, seed=99), oracles.haar_sample(5, seed=99))
 
