@@ -266,147 +266,129 @@ def _integer_scaled(vecs):
     return [tuple(int(Fraction(x) * den) for x in v) for v in vecs], den
 
 
-def _lagrange_int(u, v):
-    """Exact Lagrange reduction of integer vectors; shortest first."""
+def _lagrange_int(u, v, dot):
+    """Exact Lagrange reduction of integer vectors under the inner product
+    ``dot``; shortest first."""
     while True:
-        uu = _dot(u, u)
-        if uu > _dot(v, v):
+        uu = dot(u, u)
+        if uu > dot(v, v):
             u, v = v, u
-            uu = _dot(u, u)
-        mu = (2 * _dot(u, v) + uu) // (2 * uu)
+            uu = dot(u, u)
+        mu = (2 * dot(u, v) + uu) // (2 * uu)
         if mu == 0:
             return u, v
         v = tuple(x - mu * y for x, y in zip(v, u))
 
 
-def _reduce_exact(m):
-    """Exact reduction of the column basis of a 2x2 or 3x3 matrix of
-    rationals.  Returns the reduced integer columns of D m, shortest first
-    (Lagrange for N = 2, greedy for N = 3, as ``sl3_greedy``), and the
-    common denominator D.
+def _reduce_exact(g):
+    """Exact reduction of a basis B of rank k = 1, 2 or 3 from its integer
+    Gram matrix g: Lagrange for k = 2, greedy for k = 3 (as
+    ``sl3_greedy``), run on the coefficient vectors under x.y = x^T g y.
+    Returns the columns of the unimodular U, shortest first, so that B U
+    is the reduced basis, and its Gram matrix U^T g U.
 
-    The rounded quotients of the reduction are invariant under scaling,
-    so it runs on the integer matrix D m.  For the closest vector of
-    L(b1, b2) to b3, with x the coordinates of its projection, the
-    second coordinate is within one of round(x2), and for each y2 the best
-    first coordinate is round((b1.b3 - (b1.b2) y2)/|b1|^2)."""
-    n = len(m)
-    cols, den = _integer_scaled([[m[i][j] for i in range(n)] for j in range(n)])
-    if n == 2:
-        return list(_lagrange_int(*cols)), den
-    while True:
-        cols.sort(key=lambda v: _dot(v, v))
-        b1, b2 = _lagrange_int(cols[0], cols[1])
+    The rounded quotients of the reduction are invariant under scaling
+    g.  For the closest vector of L(b1, b2) to b3, with x the coordinates
+    of its projection, the second coordinate is within one of round(x2),
+    and for each y2 the best first coordinate is
+    round((b1.b3 - (b1.b2) y2)/|b1|^2)."""
+    k = len(g)
+
+    def dot(x, y):
+        return sum(a * _dot(row, y) for a, row in zip(x, g))
+
+    cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    if k == 2:
+        cols = list(_lagrange_int(*cols, dot))
+    while k == 3:
+        cols.sort(key=lambda v: dot(v, v))
+        b1, b2 = _lagrange_int(cols[0], cols[1], dot)
         b3 = cols[2]
-        a, b, c = _dot(b1, b1), _dot(b1, b2), _dot(b2, b2)
-        r1, r2 = _dot(b1, b3), _dot(b2, b3)
+        a, b, c = dot(b1, b1), dot(b1, b2), dot(b2, b2)
+        r1, r2 = dot(b1, b3), dot(b2, b3)
         det = a * c - b * b
         near = (2 * (a * r2 - b * r1) + det) // (2 * det)  # round(x2)
         best = None
         for y2 in (near, near - 1, near + 1):
             y1 = (2 * (r1 - b * y2) + a) // (2 * a)
             res = tuple(t - y1 * p - y2 * q for t, p, q in zip(b3, b1, b2))
-            if best is None or _dot(res, res) < _dot(best, best):
+            if best is None or dot(res, res) < dot(best, best):
                 best = res
-        if _dot(best, best) >= c:
-            return [b1, b2, best], den
         cols = [b1, b2, best]
+        if dot(best, best) >= c:
+            break
+    return cols, [[dot(x, y) for y in cols] for x in cols]
+
+
+def _reduced(m):
+    """The integer columns of D m for a square matrix m of rationals, their
+    common denominator D and the exact reduction ``_reduce_exact`` of
+    their Gram matrix."""
+    cols, den = _integer_scaled(list(zip(*m)))
+    return (cols, den, *_reduce_exact([[_dot(x, y) for y in cols] for x in cols]))
 
 
 def reduce_exact(m) -> np.ndarray:
     """Exactly reduced columns (shortest first) of a 2x2 or 3x3 matrix of
     rationals, as a float64 matrix whose entries are the roundings of the
     exact ones."""
-    cols, den = _reduce_exact(m)
-    return np.array([[c[i] / den for c in cols] for i in range(len(cols))])
+    cols, den, u, _ = _reduced(m)
+    return np.array([[_dot(row, c) / den for c in u] for row in zip(*cols)])
 
 
-def _row_count_exact(a, beta, delta, p, q) -> int:
-    """Integers c1 with |c1 b1 + w|^2 <= p/q, for integer vectors b1 and w
-    with a = |b1|^2, beta = b1.w and delta = a |w|^2 - beta^2: the
-    condition is (a c1 + beta)^2 <= a p/q - delta."""
+def _c1_range(a, beta, delta, p, q) -> range:
+    """The integers c1 with |c1 b1 + w|^2 <= p/q, for lattice vectors b1
+    and w with a = |b1|^2, beta = b1.w and delta = a |w|^2 - beta^2, all
+    integers: the condition is (a c1 + beta)^2 <= a p/q - delta."""
     t = a * p - q * delta
     if t < 0:
-        return 0
+        return range(0)
     s = math.isqrt(t // q)
     # c1 from ceil((-s - beta)/a) to floor((s - beta)/a)
-    return (s - beta) // a + (s + beta) // a + 1
+    return range(-((s + beta) // a), (s - beta) // a + 1)
 
 
-def _ldl(w):
-    """(d, l) with w = l diag(d) l^T and l unit lower triangular, for the
-    rational Gram matrix w of a basis b_0, b_1, ..., in exact arithmetic:
-    d_j is the squared distance of b_j from the span of the b_i before it."""
-    n = len(w)
-    d, l = [], [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for j in range(n):
-        d.append(Fraction(w[j][j]) - sum(l[j][k] ** 2 * d[k] for k in range(j)))
-        for i in range(j + 1, n):
-            l[i][j] = (w[i][j] - sum(l[i][k] * l[j][k] * d[k] for k in range(j))) / d[j]
-    return d, l
+def _short_rows(g, r2):
+    """The lattice vectors of squared norm at most the rational r2, by rows,
+    for the integer Gram matrix g of a reduced basis b1, ..., bk, k = 1, 2
+    or 3: per row c = (c2, ..., ck), yields (c, beta, delta, c1s), the
+    vectors c1 b1 + w of the row, w = c2 b2 + ..., having c1 in the range
+    c1s and squared norm ((a c1 + beta)^2 + delta)/a (``_c1_range``).
 
-
-def _lattice_rows(d, l, k, r2):
-    """Fincke-Pohst in exact arithmetic, for (d, l) = ``_ldl(w)``: the
-    integers c_k, ..., c_{n-1} with sum_j c_j b_j within squared distance
-    r2 of the span of b_0, ..., b_{k-1}.  One row per c = (c_{k+1}, ...):
-    yields (c, lo, hi, q, centre), its vectors having c_k from lo to hi and
-    squared distance q + d_k (c_k - centre)^2."""
-    n = len(d)
-
-    def level(j, c, q):
-        centre = -sum(l[i][j] * ci for i, ci in enumerate(c, j + 1))
-        p, m = centre.numerator, centre.denominator
-        s = math.isqrt(math.floor((r2 - q) / d[j] * m * m))  # |m c_j - p| <= s
-        lo, hi = -((s - p) // m), (p + s) // m
-        if j == k:
-            yield c, lo, hi, q, centre
-            return
-        for x in range(lo, hi + 1):
-            yield from level(j - 1, (x,) + c, q + d[j] * (x - centre) ** 2)
-
-    return level(n - 1, (), 0)
-
-
-def siegel_count_exact(m, radius: float) -> int:
-    """Nonzero vectors of norm at most ``radius`` in the column lattice of a
-    2x2 or 3x3 matrix of rationals, counted in integer arithmetic.
-
-    On the reduced columns b_i of D m, with Gram matrix G, the vectors
-    c1 b1 + w of the row w = c2 b2 (+ c3 b3) fill one c1 interval
-    (``_row_count_exact``), which is empty unless the projection of w
-    orthogonal to b1 has norm at most D R.  That is the quadratic form
-    delta(c) = |b1|^2 |w|^2 - (b1.w)^2 <= |b1|^2 (D R)^2, whose rows c3
-    and c2 intervals have closed forms as well."""
-    cols, den = _reduce_exact(m)
-    r2 = (Fraction(radius) * den) ** 2
+    A row is empty unless the projection of w orthogonal to b1 has squared
+    norm at most r2: delta(c) <= a r2, the quadratic form
+    delta(c2, c3) = A c2^2 + 2 B c2 c3 + C c3^2, whose rows c3 and c2
+    intervals have closed forms as well."""
     p, q = r2.numerator, r2.denominator
-    g = [[_dot(x, y) for y in cols] for x in cols]
-    a = g[0][0]
-    # delta(c2, c3) = A c2^2 + 2 B c2 c3 + C c3^2
-    A = a * g[1][1] - g[0][1] ** 2
-    if len(cols) == 2:
-        c2_max = math.isqrt(a * p // (q * A))
-        rows = [(c2,) for c2 in range(-c2_max, c2_max + 1)]
-    else:
+    a, rows = g[0][0], [()]
+    if len(g) == 2:
+        c2_max = math.isqrt(a * p // (q * (a * g[1][1] - g[0][1] ** 2)))
+        rows = ((c2,) for c2 in range(-c2_max, c2_max + 1))
+    elif len(g) == 3:
+        A = a * g[1][1] - g[0][1] ** 2
         B = a * g[1][2] - g[0][1] * g[0][2]
         C = a * g[2][2] - g[0][2] ** 2
         disc = A * C - B * B
         c3_max = math.isqrt(A * a * p // (q * disc))
-        rows = []
-        for c3 in range(-c3_max, c3_max + 1):
-            # (A c2 + B c3)^2 + disc c3^2 <= A a (D R)^2
-            s = math.isqrt((A * a * p - q * disc * c3 * c3) // q)
-            rows += [(c2, c3) for c2 in range(-((s + B * c3) // A),
-                                              (s - B * c3) // A + 1)]
-    count = -1  # the origin
+        # (A c2 + B c3)^2 + disc c3^2 <= A a r2
+        rows = ((c2, c3) for c3 in range(-c3_max, c3_max + 1)
+                for s in [math.isqrt((A * a * p - q * disc * c3 * c3) // q)]
+                for c2 in range(-((s + B * c3) // A), (s - B * c3) // A + 1))
     for c in rows:
-        # b1.w and |w|^2 for w = c2 b2 (+ c3 b3)
         beta = sum(ci * g[0][i] for i, ci in enumerate(c, 1))
         ww = sum(ci * cj * g[i][j] for i, ci in enumerate(c, 1)
                  for j, cj in enumerate(c, 1))
-        count += _row_count_exact(a, beta, a * ww - beta * beta, p, q)
-    return count
+        delta = a * ww - beta * beta
+        yield c, beta, delta, _c1_range(a, beta, delta, p, q)
+
+
+def siegel_count_exact(m, radius: float) -> int:
+    """Nonzero vectors of norm at most ``radius`` in the column lattice of a
+    2x2 or 3x3 matrix of rationals, counted in integer arithmetic on its
+    reduced basis (``_short_rows``)."""
+    _, den, _, g = _reduced(m)
+    rows = _short_rows(g, (Fraction(radius) * den) ** 2)
+    return sum(len(c1s) for *_, c1s in rows) - 1  # the origin
 
 
 def orbit_averages(g0, support, fs) -> list:
@@ -417,53 +399,68 @@ def orbit_averages(g0, support, fs) -> list:
     (i, j) in S is nonzero: summed over v_i in Z and integrated over x, it
     covers R once.  S is closed under composition, so the free set F is
     decided by the other coordinates: those that would free one of them
-    are 0, and the rest, C, run over Z.  Per value of v_C (the rows of
-    ``_lattice_rows`` on G = g0^T g0 in the order F, C) the term is
+    are 0, and the rest, C, run over Z.  Each value of v_C adds
     ``slice_integral`` at the distance of g0 (v_C + R^F) from the origin,
-    over the Jacobian sqrt(det G_FF).  With F empty a row of values
-    f(g0 v) is summed in closed form, exact for the indicator.  The rows
-    and slices, those of v and -v counted once, may number ``ROW_CAP``;
-    more raise ``CuspExcursionError``."""
+    over the Jacobian sqrt(det G_FF), G = g0^T g0.  That distance is the
+    norm of v_C in the projection of g0 Z^C orthogonal to g0 R^F, whose
+    Gram matrix, the Schur complement of G_FF, is reduced exactly and
+    enumerated by ``_short_rows``.  With F empty a row of values f(g0 v)
+    is summed in closed form, exact for the indicator.  A row of points
+    counts once and a row of slices once per slice, at least once, those
+    of v and -v together; more than ``ROW_CAP`` raise
+    ``CuspExcursionError``."""
     n = len(g0)
-    g = [[sum(Fraction(r[i]) * r[j] for r in g0) for j in range(n)] for i in range(n)]
+    cols, den = _integer_scaled(list(zip(*g0)))
+    g, scale = [[_dot(x, y) for y in cols] for x in cols], den * den
+    classes = []
+    for mask in range(1 << n):
+        free = [i for i in range(n) if mask >> i & 1]
+        held = [j for j in range(n) if j not in free
+                and not any((i, j) in support for i in range(n) if i not in free)]
+        if not held or not all(any((i, j) in support for j in held) for i in free):
+            continue
+        # Bareiss elimination of F from G, ordered (F, C), leaves the Schur
+        # complement times its last pivot, det G_FF, in integers
+        w, piv = [[g[a][b] for b in free + held] for a in free + held], 1
+        for k in range(len(free)):
+            w, piv = [[(w[k][k] * x - row[k] * w[k][j]) // piv for j, x in enumerate(row)]
+                      for row in w], w[k][k]
+        u, w = _reduce_exact([row[len(free):] for row in w[len(free):]])
+        jac = math.sqrt(Fraction(piv, scale ** len(free)))
+        classes.append((free, held, jac, piv * scale, u, w))
     averages = []
     for f in fs:
-        r2, rows, terms, size = Fraction(f.radius) ** 2, [], [], 0
-        for mask in range(1 << n):
-            free = [i for i in range(n) if mask >> i & 1]
-            held = [j for j in range(n) if j not in free
-                    and not any((i, j) in support for i in range(n) if i not in free)]
-            if not held or not all(any((i, j) in support for j in held) for i in free):
-                continue
-            d, l = _ldl([[g[a][b] for b in free + held] for a in free + held])
-            jac = math.sqrt(math.prod(d[:len(free)]))
-            for c, lo, hi, q, centre in _lattice_rows(d, l, len(free), r2):
+        r2, terms, size = Fraction(f.radius) ** 2, [], 0
+        for free, held, jac, den, u, w in classes:
+            # |v|^2 = ((a c1 + beta)^2 + delta)/(a den) and r2 = p/(q den)
+            a, (p, q) = w[0][0], (r2 * den).as_integer_ratio()
+            terms += [] if free else [-1.0]  # the origin
+            for c, beta, delta, c1s in _short_rows(w, r2 * den):
                 # -v has the terms of v: the rows c > 0 count twice, and of
-                # the row c = 0 (centre 0) the slices x > 0
+                # the row c = 0 (beta = 0) the slices c1 > 0
                 sign = next((x for x in reversed(c) if x), 0)
                 if sign < 0:
                     continue
-                lo = max(lo, 1) if free and not sign else lo
-                size += max(hi - lo + 1, 0) if free else 1  # slices, or a row
+                if free and not sign:
+                    c1s = range(1, c1s.stop)
+                size += max(len(c1s), 1) if free else 1
                 if size > ROW_CAP:
                     raise CuspExcursionError(_TOO_DEEP)
-                rows.append((free, held, jac, d[len(free)], 2.0 if free or sign else 1.0,
-                             c, lo, hi, q, centre))
-        for free, held, jac, dk, w, c, lo, hi, q, centre in rows:
-            m = hi - lo + 1
-            if not free:  # the points of a row, with the origin when c = 0
-                if m > 0:
-                    terms.append(w * (float(m) if f.kind == INDICATOR_BALL else _bump_row(
-                        float(m), float(lo + Fraction(m - 1, 2) - centre),
-                        float(r2 - q), float(r2), float(dk / r2))))
-                if not any(c):
-                    terms.append(-1.0)
-                continue
-            for x in range(lo, hi + 1):
-                v = dict(zip(held, (x,) + c))
-                if all(any(v[j] for j in held if (i, j) in support) for i in free):
-                    rho = math.sqrt(r2 - q - dk * (x - centre) ** 2)
-                    terms.append(w * slice_integral(f, len(free), rho) / jac)
+                weight, m = 2.0 if free or sign else 1.0, len(c1s)
+                if free:
+                    for c1 in c1s:
+                        v = dict(zip(held, (_dot(row, (c1,) + c) for row in zip(*u))))
+                        if all(any(v[j] for j in held if (i, j) in support) for i in free):
+                            rho2 = (a * p - q * ((a * c1 + beta) ** 2 + delta)) / (a * q * den)
+                            terms.append(weight * slice_integral(f, len(free), math.sqrt(rho2))
+                                         / jac)
+                elif m and f.kind != INDICATOR_BALL:
+                    # t = c1 + beta/a over the row: |v|^2 = (a t^2 + delta/a)/den
+                    terms.append(weight * _bump_row(
+                        m, (2 * a * c1s[0] + a * (m - 1) + 2 * beta) / (2 * a),
+                        (a * p - q * delta) / (a * q * den), float(r2), a * q / p))
+                else:
+                    terms.append(weight * m)
         averages.append(math.fsum(terms))
     return averages
 
@@ -681,7 +678,7 @@ def _exact_rows(b, own, c2, c3: int, radius: float, n) -> None:
     """Write into n[own] the number of integers c1 with
     |c1 b1 + c2 b2 + c3 b3| <= radius (c3 = 0 in dimension 2) of each
     sample of the mask ``own``, on the float64 columns read as exact dyadic
-    rationals, in integer arithmetic (``_row_count_exact``).
+    rationals, in integer arithmetic (``_c1_range``).
 
     Each row is counted once.  The first sample's row is compared with
     every other in place, column row by column row under float ==, which
@@ -713,8 +710,8 @@ def _exact_rows(b, own, c2, c3: int, radius: float, n) -> None:
         (v1, vw), den = _integer_scaled([key[:d], w])
         r2 = (Fraction(radius) * den) ** 2
         a, beta = _dot(v1, v1), _dot(v1, vw)
-        counts.append(_row_count_exact(a, beta, a * _dot(vw, vw) - beta * beta,
-                                       r2.numerator, r2.denominator))
+        counts.append(len(_c1_range(a, beta, a * _dot(vw, vw) - beta * beta,
+                                    r2.numerator, r2.denominator)))
     n[same] = counts[0]
     n[rest] = np.array(counts[1:], dtype=float)[inv.ravel()]
 

@@ -224,26 +224,28 @@ def orbit_average(g0, support, kind, radius, m):
     grid = np.array(list(itertools.product(mids, repeat=len(moves))))
     terms = []
     for rest in np.array_split(grid, max(1, len(grid) // m)):
-        p = g0 @ v + sum(x[:, None, None] * w for x, w in zip(rest.T, moves))
-        b = np.sum(p * q, axis=-2)
-        c = np.sum(p * p, axis=-2) - radius * radius
-        # a = 0 leaves M(x) v fixed along t (then b = 0 too)
-        moving = np.broadcast_to(a > 0, b.shape)
-        disc = b * b - a * c
-        keep = np.where(moving, disc >= 0.0, c <= 0.0)
-        a_, b_, c_, moving = np.broadcast_to(a, b.shape)[keep], b[keep], c[keep], moving[keep]
-        root = np.sqrt(disc[keep])
+        p = (g0 @ v)[None] + sum(x[:, None, None] * w for x, w in zip(rest.T, moves))
+        # |M(x) v|^2 - R^2 = a (t - t0)^2 + e along t, t0 the foot of the
+        # perpendicular from 0 to the line p + t q and e = |p + t0 q|^2 - R^2
+        # taken from that point, free of the cancellation of b^2 - a c; a = 0
+        # leaves M(x) v fixed along t (then b = 0 and t0 = 0)
+        a_ = np.broadcast_to(a, p.shape[::2])
+        moving = a_ > 0
         den = np.where(moving, a_, 1.0)
-        lo = np.where(moving, np.maximum((-b_ - root) / den, 0.0), 0.0)
-        hi = np.where(moving, np.minimum((-b_ + root) / den, 1.0), 1.0)
-        hi = np.maximum(hi, lo)
+        t0 = -np.sum(p * q, axis=-2) / den
+        foot = p + t0[:, None, :] * q
+        e = np.sum(foot * foot, axis=-2) - radius * radius
+        keep = e <= 0.0
+        a_, e_, t0, moving = a_[keep], e[keep], t0[keep], moving[keep]
+        half = np.sqrt(-e_ / den[keep])
+        lo = np.where(moving, np.clip(t0 - half, 0.0, 1.0), 0.0) - t0
+        hi = np.where(moving, np.clip(t0 + half, 0.0, 1.0), 1.0) - t0
         if kind == "indicator":
             terms += (hi - lo).tolist()
             continue
 
-        def antiderivative(t):
-            return (a_ * a_ * t ** 5 / 5 + a_ * b_ * t ** 4
-                    + (4 * b_ * b_ + 2 * a_ * c_) * t ** 3 / 3 + 2 * b_ * c_ * t * t + c_ * c_ * t)
+        def antiderivative(s):  # of (a s^2 + e)^2
+            return a_ * a_ * s ** 5 / 5 + 2 * a_ * e_ * s ** 3 / 3 + e_ * e_ * s
 
         terms += ((antiderivative(hi) - antiderivative(lo)) / radius ** 4).tolist()
     return math.fsum(terms) / len(grid)

@@ -88,10 +88,7 @@ def test_cover_subcommand(tmp_path, capsys):
     assert (tmp_path / "cover.csv").exists()
 
 
-# Every table of this file carries fixed ids (the ids its cases were first
-# collected under), so a new case renames no other test.
-@pytest.mark.parametrize("text", ["", "0.5,nan,0.2\n1.0,1.0,0.3\n", "0.5,0.5,inf\n"],
-                         ids=["", "0.5,nan,0.2\n1.0,1.0,0.3\n", "0.5,0.5,inf\n"])
+@pytest.mark.parametrize("text", ["", "0.5,nan,0.2\n1.0,1.0,0.3\n", "0.5,0.5,inf\n"])
 def test_cover_rejects_empty_and_non_finite_points(tmp_path, capsys, text):
     points = tmp_path / "points.csv"
     points.write_text(text)
@@ -104,9 +101,8 @@ def test_cover_rejects_empty_and_non_finite_points(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text,message", [
-    pytest.param(None, "No such file", id="None-No such file"),
-    pytest.param("0.5,0.5,0.2\n1.0,abc,0.3\n", "could not convert",
-                 id="0.5,0.5,0.2\n1.0,abc,0.3\n-could not convert"),
+    (None, "No such file"),
+    ("0.5,0.5,0.2\n1.0,abc,0.3\n", "could not convert"),
 ])
 def test_cover_points_file_errors_are_usage_errors(tmp_path, capsys, text, message):
     points = tmp_path / "points.csv"
@@ -123,6 +119,8 @@ def test_cover_points_file_errors_are_usage_errors(tmp_path, capsys, text, messa
     assert not out.exists()
 
 
+# The cases of the tables below carry fixed ids (the positional ids they
+# were first collected under), so a new case renames no other test.
 @pytest.mark.parametrize("args", [
     pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.1", "--alpha", "1/2",
                   "--grid", "50", "--mc-samples", "-5"],
@@ -282,7 +280,7 @@ def test_equi_rejects_options_its_mode_ignores(tmp_path, capsys, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"], ids=["0", "-2"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
 def test_equi_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     with pytest.raises(SystemExit) as exc:
         run(["equi", "--map", "ul_product", "--T", "10", "--grid", "16",
@@ -428,7 +426,7 @@ def test_a_catalog_file_keeps_no_hand_set_reference(tmp_path, capsys):
     assert float(row["reference"]) == math.pi
 
 
-@pytest.mark.parametrize("workers", ["1", "2"], ids=["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2"])
 def test_equi_exits_1_beyond_the_row_cap(tmp_path, capsys, workers):
     # lambda_1 = lambda_2 = 1e-4 needs about 1e4 rows at R = 1.  The map
     # generates a unipotent group, so the reference sums over its closed

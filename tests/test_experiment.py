@@ -171,6 +171,9 @@ def slice_map(rows, map_vars=("x",)):
     # g(0) = diag(2, 1/2): the lines n != 0 have Jacobian 2
     pytest.param(slice_map([["2", "2 * x"], ["0", "1/2"]]), [[2, 0], [0, 0.5]], [(0, 1)], 1,
                  (1e-12, 1e-12), id="g0_horo"),
+    # g(0) in SL(2, Z), far from reduced: the lines lie 1/|(30, 1)| apart
+    pytest.param(slice_map([["30", "30 * x + 29"], ["1", "x + 1"]]), [[30, 29], [1, 1]],
+                 [(0, 1)], 1, (1e-12, 1e-12), id="skew_horo"),
 ])
 def test_closed_orbit_references_match_the_orbit_oracle(entry, g0, support, m, tolerance):
     for kind, rel in zip(("indicator", "bump"), tolerance):
@@ -194,6 +197,19 @@ def test_a_catalog_orbit_through_another_lattice_matches_the_orbit_oracle(tmp_pa
             [ref] = periodic_reference(entry, [TF(kind, radius)])
             want = oracles.orbit_average(g0, [(0, 2), (1, 2)], kind, radius, 64)
             assert ref == pytest.approx(want, rel=rel, abs=1e-12), (kind, radius)
+
+
+@pytest.mark.parametrize("rows", [
+    [["10000", "9999"], ["1", "1"]],  # Z^2, in a basis of vectors 1e4 long
+    [["1", "0", "0"], ["0", "1000000", "1/7"], ["0", "0", "1/1000000"]],
+], ids=["2d", "3d"])
+def test_a_constant_map_reference_is_its_lattice_sum_in_any_basis(rows):
+    # the enumeration runs on the exactly reduced basis: an unreduced g(0)
+    # gives the exact sums over its lattice, not rows along its columns
+    norms = oracles.exact_norms([[Fraction(x) for x in row] for row in rows], 2)
+    ref = periodic_reference(slice_map(rows), [TF("indicator", 1.0), TF("bump", 2.0)])
+    assert ref[0] == sum(r2 <= 1 for r2 in norms)
+    assert ref[1] == pytest.approx(float(sum((1 - r2 / 4) ** 2 for r2 in norms)), rel=1e-14)
 
 
 def test_the_closed_orbit_enumeration_raises_beyond_the_row_cap():
