@@ -190,7 +190,9 @@ def _cmd_flow(args) -> int:
         }
     else:
         lam = args.lam or entry.default_lambda
-        c, lam_norm = normalize_exponents(lam)
+        exps = [[dict(mono).get(v, 0) for v in entry.map_vars]
+                for row in entry.matrix.entries for p in row for mono, _ in p.terms()]
+        c, lam_norm = normalize_exponents(lam, exps)
         theta = rescale(entry.matrix, lam_norm, entry.map_vars)
         res = compute_flow(theta)
         report = group_law_check(res, trials=args.trials, seed=args.seed)

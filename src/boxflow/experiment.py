@@ -300,7 +300,7 @@ def _observable_values(
 
 def _average(values: np.ndarray) -> float:
     """The mean of the values of every sample, summed exactly."""
-    return math.fsum(values.tolist()) / values.shape[0]
+    return math.fsum(memoryview(values)) / values.shape[0]
 
 
 def _nondiv(lam1: np.ndarray, eps0_list: Sequence[float]) -> tuple:

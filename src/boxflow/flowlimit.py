@@ -68,9 +68,13 @@ def rescale(
     return theta_map.substitute(bindings)
 
 
-def normalize_exponents(lam: Sequence[Fraction]):
-    """Rescale box exponents so each exceeds 1 and at least one is not an
-    integer, returning (c, c*lambda).
+def normalize_exponents(lam: Sequence[Fraction], exponents=None):
+    """Rescale box exponents so each exceeds 1 and at least one t-exponent
+    of the rescaled map, c * sum(lambda_i e_i) over the exponent vectors e
+    of its monomials (``exponents``; without them, the c * lambda_i), is
+    not an integer, returning (c, c*lambda).  When the first c of the
+    lambda_i rule works, both rules return it: an earlier candidate makes
+    every c lambda_i, so every c * sum(lambda_i e_i), an integer.
 
     Candidates are scanned on dyadic grids of increasing fineness: first
     1, 3/2, 2, 5/2, ... then the new quarter-integer values 5/4, 7/4, ...,
@@ -81,11 +85,12 @@ def normalize_exponents(lam: Sequence[Fraction]):
     lam = [Fraction(v) for v in lam]
     if not lam or any(v <= 0 for v in lam):
         raise DomainError("box exponents must be positive")
+    # a constant map keeps the lambda_i, for compute_flow to reject
+    t_exps = {sum(v * x for v, x in zip(lam, e)) for e in exponents or ()} - {0} or lam
 
     def admissible(c: Fraction) -> bool:
-        scaled = [c * v for v in lam]
-        return all(s > 1 for s in scaled) and any(
-            s.denominator != 1 for s in scaled
+        return all(c * v > 1 for v in lam) and any(
+            (c * s).denominator != 1 for s in t_exps
         )
 
     cap = max(Fraction(2), max(1 / v for v in lam)) + 4

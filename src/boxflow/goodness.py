@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .doubledouble import U, U2, dd_add_into, dd_mul_d_into, split
+from .doubledouble import U, U2, dd_mul_d_into, dd_sum_into, split
 from .errors import DomainError
 from .polyalg import NEG_INF, GenPoly
 
@@ -178,7 +178,7 @@ class GridPoly:
             for j, e in enumerate(exps):
                 for _ in range(e):
                     dd_mul_d_into(th, tl, x[j], xs[j], (th, tl), tmp)
-            dd_add_into(hi, lo, th, tl, tmp)
+            dd_sum_into(hi, lo, th, tl, tmp)
 
 
 def poly_grid_fn(p: GenPoly, var_order: Sequence[str]) -> GridPoly:

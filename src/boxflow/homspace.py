@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .doubledouble import ADD_ERR, MUL_D_ERR, U, U2, dd_sub_mul_d
+from .doubledouble import ADD_MUL_ERR, U, U2, dd_add_mul_into, split
 from .errors import CuspExcursionError, DomainError
 
 # a certified reduced basis lies within this 2-norm distance, per column,
@@ -161,14 +161,16 @@ def lagrange_reduce(s, d, dd):
     return done
 
 
-def lagrange_rows(s, d, dd):
+def lagrange_rows(s, d, dd, w=None):
     """The passes of ``lagrange_reduce`` on the row state ``s`` of column
     pairs with their squared norms set, in place.  Each column is left as
     it was on the pass where its mu first became 0, or as it came if it
     was not finite or had a zero column on entry.  Returns the mask of the
-    samples whose reduction converged."""
+    samples whose reduction converged.  ``w``, contiguous, may hold the
+    scratch rows."""
+    # a step's rounding: c_mul |mu u| + c_add |v - mu u| (``dd_add_mul_into``)
     if dd:
-        c_mul, c_add = MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01
+        c_mul, c_add = (c * U2 * 1.01 for c in ADD_MUL_ERR)
     else:
         c_mul = c_add = U * 1.01
     done = np.isfinite(s).all(axis=(0, 1)) & (s[0, NORM] != 0) & (s[1, NORM] != 0)
@@ -179,9 +181,13 @@ def lagrange_rows(s, d, dd):
     # the rows contiguous, where s[..., mask] would return them strided)
     t = s if idx.size == s.shape[2] else np.compress(done, s, axis=2)
     fin = np.zeros(idx.size, dtype=bool)  # active columns already written back
-    # scratch rows of a pass: the dot products (mu in row 0), then the
-    # product mu u and the temporaries of the double-double step
-    w = np.empty((8 if dd else 2, d, idx.size))
+    # scratch rows of a pass, a column block for the swap: the dot products
+    # (mu in row 0), then mu u or the five temporaries of the double-double
+    # step.  Eight rows in double-double: with six, glibc mapped fresh pages
+    # for later chunks, 18,987 minor faults per seed-7 bcond2d_poly23
+    # iteration against 12,770 (2-core Xeon)
+    if w is None:
+        w = np.empty((8 if dd else 2, d, idx.size))
     for _ in range(256):
         n_fin = np.count_nonzero(fin)
         if n_fin == fin.size:
@@ -214,15 +220,16 @@ def _lagrange_pass(s, d, c_mul, c_add, dd, w):
     u, v = s
     swap = u[NORM] > v[NORM]
     if swap.any():
-        _swap(u, v, swap)
+        _swap(u, v, swap, w)
     uu, vv, eu, ev = u[NORM], v[NORM], u[BOUND], v[BOUND]
     cu, cv = u[:d], v[:d]
-    w = w[:, :, :s.shape[2]]
+    w = np.ndarray((len(w), d, s.shape[2]), buffer=w)
     mu = _coord_dot(cu, cv, w[0])
     np.divide(mu, uu, out=mu)
     np.round(mu, out=mu)
     if dd:
-        dd_sub_mul_d(cv, v[d:2 * d], cu, u[d:2 * d], mu, w[1:])
+        np.negative(mu, out=mu)  # v + (-mu) u; |mu| and mu != 0 read the same
+        dd_add_mul_into(cv, v[d:2 * d], cu, u[d:2 * d], mu, split(mu), w[1:])
     else:
         np.multiply(mu, cu, out=w[1])
         np.subtract(cv, w[1], out=cv)
@@ -244,12 +251,14 @@ def _lagrange_pass(s, d, c_mul, c_add, dd, w):
     return moved
 
 
-def _swap(x, y, swap):
+def _swap(x, y, swap, w):
     """Exchange the column blocks ``x`` and ``y`` of a row state in the
     samples where ``swap`` is set, in place (xor swap of the bits): exact,
-    and branch-free where np.where on a random mask is not."""
+    and branch-free where np.where on a random mask is not.  The start of
+    the contiguous scratch array ``w`` holds the xor as one block."""
     a, b = x.view(np.int64), y.view(np.int64)
-    t = a ^ b
+    t = np.ndarray(x.shape, np.int64, w)
+    np.bitwise_xor(a, b, out=t)
     t *= swap
     a ^= t
     b ^= t
@@ -500,6 +509,8 @@ def sl3_greedy(s):
     idx = np.nonzero(done)[0]
     # the active samples: s itself until a sample finishes, then a copy
     t = s if idx.size == s.shape[2] else np.compress(done, s, axis=2)
+    # scratch rows of the swaps, the Lagrange passes and the closest step
+    w = np.empty((2, 3, idx.size))
     for _ in range(256):
         if idx.size == 0:
             break
@@ -507,9 +518,9 @@ def sl3_greedy(s):
             # strict >: equal lengths keep their order, as in a stable sort
             swap = t[i, NORM] > t[j, NORM]
             if swap.any():
-                _swap(t[i], t[j], swap)
-        ok = lagrange_rows(t[:2], 3, False)
-        _closest_step(t)
+                _swap(t[i], t[j], swap, w)
+        ok = lagrange_rows(t[:2], 3, False, w)
+        _closest_step(t, np.ndarray((2, 3, idx.size), buffer=w))
         fin = ~ok | (t[2, NORM] >= t[1, NORM])
         if fin.any():
             if t is not s:
@@ -524,16 +535,16 @@ def sl3_greedy(s):
     return done
 
 
-def _closest_step(s):
+def _closest_step(s, w):
     """b3 <- b3 - y1 b1 - y2 b2 on the row state ``s`` of ``sl3_greedy``,
     in place, for the closest vector y1 b1 + y2 b2 of L(b1, b2) to b3 among
     the three candidates of ``_reduce_exact``, with b3's squared norm and
     bound: e3 + |y| e_i plus the rounding of each float64 step, none where
-    y = 0."""
+    y = 0.  ``w`` holds its scratch rows: a candidate and the products of
+    a dot product."""
     b1, b2, b3 = s[:, :3]
     a, c = s[0, NORM], s[1, NORM]
-    # scratch rows: a candidate and the products of a dot product
-    res, p = np.empty((2, 3, a.size))
+    res, p = w
     # + 0.0 copies each dot product out of the scratch row p, which the
     # next ``_coord_dot`` overwrites (without it ab, r1 and r2 would all
     # read the last one); it also makes a zero sum +0.0, as np.sum does,

@@ -322,9 +322,9 @@ def greedy3(g):
 
 
 # -- double-double ---------------------------------------------------------------
-# Dekker's error-free transformations and the double-double product and sum
-# in their textbook functional form: the bit reference of the in-place
-# forms in ``boxflow.doubledouble``.
+# Dekker's error-free transformations and the double-double product, sum and
+# fused Lagrange step in their textbook functional form: the bit reference of
+# the in-place forms in ``boxflow.doubledouble``.
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 
@@ -361,11 +361,16 @@ def dd_mul_d(hi, lo, b):
     return quick_two_sum(p, e + lo * b)
 
 
-def dd_add(ahi, alo, bhi, blo):
+def dd_sum(ahi, alo, bhi, blo):
     s, e = two_sum(ahi, bhi)
-    t, f = two_sum(alo, blo)
-    s, e = quick_two_sum(s, e + t)
-    return quick_two_sum(s, e + f)
+    return two_sum(s, e + (alo + blo))
+
+
+def dd_add_mul(vhi, vlo, uhi, ulo, b):
+    """(vhi + vlo) + b (uhi + ulo), the fused Lagrange step."""
+    p, e = two_prod(uhi, b)
+    s, x = two_sum(vhi, p)
+    return two_sum(s, ((vlo + b * ulo) + e) + x)
 
 
 # -- polynomial ring ---------------------------------------------------------------

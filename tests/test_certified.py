@@ -17,10 +17,12 @@ from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
 from boxflow.doubledouble import (
     BLOCK,
+    ADD_MUL_ERR,
+    U,
     U2,
-    dd_add_into,
+    dd_add_mul_into,
     dd_mul_d_into,
-    dd_sub_mul_d,
+    dd_sum_into,
     split,
 )
 from boxflow.errors import PrecisionError
@@ -55,6 +57,18 @@ def _fr(hi, lo=0.0):
 
 # -- double-double arithmetic -------------------------------------------------
 
+# the charges: the product's relative 2 U^2, the sum's absolute 3 U^2 per
+# unit of |a| + |b| and the fused step's ``ADD_MUL_ERR``, each with the
+# callers' slack 1.01
+C_SUM = 3 * F(U2) * F(1.01)
+C_MUL, C_ADD = (F(c) * F(U2) * F(1.01) for c in ADD_MUL_ERR)
+
+
+def _dd(rng, shape, exp_lo, exp_hi):
+    """Random normalized double-double arrays (hi, lo): |lo| <= ulp(hi)/2."""
+    hi = rng.standard_normal(shape) * 10.0 ** rng.integers(exp_lo, exp_hi, shape)
+    return oracles.two_sum(hi, hi * rng.uniform(-1, 1, shape) * 2.0 ** -53)
+
 
 def test_error_free_transformations_are_exact():
     # on zero low parts the in-place product and sum are Dekker's two_prod
@@ -67,29 +81,81 @@ def test_error_free_transformations_are_exact():
     p, f = np.empty(200), np.empty(200)
     dd_mul_d_into(a, zero, b, split(b), (p, f), w)
     s, e = a.copy(), zero.copy()
-    dd_add_into(s, e, b, zero, w)
+    dd_sum_into(s, e, b, zero, w)
     for i in range(200):
         assert _fr(s[i], e[i]) == F(a[i]) + F(b[i])
         assert _fr(p[i], f[i]) == F(a[i]) * F(b[i])
 
 
 def test_double_double_ops_within_charged_bounds():
+    # the product within 2 U^2 of its value; the sum within its charge,
+    # on sums that cancel to 1e-9 of their terms and on zero low parts
     rng = np.random.default_rng(6)
-    hi = rng.standard_normal(200) * 1e11
-    lo = hi * rng.uniform(-1, 1, 200) * 2.0 ** -54
+    hi, lo = _dd(rng, 200, 11, 12)
     b = np.round(rng.standard_normal(200) * 1e6)
-    bh = -hi * b * (1 + rng.uniform(-1e-9, 1e-9, 200))
-    bl = bh * rng.uniform(-1, 1, 200) * 2.0 ** -54
+    bh, bl = oracles.two_sum(-hi * b * (1 + rng.uniform(-1e-9, 1e-9, 200)),
+                             hi * b * rng.uniform(-1, 1, 200) * 2.0 ** -53)
+    bl[:20] = 0.0
     w = np.empty((5, 200))
     ph, pl = np.empty(200), np.empty(200)
     dd_mul_d_into(hi, lo, b, split(b), (ph, pl), w)
+    pl[:20] = 0.0
     sh, sl = ph.copy(), pl.copy()
-    dd_add_into(sh, sl, bh, bl, w)
+    dd_sum_into(sh, sl, bh, bl, w)
     for i in range(200):
         exact_p = _fr(hi[i], lo[i]) * F(b[i])
-        assert abs(_fr(ph[i], pl[i]) - exact_p) <= 2 * U2 * abs(exact_p)
-        exact_s = _fr(ph[i], pl[i]) + _fr(bh[i], bl[i])
-        assert abs(_fr(sh[i], sl[i]) - exact_s) <= 3 * U2 * abs(exact_s)
+        if i >= 20:
+            assert abs(_fr(ph[i], pl[i]) - exact_p) <= 2 * U2 * abs(exact_p)
+        a, c = _fr(ph[i], pl[i]), _fr(bh[i], bl[i])
+        assert abs(_fr(sh[i], sl[i]) - (a + c)) <= C_SUM * (abs(a) + abs(c))
+
+
+def _step_case(name, rng, n=400):
+    """Normalized (vhi, vlo, uhi, ulo) and integer mu of one case of the
+    fused Lagrange step v - mu u."""
+    uh, ul = _dd(rng, n, -3, 12)
+    vh, vl = _dd(rng, n, -3, 12)
+    mu = np.round(rng.standard_normal(n) * 10.0 ** rng.integers(0, 6, n))
+    if name == "big_mu":
+        mu = np.round(rng.uniform(2.0 ** 26, 2.0 ** 40, n) * rng.choice([-1.0, 1.0], n))
+    elif name == "mu_zero":
+        mu = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    elif name == "zero_low_parts":
+        ul[:], vl[:] = 0.0, 0.0
+    elif name == "v_dominates":
+        # |mu u| far below |v|: the charge's c_add part carries it
+        mu = np.round(rng.uniform(-9, 9, n))
+        uh, ul = uh * 1e-9, ul * 1e-9
+    if name in ("cancellation", "big_mu"):
+        # v = mu u to about U^2 |v|, so |v - mu u| < U |v|
+        mu[mu == 0] = 1.0
+        ph, pl = oracles.dd_mul_d(uh, ul, mu)
+        vh, vl = oracles.two_sum(ph, pl * (1 + rng.uniform(-1e-6, 1e-6, n)))
+    return vh, vl, uh, ul, mu
+
+
+STEP_CASES = ["random", "cancellation", "big_mu", "mu_zero", "zero_low_parts", "v_dominates"]
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_fused_step_within_its_charge(name):
+    # the step v + b u with b = -mu, as in the Lagrange pass:
+    # |result - (v - mu u)| <= C_MUL |mu u| + C_ADD |v - mu u| per element,
+    # in exact rationals; mu = 0 leaves the value as it is
+    rng = np.random.default_rng(STEP_CASES.index(name))
+    vh, vl, uh, ul, mu = _step_case(name, rng)
+    gh, gl = vh.copy(), vl.copy()
+    dd_add_mul_into(gh, gl, uh, ul, -mu, split(-mu), np.empty((5, mu.size)))
+    cancelled = 0
+    for i in range(mu.size):
+        v, bu = _fr(vh[i], vl[i]), F(mu[i]) * _fr(uh[i], ul[i])
+        err = abs(_fr(gh[i], gl[i]) - (v - bu))
+        assert err <= C_MUL * abs(bu) + C_ADD * abs(v - bu)
+        if name == "mu_zero":
+            assert err == 0
+        cancelled += abs(v - bu) < F(U) * abs(v)
+    if name in ("cancellation", "big_mu"):
+        assert cancelled == mu.size
 
 
 def test_in_place_forms_are_the_functional_forms_bit_for_bit():
@@ -98,17 +164,16 @@ def test_in_place_forms_are_the_functional_forms_bit_for_bit():
     # 2^26 (a nonzero low half) and fractions; signed zeros included
     rng = np.random.default_rng(8)
     n = 600
-    hi = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-6, 12, (3, n))
-    lo = hi * rng.uniform(-1, 1, (3, n)) * 2.0 ** -54
+    hi, lo = _dd(rng, (3, n), -6, 12)
     hi[:, :5], lo[:, :5] = -0.0, 0.0
-    vhi = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-6, 12, (3, n))
-    vlo = vhi * rng.uniform(-1, 1, (3, n)) * 2.0 ** -54
+    vhi, vlo = _dd(rng, (3, n), -6, 12)
+    vhi[:, 5:9], vlo[:, 5:9] = -0.0, -0.0
     b = np.concatenate([np.round(rng.standard_normal(200) * 1e3),
                         np.round(rng.uniform(2.0 ** 26, 2.0 ** 40, 200)
                                  * rng.choice([-1.0, 1.0], 200)),
                         rng.standard_normal(200)])
     b[:3] = [0.0, -0.0, 1.0]
-    w = np.empty((7, 3, n))
+    w = np.empty((5, 3, n))
     ph, pl = oracles.dd_mul_d(hi, lo, b)
     fresh = np.empty((3, n)), np.empty((3, n))
     dd_mul_d_into(hi, lo, b, split(b), fresh, w)
@@ -116,14 +181,18 @@ def test_in_place_forms_are_the_functional_forms_bit_for_bit():
     dd_mul_d_into(*aliased, b, split(b), aliased, w)
     for got in (fresh, aliased):
         assert got[0].tobytes() == ph.tobytes() and got[1].tobytes() == pl.tobytes()
-    sh, sl = oracles.dd_add(vhi, vlo, ph, pl)
-    got = vhi.copy(), vlo.copy()
-    dd_add_into(*got, ph, pl, w)
-    assert got[0].tobytes() == sh.tobytes() and got[1].tobytes() == sl.tobytes()
-    sh, sl = oracles.dd_add(vhi, vlo, -ph, -pl)
-    got = vhi.copy(), vlo.copy()
-    dd_sub_mul_d(*got, hi, lo, b, w)
-    assert got[0].tobytes() == sh.tobytes() and got[1].tobytes() == sl.tobytes()
+    # the sum, of two arrays and of an array with itself
+    for other in ((ph, pl), None):
+        got = vhi.copy(), vlo.copy()
+        sh, sl = oracles.dd_sum(*got, *(other or got))
+        dd_sum_into(*got, *(other or got), w)
+        assert got[0].tobytes() == sh.tobytes() and got[1].tobytes() == sl.tobytes()
+    # the fused step, v + b u and v + b v
+    for u in ((hi, lo), None):
+        got = vhi.copy(), vlo.copy()
+        sh, sl = oracles.dd_add_mul(*got, *(u or got), b)
+        dd_add_mul_into(*got, *(u or got), b, split(b), w)
+        assert got[0].tobytes() == sh.tobytes() and got[1].tobytes() == sl.tobytes()
 
 
 # -- the kernel against the exact oracle ------------------------------------------

@@ -39,6 +39,14 @@ def test_flow_subcommand_outputs(tmp_path, capsys):
     assert "config_hash" in config
 
 
+def test_flow_normalizes_on_the_map_exponents(tmp_path, capsys):
+    # lambda = 1 on x^2: c = 3/2 would make every t-exponent an integer
+    code = run(["flow", "--map", "u_squared", "--lambda", "1", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "normalization c = 5/4; scaled lambda = 5/4" in out and "q = 3/2" in out
+
+
 def test_flow_twodim_subcommand(tmp_path, capsys):
     code = run(["flow", "--map", "poly23", "--twodim", "--out", str(tmp_path)])
     assert code == 0

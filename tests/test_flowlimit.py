@@ -93,6 +93,29 @@ def test_normalize_postconditions_random():
         assert scaled == tuple(c * v for v in lam)
 
 
+def map_exponents(entry):
+    """The exponent vector of every monomial of a catalog map, in the
+    order of its variables."""
+    return [[dict(mono).get(v, 0) for v in entry.map_vars]
+            for row in entry.matrix.entries for p in row for mono, _ in p.terms()]
+
+
+def test_normalize_on_the_realized_exponents():
+    # u_squared's x^2 at lambda = 1: c = 3/2 makes every t-exponent (0 and
+    # 3) an integer, so the search goes on to 5/4, whose t^(5/2) is not
+    entry = builtin_catalog()["u_squared"]
+    assert normalize_exponents([F(1)]) == (F(3, 2), (F(3, 2),))
+    assert normalize_exponents([F(1)], map_exponents(entry)) == (F(5, 4), (F(5, 4),))
+    # a constant map keeps the rule on lambda
+    assert normalize_exponents([F(1)], [[0], [0]]) == (F(3, 2), (F(3, 2),))
+
+
+def test_every_catalog_default_lambda_keeps_its_c():
+    for entry in builtin_catalog().values():
+        lam = entry.default_lambda
+        assert normalize_exponents(lam, map_exponents(entry)) == normalize_exponents(lam)
+
+
 # -- compute_flow: the hand-derived case -------------------------------------
 
 

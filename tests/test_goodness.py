@@ -502,7 +502,7 @@ class ReferenceEntryTerms:
             for j, e in enumerate(exps):
                 for _ in range(e):
                     th, tl = oracles.dd_mul_d(th, tl, pts[:, j])
-            hi, lo = oracles.dd_add(hi, lo, th, tl)
+            hi, lo = oracles.dd_sum(hi, lo, th, tl)
         return hi, lo
 
 

@@ -19,7 +19,7 @@ from rowstate import lagrange, reduce_bases
 
 import boxflow
 from boxflow import experiment, homspace
-from boxflow.doubledouble import ADD_ERR, MUL_D_ERR, U, U2
+from boxflow.doubledouble import U, U2
 from boxflow.errors import DomainError
 from boxflow.homspace import TestFunction as TF
 from boxflow.homspace import (
@@ -475,11 +475,11 @@ def test_lagrange_charges_the_documented_bounds(dd):
     # pair 0 takes one step, v <- v - 3 u, to v = (42000, 144000) of norm
     # 150000, then mu = 0; pair 1 is reduced, mu = 0 at once.  A pass
     # charges v with ev + |mu| eu + c_mul |mu| |u| + c_add [mu != 0] |v|, v
-    # after the step, with c_mul = c_add = 1.01 U in float64 and 1.01 (2, 3)
+    # after the step, with c_mul = c_add = 1.01 U in float64 and 1.01 (9, 4)
     # U^2 in double-double; the terms are of one size, so dropping any of
     # them shows.  lagrange_reduce then adds U |b| to each double-double
     # column b, the rounding of its value to the high part
-    c_mul, c_add = (MUL_D_ERR * U2 * 1.01, ADD_ERR * U2 * 1.01) if dd else (U * 1.01,) * 2
+    c_mul, c_add = (9 * U2 * 1.01, 4 * U2 * 1.01) if dd else (U * 1.01,) * 2
     scale = 1e-16 if dd else 1.0
     eu, ev = np.array([1e-11, 1e-11]) * scale, np.array([3e-11, 3e-11]) * scale
     s = row_state(2, 2, 2, dd)
@@ -643,7 +643,7 @@ def test_closest_step_charges_the_documented_bound():
     s[2, :3] = r[:, None] + 2.0 ** 17 * np.stack([y[:, 0], y[:, 1], 0 * y[:, 0]])
     s[:, BOUND] = e[:, None]
     homspace._set_norms(s, 3)
-    homspace._closest_step(s)
+    homspace._closest_step(s, np.empty((2, 3, 3)))
     assert (s[2, :3] == r[:, None]).all() and (s[2, NORM] == r @ r).all()
     for k, (y1, y2) in enumerate(y):
         b3 = r + 2.0 ** 17 * np.array([0.0, y2, 0.0])  # after the first step
@@ -696,9 +696,9 @@ def test_greedy_compacts_over_passes(monkeypatch):
     active = []
     closest_step = homspace._closest_step
 
-    def counting(s):
+    def counting(s, w):
         active.append(s.shape[-1])
-        return closest_step(s)
+        return closest_step(s, w)
 
     monkeypatch.setattr(homspace, "_closest_step", counting)
     b, _, done = reduce_bases(np.stack(mats), rng.uniform(0, 1e-12, (300, 3)))
@@ -723,9 +723,9 @@ def test_greedy_writes_back_the_samples_still_moving_at_the_pass_cap(monkeypatch
     active = []
     closest_step = homspace._closest_step
 
-    def stuck(s):
+    def stuck(s, w):
         active.append(s.shape[-1])
-        closest_step(s)
+        closest_step(s, w)
         s[2, NORM] = np.nan
 
     monkeypatch.setattr(homspace, "_closest_step", stuck)
