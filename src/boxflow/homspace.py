@@ -174,41 +174,37 @@ def lagrange_rows(s, d, dd, w=None):
     else:
         c_mul = c_add = U * 1.01
     done = np.isfinite(s).all(axis=(0, 1)) & (s[0, NORM] != 0) & (s[1, NORM] != 0)
-    idx = np.nonzero(done)[0]
-    # the active samples: s itself until a sample finishes, then a copy,
-    # from which the finished columns are written back on the pass where
-    # they finish and dropped once they are half of it (np.compress keeps
-    # the rows contiguous, where s[..., mask] would return them strided)
-    t = s if idx.size == s.shape[2] else np.compress(done, s, axis=2)
-    fin = np.zeros(idx.size, dtype=bool)  # active columns already written back
+    # the active samples.  A step with mu = 0 is exact and keeps every bit
+    # of a finished pair but a zero's sign (double-doubles normalized as
+    # two_sum leaves them), so finished pairs stay in place until they are
+    # half of the state; then the moving ones are gathered into a level of
+    # their own, written back once after the passes (np.compress keeps the
+    # rows contiguous, where s[..., mask] would not)
+    t = s if done.all() else np.compress(done, s, axis=2)
+    levels = []
     # scratch rows of a pass, a column block for the swap: the dot products
     # (mu in row 0), then mu u or the five temporaries of the double-double
     # step.  Eight rows in double-double: with six, glibc mapped fresh pages
     # for later chunks, 18,987 minor faults per seed-7 bcond2d_poly23
     # iteration against 12,770 (2-core Xeon)
     if w is None:
-        w = np.empty((8 if dd else 2, d, idx.size))
+        w = np.empty((8 if dd else 2, d, t.shape[2]))
     for _ in range(256):
-        n_fin = np.count_nonzero(fin)
-        if n_fin == fin.size:
-            break
-        if 2 * n_fin >= fin.size:
-            keep = ~fin
-            t, idx, fin = np.compress(keep, t, axis=2), idx[keep], fin[keep]
         moved = _lagrange_pass(t, d, c_mul, c_add, dd, w)
-        new = ~(moved | fin)
-        if new.any():
-            if t is s:
-                keep = ~new
-                t, idx, fin = np.compress(keep, t, axis=2), idx[keep], fin[keep]
-            else:
-                s[..., idx[new]] = np.compress(new, t, axis=2)
-                fin |= new
-    else:
-        # the samples still moving after the last pass
-        rest = ~fin
-        s[..., idx[rest]] = np.compress(rest, t, axis=2)
-        done[idx[rest]] = False
+        n = np.count_nonzero(moved)
+        if n == 0:
+            break
+        if 2 * n <= moved.size:
+            levels.append((t, moved))
+            t, moved = np.compress(moved, t, axis=2), moved[moved]
+    # a sample still moving after the last pass did not converge
+    for parent, keep in reversed(levels):
+        parent[..., keep] = t
+        keep[keep] = moved
+        t, moved = parent, keep
+    if t is not s:
+        s[..., done] = t
+    done[done] = ~moved
     return done
 
 
@@ -496,12 +492,14 @@ def sl3_greedy(s):
     follow them; every dot product is summed in coordinate order.
 
     The squared norms are computed here.  A sample's columns are written
-    back on the pass where it finishes, as ``lagrange_rows`` writes them,
-    and the finished samples are dropped.  A sample whose state is not
-    finite on entry (a coordinate or bound, or a squared norm beyond
-    float64), or that has a column of squared norm 0, is left as it came,
-    not converged.  Returns the mask of the samples whose reduction
-    converged; the columns of each are left shortest first.
+    back on the pass where it finishes, and the finished samples are
+    dropped: unlike a finished pair of ``lagrange_rows``, which stays in
+    place, a finished sample is not known to keep every bit through a
+    further greedy pass.  A sample whose state is not finite on entry (a
+    coordinate or bound, or a squared norm beyond float64), or that has a
+    column of squared norm 0, is left as it came, not converged.  Returns
+    the mask of the samples whose reduction converged; the columns of each
+    are left shortest first.
     """
     _set_norms(s, 3)
     done = (np.isfinite(s).all(axis=(0, 1)) & (s[0, NORM] != 0)
@@ -662,27 +660,30 @@ def _rows(shape, r):
     |c3| h3 <= r and |c2 + c3 nu| h2 <= sqrt(r^2 - (c3 h3)^2) give the rows;
     in dimension 2 (h3 = inf) only c3 = 0.  Row -(c2, c3) mirrors row
     (c2, c3) exactly, so only c3 > 0, and c3 = 0 with c2 >= 0, are yielded,
-    as (weight, c2, c3, centre, d2), with weight 1 for the row of the origin
-    and 2 for the others.  The rows c3 = 0 are shared by all samples, up to
-    the largest c2 any of them needs: a sample beyond its own last row has
-    d2 > r^2.  A sample without a row c3 > 0 yields d2 = r^2 + 1.  Every
-    step is monotone in r, so no row loses vectors as r grows.  A sample
-    needs at most r/h2 + 1 + (r/h3)(2 r/h2 + 1) rows; when that bound
-    exceeds ``ROW_CAP`` for any sample, it raises ``CuspExcursionError``."""
+    as (weight, k, c2, c3, centre, d2): weight 1 for the row of the origin
+    and 2 for the others, and c2 (an array if c3 > 0), centre and d2 on the
+    samples k within the bounds above, all of them (a slice) for the row
+    of the origin.  The rows c3 = 0 run up to the largest c2 any sample
+    needs.  Every step is monotone in r, so no row loses vectors as r
+    grows.  A sample needs at most r/h2 + 1 + (r/h3)(2 r/h2 + 1) rows;
+    when that bound exceeds ``ROW_CAP`` for any sample, it raises
+    ``CuspExcursionError``."""
     _, m12, m13, h2, nu, h3 = shape
     r = np.broadcast_to(r, h2.shape)
     reach2, reach3 = r / h2, r / h3
     if np.any(reach2 + 1.0 + reach3 * (2.0 * reach2 + 1.0) > ROW_CAP):
         raise CuspExcursionError(_TOO_DEEP)
     for c2 in range(int(np.max(reach2, initial=0.0)) + 1):
-        yield 1.0 if c2 == 0 else 2.0, c2, 0, -c2 * m12, (c2 * h2) ** 2
+        d2 = (c2 * h2) ** 2
+        k = slice(None) if c2 == 0 else np.flatnonzero(d2 <= r * r)
+        yield 1.0 if c2 == 0 else 2.0, k, c2, 0, -c2 * m12[k], d2[k]
     for c3 in range(1, int(np.max(reach3, initial=0.0)) + 1):
         lo, n = _interval(-c3 * nu, r * r - (c3 * h3) ** 2, h2)
         for j in range(int(np.max(n, initial=0.0))):
-            c2 = lo + j
-            d2 = (h2 * (c2 + c3 * nu)) ** 2 + (c3 * h3) ** 2
-            np.copyto(d2, r * r + 1.0, where=~(j < n))
-            yield 2.0, c2, c3, -(c2 * m12 + c3 * m13), d2
+            k = np.flatnonzero(j < n)
+            c2 = lo[k] + j
+            d2 = (h2[k] * (c2 + c3 * nu[k])) ** 2 + (c3 * h3[k]) ** 2
+            yield 2.0, k, c2, c3, -(c2 * m12[k] + c3 * m13[k]), d2
 
 
 def _exact_rows(b, own, c2, c3: int, radius: float, n) -> None:
@@ -741,17 +742,18 @@ def _margin(shape, eps, norm1, big):
 def _row_sums(b, e, shape, f: TestFunction):
     """Sum of the profile of ``f`` over the lattice vectors, the origin
     included, per sample, and the mask of the samples whose indicator
-    count the column bounds ``e`` leave in doubt (``siegel_sums``)."""
+    count the column bounds ``e`` leave in doubt (``siegel_sums``).  Each
+    row runs on the samples it reaches (``_rows``)."""
     b11 = shape[0]
     norm1 = np.sqrt(b11)
     radius = f.radius
     r2 = radius * radius
     total = np.zeros(b.shape[0])
     if f.kind != INDICATOR_BALL:
-        for w, _, _, centre, d2 in _rows(shape, radius):
-            lo, n = _interval(centre, r2 - d2, norm1)
-            total += w * _bump_row(n, lo + (n - 1.0) / 2.0 - centre, r2 - d2,
-                                   r2, b11 / r2)
+        for w, k, _, _, centre, d2 in _rows(shape, radius):
+            lo, n = _interval(centre, r2 - d2, norm1[k])
+            total[k] += w * _bump_row(n, lo + (n - 1.0) / 2.0 - centre, r2 - d2,
+                                      r2, b11[k] / r2)
         return total, np.zeros(b.shape[0], dtype=bool)
     c = b.transpose(2, 1, 0)
     eps = [e[:, j] + _ROW_SLACK * np.sqrt(_coord_dot(c[j], c[j]))
@@ -762,12 +764,13 @@ def _row_sums(b, e, shape, f: TestFunction):
     exact_cols = e == 0.0
     # rows up to R + min(rho, 1) can hold a doubtful vector
     r = np.add(radius, np.minimum(rho, 1.0, out=rho), out=rho)
-    for w, c2, c3, centre, d2 in _rows(shape, r):
-        n = _interval(centre, r2 - d2, norm1)[1]
+    for w, k, c2, c3, centre, d2 in _rows(shape, r):
+        norm = norm1[k]
+        n = _interval(centre, r2 - d2, norm)[1]
         # |c1| <= |centre| + (R + 1)/|b1| for the row's vectors of norm <= R + 1
-        rho_row = (np.abs(centre) + big / norm1) * eps[0] + np.abs(c2) * eps[1]
+        rho_row = (np.abs(centre) + big / norm) * eps[0][k] + np.abs(c2) * eps[1][k]
         if c3:
-            rho_row += c3 * eps[2]
+            rho_row += c3 * eps[2][k]
         # the discriminants at the radii R + rho_row and R - rho_row
         outer = radius + rho_row
         outer *= outer
@@ -775,15 +778,16 @@ def _row_sums(b, e, shape, f: TestFunction):
         inner = np.maximum(radius - rho_row, 0.0, out=rho_row)
         inner *= inner
         inner -= d2
-        doubt = (_interval(centre, inner, norm1)[1]
-                 != _interval(centre, outer, norm1)[1])
+        doubt = (_interval(centre, inner, norm)[1]
+                 != _interval(centre, outer, norm)[1])
         if doubt.any():
-            own = (doubt & exact_cols[:, 0] & ((c2 == 0) | exact_cols[:, 1])
-                   & (c3 == 0 or exact_cols[:, 2]))
-            ties |= doubt & ~own
+            cols = exact_cols[k]
+            own = (doubt & cols[:, 0] & ((c2 == 0) | cols[:, 1])
+                   & (c3 == 0 or cols[:, 2]))
+            ties[k] |= doubt & ~own
             if own.any():
-                _exact_rows(b, own, c2, c3, radius, n)
-        total += w * n
+                _exact_rows(b[k], own, c2, c3, radius, n)
+        total[k] += w * n
     return total, ties
 
 

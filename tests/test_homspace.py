@@ -459,6 +459,115 @@ def test_lagrange_returns_a_zero_column_at_once(dd, lagrange_passes):
         assert eu[[0, 2]].tolist() == ev[[0, 2]].tolist() == [0.0, 1e-9]
 
 
+def pair_state(cols, dd):
+    """The row state of the (m, d) columns [u, v] of ``lagrange_batch``,
+    in double-double with their low parts normalized as two_sum leaves
+    them, with bounds 0 and the squared norms set."""
+    m, d = cols[0].shape
+    s = row_state(2, d, m, dd)
+    for j, c in enumerate(s):
+        c[:d] = cols[j].T
+        if dd:
+            c[:d] += cols[2 + j].T
+            c[d:2 * d] = cols[2 + j].T - (c[:d] - cols[j].T)
+    s[:, BOUND] = 0.0
+    homspace._set_norms(s, d)
+    return s
+
+
+@pytest.mark.parametrize("dd", [False, True])
+def test_a_finished_pair_stays_put(dd, lagrange_passes):
+    # a step with mu = 0 is exact and changes no bit of a converged pair,
+    # which is why lagrange_rows leaves finished pairs in its passes: more
+    # passes over the converged pairs, with zero coordinates, zero low
+    # parts and mu rounding to -0.0 (or to +0.0, negated in double-double),
+    # leave every bit as it was, bounds included.  The exception is a
+    # coordinate of -0.0, which GridPoly never writes
+    # (test_greedy_changes_no_value_for_a_negative_zero)
+    rng = np.random.default_rng(41 + dd)
+    cols = lagrange_batch(rng, 300, 2, dd)
+    # mu = round(-0.25) = -0.0 and round(0.25) = +0.0
+    pairs = np.array([[[1.0, 0.0], [-0.25, 1.0]], [[2.0, 0.0], [0.5, 3.0]]])
+    for j, c in enumerate(cols):
+        c[:2] = pairs[:, j % 2] * (j < 2)
+    if dd:
+        cols[2][:60] = cols[3][:60] = 0.0
+    s = pair_state(cols, dd)
+    s = np.compress(lagrange_rows(s, 2, dd), s, axis=2)
+    want = s.tobytes()
+    lagrange_passes.clear()
+    for _ in range(3):
+        assert lagrange_rows(s, 2, dd).all()
+        assert s.tobytes() == want
+    assert lagrange_passes == [s.shape[2]] * 3
+
+
+@pytest.mark.parametrize("dd", [False, True])
+def test_lagrange_leaves_a_pair_as_it_leaves_it_alone(dd):
+    # a pair that finishes among moving ones stays in place, or in a level
+    # gathered from its parent and written back after the passes: either
+    # way it ends with the bits it has when reduced alone
+    rng = np.random.default_rng(43 + dd)
+    cols = lagrange_batch(rng, 150, 2, dd)
+    s = pair_state(cols, dd)
+    done = lagrange_rows(s, 2, dd)
+    for k in range(s.shape[2]):
+        t = pair_state([c[k:k + 1] for c in cols], dd)
+        assert lagrange_rows(t, 2, dd) == done[k]
+        assert t.tobytes() == s[..., k:k + 1].tobytes()
+
+
+# unimodular pairs whose mu first becomes 0 on pass 1, 2, 3 and 4
+FINISH_ON_PASS = {1: ((1, 0), (0, 1)), 2: ((-4, -1), (1, 0)),
+                  3: ((-4, -3), (-1, -1)), 4: ((-4, -3), (3, 2))}
+
+
+def finishing_pairs(passes):
+    u, v = (np.array([FINISH_ON_PASS[p][j] for p in passes], dtype=float) for j in (0, 1))
+    return u, v, np.zeros(len(passes))
+
+
+def test_lagrange_gathers_the_moving_pairs_once_the_finished_are_half(lagrange_passes):
+    # three of eight pairs finish on pass 1, one on pass 2, two on pass 3
+    # and two on pass 4: the finished stay in the state until they are at
+    # least half of it, so pass 2 runs on all eight, and the moving pairs
+    # are gathered after pass 2 (four of eight) and pass 3 (two of four)
+    u, v, zero = finishing_pairs([1, 3, 1, 2, 4, 3, 1, 4])
+    got = lagrange(u, v, zero, zero)
+    assert lagrange_passes == [8, 8, 4, 2]
+    assert got[4].all()
+    for k in range(8):
+        alone = lagrange(u[k:k + 1], v[k:k + 1], zero[:1], zero[:1])
+        assert [x[k:k + 1].tobytes() for x in got] == [x.tobytes() for x in alone]
+
+
+def test_lagrange_writes_every_level_back_at_the_pass_cap(lagrange_passes, monkeypatch):
+    # the pair of bound 1 is reported moved on every pass, which adds 1 to
+    # its v bound, so it never converges.  The others are gathered away as
+    # in the test above, and the moving ones after passes 3 and 4; after
+    # the last pass every level goes back into its parent, so the stuck
+    # pair comes back with all 256 pass charges and the others as they are
+    # reduced alone
+    lagrange_pass = homspace._lagrange_pass
+
+    def stuck(s, *args):
+        moved = lagrange_pass(s, *args)
+        hold = s[0, BOUND] == 1.0
+        s[1, BOUND, hold] += 1.0
+        return moved | hold
+
+    monkeypatch.setattr(homspace, "_lagrange_pass", stuck)
+    u, v, e = finishing_pairs([1, 3, 1, 2, 1, 4, 3, 1, 4])
+    e[4] = 1.0
+    got = lagrange(u, v, e, e)
+    assert lagrange_passes == [9, 9, 9, 3] + [1] * 252
+    assert got[4].tolist() == [True] * 4 + [False] + [True] * 4
+    assert got[2][4] == 1.0 and got[3][4] == 257.0
+    for k in (0, 1, 2, 3, 5, 6, 7, 8):
+        alone = lagrange(u[k:k + 1], v[k:k + 1], e[:1], e[:1])
+        assert [x[k:k + 1].tobytes() for x in got] == [x.tobytes() for x in alone]
+
+
 def test_lagrange_charges_nothing_on_a_reduced_pair():
     # both pairs are Lagrange-reduced already: the one step has mu = 0,
     # which is exact, so zero bounds stay zero
@@ -735,6 +844,22 @@ def test_greedy_writes_back_the_samples_still_moving_at_the_pass_cap(monkeypatch
     assert active == [19] * 512 and not done.any() and not in_place[2].any()
     assert b[1:].tobytes() == in_place[0].tobytes() != mats[1:].tobytes()
     assert got_e[1:].tobytes() == in_place[1].tobytes()
+
+
+def test_greedy_changes_no_value_for_a_negative_zero():
+    # a finished Lagrange pair keeps its bits but for one case: a
+    # coordinate of -0.0 can turn +0.0 on a later pass, once a zero dot
+    # product flips the sign of mu.  So bases holding -0.0 may come back
+    # with other signs of zero than their +0.0 copies, never with another
+    # value.  GridPoly never writes -0.0
+    rng = np.random.default_rng(44)
+    b = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 3.0], (4000, 3, 3))
+    e = np.zeros((4000, 3))
+    with np.errstate(all="ignore"):
+        got, positive = reduce_bases(b, e), reduce_bases(b + 0.0, e)
+    assert got[0].tobytes() != positive[0].tobytes()
+    for x, y in zip(got, positive):
+        assert np.array_equal(x, y, equal_nan=True)
 
 
 def test_greedy_returns_a_non_finite_sample_at_once(lagrange_passes):
