@@ -20,8 +20,9 @@ whichever is the cheapest whose error bound meets the tolerance.
 ``certified_observables`` then derives the shortest length and every
 observable from those bases.  In both dimensions the first stage runs
 on one row state per chunk (``homspace.row_state``): the entries go
-straight into the float64 reduction state, which is reduced in place,
-and the bases leave as views of its coordinate rows.  A chunk is one
+straight into the float64 reduction state, from the chunk's coordinate
+rows, which the entries share, and the state is reduced in place; the
+bases leave as views of its coordinate rows.  A chunk is one
 ``doubledouble.BLOCK`` of samples in both dimensions.
 """
 
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import MapEntry
-from .doubledouble import BLOCK, U
+from .doubledouble import BLOCK, U, split
 from .errors import DomainError, PrecisionError
 from .flowlimit import twodim_flow, twodim_residual
 from .goodness import BoxRegion, GridPoly
@@ -91,14 +92,15 @@ def entry_tables(matrix, map_vars):
     return [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
 
 
-def _f64_state(tables, pts: np.ndarray):
+def _f64_state(tables, x: np.ndarray):
     """The float64 row state (``homspace.row_state``) of the matrices whose
-    entry tables are ``tables`` at the points ``pts``: entry (i, j) in
-    coordinate row i of column j, and as each column's bound the sum of
-    its entries' rounding bounds ``c64 * mag``; and, in dimension 2, the
-    term-magnitude sums mag[j, i] of the entries, which the double-double
-    routing reads (None in dimension 3, whose entries share one row)."""
-    n, m = len(tables), pts.shape[0]
+    entry tables are ``tables`` at the points with coordinate rows ``x``:
+    entry (i, j) in coordinate row i of column j, and as each column's
+    bound the sum of its entries' rounding bounds ``c64 * mag``; and, in
+    dimension 2, the term-magnitude sums mag[j, i] of the entries, which
+    the double-double routing reads (None in dimension 3, whose entries
+    share one row)."""
+    n, m = len(tables), x.shape[1]
     s = row_state(n, n, m, False)
     keep = n == 2
     mag = np.empty((n, n, m) if keep else (1, 1, m))
@@ -106,26 +108,29 @@ def _f64_state(tables, pts: np.ndarray):
     for i, row in enumerate(tables):
         for j, table in enumerate(row):
             r = mag[j, i] if keep else mag[0, 0]
-            table.f64(pts, s[j, i], r)
+            table.f64(x, s[j, i], r)
             s[j, BOUND] += table.c64 * r
     return s, mag if keep else None
 
 
-def _sl2_tiers(tables, pts: np.ndarray, s, mag):
+def _sl2_tiers(tables, x: np.ndarray, s, mag):
     """The float64 and double-double tiers of ``certified_reduce`` in
-    dimension 2, on the float64 row state ``s`` of the entries, with term
-    magnitudes ``mag`` (``_f64_state``), in place: each sample is left
-    reduced and certified, or with an infinite first bound.
+    dimension 2, on the float64 row state ``s`` of the entries at the
+    points with coordinate rows ``x``, with term magnitudes ``mag``
+    (``_f64_state``), in place: each sample is left reduced and
+    certified, or with an infinite first bound.
 
     The float64 tier reduces ``s`` in place when every sample qualifies,
     else an ``np.compress`` of it.  When some sample misses it, the
     double-double tier evaluates the samples it qualifies into a
-    double-double row state and writes its results back."""
+    double-double row state, from their coordinate rows and the rows'
+    splits, and writes its results back row by row."""
     err = s[:, BOUND]
     # the reduced basis is B = g U with U = adj(g) B, so its column j
     # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
-    # the routing takes |b_j| to be about 1
-    amp = np.stack([np.hypot(s[1, 1], s[1, 0]), np.hypot(s[0, 1], s[0, 0])])
+    # the routing takes |b_j| to be about 1.  |row i of adj(g)| is
+    # |column 1 - i of g|
+    amp = np.hypot(s[::-1, 1], s[::-1, 0])
 
     def tier(t, dd):
         done = lagrange_reduce(t, 2, dd)
@@ -143,20 +148,26 @@ def _sl2_tiers(tables, pts: np.ndarray, s, mag):
     missed = np.isinf(s[0, BOUND])
     if not missed.any():
         return
-    edd = np.empty((2, pts.shape[0]))
+    edd = np.empty((2, x.shape[1]))
     for j in range(2):
         edd[j] = mag[j, 0] * tables[0][j].cdd + mag[j, 1] * tables[1][j].cdd
     dd = missed & (edd[0] * amp[0] + edd[1] * amp[1] <= PREC_TOL)
     if dd.any():
-        p = np.compress(dd, pts, axis=0)
-        t = row_state(2, 2, p.shape[0], True)
+        t = row_state(2, 2, np.count_nonzero(dd), True)
+        p = np.compress(dd, x, axis=1)
+        ps = [split(r) for r in p]
         for i, row in enumerate(tables):
             for j, table in enumerate(row):
-                table.dd(p, t[j, i], t[j, 2 + i])
+                table.dd(p, ps, t[j, i], t[j, 2 + i])
         t[:, BOUND] = np.compress(dd, edd, axis=1)
+        # the passes do not read the rows: free them for the passes' scratch
+        del p, ps
         tier(t, True)
-        s[:, :2, dd] = t[:, :2]
-        s[:, BOUND, dd] = t[:, BOUND]
+        # row by row: a mask over the last axis of s[:, :2] costs 6 times
+        # as much
+        for c, r in zip(s, t):
+            for k in (0, 1, BOUND):
+                c[k][dd] = r[k]
 
 
 def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
@@ -180,11 +191,14 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
     samples.
     """
     m, n = pts.shape[0], matrix.dim
-    s, mag = _f64_state(tables, pts)
+    # the coordinate rows, contiguous in 2D, where the four entries and the
+    # double-double tier read them
+    x = np.ascontiguousarray(pts.T) if n == 2 else pts.T
+    s, mag = _f64_state(tables, x)
     if n == 3:
         s[:, BOUND, ~sl3_greedy(s)] = np.inf
     else:
-        _sl2_tiers(tables, pts, s, mag)
+        _sl2_tiers(tables, x, s, mag)
     b, e = s[:, :n].transpose(2, 1, 0), s[:, BOUND].T
     # column by column: np.max over e's short inner axis costs 50 times more
     late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]

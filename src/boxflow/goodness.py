@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .doubledouble import U, U2, dd_mul_d_into, dd_sum_into, split
+from .doubledouble import U, U2, _two_prod_into, dd_mul_d_into, dd_sum_into
 from .errors import DomainError
 from .polyalg import NEG_INF, GenPoly
 
@@ -97,15 +97,17 @@ class BoxRegion:
 
 class GridPoly:
     """A polynomial with nonnegative integer exponents in ``var_order``,
-    compiled once for evaluation at (m, k) arrays of row points.
+    compiled once for evaluation at many points.
 
-    Calling it gives the float64 values.  ``f64`` writes them, and the sum
-    of the term magnitudes, into arrays the caller owns; ``c64`` times
-    that sum bounds the float64 rounding error (Higham 2002: one unit
-    roundoff per inexact coefficient, product and sum, two per ``pow``,
-    which libm rounds within one ulp).  ``dd`` evaluates in double-double,
-    with error at most ``cdd`` times the magnitude sum (the bounds of
-    ``doubledouble``).
+    Calling it gives the float64 values at an (m, k) array of row points.
+    The lattice kernels take the points as (k, m) coordinate rows, one
+    row per variable, which the entries of a matrix share.
+    ``f64`` writes the values, and the sum of the term magnitudes, into
+    arrays the caller owns; ``c64`` times that sum bounds the float64
+    rounding error (Higham 2002: one unit roundoff per inexact
+    coefficient, product and sum, two per ``pow``, which libm rounds
+    within one ulp).  ``dd`` evaluates in double-double, with error at
+    most ``cdd`` times the magnitude sum (the bounds of ``doubledouble``).
     Terms run in ``p.terms()`` order with numpy's ``**``, which fixes
     every bit of the values.
     """
@@ -113,6 +115,9 @@ class GridPoly:
     def __init__(self, p: GenPoly, var_order: Sequence[str]):
         var_order = list(var_order)
         self.terms = []
+        # per term of ``dd``: the coefficient, its low part, whether it is an
+        # exact power of two, and the coordinate of each factor in turn
+        self._chains = []
         n64 = ndd = 0
         for mono, coeff in p.terms():
             powers = dict(mono)
@@ -129,56 +134,81 @@ class GridPoly:
             inexact = Fraction(c) != coeff
             c_lo = float(coeff - Fraction(c)) if inexact else 0.0
             # products val * x^e; the first is exact for a power-of-two val
-            mults = sum(1 for e in exps if e) - (math.frexp(abs(c))[0] == 0.5)
+            pow2 = math.frexp(abs(c))[0] == 0.5
+            mults = sum(1 for e in exps if e) - pow2
             pows = sum(2 for e in exps if e > 1)
             n64 = max(n64, inexact + pows + max(mults, 0))
             ndd = max(ndd, 1 + 2 * sum(exps))
             self.terms.append((c, c_lo, exps))
+            self._chains.append((c, c_lo, pow2 and not inexact,
+                                 [j for j, e in enumerate(exps) for _ in range(e)]))
         n = len(self.terms)
         self.c64 = (n64 + max(n - 1, 0)) * U * 1.01
         self.cdd = (ndd + 3 * n) * U2 * 1.01
 
-    def _term_values(self, pts: np.ndarray):
+    def _term_values(self, x: np.ndarray):
         for c, _, exps in self.terms:
-            val = np.full(pts.shape[0], c)
+            val = np.full(x.shape[1], c)
             for j, e in enumerate(exps):
                 if e:
-                    val = val * pts[:, j] ** e
+                    val = val * x[j] ** e
             yield val
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(points.shape[0])
-        for val in self._term_values(points):
+        for val in self._term_values(points.T):
             out += val
         return out
 
-    def f64(self, pts: np.ndarray, out: np.ndarray, mag: np.ndarray) -> None:
-        """The values and the sums of the term magnitudes at float64
-        points, written into the caller's (m,) arrays ``out`` and ``mag``
-        (rows of a lattice kernel's state, say)."""
+    def f64(self, x: np.ndarray, out: np.ndarray, mag: np.ndarray) -> None:
+        """The values and the sums of the term magnitudes at the points
+        whose coordinate rows are ``x`` (k, m), written into the caller's
+        (m,) arrays ``out`` and ``mag`` (rows of a lattice kernel's state,
+        say)."""
         out.fill(0.0)
         mag.fill(0.0)
-        for val in self._term_values(pts):
+        for val in self._term_values(x):
             out += val
             mag += np.abs(val, out=val)
 
-    def dd(self, pts: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
-        """The double-double values at float64 points, written into the
-        caller's (m,) arrays ``hi`` and ``lo``; each coordinate is split
-        once, on a contiguous row."""
-        x = np.ascontiguousarray(pts.T)
-        xs = [split(row) for row in x]
-        th, tl, *tmp = np.empty((7, pts.shape[0]))
-        hi.fill(0.0)
-        lo.fill(0.0)
-        for c, c_lo, exps in self.terms:
-            th.fill(c)
-            tl.fill(c_lo)
-            for j, e in enumerate(exps):
-                for _ in range(e):
-                    dd_mul_d_into(th, tl, x[j], xs[j], (th, tl), tmp)
-            dd_sum_into(hi, lo, th, tl, tmp)
+    def dd(self, x: np.ndarray, xs, hi: np.ndarray, lo: np.ndarray) -> None:
+        """The double-double values at the points whose coordinate rows
+        are ``x`` (k, m), with ``xs[j]`` = split(x[j]), written into the
+        caller's (m,) arrays ``hi`` and ``lo``.
+
+        Each term c x_a x_b ... is the chain of Dekker products
+        ((c x_a) x_b) ... (``dd_mul_d_into``), and the terms are summed
+        (``dd_sum_into``), an entry's first written rather than added to
+        zero.  When c is a power of two with no low part, c x_a is exact
+        and so is the product of c x_a and x_b (``_two_prod_into``): the
+        chain starts there, or at c x_a for a term of degree one.  The
+        bits are those of the whole chain added to zero, barring
+        underflow; that chain never makes a -0.0, which the additions of
+        zero below clear."""
+        th, tl, *tmp = np.empty((7, x.shape[1]))
+        if not self._chains:
+            hi.fill(0.0)
+            lo.fill(0.0)
+        for n, (c, c_lo, exact, fac) in enumerate(self._chains):
+            h, l = (hi, lo) if n == 0 else (th, tl)
+            if exact and len(fac) > 1:
+                a, b, *fac = fac
+                np.multiply(x[a], c, out=tmp[0])
+                _two_prod_into(tmp[0], x[b], xs[b], h, l, tmp[1:])
+                np.add(h, l, out=h)  # the product, or +0.0 for -0.0
+            elif exact and fac:
+                np.multiply(x[fac[0]], c, out=h)
+                np.add(h, 0.0, out=h)
+                l.fill(0.0)
+                fac = ()
+            else:
+                h.fill(c)
+                l.fill(c_lo)
+            for j in fac:
+                dd_mul_d_into(h, l, x[j], xs[j], (h, l), tmp)
+            if n:
+                dd_sum_into(hi, lo, th, tl, tmp)
 
 
 def poly_grid_fn(p: GenPoly, var_order: Sequence[str]) -> GridPoly:

@@ -12,7 +12,7 @@ import oracles
 import pytest
 from rowstate import reduce_bases
 
-from boxflow import experiment, homspace
+from boxflow import experiment, goodness, homspace
 from boxflow.catalog import get_map
 from boxflow.cli import main as cli_main
 from boxflow.doubledouble import (
@@ -322,6 +322,53 @@ def test_2d_bounds_cover_the_distance_to_the_exact_lattice(name, monkeypatch):
     assert calls == states
     assert n_exact == (511 if name == "poly23_T2_1e3" else 0)
     assert bad == (0, 0, 0)
+
+
+def _mixed_chunk():
+    """The points and entry tables of ``ROW_KERNEL_CHUNKS``' mixed-tier
+    chunk poly23_T2_10, 571 samples in float64 and 7,705 in
+    double-double."""
+    (entry, region, grid, start, stop), _ = ROW_KERNEL_CHUNKS["poly23_T2_10"]
+    pts = region.sample_points(grid, start, stop, "jitter", 3)
+    return entry, pts, entry_tables(entry.matrix, entry.map_vars)
+
+
+def test_double_double_entries_pin_their_operation_counts(monkeypatch):
+    # the four entries of poly23_lower, 1 + x^2 y + x y^4, x^2 + x y^3, y
+    # and 1, in double-double: the exact leading products of x^2 y, x y^4,
+    # x^2 and x y^3, the 6 Dekker products that remain, 3 sums (an
+    # entry's first term is written) and one split per coordinate row of
+    # the chunk
+    entry, pts, tables = _mixed_chunk()
+    counts = dict.fromkeys(("lead", "mul", "sum", "split"), 0)
+
+    def counting(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(goodness, "_two_prod_into", "lead")
+    counting(goodness, "dd_mul_d_into", "mul")
+    counting(goodness, "dd_sum_into", "sum")
+    counting(experiment, "split", "split")
+    certified_reduce(entry.matrix, entry.map_vars, tables, pts)
+    assert counts == {"lead": 4, "mul": 6, "sum": 3, "split": 2}
+
+
+def test_tier_results_land_on_their_samples():
+    # the mixed chunk's bases and bounds, written back from both tiers,
+    # are those of its samples reduced as one-sample chunks; every 5th
+    # sample (1,639 of them) and the last
+    entry, pts, tables = _mixed_chunk()
+    b, e, _ = certified_reduce(entry.matrix, entry.map_vars, tables, pts)
+    for k in [*range(0, BLOCK, 5), BLOCK - 1]:
+        b1, e1, _ = certified_reduce(entry.matrix, entry.map_vars, tables, pts[k:k + 1])
+        assert b1.tobytes() == b[k:k + 1].tobytes()
+        assert e1.tobytes() == e[k:k + 1].tobytes()
 
 
 def _heis3_chunk(T, grid, stop):

@@ -8,7 +8,7 @@ import numpy as np
 import oracles
 import pytest
 
-from boxflow.doubledouble import BLOCK, U, U2
+from boxflow.doubledouble import BLOCK, U, U2, split
 from boxflow.errors import DomainError
 from boxflow.goodness import (
     BoxRegion,
@@ -547,32 +547,74 @@ def grid_cases():
     return cases
 
 
+# coefficients that take ``GridPoly.dd``'s exact leading product (powers
+# of two) and two that keep the chain of Dekker products
+EXACT_COEFFS = (F(1), F(-1), F(2), F(-2), F(1, 8), F(-1, 8))
+CHAIN_COEFFS = (F(3), F(2, 3))
+LEAD_MONOMIALS = ({}, {"x": 1}, {"y": 1}, {"x": 2}, {"x": 1, "y": 1},
+                  {"x": 2, "y": 1}, {"x": 1, "y": 3})
+
+
+def leading_product_cases():
+    """(polynomial, variable order, points): every monomial of degree 0 to
+    4 in ``LEAD_MONOMIALS`` alone, with each coefficient of
+    ``EXACT_COEFFS`` and ``CHAIN_COEFFS``, and seeded sums of them, some
+    with a constant first term, at points whose coordinates include +0.0
+    and -0.0."""
+    special = [0.0, -0.0, 1.0, -1.0, 3.0, -0.5, 1e3 + 0.1, -7.0 / 3.0]
+    rng = np.random.default_rng(30)
+    pts = np.concatenate([
+        np.array([(a, b) for a in special for b in special]),
+        rng.uniform(-1e3, 1e3, size=(256, 2)),
+        np.stack([rng.choice([0.0, -0.0], 64), rng.uniform(-9, 9, 64)], axis=-1),
+    ])
+    coeffs = EXACT_COEFFS + CHAIN_COEFFS
+    cases = [(GenPoly.monomial(c, mono), ["x", "y"], pts)
+             for c in coeffs for mono in LEAD_MONOMIALS]
+    for i in range(40):
+        p = GenPoly.const(coeffs[i % len(coeffs)]) if i % 3 == 0 else GenPoly.zero()
+        for k in rng.choice(len(LEAD_MONOMIALS) - 1, size=1 + i % 3, replace=False):
+            p = p + GenPoly.monomial(coeffs[rng.integers(len(coeffs))],
+                                     LEAD_MONOMIALS[k + 1])
+        cases.append((p, ["x", "y"], pts))
+    return cases
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_grid_poly_bit_identical_to_both_old_evaluators():
-    cases = grid_cases()
+    cases = grid_cases() + leading_product_cases()
     assert len(cases) > 100
-    inexact = constant = 0
+    inexact = constant = constant_first = 0
+    lead = {c: 0 for c in EXACT_COEFFS + CHAIN_COEFFS}
     for p, var_order, pts in cases:
         table = poly_grid_fn(p, var_order)
         assert isinstance(table, GridPoly)
         ref = ReferenceEntryTerms(p, var_order)
         assert table.c64 == ref.c64 and table.cdd == ref.cdd
+        # the lattice kernels' coordinate rows and their splits
+        x = np.ascontiguousarray(pts.T)
         values, mag, hi, lo = np.full((4, pts.shape[0]), np.nan)
-        table.f64(pts, values, mag)
+        table.f64(x, values, mag)
         ref_values, ref_mag = ref.f64(pts)
         assert same_bits(values, ref_values) and same_bits(mag, ref_mag)
         assert same_bits(table(pts), reference_poly_grid_fn(p, var_order)(pts))
         assert same_bits(table(pts), values)
-        table.dd(pts, hi, lo)
+        table.dd(x, [split(r) for r in x], hi, lo)
         ref_hi, ref_lo = ref.dd(pts)
         assert same_bits(hi, ref_hi) and same_bits(lo, ref_lo)
         inexact += any(c != coeff for coeff, c, _ in ref.terms)
         constant += any(not any(e) for _, _, e in table.terms)
-    assert inexact > 10 and constant > 10
+        constant_first += bool(table.terms) and not any(table.terms[0][2])
+        for coeff, _, exps in ref.terms:
+            lead[coeff] = lead.get(coeff, 0) + (sum(exps) in (1, 2))
+    assert inexact > 10 and constant > 10 and constant_first > 10
+    # each coefficient on terms of degree one and two, whose values are
+    # their leading products (or the chain for 3 and 2/3)
+    assert all(lead[c] >= 3 for c in EXACT_COEFFS + CHAIN_COEFFS)
 
 
 def test_grid_poly_call_takes_single_points_and_lists():
