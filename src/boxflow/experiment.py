@@ -47,6 +47,7 @@ from .homspace import (
     BOUND,
     PREC_TOL,
     TestFunction,
+    basis_shape,
     haar_expectation,
     lagrange_reduce,
     orbit_averages,
@@ -121,7 +122,8 @@ def _sl2_tiers(tables, x: np.ndarray, s, mag):
     certified, or with an infinite first bound.
 
     The float64 tier reduces ``s`` in place when every sample qualifies,
-    else an ``np.compress`` of it.  When some sample misses it, the
+    else an ``np.compress`` of it, whose coordinate and bound rows it
+    writes back by index.  When some sample misses it, the
     double-double tier evaluates the samples it qualifies into a
     double-double row state, from their coordinate rows and the rows'
     splits, and writes its results back row by row."""
@@ -144,7 +146,12 @@ def _sl2_tiers(tables, x: np.ndarray, s, mag):
     elif f64.any():
         t = np.compress(f64, s, axis=2)
         tier(t, False)
-        s[..., f64] = t
+        # no later step reads NORM; by index: 12-104 us per chunk at 0.3-99.7%
+        # density, where masks take 17-276 us, the most near 1/2 (2-core Xeon)
+        k = np.flatnonzero(f64)
+        for c, r in zip(s, t):
+            for j in (0, 1, BOUND):
+                c[j][k] = r[j]
     missed = np.isinf(s[0, BOUND])
     if not missed.any():
         return
@@ -218,15 +225,15 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
 def certified_observables(b: np.ndarray, e: np.ndarray, fs, exact):
     """Shortest lengths and Siegel observables (one row per test function
     in ``fs``) of the bases ``b`` with column bounds ``e`` that
-    ``certified_reduce`` returns, in closed form (``siegel_sums``).  The
-    indicator counts the bases leave in doubt are recounted from
-    ``exact(k)``, the matrix of rationals of sample k, so every count is
-    the exact lattice's."""
-    lam1 = np.sqrt(functools.reduce(np.add, (b[:, :, 0] * b[:, :, 0]).T))
-    values, ties = siegel_sums(b, e, fs)
+    ``certified_reduce`` returns, in closed form (``siegel_sums``), both
+    from one ``basis_shape``.  The indicator counts the bases leave in
+    doubt are recounted from ``exact(k)``, the matrix of rationals of
+    sample k, so every count is the exact lattice's."""
+    shape = basis_shape(b)
+    values, ties = siegel_sums(b, e, fs, shape)
     for i, k in zip(*np.nonzero(ties)):
         values[i, k] = siegel_count_exact(exact(k), fs[i].radius)
-    return lam1, values
+    return np.sqrt(shape[0]), values
 
 
 def _exact_matrix(matrix, map_vars, pt):
@@ -239,9 +246,17 @@ def _eval_chunk(args):
     """Shortest-vector lengths, observable values (one row per test
     function) and the number of exactly reduced samples of one chunk, all
     from a single certified reduction per sample (``certified_reduce``,
-    then ``certified_observables``)."""
+    then ``certified_observables``).  A 3D chunk runs in pieces of half
+    a ``BLOCK``: its row state has 15 rows to a 2D state's 8, and the
+    temporaries of the reduction and of the observables scale with it."""
     (matrix, map_vars, tables, region, grid, fs, start, stop, method, seed,
      limit) = args
+    half = BLOCK // 2
+    if matrix.dim == 3 and stop - start > half:
+        lam1, values, n_exact = zip(*(
+            _eval_chunk(args[:6] + (lo, min(lo + half, stop)) + args[8:])
+            for lo in range(start, stop, half)))
+        return np.concatenate(lam1), np.concatenate(values, axis=1), sum(n_exact)
     pts = region.sample_points(grid, start, stop, method, seed)
     b, e, n_exact = certified_reduce(matrix, map_vars, tables, pts, limit)
     # the points go before the observables, whose temporaries set a 3D
@@ -313,8 +328,27 @@ def _observable_values(
 
 
 def _average(values: np.ndarray) -> float:
-    """The mean of the values of every sample, summed exactly."""
-    return math.fsum(memoryview(values)) / values.shape[0]
+    """The mean of the values of every sample, its sum correctly rounded
+    (``math.fsum``'s) with no Python float per sample: per block of n
+    values, each v splits into q = (v + s) - s and the exact v - q, for a
+    power of two s >= 2^(ceil(log2(n + 2)) + 1) max |v|, so numpy sums the
+    q exactly; the nonzero v - q split again (Rump, Ogita and Oishi 2008).
+    Non-finite values, or an s beyond float64, take ``math.fsum``."""
+    parts = []
+    for lo in range(0, values.shape[0], BLOCK):
+        r = values[lo:lo + BLOCK]
+        while r.size:
+            top = max(r.max(), -r.min())
+            e = (r.size + 1).bit_length() + 1 + math.frexp(top)[1]
+            if not (top < math.inf and e < 1024):
+                return math.fsum(memoryview(values)) / values.shape[0]
+            s = math.ldexp(1.0, e)
+            q = r + s
+            q -= s
+            parts.append(q.sum())
+            r = r - q
+            r = r[r != 0.0]
+    return math.fsum(parts) / values.shape[0]
 
 
 def _nondiv(lam1: np.ndarray, eps0_list: Sequence[float]) -> tuple:

@@ -621,7 +621,7 @@ def _bump_row(n, d, disc, r2, bq):
             + bq * bq * (s4 + 6.0 * d2 * s2 + n * d2 * d2))
 
 
-def _shape(b):
+def basis_shape(b):
     """Gram-Schmidt data of reduced bases b (m, N, N), N = 2 or 3, columns
     b[:, :, j]: |b1|^2, mu1j = b1.bj/|b1|^2 and, for the projections p2, p3
     of b2, b3 orthogonal to b1, h2 = |p2|, nu = p2.p3/|p2|^2 and the height
@@ -659,11 +659,11 @@ def _rows(shape, r):
     and d2 = h2^2 (c2 + c3 nu)^2 + (c3 h3)^2, the Fincke-Pohst bounds
     |c3| h3 <= r and |c2 + c3 nu| h2 <= sqrt(r^2 - (c3 h3)^2) give the rows;
     in dimension 2 (h3 = inf) only c3 = 0.  Row -(c2, c3) mirrors row
-    (c2, c3) exactly, so only c3 > 0, and c3 = 0 with c2 >= 0, are yielded,
-    as (weight, k, c2, c3, centre, d2): weight 1 for the row of the origin
-    and 2 for the others, and c2 (an array if c3 > 0), centre and d2 on the
-    samples k within the bounds above, all of them (a slice) for the row
-    of the origin.  The rows c3 = 0 run up to the largest c2 any sample
+    (c2, c3) exactly, so only c3 > 0, and c3 = 0 with c2 > 0, are yielded,
+    each of weight 2, as (k, c2, c3, centre, d2): c2 (an array if c3 > 0),
+    centre and d2 on the samples k within the bounds above.  The row of
+    the origin, c2 = c3 = 0, is every sample's, and ``_row_sums`` sums it
+    in closed form.  The rows c3 = 0 run up to the largest c2 any sample
     needs.  Every step is monotone in r, so no row loses vectors as r
     grows.  A sample needs at most r/h2 + 1 + (r/h3)(2 r/h2 + 1) rows;
     when that bound exceeds ``ROW_CAP`` for any sample, it raises
@@ -673,17 +673,17 @@ def _rows(shape, r):
     reach2, reach3 = r / h2, r / h3
     if np.any(reach2 + 1.0 + reach3 * (2.0 * reach2 + 1.0) > ROW_CAP):
         raise CuspExcursionError(_TOO_DEEP)
-    for c2 in range(int(np.max(reach2, initial=0.0)) + 1):
+    for c2 in range(1, int(np.max(reach2, initial=0.0)) + 1):
         d2 = (c2 * h2) ** 2
-        k = slice(None) if c2 == 0 else np.flatnonzero(d2 <= r * r)
-        yield 1.0 if c2 == 0 else 2.0, k, c2, 0, -c2 * m12[k], d2[k]
+        k = np.flatnonzero(d2 <= r * r)
+        yield k, c2, 0, -c2 * m12[k], d2[k]
     for c3 in range(1, int(np.max(reach3, initial=0.0)) + 1):
         lo, n = _interval(-c3 * nu, r * r - (c3 * h3) ** 2, h2)
         for j in range(int(np.max(n, initial=0.0))):
             k = np.flatnonzero(j < n)
             c2 = lo[k] + j
             d2 = (h2[k] * (c2 + c3 * nu[k])) ** 2 + (c3 * h3[k]) ** 2
-            yield 2.0, k, c2, c3, -(c2 * m12[k] + c3 * m13[k]), d2
+            yield k, c2, c3, -(c2 * m12[k] + c3 * m13[k]), d2
 
 
 def _exact_rows(b, own, c2, c3: int, radius: float, n) -> None:
@@ -743,17 +743,22 @@ def _row_sums(b, e, shape, f: TestFunction):
     """Sum of the profile of ``f`` over the lattice vectors, the origin
     included, per sample, and the mask of the samples whose indicator
     count the column bounds ``e`` leave in doubt (``siegel_sums``).  Each
-    row runs on the samples it reaches (``_rows``)."""
+    row runs on the samples it reaches (``_rows``), but the origin's, whose
+    centre is +-0 and d2 = 0 on every sample: its sums are the general
+    row's floats in closed form, n = 2 floor(sqrt(R^2)/|b1|) + 1, d = 0 and
+    A = 1."""
     b11 = shape[0]
     norm1 = np.sqrt(b11)
     radius = f.radius
     r2 = radius * radius
-    total = np.zeros(b.shape[0])
+    n = 2.0 * np.floor(math.sqrt(r2) / norm1) + 1.0
     if f.kind != INDICATOR_BALL:
-        for w, k, _, _, centre, d2 in _rows(shape, radius):
+        bq, s2 = b11 / r2, n * (n * n - 1.0) / 12.0
+        total = n - 2.0 * bq * s2 + bq * bq * (s2 * (3.0 * n * n - 7.0) / 20.0)
+        for k, _, _, centre, d2 in _rows(shape, radius):
             lo, n = _interval(centre, r2 - d2, norm1[k])
-            total[k] += w * _bump_row(n, lo + (n - 1.0) / 2.0 - centre, r2 - d2,
-                                      r2, b11[k] / r2)
+            total[k] += 2.0 * _bump_row(n, lo + (n - 1.0) / 2.0 - centre, r2 - d2,
+                                        r2, b11[k] / r2)
         return total, np.zeros(b.shape[0], dtype=bool)
     c = b.transpose(2, 1, 0)
     eps = [e[:, j] + _ROW_SLACK * np.sqrt(_coord_dot(c[j], c[j]))
@@ -762,9 +767,27 @@ def _row_sums(b, e, shape, f: TestFunction):
     rho = _margin(shape, eps, norm1, big)
     ties = rho > 1.0
     exact_cols = e == 0.0
+
+    def settle(k, c2, c3, doubt, n):
+        # a doubtful row is counted from exact columns, or marks a tie
+        if doubt.any():
+            cols = exact_cols[k]
+            own = (doubt & cols[:, 0] & ((c2 == 0) | cols[:, 1])
+                   & (c3 == 0 or cols[:, 2]))
+            ties[k] |= doubt & ~own
+            if own.any():
+                _exact_rows(b[k], own, c2, c3, radius, n)
+
+    # the origin's row, whose vectors have |c1| <= (R + 1)/|b1|
+    outer = big / norm1 * eps[0]
+    inner = np.maximum(radius - outer, 0.0)
+    outer += radius
+    settle(slice(None), 0, 0, np.floor(np.sqrt(inner * inner) / norm1)
+           != np.floor(np.sqrt(outer * outer) / norm1), n)
+    total = n
     # rows up to R + min(rho, 1) can hold a doubtful vector
     r = np.add(radius, np.minimum(rho, 1.0, out=rho), out=rho)
-    for w, k, c2, c3, centre, d2 in _rows(shape, r):
+    for k, c2, c3, centre, d2 in _rows(shape, r):
         norm = norm1[k]
         n = _interval(centre, r2 - d2, norm)[1]
         # |c1| <= |centre| + (R + 1)/|b1| for the row's vectors of norm <= R + 1
@@ -778,24 +801,18 @@ def _row_sums(b, e, shape, f: TestFunction):
         inner = np.maximum(radius - rho_row, 0.0, out=rho_row)
         inner *= inner
         inner -= d2
-        doubt = (_interval(centre, inner, norm)[1]
-                 != _interval(centre, outer, norm)[1])
-        if doubt.any():
-            cols = exact_cols[k]
-            own = (doubt & cols[:, 0] & ((c2 == 0) | cols[:, 1])
-                   & (c3 == 0 or cols[:, 2]))
-            ties[k] |= doubt & ~own
-            if own.any():
-                _exact_rows(b[k], own, c2, c3, radius, n)
-        total[k] += w * n
+        settle(k, c2, c3, _interval(centre, inner, norm)[1]
+               != _interval(centre, outer, norm)[1], n)
+        total[k] += 2.0 * n
     return total, ties
 
 
-def siegel_sums(b: np.ndarray, e: np.ndarray, fs):
+def siegel_sums(b: np.ndarray, e: np.ndarray, fs, shape):
     """Siegel observables of a batch of reduced bases (m, N, N), N = 2 or 3,
     shortest column first, one row per test function in ``fs``, summed in
-    closed form over the rows of ``_rows`` from one ``_shape``; and the
-    samples whose indicator count the column bounds ``e`` leave in doubt.
+    closed form over the rows of ``_rows`` from their ``basis_shape``
+    ``shape``; and the samples whose indicator count the column bounds
+    ``e`` leave in doubt.
 
     A vector's norm moves by at most sum |c_i| e_i between the stored and
     the exact basis.  Per row, the margin rho bounds that, plus a
@@ -809,7 +826,6 @@ def siegel_sums(b: np.ndarray, e: np.ndarray, fs):
     tie, to be recounted from the exact lattice.  Every sample is counted
     (``_rows`` caps its rows at ``ROW_CAP``).  Returns (values, ties).
     """
-    shape = _shape(b)
     values = np.empty((len(fs), b.shape[0]))
     ties = np.zeros(values.shape, dtype=bool)
     for i, f in enumerate(fs):

@@ -36,6 +36,7 @@ from boxflow.experiment import (
 from boxflow.goodness import BoxRegion
 from boxflow.homspace import (
     PREC_TOL,
+    basis_shape,
     reduce_exact,
     siegel_count_exact,
     siegel_sums,
@@ -444,7 +445,7 @@ def test_tie_recount_fires_on_ties_only(rows, radius):
     assert done.all()
     # the bounds the sweeps allow a certified basis
     _, (ties,) = siegel_sums(b, np.full((300, 2), PREC_TOL),
-                             (TF("indicator", radius),))
+                             (TF("indicator", radius),), basis_shape(b))
     assert np.nonzero(ties)[0].tolist() == [at]
 
 
@@ -574,6 +575,133 @@ def test_exact_rows_count_each_row_exactly():
             if own[k] else -1.0 for k in range(40)]
         assert n.tolist() == want
         assert len({want[k] for k in range(20, 40) if own[k]} - {want[0]}) > 0
+
+
+def general_row_sums(b, e, shape, f):
+    """``homspace._row_sums`` with the row of the origin run as a general
+    row of weight 1, through ``_interval``, ``_bump_row`` and the doubt
+    test at R -+ rho_row, as before its closed form: the reference that
+    the closed form matches bit for bit."""
+    H = homspace
+    b11, m12, _, h2, _, _ = shape
+    norm1 = np.sqrt(b11)
+    radius = f.radius
+    r2 = radius * radius
+
+    def rows(r):
+        yield 1.0, slice(None), 0, 0, 0 * m12, (0 * h2) ** 2
+        for row in H._rows(shape, r):
+            yield (2.0, *row)
+
+    total = np.zeros(b.shape[0])
+    if f.kind == "bump":
+        for w, k, _, _, centre, d2 in rows(radius):
+            lo, n = H._interval(centre, r2 - d2, norm1[k])
+            total[k] += w * H._bump_row(n, lo + (n - 1.0) / 2.0 - centre, r2 - d2,
+                                        r2, b11[k] / r2)
+        return total, np.zeros(b.shape[0], dtype=bool)
+    c = b.transpose(2, 1, 0)
+    eps = [e[:, j] + H._ROW_SLACK * np.sqrt(H._coord_dot(c[j], c[j]))
+           for j in range(b.shape[2])]
+    big = radius + 1.0
+    rho = H._margin(shape, eps, norm1, big)
+    ties = rho > 1.0
+    exact_cols = e == 0.0
+    for w, k, c2, c3, centre, d2 in rows(radius + np.minimum(rho, 1.0)):
+        norm = norm1[k]
+        n = H._interval(centre, r2 - d2, norm)[1]
+        rho_row = (np.abs(centre) + big / norm) * eps[0][k] + np.abs(c2) * eps[1][k]
+        if c3:
+            rho_row = rho_row + c3 * eps[2][k]
+        outer = (radius + rho_row) ** 2 - d2
+        inner = np.maximum(radius - rho_row, 0.0) ** 2 - d2
+        doubt = H._interval(centre, inner, norm)[1] != H._interval(centre, outer, norm)[1]
+        if doubt.any():
+            cols = exact_cols[k]
+            own = (doubt & cols[:, 0] & ((c2 == 0) | cols[:, 1])
+                   & (c3 == 0 or cols[:, 2]))
+            ties[k] |= doubt & ~own
+            if own.any():
+                H._exact_rows(b[k], own, c2, c3, radius, n)
+        total[k] += w * n
+    return total, ties
+
+
+def near_cusp_bases(rng, n, m):
+    """m reduced n x n bases with lambda_1 from 1e-5 to 1, and column
+    bounds of 0, 1e-12 or PREC_TOL: rotations of diag(t, ..., 1/t) times
+    unimodular words, with b1 made a power of two times e1 in every
+    eighth, whose lattice points c1 b1 lie on spheres of radius 1, 1.5
+    and 2.5 for some c1."""
+    t = np.geomspace(1e-5, 1.0, m)
+    mats = np.empty((m, n, n))
+    for i in range(m):
+        d = [t[i], 1 / t[i]] if n == 2 else [t[i], rng.uniform(1, 3), 0.0]
+        if n == 3:
+            d[2] = 1 / (d[0] * d[1])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        word = np.eye(n)
+        for _ in range(4):
+            j, k = rng.choice(n, 2, replace=False)
+            word[:, j] += rng.integers(-2, 3) * word[:, k]
+        mats[i] = q @ np.diag(d) @ word
+        if i % 8 == 0:
+            mats[i] = np.diag(d)
+            mats[i, 0, 0] = 2.0 ** -int(rng.integers(1, 17))
+            mats[i, n - 1, n - 1] = 1 / (mats[i, 0, 0] * (mats[i, 1, 1] if n == 3 else 1.0))
+    b, _, done = reduce_bases(mats, np.zeros((m, n)))
+    assert done.all()
+    return b, rng.choice([0.0, 1e-12, PREC_TOL], (m, n))
+
+
+def closed_form_cases():
+    """(name, b, e) of reduced bases with their column bounds: certified
+    chunks of ul_product, poly23_lower and heis3 (its closed orbit, whose
+    e1 is exact, and a box at T = 1e3), and near-cusp bases in 2D and 3D."""
+    rng = np.random.default_rng(5)
+    chunks = {
+        "ul_product": (UL.matrix, UL.map_vars,
+                       experiment._realized_box(UL.default_lambda, 1e3), 256),
+        "poly23_lower": (POLY23_LOWER.matrix, POLY23_LOWER.map_vars,
+                         _criterion_10_box(10.0), 256),
+        "heis3_orbit": (*HEIS3.orbit, BoxRegion((0.0,) * 3, (1.0,) * 3), 24),
+        "heis3_T_1e3": (HEIS3.matrix, HEIS3.map_vars,
+                        experiment._realized_box(HEIS3.default_lambda, 1e3), 32),
+    }
+    for name, (matrix, map_vars, region, grid) in chunks.items():
+        pts = region.sample_points(grid, 0, 1024, "jitter", 3)
+        b, e, _ = certified_reduce(matrix, map_vars, entry_tables(matrix, map_vars), pts)
+        yield name, b, e
+    for n in (2, 3):
+        yield f"near_cusp_{n}d", *near_cusp_bases(rng, n, 512)
+
+
+def test_the_origin_row_closed_form_is_the_general_row(monkeypatch):
+    # values, ties and the masks of the rows counted exactly from stored
+    # columns, bit for bit, for both kinds at R = 1, 1.5 and 2.5
+    calls = []
+    exact_rows = homspace._exact_rows
+
+    def recording(b, own, c2, c3, radius, n):
+        exact_rows(b, own, c2, c3, radius, n)
+        calls.append((own.tobytes(), np.asarray(c2).tobytes(), c3,
+                      n[own].tobytes()))
+
+    monkeypatch.setattr(homspace, "_exact_rows", recording)
+    origin_own = ties = 0
+    for name, b, e in closed_form_cases():
+        shape = basis_shape(b)
+        for f in (TF(kind, radius) for kind in ("indicator", "bump")
+                  for radius in (1.0, 1.5, 2.5)):
+            got = homspace._row_sums(b, e, shape, f)
+            got_calls, calls[:] = calls[:], []
+            want = general_row_sums(b, e, shape, f)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (name, f)
+            assert got_calls == calls, (name, f)
+            origin_own += sum(c[1:3] == (np.asarray(0).tobytes(), 0) for c in calls)
+            ties += np.count_nonzero(want[1])
+            calls.clear()
+    assert origin_own > 0 and ties > 0
 
 
 def _round_up(q):

@@ -627,3 +627,59 @@ def test_csv_round_trip_significant_digits():
     cols = dict(zip(header.split(","), line.split(",")))
     assert float(cols["average"]) == res.rows[0].average
     assert float(cols["reference"]) == res.rows[0].reference
+
+
+def exact_sum_cases(n):
+    """Named arrays of n values for ``experiment._average``, drawn from one
+    seed: random and integer-valued ones, magnitudes from 1e-300 to 1e300,
+    same-sign values near the top of their binade, the same with their
+    negatives plus small noise (heavy cancellation), subnormals with signed
+    zeros, and non-finite values."""
+    rng = np.random.default_rng(2008)
+    top = rng.uniform(0.75, 1.0, n - n // 2) * 2.0 ** 30
+    cases = {
+        "random": rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5, n),
+        "integers": rng.integers(-10 ** 6, 10 ** 6, n).astype(float),
+        "counts": rng.integers(0, 40, n).astype(float),
+        "mixed": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n),
+        "top_of_binade": rng.uniform(0.75, 1.0, n),
+        "cancellation": np.concatenate(
+            [top, -top[n // 2 - 1::-1] + rng.uniform(-1, 1, n // 2)]),
+        "subnormal": np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0], n),
+                              rng.integers(-2 ** 20, 2 ** 20, n) * 5e-324
+                              + (rng.random(n) < 0.01) * 1e-300),
+        "negative_zeros": np.full(n, -0.0),
+    }
+    for name, bad in (("nan", math.nan), ("inf", math.inf), ("inf_minus_inf", None),
+                      ("overflow", 1e308)):
+        v = cases["random"].copy()
+        if name == "inf_minus_inf":
+            v[[0, -1]] = math.inf, -math.inf
+        elif name == "overflow":
+            v[:] = bad
+        else:
+            v[-1] = bad
+        cases[name] = v
+    return cases
+
+
+def outcome(average, values):
+    """The bits of an average, or the type of the error it raises."""
+    try:
+        return average(values).hex()
+    except (ValueError, OverflowError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1, BLOCK + 6000, 3 * BLOCK])
+def test_box_averages_are_the_correctly_rounded_mean(n):
+    # experiment._average sums by error-free extraction; the result is
+    # math.fsum's, bit for bit, and a non-finite input or a scale beyond
+    # float64 takes math.fsum itself (nan, inf, or the same error)
+    cases = exact_sum_cases(n)
+    for name, values in cases.items():
+        want = outcome(lambda v: math.fsum(v) / v.shape[0], values)
+        assert outcome(experiment._average, values) == want, name
+    if n > BLOCK:
+        # a float64 sum would miss it
+        assert float(np.sum(cases["cancellation"])) != math.fsum(cases["cancellation"])

@@ -26,6 +26,7 @@ from boxflow.homspace import (
     BOUND,
     NORM,
     PREC_TOL,
+    basis_shape,
     haar_expectation,
     lagrange_reduce,
     lagrange_rows,
@@ -320,8 +321,9 @@ def test_batch_counts_deep_cusp_samples_exactly():
     tiny = 1e-8
     mats = np.stack([np.eye(2), np.diag([tiny, 1 / tiny])])
     b1, b2, lam1 = reduce2(mats)
-    (vals,), _ = siegel_sums(np.stack([b1, b2], axis=2), np.zeros((2, 2)),
-                             (TF("indicator", 1.0),))
+    b = np.stack([b1, b2], axis=2)
+    (vals,), _ = siegel_sums(b, np.zeros((2, 2)), (TF("indicator", 1.0),),
+                             basis_shape(b))
     assert vals.tolist() == [4.0, 199_999_998.0]
     assert vals[1] == oracles.diagonal_sum([tiny, 1 / tiny], "indicator", 1.0)
 
@@ -678,7 +680,7 @@ def test_batch3_indicator_matches_enumeration_with_ties():
     lam1, (vals,) = kernel(mats, (f,))
     brute = np.array([oracles.siegel_sum(g, f) for g in mats])
     b, e, _ = reduce_bases(mats, zero)
-    (raw,), (ties,) = siegel_sums(b, e, (f,))
+    (raw,), (ties,) = siegel_sums(b, e, (f,), basis_shape(b))
     assert np.count_nonzero(raw != brute) > 0 and ties[raw != brute].all()
     assert vals.tolist() == brute.tolist()
     for g, lam in zip(mats, lam1):
