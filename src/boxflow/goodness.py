@@ -10,7 +10,10 @@ takes an (m, k) array of row points and returns an (m,) array.
 ``GridPoly`` (``poly_grid_fn``) is the one polynomial grid evaluator, for
 the fits here and the lattice kernels of ``experiment``, and
 ``BoxRegion.sample_points`` the one sample-point generator for both;
-random points come per sample index from a counter-based hash.
+random points come per sample index from a counter-based hash.  On the
+tensor grids of the measures here, a ``GridPoly`` is evaluated from the
+grid's per-axis coordinates (``GridPoly.on_grid``), to the bits of its
+values at the grid's points; any other function is called at the points.
 """
 
 from __future__ import annotations
@@ -60,10 +63,19 @@ class BoxRegion:
             for sl, su, ol, ou in zip(self.lower, self.upper, box.lower, box.upper)
         )
 
+    def corner_axes(self, n: int) -> list:
+        """The n coordinates per axis of ``corner_grid``."""
+        return [np.linspace(l, u, n) for l, u in zip(self.lower, self.upper)]
+
+    def midpoint_axes(self, n: int) -> list:
+        """The n coordinates per axis of ``midpoint_grid``, by the formula
+        of ``sample_points``."""
+        return [l + (u - l) * (np.arange(n) + 0.5) / n
+                for l, u in zip(self.lower, self.upper)]
+
     def corner_grid(self, n: int) -> np.ndarray:
         """Tensor grid with n points per axis, endpoints included."""
-        axes = [np.linspace(l, u, n) for l, u in zip(self.lower, self.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.corner_axes(n), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def midpoint_grid(self, n: int) -> np.ndarray:
@@ -146,20 +158,35 @@ class GridPoly:
         self.c64 = (n64 + max(n - 1, 0)) * U * 1.01
         self.cdd = (ndd + 3 * n) * U2 * 1.01
 
-    def _term_values(self, x: np.ndarray):
+    def _term_values(self, x):
+        """Each term's values (c x_0^a) x_1^b ... on coordinate arrays
+        ``x[j]`` that broadcast: the rows of (k, m) points, or one axis of
+        a tensor grid each.  A constant term is a 0-d array."""
         for c, _, exps in self.terms:
-            val = np.full(x.shape[1], c)
+            val = np.array(c)
             for j, e in enumerate(exps):
                 if e:
                     val = val * x[j] ** e
             yield val
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(points.shape[0])
-        for val in self._term_values(points.T):
+    def _sum(self, x, shape) -> np.ndarray:
+        out = np.zeros(shape)
+        for val in self._term_values(x):
             out += val
         return out
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return self._sum(points.T, points.shape[0])
+
+    def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """The values at the tensor grid of the per-axis coordinates
+        ``axes``, in its row-major order: the bits of ``self`` at the
+        meshed points, from the powers of each axis alone (axis j is
+        shaped to broadcast along dimension j of the grid)."""
+        k = len(axes)
+        x = [np.reshape(a, (-1,) + (1,) * (k - 1 - j)) for j, a in enumerate(axes)]
+        return self._sum(x, [len(a) for a in axes]).ravel()
 
     def f64(self, x: np.ndarray, out: np.ndarray, mag: np.ndarray) -> None:
         """The values and the sums of the term magnitudes at the points
@@ -238,17 +265,29 @@ def _index_uniform(seed: int, axis: int, idx: np.ndarray) -> np.ndarray:
     return (bits >> np.uint64(11)) * 2.0 ** -53
 
 
+def _grid_values(f: Callable, box: BoxRegion, grid: int, corners: bool) -> np.ndarray:
+    """f on the box's ``corner_grid`` (``corners``) or ``midpoint_grid``
+    of grid^k points: a ``GridPoly`` from the grid's per-axis coordinates
+    (``GridPoly.on_grid``, the same bits), any other callable at the
+    points."""
+    if isinstance(f, GridPoly):
+        return f.on_grid(box.corner_axes(grid) if corners else box.midpoint_axes(grid))
+    return f(box.corner_grid(grid) if corners else box.midpoint_grid(grid))
+
+
 def sup_norm(f: Callable, box: BoxRegion, grid: int) -> float:
     """Max |f| over the corner-inclusive tensor grid (a lower bound on the
     true sup)."""
     if grid < 2:
         raise DomainError("need at least 2 grid points per axis")
-    return float(np.max(np.abs(f(box.corner_grid(grid)))))
+    return float(np.max(np.abs(_grid_values(f, box, grid, True))))
 
 
 def sublevel_measure(f: Callable, box: BoxRegion, delta: float, grid: int) -> float:
     """Midpoint tensor-grid estimate of |{x in B : |f(x)| < delta}|."""
-    vals = np.abs(f(box.midpoint_grid(grid)))
+    if grid < 1:
+        raise DomainError("need at least 1 grid point per axis")
+    vals = np.abs(_grid_values(f, box, grid, False))
     return float(np.count_nonzero(vals < delta)) * box.cell_volume(grid)
 
 
@@ -332,7 +371,7 @@ def fit_min_c(
     fnorm = sup_norm(f, box, grid)
     if fnorm == 0:
         raise DomainError("sup norm vanishes")
-    vals = np.sort(np.abs(f(box.midpoint_grid(grid))))
+    vals = np.sort(np.abs(_grid_values(f, box, grid, False)))
     cell = box.cell_volume(grid)
     deltas = np.asarray(delta_grid, dtype=float)
     lhs = np.searchsorted(vals, deltas, side="left") * cell

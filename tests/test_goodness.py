@@ -58,6 +58,13 @@ def test_sup_norm_corner_max_2d():
     assert sup_norm(f, box, 9) == 4.0
 
 
+@pytest.mark.parametrize("grid", [0, -1])
+def test_sublevel_measure_rejects_a_grid_below_one(grid):
+    for f in (fx, poly_grid_fn(parse_poly("x"), ["x"])):
+        with pytest.raises(DomainError):
+            sublevel_measure(f, UNIT, 0.5, grid)
+
+
 # -- good inequality -------------------------------------------------------------
 
 
@@ -416,6 +423,11 @@ def test_monte_carlo_points_are_the_sweeps_mc_stream():
         sublevel_measure_mc(f, box, 0.5, 0, seed=13)
 
 
+def mesh(axes):
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def test_midpoint_grid_is_the_meshgrid_of_cell_midpoints():
     rng = np.random.default_rng(150)
     for i in range(150):
@@ -425,9 +437,13 @@ def test_midpoint_grid_is_the_meshgrid_of_cell_midpoints():
         n = int(rng.integers(1, 40))
         axes = [l + (u - l) * (np.arange(n) + 0.5) / n
                 for l, u in zip(box.lower, box.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        expected = np.stack([m.ravel() for m in mesh], axis=-1)
-        assert box.midpoint_grid(n).tobytes() == expected.tobytes()
+        assert box.midpoint_grid(n).tobytes() == mesh(axes).tobytes()
+        # the per-axis coordinates that ``GridPoly.on_grid`` takes mesh to
+        # both grids
+        assert box.midpoint_grid(n).tobytes() == mesh(box.midpoint_axes(n)).tobytes()
+        corners = [np.linspace(l, u, n) for l, u in zip(box.lower, box.upper)]
+        assert box.corner_grid(n).tobytes() == mesh(corners).tobytes()
+        assert box.corner_grid(n).tobytes() == mesh(box.corner_axes(n)).tobytes()
 
 
 @pytest.mark.parametrize("method", ["grid", "jitter", "mc"])
@@ -632,3 +648,63 @@ def test_grid_poly_rejects_fractional_negative_and_unbound():
                               ({"x": 1, "y": 1}, ["x"])):
         with pytest.raises(DomainError):
             poly_grid_fn(GenPoly.monomial(1, powers), var_order)
+
+
+# -- tensor grids -----------------------------------------------------------------
+
+
+TENSOR_BOXES = (
+    BoxRegion((-3.5, -2.25, -4.0), (-0.5, -1.0, -1.5)),    # negative corners
+    BoxRegion((-1.5, -0.25, -2.0), (2.5, 3.0, 0.75)),      # straddles 0
+    BoxRegion((0.25, 1.0, -7.0), (4.0, 1.5, 9.0)),
+)
+
+
+def tensor_polynomials():
+    """(polynomial, variable order) once each: those of ``grid_cases`` and
+    ``leading_product_cases``, and seeded ones in three variables whose
+    terms skip the first or the middle axis."""
+    polys = {(p, tuple(var_order)) for p, var_order, _ in grid_cases() + leading_product_cases()}
+    rng = np.random.default_rng(40)
+    monos = ({"y": 2, "z": 1}, {"x": 2, "z": 3}, {"z": 1}, {"x": 1, "y": 1, "z": 1}, {})
+    for i in range(12):
+        p = GenPoly.zero()
+        for j in rng.choice(len(monos), size=1 + i % 4, replace=False):
+            p = p + GenPoly.monomial(F(int(rng.integers(-20, 21)), 3), monos[j])
+        polys.add((p, ("x", "y", "z")))
+    return sorted(polys, key=repr)
+
+
+def measures(f, box, grid):
+    """``float.hex`` of the three grid measures of f, or the error raised."""
+
+    def outcome(fn, *args):
+        try:
+            return float.hex(fn(f, box, *args))
+        except DomainError as err:
+            return repr(err)
+
+    sup = sup_norm(f, box, grid)
+    return (outcome(sup_norm, grid), outcome(sublevel_measure, 0.3 * sup, grid),
+            outcome(fit_min_c, F(1, 3), sup * np.geomspace(0.005, 0.9, 7), grid))
+
+
+def test_tensor_grid_measures_are_the_point_path_bits():
+    cases = tensor_polynomials()
+    assert len(cases) > 100 and sum(len(v) == 3 for _, v in cases) > 10
+    runs = 0
+    for p, var_order in cases:
+        f = poly_grid_fn(p, var_order)
+        ref = reference_poly_grid_fn(p, var_order)
+        k = len(var_order)
+        for box in TENSOR_BOXES:
+            box = BoxRegion(box.lower[:k], box.upper[:k])
+            for grid in (g for g in (2, 3, 18, 80, 512) if g ** k <= 6400):
+                # the values, in the grid's order
+                assert same_bits(f.on_grid(box.corner_axes(grid)), ref(box.corner_grid(grid)))
+                assert same_bits(f.on_grid(box.midpoint_axes(grid)),
+                                 ref(box.midpoint_grid(grid)))
+                # a plain callable takes the point path
+                assert measures(f, box, grid) == measures(lambda q: f(q), box, grid)
+                runs += 1
+    assert runs > 1000
