@@ -194,16 +194,8 @@ def load_catalog(path: str) -> dict:
     out = {}
     try:
         for item in raw["maps"]:
-            entry = MapEntry(
-                name=item["name"],
-                map_vars=tuple(item["vars"]),
-                matrix=PolyMatrix.from_text(item["entries"]),
-                default_lambda=tuple(
-                    Fraction(v) for v in item["default_lambda"]
-                ),
-                notes=item.get("notes", ""),
-            )
-            entry.validate()
+            entry = _entry(item["name"], item["entries"], item["default_lambda"],
+                           map_vars=item["vars"], notes=item.get("notes", ""))
             out[entry.name] = entry
     except (KeyError, TypeError, ValueError) as err:
         raise CatalogError(f"malformed catalog {path}: {err}") from err

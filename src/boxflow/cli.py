@@ -110,33 +110,31 @@ def _points_file(path: str):
         raise argparse.ArgumentTypeError(f"cannot read {path!r}: {err}") from None
 
 
-def _resolve_out(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _write_run(out_dir: Path, name: str, config: dict, artifacts: dict) -> str:
-    """Persist the resolved config plus artifacts; returns the config hash.
+def _write_run(args, name: str, config: dict, artifacts: dict, lines: list) -> None:
+    """Make the output directory, write the resolved config of subcommand
+    ``name`` and its artifacts there, then print ``lines`` and the config
+    hash.  A run that fails before this call leaves no directory.
 
     The worker count is execution machinery, never part of the config, so
     rerunning with a different parallelism yields identical bytes.
     """
+    out_dir = Path(args.out or os.environ.get(OUT_ENV) or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = {"subcommand": name, **config}
     digest = _config_hash(config)
-    payload = dict(config)
-    payload["config_hash"] = digest
     (out_dir / f"{name}_config.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps({**config, "config_hash": digest}, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
     )
     for fname, text in artifacts.items():
         (out_dir / fname).write_text(text, encoding="utf-8")
-    return digest
+    print("\n".join(lines))
+    print(f"config hash: {digest}; artifacts in {out_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,6 @@ def _cmd_flow(args) -> int:
     if args.twodim and entry.k != 2:
         print(f"map {entry.name} is not two-variable", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = _resolve_out(args)
     if args.twodim:
         res = twodim_flow(entry.matrix, *entry.map_vars)
         lines = [
@@ -183,7 +180,6 @@ def _cmd_flow(args) -> int:
             ),
         }
         config = {
-            "subcommand": "flow",
             "map": entry.name,
             "twodim": True,
             "seed": args.seed,
@@ -233,23 +229,21 @@ def _cmd_flow(args) -> int:
             "group_law_passed": report.passed,
         }
         config = {
-            "subcommand": "flow",
             "map": entry.name,
             "lambda": [str(v) for v in lam],
             "trials": args.trials,
             "seed": args.seed,
         }
-    digest = _write_run(
-        out_dir,
+    _write_run(
+        args,
         "flow",
         config,
         {
             "flow.txt": "\n".join(lines) + "\n",
             "flow.json": json.dumps(machine, indent=2) + "\n",
         },
+        lines,
     )
-    print("\n".join(lines))
-    print(f"config hash: {digest}; artifacts in {out_dir}")
     return EXIT_OK
 
 
@@ -279,7 +273,6 @@ def _cmd_good(args) -> int:
         )
         failed = failed or not chk.holds
     config = {
-        "subcommand": "good",
         "poly": poly.to_text(),
         "vars": var_order,
         "box": [list(box.lower), list(box.upper)],
@@ -290,10 +283,7 @@ def _cmd_good(args) -> int:
         "mc_samples": args.mc_samples,
         "seed": args.seed,
     }
-    out_dir = _resolve_out(args)
-    digest = _write_run(out_dir, "good", config, {"good.csv": "\n".join(rows) + "\n"})
-    print("\n".join(lines))
-    print(f"config hash: {digest}; artifacts in {out_dir}")
+    _write_run(args, "good", config, {"good.csv": "\n".join(rows) + "\n"}, lines)
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
@@ -321,17 +311,11 @@ def _cmd_cover(args) -> int:
     for c, h in zip(cover.centers, cover.halfwidths):
         rows.append(";".join(_fmt(v) for v in c) + f",{_fmt(h)}")
     config = {
-        "subcommand": "cover",
         **spec,
         "bound": args.bound,
         "seed": args.seed,
     }
-    out_dir = _resolve_out(args)
-    digest = _write_run(
-        out_dir, "cover", config, {"cover.csv": "\n".join(rows) + "\n"}
-    )
-    print("\n".join(lines))
-    print(f"config hash: {digest}; artifacts in {out_dir}")
+    _write_run(args, "cover", config, {"cover.csv": "\n".join(rows) + "\n"}, lines)
     ok = cover.covered and cover.within_bound
     return EXIT_OK if ok else EXIT_INVARIANT
 
@@ -347,61 +331,37 @@ def _cmd_equi(args) -> int:
             return EXIT_USAGE
     entry = get_map(args.map, args.catalog)
     observables = _parse_observables(args.obs)
-    eps0 = args.eps0
-    out_dir = _resolve_out(args)
+    config = {
+        "map": entry.name,
+        "obs": args.obs,
+        "grid": args.grid,
+        "eps0": list(args.eps0),
+        "method": args.method,
+        "seed": args.seed,
+    }
+    sweep_kwargs = dict(grid=args.grid, eps0_list=args.eps0, seed=args.seed,
+                        workers=args.workers, method=args.method)
     if args.t2:
-        t2_list = args.t2
-        b = args.b
-        if b is None:
-            b = twodim_flow(entry.matrix, *entry.map_vars).b
-        result = twodim_bcondition_sweep(
-            entry, b, t2_list, observables, grid=args.grid, eps0_list=eps0,
-            seed=args.seed, workers=args.workers, method=args.method,
-        )
-        config = {
-            "subcommand": "equi",
-            "map": entry.name,
-            "T2": list(t2_list),
-            "b": str(b),
-            "obs": args.obs,
-            "grid": args.grid,
-            "eps0": list(eps0),
-            "method": args.method,
-            "seed": args.seed,
-        }
+        b = args.b if args.b is not None else twodim_flow(entry.matrix, *entry.map_vars).b
+        result = twodim_bcondition_sweep(entry, b, args.t2, observables, **sweep_kwargs)
+        config.update({"T2": list(args.t2), "b": str(b)})
     else:
         lam = args.lam or entry.default_lambda
-        T_list = args.T
         J = _parse_box(args.J) if args.J else None
-        result = convergence_sweep(
-            entry, lam, T_list, observables, J=J, grid=args.grid,
-            eps0_list=eps0, seed=args.seed, workers=args.workers,
-            method=args.method,
-        )
-        config = {
-            "subcommand": "equi",
-            "map": entry.name,
-            "lambda": [str(v) for v in lam],
-            "T": list(T_list),
-            "J": args.J,
-            "obs": args.obs,
-            "grid": args.grid,
-            "eps0": list(eps0),
-            "method": args.method,
-            "seed": args.seed,
-        }
-    digest = _write_run(
-        out_dir,
+        result = convergence_sweep(entry, lam, args.T, observables, J=J, **sweep_kwargs)
+        config.update({"lambda": [str(v) for v in lam], "T": list(args.T), "J": args.J})
+    lines = [
+        f"T={row.T:g} {row.observable}: average={row.average:.6f} "
+        f"reference={row.reference:.6f} rel_gap={row.rel_gap:.4%}"
+        for row in result.rows
+    ]
+    _write_run(
+        args,
         "equi",
         config,
         {"equi.csv": result.csv_text(), "equi_plot.csv": result.plot_text()},
+        lines,
     )
-    for row in result.rows:
-        print(
-            f"T={row.T:g} {row.observable}: average={row.average:.6f} "
-            f"reference={row.reference:.6f} rel_gap={row.rel_gap:.4%}"
-        )
-    print(f"config hash: {digest}; artifacts in {out_dir}")
     return EXIT_OK
 
 

@@ -241,11 +241,7 @@ def compute_flow(theta: PolyMatrix) -> FlowResult:
         """Sign of the top t-degree of D^{order+1}theta(t+xi) theta^{-1}
         t^{-q(order+1)}, maximized over all (xi, alpha)-coefficients."""
         nxt = table.deriv(order + 1)
-        d_next = nxt.degree_in(T_VAR)
-        d_inv = table.inverse.degree_in(T_VAR)
-        if d_next is NEG_INF or d_inv is NEG_INF:
-            return False
-        bound = d_next + d_inv - q * (order + 1)
+        bound = nxt.degree_in(T_VAR) + table.inverse.degree_in(T_VAR) - q * (order + 1)
         if bound < 0:
             return False
         shifted = _taylor_shift_t(nxt, int(math.floor(bound)) + 1)
@@ -465,7 +461,7 @@ def twodim_flow(theta_map: PolyMatrix, x_var: str = "x", y_var: str = "y") -> Tw
     """Extract (q, lambda(y), d, lambda0, p, b, ratio set) from a
     two-variable unimodular map with positive x-degree."""
     d0 = theta_map.degree_in(x_var)
-    if d0 is NEG_INF or d0 <= 0:
+    if d0 <= 0:
         raise DomainError("map must have positive x-degree")
     d0 = int(d0)
     _require_identity_at_origin(theta_map, (x_var, y_var))
@@ -482,8 +478,7 @@ def twodim_flow(theta_map: PolyMatrix, x_var: str = "x", y_var: str = "y") -> Tw
     if lam_y.is_zero():
         raise BoxflowError("flow generator vanished; extraction failed")
 
-    d_deg = lam_y.degree_in(y_var)
-    d = int(d_deg) if d_deg is not NEG_INF else 0
+    d = int(max(lam_y.degree_in(y_var), 0))
     lambda0 = lam_y.map_entries(lambda e: e.coefficient_of(y_var, d))
     if lambda0.is_zero():
         raise BoxflowError("leading coefficient of the generator vanished")
@@ -494,8 +489,7 @@ def twodim_flow(theta_map: PolyMatrix, x_var: str = "x", y_var: str = "y") -> Tw
     if not power.is_zero():
         raise NilpotencyError("generator leading coefficient is not nilpotent")
 
-    p_deg = table.cocycle(1).degree_in(y_var)
-    p = int(p_deg) if p_deg is not NEG_INF else 0
+    p = int(max(table.cocycle(1).degree_in(y_var), 0))
     b = Fraction(p + 1)
 
     ratios = set()

@@ -28,7 +28,7 @@ import numpy as np
 
 from .doubledouble import U, U2, _two_prod_into, dd_mul_d_into, dd_sum_into
 from .errors import DomainError
-from .polyalg import NEG_INF, GenPoly
+from .polyalg import GenPoly
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,8 @@ class BoxRegion:
             raise DomainError(f"unknown sampling method {method!r}")
         idx = np.arange(start, stop)
         if method != "mc":
+            if grid < 1:
+                raise DomainError(f"grid must be at least 1, got {grid}")
             cells = np.unravel_index(idx, (grid,) * self.dim)
         # axis by axis: arithmetic across a length-k inner axis costs about
         # twice as much, for the same values
@@ -511,15 +513,6 @@ class NeighborhoodSpec:
     phi: RegionSpec
     psi: RegionSpec
 
-    def membership(self, vectors: np.ndarray, region: RegionSpec, beta: float):
-        """Vectorized membership of row vectors in a region."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-        norms = np.linalg.norm(vectors, axis=1)
-        pvals = np.abs(poly_grid_fn(self.variety, self.variety_vars)(vectors))
-        return (norms < (self.r + beta) * region.norm_scale) & (
-            pvals < beta * region.poly_scale
-        )
-
 
 def relative_size_neighborhoods(
     variety: GenPoly,
@@ -544,11 +537,7 @@ def relative_size_neighborhoods(
     if r <= 0 or c <= 0 or n_cover < 1:
         raise DomainError("r, c must be positive and the cover bound >= 1")
     if alpha is None:
-        m = 0
-        for v in variety_vars:
-            d = variety.degree_in(v)
-            if d is not NEG_INF:
-                m = max(m, int(d))
+        m = int(max([0, *map(variety.degree_in, variety_vars)]))
         if m == 0:
             raise DomainError("variety polynomial must be nonconstant")
         alpha = Fraction(1, 2 * m * l * k)
@@ -618,8 +607,11 @@ def relative_size_check(
     """
     pts = box.midpoint_grid(grid)
     vecs = orbit_vector_fn(theta_map, map_vars, v0)(pts)
-    in_phi = spec.membership(vecs, spec.phi, beta)
-    in_psi = spec.membership(vecs, spec.psi, beta)
+    norms = np.linalg.norm(vecs, axis=1)
+    pvals = np.abs(poly_grid_fn(spec.variety, spec.variety_vars)(vecs))
+    in_phi, in_psi = ((norms < (spec.r + beta) * region.norm_scale)
+                      & (pvals < beta * region.poly_scale)
+                      for region in (spec.phi, spec.psi))
     if bool(np.all(in_phi)):
         return RelSizeCheck(RelSizeStatus.VACUOUS, float("nan"), float("nan"), eps)
     cell = box.cell_volume(grid)

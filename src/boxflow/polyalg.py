@@ -17,6 +17,7 @@ equal iff their canonical term maps are equal.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -34,34 +35,8 @@ T_VAR = "t"
 Monomial = tuple
 
 
-class _NegInfinity:
-    """Degree of the zero polynomial; ordered strictly below every rational."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __hash__(self):
-        return hash("boxflow.NEG_INF")
-
-    def __repr__(self):
-        return "NEG_INF"
-
-
-NEG_INF = _NegInfinity()
+# degree of the zero polynomial, ordered strictly below every rational
+NEG_INF = -math.inf
 
 _VAR_RE = re.compile(r"([A-Za-z_]+)(\d*)$")
 
@@ -489,7 +464,7 @@ class GenPoly:
         miscomputed exponent upstream.
         """
         deg = self.degree_in(T_VAR)
-        if deg is not NEG_INF and deg > 0:
+        if deg > 0:
             raise DivergentLimitError(
                 f"limit t->inf diverges: t-degree {deg} > 0 in {self}"
             )

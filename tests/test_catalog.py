@@ -86,6 +86,19 @@ def test_maps_must_be_unimodular():
         entry.validate()
 
 
+@pytest.mark.parametrize("item,message", [
+    ({"entries": [["2", "x"], ["0", "1"]]}, "map is not unimodular, det = 2"),
+    ({"default_lambda": ["1", "1/2"]}, "one box exponent per variable"),
+], ids=["det-2", "two-exponents-one-variable"])
+def test_a_catalog_file_is_validated_on_load(tmp_path, item, message):
+    item = {"name": "custom", "vars": ["x"], "entries": [["1", "x"], ["0", "1"]],
+            "default_lambda": ["1"], **item}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"maps": [item]}))
+    with pytest.raises(CatalogError, match=f"custom: {message}"):
+        load_catalog(str(path))
+
+
 # the hand-set flags the built-ins carried before both were derived: the
 # orbit support S (None for Haar) and the product type
 FORMER_FLAGS = {

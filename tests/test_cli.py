@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, artifact determinism."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -296,6 +297,47 @@ def test_equi_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert exc.value.code == 2
     assert "argument --workers: expected an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_failing_equi_makes_no_output_directory(tmp_path, capsys):
+    # radius 1e7 needs more rows than the row cap: CuspExcursionError, exit 1
+    out = tmp_path / "out"
+    assert run(["equi", "--map", "ul_product", "--T", "10", "--obs",
+                "siegel:indicator:1e7", "--grid", "8", "--out", str(out)]) == 1
+    assert "rows of lattice vectors" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# criterion 11 compares runs with each other; these exact values pin the
+# config and artifact format itself, which is the same on every host
+PINNED_RUNS = [
+    pytest.param(["flow", "--map", "heis52", "--lambda", "5/2", "--seed", "3"],
+                 "273691298c5231fd",
+                 "11871ad8040c220021f109b5148120465c027179e4fc2d53da40966eaabc224b",
+                 id="flow-heis52"),
+    pytest.param(["flow", "--map", "poly23", "--twodim"], "2964863d69418825",
+                 "40239188c7490bc4b70ebe1a8945a807b656b0d0df3273bcd5fe0fb0b9643e7e",
+                 id="flow-poly23-twodim"),
+    pytest.param(["good", "--poly", "x^2", "--box", "0,1", "--deltas", "0.01,0.04,0.09",
+                  "--alpha", "1/2"], "9ffe3812df713752", None, id="good"),
+    pytest.param(["cover", "--random", "200,2", "--seed", "1"], "cc1510575e2e30b9", None,
+                 id="cover"),
+    pytest.param(["equi", "--map", "ul_product", "--lambda", "1,1/2", "--T", "20,50",
+                  "--obs", "siegel:indicator:1,siegel:bump:1", "--grid", "24",
+                  "--seed", "7"], "3797d93dfc7d6765", None, id="equi-criterion-11"),
+    pytest.param(["equi", "--map", "poly23_lower", "--t2", "5,10", "--grid", "16"],
+                 "d2001760e29c2329", None, id="equi-t2"),
+]
+
+
+@pytest.mark.parametrize("args,digest,flow_sha256", PINNED_RUNS)
+def test_config_hashes_and_flow_artifacts_are_pinned(tmp_path, capsys, args, digest,
+                                                     flow_sha256):
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    assert f"config hash: {digest};" in capsys.readouterr().out
+    if flow_sha256:
+        blob = (tmp_path / "flow.json").read_bytes() + (tmp_path / "flow_config.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == flow_sha256
 
 
 def test_equi_subcommand_and_determinism(tmp_path):

@@ -457,6 +457,28 @@ def test_sample_points_do_not_depend_on_the_split(method):
         box.sample_points(7, 0, 10, "sobol", 9)
 
 
+def test_grids_below_one_cell_per_axis_are_domain_errors():
+    square = BoxRegion((0.0, 0.0), (1.0, 1.0))
+    unit = BoxRegion((0.0,), (1.0,))
+    for method in ("grid", "jitter"):
+        with pytest.raises(DomainError, match="grid must be at least 1, got -2"):
+            square.sample_points(-2, 0, 4, method)
+    # (-2)^2 = 4 indices on the square, each mapped outside it
+    with pytest.raises(DomainError, match="grid must be at least 1"):
+        square.midpoint_grid(-2)
+    with pytest.raises(DomainError, match="grid must be at least 1"):
+        unit.midpoint_grid(-1)
+    # grid 0 has no points, from which no verdict follows
+    spec = relative_size_neighborhoods(
+        parse_poly("v1"), ["v1", "v2"], r=1.0, eps=0.5, k=1, l=1, c=1.0,
+        n_cover=3, alpha=F(1, 2),
+    )
+    with pytest.raises(DomainError, match="grid must be at least 1, got 0"):
+        relative_size_check(UPPER, ["x"], [0.0, 1.0], unit, spec, beta=0.1, eps=0.5, grid=0)
+    # "mc" draws uniform points in the box and ignores the grid
+    assert square.sample_points(0, 0, 4, "mc").shape == (4, 2)
+
+
 # -- grid evaluator ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Exact-arithmetic substrate: ring laws, degrees, substitution, text form."""
 
+import math
 import pickle
 import random
 import subprocess
@@ -56,6 +57,7 @@ def test_differentiate_carries_coefficient():
 def test_degree_examples():
     assert P("t^3/2 + 2 * t").degree_in("t") == F(3, 2)
     assert GenPoly.zero().degree_in("t") is NEG_INF
+    assert NEG_INF == -math.inf
     assert P("a1^2").degree_in("t") == 0
 
 

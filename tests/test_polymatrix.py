@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from boxflow.errors import DeterminantError, DimensionError
-from boxflow.polyalg import GenPoly
+from boxflow.polyalg import NEG_INF, GenPoly
 from boxflow.polymatrix import PolyMatrix
 
 F = Fraction
@@ -112,6 +112,7 @@ def test_evaluate_matches_entrywise():
 def test_degree_in_over_entries():
     assert UPPER_52.degree_in("t") == F(5, 2)
     assert PolyMatrix.identity(2).degree_in("t") == 0
+    assert PolyMatrix.zero(2).degree_in("t") is NEG_INF
 
 
 def test_text_round_trip():
