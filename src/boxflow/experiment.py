@@ -6,9 +6,10 @@ nondivergence fractions of the same samples.
 
 Averages use deterministic midpoint tensor grids (the statements being
 checked are Riemann integrals); a seeded Monte Carlo mode with per-index
-streams is available for high dimension.  Work is partitioned into
-fixed-size chunks evaluated independently per sample, so results are
-bit-identical for any worker count and chunk size.
+streams is available for high dimension.  A sweep's samples form one
+sequence, box after box, cut into fixed-size chunks that may span boxes;
+each sample is evaluated on its own, so results are bit-identical for
+any worker count and chunk size.
 
 One kernel serves both lattice dimensions, in two stages per chunk.
 ``certified_reduce`` evaluates the matrix entries once
@@ -23,7 +24,7 @@ on one row state per chunk (``homspace.row_state``): the entries go
 straight into the float64 reduction state, from the chunk's coordinate
 rows, which the entries share, and the state is reduced in place; the
 bases leave as views of its coordinate rows.  A chunk is one
-``doubledouble.BLOCK`` of samples in both dimensions.
+``doubledouble.BLOCK`` of the sweep's sample sequence in both dimensions.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _realized_box(lam, T: float, J: Optional[BoxRegion] = None) -> BoxRegion:
 
 def entry_tables(matrix, map_vars):
     """The ``GridPoly`` table of every entry of ``matrix``, compiled once
-    per box for all its chunks."""
+    per sweep for all its chunks."""
     return [[GridPoly(p, map_vars) for p in row] for row in matrix.entries]
 
 
@@ -194,8 +195,8 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
     evaluated and reduced in exact rationals; more than ``limit`` of them
     raise ``PrecisionError``.
     Returns the bases (m, N, N), shortest column first, and their column
-    bounds (m, N), both views of the row state, and the number of exact
-    samples.
+    bounds (m, N), both views of the row state, and the indices of the
+    exact samples.
     """
     m, n = pts.shape[0], matrix.dim
     # the coordinate rows, contiguous in 2D, where the four entries and the
@@ -219,7 +220,7 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
     for k in late:
         b[k] = reduce_exact(_exact_matrix(matrix, map_vars, pts[k]))
         e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
-    return b, e, int(late.size)
+    return b, e, late
 
 
 def certified_observables(b: np.ndarray, e: np.ndarray, fs, exact):
@@ -242,14 +243,22 @@ def _exact_matrix(matrix, map_vars, pt):
     return matrix.evaluate_exact({v: Fraction(float(x)) for v, x in zip(map_vars, pt)})
 
 
+def _segments(start: int, stop: int, n: int) -> list:
+    """The pieces (i, lo, hi) of samples [start, stop) of a sweep whose box
+    i owns samples [i n, (i + 1) n): local samples [lo, hi) of box i."""
+    return [(i, max(start - i * n, 0), min(stop - i * n, n))
+            for i in range(start // n, (stop - 1) // n + 1)]
+
+
 def _eval_chunk(args):
     """Shortest-vector lengths, observable values (one row per test
-    function) and the number of exactly reduced samples of one chunk, all
-    from a single certified reduction per sample (``certified_reduce``,
-    then ``certified_observables``).  A 3D chunk runs in pieces of half
-    a ``BLOCK``: its row state has 15 rows to a 2D state's 8, and the
+    function) and the number of exactly reduced samples per box of one
+    chunk of a sweep's sample sequence, all from a single certified
+    reduction per sample (``certified_reduce``, then
+    ``certified_observables``).  A 3D chunk runs in pieces of half a
+    ``BLOCK``: its row state has 15 rows to a 2D state's 8, and the
     temporaries of the reduction and of the observables scale with it."""
-    (matrix, map_vars, tables, region, grid, fs, start, stop, method, seed,
+    (matrix, map_vars, tables, regions, grid, fs, start, stop, method, seed,
      limit) = args
     half = BLOCK // 2
     if matrix.dim == 3 and stop - start > half:
@@ -257,18 +266,24 @@ def _eval_chunk(args):
             _eval_chunk(args[:6] + (lo, min(lo + half, stop)) + args[8:])
             for lo in range(start, stop, half)))
         return np.concatenate(lam1), np.concatenate(values, axis=1), sum(n_exact)
-    pts = region.sample_points(grid, start, stop, method, seed)
-    b, e, n_exact = certified_reduce(matrix, map_vars, tables, pts, limit)
+    n = grid ** regions[0].dim
+    segments = _segments(start, stop, n)
+    pts = np.concatenate([regions[i].sample_points(grid, lo, hi, method, seed)
+                          for i, lo, hi in segments])
+    # each box the chunk touches may take its whole budget here
+    b, e, late = certified_reduce(matrix, map_vars, tables, pts, limit * len(segments))
     # the points go before the observables, whose temporaries set a 3D
-    # chunk's peak memory; a tie's point is drawn again, by its index
+    # chunk's peak memory; a tie's point is drawn again, by its box and
+    # local index
     del pts
 
     def exact(k):
-        pt = region.sample_points(grid, start + k, start + k + 1, method, seed)[0]
+        i, j = divmod(start + k, n)
+        pt = regions[i].sample_points(grid, j, j + 1, method, seed)[0]
         return _exact_matrix(matrix, map_vars, pt)
 
     lam1, values = certified_observables(b, e, fs, exact)
-    return lam1, values, n_exact
+    return lam1, values, np.bincount((start + late) // n, minlength=len(regions))
 
 
 def _pool(workers: int):
@@ -280,51 +295,59 @@ def _pool(workers: int):
 def _observable_values(
     matrix,
     map_vars,
-    region: BoxRegion,
+    regions: Sequence[BoxRegion],
     grid: int,
     fs: Sequence[TestFunction],
     pool: Optional[ProcessPoolExecutor] = None,
     method: str = "grid",
     seed: int = 0,
 ):
-    """(lam1, values) over the box's samples: shortest-vector lengths and
-    one row of observable values per test function in ``fs``, for every
-    sample.  The chunks run in ``pool`` (``_pool``) when there is one and
-    more than one chunk."""
+    """Yields (lam1, values) for each box of ``regions`` in turn: the
+    shortest-vector lengths and one row of observable values per test
+    function in ``fs`` of its samples.  The chunks cut the sweep's samples,
+    box after box, and run in ``pool`` (``_pool``) when there is one and
+    more than one chunk; only the box being filled has buffers here."""
     if matrix.dim not in (2, 3):
         raise DomainError(
             f"lattice observables need 2x2 or 3x3 matrices, not {matrix.dim}x{matrix.dim}")
-    if region.dim != len(map_vars):
+    if regions[0].dim != len(map_vars):
         raise DomainError(
-            f"a {region.dim}-dimensional box for {len(map_vars)} map variables")
-    total = grid ** region.dim
-    limit = _EXACT_BUDGET * total
+            f"a {regions[0].dim}-dimensional box for {len(map_vars)} map variables")
+    n = grid ** regions[0].dim
+    total = n * len(regions)
+    limit = _EXACT_BUDGET * n
     bounds = list(range(0, total, _CHUNK)) + [total]
     tables = entry_tables(matrix, map_vars)
     tasks = [
-        (matrix, map_vars, tables, region, grid, tuple(fs), lo, hi, method, seed,
-         limit)
+        (matrix, map_vars, tables, tuple(regions), grid, tuple(fs), lo, hi, method,
+         seed, limit)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    lam1 = np.empty(total)
-    values = np.empty((len(fs), total))
     if pool is None or len(tasks) == 1:
         results = map(_eval_chunk, tasks)
     else:
         results = pool.map(_eval_chunk, tasks)
-    flagged = 0
+    flagged = np.zeros(len(regions), dtype=int)
+    # a box's buffers come before its chunks: after them sweep2d_ul ran 7% slower
+    lam1, values = np.empty(n), np.empty((len(fs), n))
     for task, (lam, vals, n_exact) in zip(tasks, results):
-        lo, hi = task[6], task[7]
-        lam1[lo:hi] = lam
-        values[:, lo:hi] = vals
         flagged += n_exact
-    if flagged > limit:
-        raise PrecisionError(
-            f"{flagged}/{total} samples are beyond floating-point "
-            f"certification (over the exact tier's cost budget)",
-            flagged=flagged, total=total,
-        )
-    return lam1, values
+        at = 0
+        for i, lo, hi in _segments(task[6], task[7], n):
+            lam1[lo:hi] = lam[at:at + hi - lo]
+            values[:, lo:hi] = vals[:, at:at + hi - lo]
+            at += hi - lo
+            if hi < n:
+                continue
+            if flagged[i] > limit:
+                raise PrecisionError(
+                    f"{flagged[i]}/{n} samples are beyond floating-point "
+                    f"certification (over the exact tier's cost budget)",
+                    flagged=int(flagged[i]), total=n,
+                )
+            yield lam1, values
+            del lam1, values
+            lam1, values = np.empty(n), np.empty((len(fs), n))
 
 
 def _average(values: np.ndarray) -> float:
@@ -458,11 +481,12 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
         refs = periodic_reference(entry, f_list)
     rows = []
     with _pool(workers) as pool:
-        for T, region in zip(params, regions):
-            lam1, values = _observable_values(
-                entry.matrix, entry.map_vars, region, grid, f_list,
-                pool=pool, method=method, seed=seed,
-            )
+        boxes = _observable_values(entry.matrix, entry.map_vars, regions, grid, f_list,
+                                   pool=pool, method=method, seed=seed)
+        for T in params:
+            # by next(), not zip: zip's reused tuple would keep the last box
+            # alive while the next one fills
+            lam1, values = next(boxes)
             nondiv = _nondiv(lam1, eps0_list)
             averages = [_average(vals) for vals in values]
             del lam1, values  # one box's samples in memory at a time
@@ -478,7 +502,7 @@ def _sweep(entry: MapEntry, name: str, params: Sequence[float], box_of,
                         reference=ref,
                         gap=gap,
                         rel_gap=rel_gap,
-                        samples=grid ** region.dim,
+                        samples=grid ** regions[0].dim,
                         # every sample is counted and no numeric bound exists
                         # yet; both keep their values for the CSVs and the bench
                         excluded=0,

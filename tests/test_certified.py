@@ -225,7 +225,7 @@ def kernel_mismatches(matrix, map_vars, pts, stride=1):
     def exact(k):
         return experiment._exact_matrix(matrix, map_vars, pts[k])
 
-    b, e, n_exact = certified_reduce(matrix, map_vars, entry_tables(matrix, map_vars), pts)
+    b, e, late = certified_reduce(matrix, map_vars, entry_tables(matrix, map_vars), pts)
     lam1, (counts,) = certified_observables(b, e, (INDICATOR,), exact)
     bad_count = bad_lam1 = bad_cover = 0
     for k in range(0, pts.shape[0], stride):
@@ -236,7 +236,7 @@ def kernel_mismatches(matrix, map_vars, pts, stride=1):
         bad_lam1 += abs(lam1[k] - math.sqrt(oracles.exact_shortest_sq(m))) > PREC_TOL
         dist2 = oracles.lattice_distances_sq(m, b[k].T)
         bad_cover += any(d > F(float(x)) ** 2 for d, x in zip(dist2, e[k]))
-    return (bad_count, bad_lam1, bad_cover), n_exact
+    return (bad_count, bad_lam1, bad_cover), late.size
 
 
 @pytest.mark.parametrize("T2", [5.0, 10.0, 20.0])
@@ -422,7 +422,7 @@ def test_ties_count_exactly_through_certified_kernel(rows, radius, monkeypatch):
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
     f = TF("indicator", radius)
     matrix = PolyMatrix(rows)
-    task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
+    task = (matrix, ("x",), entry_tables(matrix, ("x",)), (BoxRegion((0.0,), (1.0,)),),
             8, (f,), 0, 8, "jitter", 3, math.inf)
     _, values, _ = experiment._eval_chunk(task)
     exact = len(oracles.exact_norms(rows, radius))
@@ -464,7 +464,7 @@ def test_2d_tie_rows_on_exact_columns_skip_the_exact_lattice(name, monkeypatch):
     entry = get_map(name)
     region = experiment._realized_box(entry.default_lambda, 10.0)
     task = (entry.matrix, entry.map_vars, entry_tables(entry.matrix, entry.map_vars),
-            region, 4096, (INDICATOR,), 0, 4096, "grid", 0, math.inf)
+            (region,), 4096, (INDICATOR,), 0, 4096, "grid", 0, math.inf)
     _, values, _ = experiment._eval_chunk(task)
     assert values[0].tolist() == [2.0] * 4096
     assert recounts == []
@@ -510,7 +510,7 @@ TIES3 = [
 @pytest.mark.parametrize("rows", TIES3)
 def test_3d_ties_count_exactly_through_certified_kernel(rows):
     matrix = PolyMatrix(rows)
-    task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
+    task = (matrix, ("x",), entry_tables(matrix, ("x",)), (BoxRegion((0.0,), (1.0,)),),
             8, (INDICATOR,), 0, 8, "jitter", 3, math.inf)
     _, values, _ = experiment._eval_chunk(task)
     exact = len(oracles.exact_norms(rows, 1))
@@ -529,7 +529,7 @@ def test_3d_tie_rows_on_exact_columns_skip_the_exact_lattice(monkeypatch):
 
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
     region = experiment._realized_box(HEIS3.default_lambda, 20.0)
-    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 24, (INDICATOR,),
+    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, (region,), 24, (INDICATOR,),
             0, 576, "jitter", 1, math.inf)
     _, values, _ = experiment._eval_chunk(task)
     assert values[0].tolist() == [2.0] * 576
@@ -735,7 +735,7 @@ def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
     # the entries reach 1.8e8; the carried bounds stay below 1e-7
     region = experiment._realized_box(HEIS3.default_lambda, 1e3)
     # a budget of 0 exact samples: any sample beyond float64 raises
-    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 16, (INDICATOR,),
+    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, (region,), 16, (INDICATOR,),
             0, 256, "jitter", 5, 0.0)
     _, values, n_exact = experiment._eval_chunk(task)
     assert n_exact == 0
@@ -748,7 +748,7 @@ def test_heis3_precision_error_beyond_float64():
     # at T = 1e4 the entries reach 1e11 and the bounds 3e-5: the exact tier
     # takes most samples, which is over budget for a sweep
     region = experiment._realized_box(HEIS3.default_lambda, 1e4)
-    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, region, 8, (INDICATOR,),
+    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, (region,), 8, (INDICATOR,),
             0, 64, "jitter", 5, math.inf)
     lam1, values, n_exact = experiment._eval_chunk(task)
     assert n_exact > 32
@@ -782,7 +782,7 @@ DEEP = [
 def test_deep_cusp_samples_count_exactly_through_certified_kernel(rows):
     matrix = PolyMatrix(rows)
     fs = (INDICATOR, TF("bump", 1.0))
-    task = (matrix, ("x",), entry_tables(matrix, ("x",)), BoxRegion((0.0,), (1.0,)),
+    task = (matrix, ("x",), entry_tables(matrix, ("x",)), (BoxRegion((0.0,), (1.0,)),),
             8, fs, 0, 8, "jitter", 3, math.inf)
     _, (counts, bumps), _ = experiment._eval_chunk(task)
     diag = [row[i] for i, row in enumerate(rows)]

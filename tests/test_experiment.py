@@ -12,7 +12,7 @@ import pytest
 from boxflow import experiment
 from boxflow.catalog import MapEntry, get_map
 from boxflow.doubledouble import BLOCK
-from boxflow.errors import CuspExcursionError, DomainError
+from boxflow.errors import CuspExcursionError, DomainError, PrecisionError
 from boxflow.experiment import (
     convergence_sweep,
     periodic_reference,
@@ -110,7 +110,7 @@ def test_periodic_reference_horocycle():
 
 def test_periodic_reference_runs_no_lattice_chunk(monkeypatch):
     # the reference is a closed form: one call for two observables gives the
-    # bits of one call each, and only the boxes run the lattice kernel
+    # bits of one call each, and only the sweep's boxes run the lattice kernel
     fs = [TF("indicator", 1.5), TF("bump", 1.5)]
     alone = [periodic_reference(HEIS3, [f])[0] for f in fs]
     calls = []
@@ -120,7 +120,8 @@ def test_periodic_reference_runs_no_lattice_chunk(monkeypatch):
     assert periodic_reference(HEIS3, fs) == alone
     assert calls == []
     convergence_sweep(HEIS3, HEIS3.default_lambda, [10.0, 20.0], fs, grid=8)
-    assert len(calls) == 2  # each box, and no chunk for the reference
+    # one call for the sweep's two boxes, and no chunk for the reference
+    assert len(calls) == 1 and len(calls[0][2]) == 2
 
 
 # the slice sums of heis3 (v = (a, b, c): the planes c != 0, the lines
@@ -270,7 +271,7 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
     checked = 0
     for matrix, map_vars, region, method in cases:
         total = 24 ** region.dim
-        task = (matrix, map_vars, experiment.entry_tables(matrix, map_vars), region, 24,
+        task = (matrix, map_vars, experiment.entry_tables(matrix, map_vars), (region,), 24,
                 (f,), 0, total, method, 1, math.inf)
         lam1, (vals,), n_exact = experiment._eval_chunk(task)
         assert n_exact == 0
@@ -321,12 +322,12 @@ def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
     runs = []
     for size in (grid ** 2,) + sizes:
         monkeypatch.setattr(experiment, "_CHUNK", size)
-        runs.append(experiment._observable_values(
-            entry.matrix, entry.map_vars, region, grid, fs, method="jitter", seed=5))
+        runs += experiment._observable_values(
+            entry.matrix, entry.map_vars, (region,), grid, fs, method="jitter", seed=5)
     with experiment._pool(2) as pool:
-        runs.append(experiment._observable_values(
-            entry.matrix, entry.map_vars, region, grid, fs, pool=pool,
-            method="jitter", seed=5))
+        runs += experiment._observable_values(
+            entry.matrix, entry.map_vars, (region,), grid, fs, pool=pool,
+            method="jitter", seed=5)
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -353,8 +354,8 @@ def test_the_row_cap_raises_whatever_the_chunk_size(case, monkeypatch):
         matrix, map_vars = UL.matrix, UL.map_vars
         region = experiment._realized_box(UL.default_lambda, 1e3)
         fs = (TF("indicator", float(ROW_CAP)),)
-        lam1, _ = experiment._observable_values(
-            matrix, map_vars, region, grid, (TF("indicator", 0.9 * ROW_CAP),),
+        [(lam1, _)] = experiment._observable_values(
+            matrix, map_vars, (region,), grid, (TF("indicator", 0.9 * ROW_CAP),),
             method="jitter", seed=5)
         assert 0.999 < np.max(lam1) < 1.075
     assert grid ** 2 > BLOCK
@@ -362,12 +363,12 @@ def test_the_row_cap_raises_whatever_the_chunk_size(case, monkeypatch):
     for size in (grid ** 2,) + sizes:
         monkeypatch.setattr(experiment, "_CHUNK", size)
         with pytest.raises(CuspExcursionError) as err:
-            experiment._observable_values(matrix, map_vars, region, grid, fs,
-                                          method="jitter", seed=5)
+            list(experiment._observable_values(matrix, map_vars, (region,), grid, fs,
+                                               method="jitter", seed=5))
         messages.append(str(err.value))
     with experiment._pool(2) as pool, pytest.raises(CuspExcursionError) as err:
-        experiment._observable_values(matrix, map_vars, region, grid, fs, pool=pool,
-                                      method="jitter", seed=5)
+        list(experiment._observable_values(matrix, map_vars, (region,), grid, fs,
+                                           pool=pool, method="jitter", seed=5))
     assert messages == [str(err.value)] * 4
 
 
@@ -393,10 +394,10 @@ def test_a_3d_chunk_takes_little_more_memory_than_a_2d_chunk():
     # period cube, grid 24, indicator at R = 1) against one BLOCK of a
     # ul_product box at T = 1e3 (grid 256, indicator and bump at R = 1)
     orbit = BoxRegion((0.0,) * 3, (1.0,) * 3)
-    heis3 = (*HEIS3.orbit, experiment.entry_tables(*HEIS3.orbit), orbit, 24,
+    heis3 = (*HEIS3.orbit, experiment.entry_tables(*HEIS3.orbit), (orbit,), 24,
              (TF("indicator", 1.0),), 0, BLOCK, "grid", 0, math.inf)
     box = experiment._realized_box(UL.default_lambda, 1e3)
-    ul = (UL.matrix, UL.map_vars, experiment.entry_tables(UL.matrix, UL.map_vars), box,
+    ul = (UL.matrix, UL.map_vars, experiment.entry_tables(UL.matrix, UL.map_vars), (box,),
           256, (TF("indicator", 1.0), TF("bump", 1.0)), 0, BLOCK, "jitter", 1, math.inf)
     assert chunk_peak(heis3) <= 1.25 * chunk_peak(ul)
 
@@ -424,7 +425,7 @@ def test_a_tie_is_recounted_at_the_point_drawn_for_it(entry, method, monkeypatch
     monkeypatch.setattr(experiment, "siegel_sums", one_tie)
     monkeypatch.setattr(experiment, "siegel_count_exact", record)
     task = (entry.matrix, entry.map_vars,
-            experiment.entry_tables(entry.matrix, entry.map_vars), region, 40,
+            experiment.entry_tables(entry.matrix, entry.map_vars), (region,), 40,
             (TF("indicator", 1.0),), start, stop, method, 3, math.inf)
     values = experiment._eval_chunk(task)[1]
     pt = region.sample_points(40, start, stop, method, 3)[k]
@@ -434,7 +435,7 @@ def test_a_tie_is_recounted_at_the_point_drawn_for_it(entry, method, monkeypatch
 
 def counting_pools(monkeypatch):
     """Record every process pool that the sweeps open, and the number of
-    tasks of each ``map`` call on it: one call per box of more than one
+    tasks of each ``map`` call on it: one call per sweep of more than one
     chunk."""
     pools, tasks = [], []
 
@@ -467,16 +468,151 @@ def test_heis3_worker_count_independence(monkeypatch):
 
 
 def test_one_process_pool_per_sweep(monkeypatch):
-    # three boxes of three chunks of 1,024 each share one pool
+    # three boxes of 2,304 samples share one pool and one map call: their
+    # 6,912 samples in order are seven chunks of 1,024, two of which span
+    # two boxes
     monkeypatch.setattr(experiment, "_CHUNK", 1024)
     pools, tasks = counting_pools(monkeypatch)
     f = TF("indicator", 1.0)
     args = (HEIS3, HEIS3.default_lambda, [10.0, 20.0, 30.0], [f])
     res2 = convergence_sweep(*args, grid=48, workers=2, method="jitter", seed=4)
-    assert len(pools) == 1 and tasks == [3, 3, 3]
+    assert len(pools) == 1 and tasks == [7]
     res1 = convergence_sweep(*args, grid=48, workers=1, method="jitter", seed=4)
     assert len(pools) == 1
     assert res1.csv_text() == res2.csv_text()
+
+
+def per_box_csv(run, params):
+    """The CSV of ``run(params)`` assembled from one ``run`` per parameter:
+    the header once, then each one-box sweep's rows."""
+    texts = [run([T]).csv_text().splitlines(keepends=True) for T in params]
+    return "".join(texts[0][:1] + [line for text in texts for line in text[1:]])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method", ["grid", "jitter", "mc"])
+@pytest.mark.parametrize("name,grid", [("ul_product", 100), ("heis3", 70), ("u_horo", 3000)])
+def test_boxes_sharing_chunks_give_the_csv_of_one_box_per_sweep(name, grid, method, workers):
+    # boxes of 10,000 (2D), 4,900 (3D) and 3,000 (1D) samples: a chunk of
+    # BLOCK spans the first two boxes; in 3D so do the half-block pieces
+    # [4096, 8192) and [8192, 12288), and in 1D the first chunk holds two
+    # whole boxes and the head of the third
+    entry = get_map(name)
+    fs = [TF("indicator", 1.5), TF("bump", 1.5)]
+
+    def run(params):
+        return convergence_sweep(entry, entry.default_lambda, params, fs, grid=grid,
+                                 method=method, seed=6, workers=workers)
+
+    params = [10.0, 20.0, 30.0]
+    assert run(params).csv_text() == per_box_csv(run, params)
+
+
+@pytest.mark.parametrize("method", ["grid", "jitter", "mc"])
+@pytest.mark.parametrize("entry", [UL, HEIS3], ids=["ul_product", "heis3"])
+def test_a_tie_in_a_chunk_spanning_boxes_is_recounted_in_its_own_box(entry, method,
+                                                                      monkeypatch):
+    # samples [1500, 1700) of a sweep over two boxes of 40^2 = 1,600: the
+    # chunk's sample 150, marked as a tie, is sample 50 of the second box
+    start, stop, k = 1500, 1700, 150
+    regions = tuple(experiment._realized_box(entry.default_lambda, T) for T in (20.0, 30.0))
+    real_sums = experiment.siegel_sums
+    recounted = []
+
+    def one_tie(*args):
+        values, ties = real_sums(*args)
+        ties[0, k] = True
+        return values, ties
+
+    def record(m, radius):
+        recounted.append(m)
+        return -1
+
+    monkeypatch.setattr(experiment, "siegel_sums", one_tie)
+    monkeypatch.setattr(experiment, "siegel_count_exact", record)
+    task = (entry.matrix, entry.map_vars,
+            experiment.entry_tables(entry.matrix, entry.map_vars), regions, 40,
+            (TF("indicator", 1.0),), start, stop, method, 3, math.inf)
+    values = experiment._eval_chunk(task)[1]
+    pt = regions[1].sample_points(40, 50, 51, method, 3)[0]
+    assert recounted == [experiment._exact_matrix(entry.matrix, entry.map_vars, pt)]
+    assert values[0, k] == -1
+
+
+def test_the_exact_budget_is_per_box_across_a_spanning_chunk():
+    # poly23_lower's grid boxes at T2 = 23, 23.25, 23.5, 23.75 and 25 take
+    # 0, 1, 1, 4 and 2 of their 40^2 = 1,600 samples to the exact tier,
+    # whose budget is 1.6 a box; two boxes make one chunk
+    entry = get_map("poly23_lower")
+    fs = [TF("indicator", 1.0)]
+
+    def run(params):
+        return twodim_bcondition_sweep(entry, 4, params, fs, grid=40)
+
+    def exact_per_box(params):
+        regions = tuple(BoxRegion((0.0, 0.0), (1.01 * T ** 4, T)) for T in params)
+        task = (entry.matrix, entry.map_vars,
+                experiment.entry_tables(entry.matrix, entry.map_vars), regions, 40,
+                tuple(fs), 0, 1600 * len(params), "grid", 0, math.inf)
+        return experiment._eval_chunk(task)[2].tolist()
+
+    assert exact_per_box([23.0, 23.25, 23.5, 23.75, 25.0]) == [0, 1, 1, 4, 2]
+    # 1 and 1: each box within budget, though the chunk's 2 are over one box's
+    assert run([23.25, 23.5]).csv_text() == per_box_csv(run, [23.25, 23.5])
+    # 0 and 2: the second box is over budget once its samples are all in
+    with pytest.raises(PrecisionError) as err:
+        run([23.0, 25.0])
+    assert (err.value.flagged, err.value.total) == (2, 1600)
+    assert str(err.value).startswith("2/1600 samples are beyond floating-point")
+    # 1 and 4: the chunk is over its two boxes' budgets, so one of them is
+    with pytest.raises(PrecisionError) as err:
+        run([23.25, 23.75])
+    assert (err.value.flagged, err.value.total) == (5, 3200)
+    assert err.value.flagged > 1e-3 * err.value.total
+
+
+def sweep_peak(params, **kwargs):
+    """The tracemalloc peak of a ``ul_product`` sweep over ``params``,
+    above what was allocated before it, after one warm-up run."""
+    fs = [TF("indicator", 1.0), TF("bump", 1.0)]
+    convergence_sweep(UL, UL.default_lambda, params, fs, **kwargs)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        convergence_sweep(UL, UL.default_lambda, params, fs, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_one_box_at_a_time():
+    # boxes of 160,000 samples, whose lengths and two observables take
+    # 3.84 MB, more than a chunk's kernel, against 0.2 MB for a chunk's
+    # results: a sweep that keeps the last box while the next is allocated
+    # or filled exceeds the bound
+    chunk = 3 * BLOCK * 8
+    one = sweep_peak([100.0], grid=400)
+    assert sweep_peak([10.0, 100.0, 1000.0], grid=400) <= one + chunk
+
+
+def test_a_sweep_makes_one_kernel_call_per_chunk_of_its_samples(monkeypatch):
+    calls = []
+    real = experiment.certified_reduce
+
+    def counting(*args):
+        calls.append(args[3].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "certified_reduce", counting)
+    # the orbit3d_heis3 benchmark sweep: two boxes of 576 samples, one call
+    convergence_sweep(HEIS3, HEIS3.default_lambda, [10.0, 20.0], [TF("indicator", 1.0)],
+                      grid=24, method="jitter", seed=7)
+    assert calls == [1152]
+    calls.clear()
+    # three boxes of 10,000: ceil(30,000 / BLOCK) = 4 calls, not 2 a box
+    convergence_sweep(UL, UL.default_lambda, [10.0, 100.0, 1000.0],
+                      [TF("indicator", 1.0)], grid=100)
+    assert calls == [BLOCK] * 3 + [30000 - 3 * BLOCK]
 
 
 def test_sampling_methods_agree_statistically():
