@@ -15,9 +15,10 @@ One kernel serves both lattice dimensions, in two stages per chunk.
 ``certified_reduce`` evaluates the matrix entries once
 (``goodness.GridPoly``, whose term magnitudes give each entry's rounding
 bound) and reduces each sample's lattice once, certified: every basis
-is within ``homspace.PREC_TOL`` of an exact reduced basis.  That is
-float64, double-double (dimension 2 only) or exact rational arithmetic,
-whichever is the cheapest whose error bound meets the tolerance.
+is within ``homspace.PREC_TOL`` of an exact reduced basis.  One tier
+ladder serves both dimensions: float64, double-double (dimension 2 only)
+or exact rational arithmetic, whichever is the cheapest whose error
+bound meets the tolerance.
 ``certified_observables`` then derives the shortest length and every
 observable from those bases.  In both dimensions the first stage runs
 on one row state per chunk (``homspace.row_state``): the entries go
@@ -64,6 +65,8 @@ from .homspace import (
 _CHUNK = BLOCK
 # the share of a box's samples the exact tier may take: a cost cap
 _EXACT_BUDGET = 1e-3
+# the floating tiers of each lattice dimension, cheapest first (``_tiers``)
+_LADDER = {2: ("float64", "double-double"), 3: ("float64",)}
 
 
 def _side(T, l) -> float:
@@ -98,49 +101,52 @@ def _f64_state(tables, x: np.ndarray):
     """The float64 row state (``homspace.row_state``) of the matrices whose
     entry tables are ``tables`` at the points with coordinate rows ``x``:
     entry (i, j) in coordinate row i of column j, and as each column's
-    bound the sum of its entries' rounding bounds ``c64 * mag``; and, in
-    dimension 2, the term-magnitude sums mag[j, i] of the entries, which
-    the double-double routing reads (None in dimension 3, whose entries
-    share one row)."""
+    bound the sum of its entries' ``c64 * mag``, mag an entry's term
+    magnitude sum; and the columns' double-double bounds (N, m), the sums
+    of their entries' ``cdd * mag``, which ``_tiers`` routes by."""
     n, m = len(tables), x.shape[1]
     s = row_state(n, n, m, False)
-    keep = n == 2
-    mag = np.empty((n, n, m) if keep else (1, 1, m))
+    edd, mag = np.zeros((n, m)), np.empty(m)
     s[:, BOUND] = 0.0
     for i, row in enumerate(tables):
         for j, table in enumerate(row):
-            r = mag[j, i] if keep else mag[0, 0]
-            table.f64(x, s[j, i], r)
-            s[j, BOUND] += table.c64 * r
-    return s, mag if keep else None
+            table.f64(x, s[j, i], mag)
+            s[j, BOUND] += table.c64 * mag
+            edd[j] += table.cdd * mag
+    return s, edd
 
 
-def _sl2_tiers(tables, x: np.ndarray, s, mag):
-    """The float64 and double-double tiers of ``certified_reduce`` in
-    dimension 2, on the float64 row state ``s`` of the entries at the
-    points with coordinate rows ``x``, with term magnitudes ``mag``
-    (``_f64_state``), in place: each sample is left reduced and
-    certified, or with an infinite first bound.
+def _tiers(tables, x: np.ndarray, s, edd):
+    """The floating tiers of ``certified_reduce`` (``_LADDER``), in place
+    on the float64 row state ``s`` of the entries at the points with
+    coordinate rows ``x`` and their double-double bounds ``edd``
+    (``_f64_state``): each sample is left reduced and certified, or with
+    an infinite first bound.  The dimension sets only the reduction
+    (``lagrange_reduce`` or ``sl3_greedy``) and the tiers with their
+    routing; 3D, with no later floating tier, sends every sample to float64.
 
-    The float64 tier reduces ``s`` in place when every sample qualifies,
+    The float64 tier reduces ``s`` in place when it takes every sample,
     else an ``np.compress`` of it, whose coordinate and bound rows it
-    writes back by index.  When some sample misses it, the
-    double-double tier evaluates the samples it qualifies into a
+    writes back by index.  When some sample misses it and the ladder goes
+    on, the double-double tier evaluates the samples it takes into a
     double-double row state, from their coordinate rows and the rows'
     splits, and writes its results back row by row."""
-    err = s[:, BOUND]
-    # the reduced basis is B = g U with U = adj(g) B, so its column j
-    # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
-    # the routing takes |b_j| to be about 1.  |row i of adj(g)| is
-    # |column 1 - i of g|
-    amp = np.hypot(s[::-1, 1], s[::-1, 0])
+    n = len(tables)
+    if n == 2:
+        # the reduced basis is B = g U with U = adj(g) B, so its column j
+        # carries the column errors of g times |U_ij| <= |row i of adj(g)| |b_j|;
+        # the routing takes |b_j| to be about 1.  |row i of adj(g)| is
+        # |column 1 - i of g|
+        amp = np.hypot(s[::-1, 1], s[::-1, 0])
+        f64 = s[0, BOUND] * amp[0] + s[1, BOUND] * amp[1] <= PREC_TOL
+    else:
+        f64 = np.ones(x.shape[1], bool)
 
     def tier(t, dd):
-        done = lagrange_reduce(t, 2, dd)
-        ok = done & (np.maximum(t[0, BOUND], t[1, BOUND]) <= PREC_TOL)
+        done = lagrange_reduce(t, 2, dd) if n == 2 else sl3_greedy(t)
+        ok = done & (functools.reduce(np.maximum, t[:, BOUND]) <= PREC_TOL)
         t[0, BOUND, ~ok] = np.inf  # inf: not certified (yet)
 
-    f64 = err[0] * amp[0] + err[1] * amp[1] <= PREC_TOL
     s[0, BOUND, ~f64] = np.inf
     if f64.all():
         tier(s, False)
@@ -151,31 +157,28 @@ def _sl2_tiers(tables, x: np.ndarray, s, mag):
         # density, where masks take 17-276 us, the most near 1/2 (2-core Xeon)
         k = np.flatnonzero(f64)
         for c, r in zip(s, t):
-            for j in (0, 1, BOUND):
+            for j in (*range(n), BOUND):
                 c[j][k] = r[j]
     missed = np.isinf(s[0, BOUND])
-    if not missed.any():
+    if len(_LADDER[n]) == 1 or not missed.any():
         return
-    edd = np.empty((2, x.shape[1]))
-    for j in range(2):
-        edd[j] = mag[j, 0] * tables[0][j].cdd + mag[j, 1] * tables[1][j].cdd
     dd = missed & (edd[0] * amp[0] + edd[1] * amp[1] <= PREC_TOL)
-    if dd.any():
-        t = row_state(2, 2, np.count_nonzero(dd), True)
-        p = np.compress(dd, x, axis=1)
-        ps = [split(r) for r in p]
-        for i, row in enumerate(tables):
-            for j, table in enumerate(row):
-                table.dd(p, ps, t[j, i], t[j, 2 + i])
-        t[:, BOUND] = np.compress(dd, edd, axis=1)
-        # the passes do not read the rows: free them for the passes' scratch
-        del p, ps
-        tier(t, True)
-        # row by row: a mask over the last axis of s[:, :2] costs 6 times
-        # as much
-        for c, r in zip(s, t):
-            for k in (0, 1, BOUND):
-                c[k][dd] = r[k]
+    if not dd.any():
+        return
+    t = row_state(n, n, np.count_nonzero(dd), True)
+    p = np.compress(dd, x, axis=1)
+    ps = [split(r) for r in p]
+    for i, row in enumerate(tables):
+        for j, table in enumerate(row):
+            table.dd(p, ps, t[j, i], t[j, n + i])
+    t[:, BOUND] = np.compress(dd, edd, axis=1)
+    # the passes do not read the rows: free them for the passes' scratch
+    del p, ps
+    tier(t, True)
+    # row by row: a mask over the last axis of s[:, :n] costs 6 times as much
+    for c, r in zip(s, t):
+        for j in (*range(n), BOUND):
+            c[j][dd] = r[j]
 
 
 def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
@@ -187,34 +190,29 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
 
     ``GridPoly.f64`` writes the entries straight into one float64 row
     state per chunk (``_f64_state``), which the reduction changes in
-    place.  In dimension 2 each sample takes the cheapest tier whose
-    a-priori bound, from the entry magnitudes, is below the tolerance:
-    float64, then double-double (``_sl2_tiers``); in dimension 3 it takes
-    float64 (``sl3_greedy``).  The bound carried through the reduction
-    then certifies it or passes it on.  Samples no tier certifies are
-    evaluated and reduced in exact rationals; more than ``limit`` of them
-    raise ``PrecisionError``.
+    place.  Each sample then climbs one tier ladder in both dimensions
+    (``_tiers``): it takes the cheapest floating tier whose a-priori
+    bound, from the entry magnitudes, is below the tolerance, and the
+    bound carried through the reduction certifies it or passes it on.
+    Samples no floating tier certifies are evaluated and reduced in exact
+    rationals; more than ``limit`` of them, the budget of the boxes the
+    chunk spans, raise ``PrecisionError``.
     Returns the bases (m, N, N), shortest column first, and their column
     bounds (m, N), both views of the row state, and the indices of the
     exact samples.
     """
     m, n = pts.shape[0], matrix.dim
-    # the coordinate rows, contiguous in 2D, where the four entries and the
-    # double-double tier read them
-    x = np.ascontiguousarray(pts.T) if n == 2 else pts.T
-    s, mag = _f64_state(tables, x)
-    if n == 3:
-        s[:, BOUND, ~sl3_greedy(s)] = np.inf
-    else:
-        _sl2_tiers(tables, x, s, mag)
+    # the coordinate rows, contiguous: the entries and the double-double tier read them
+    x = np.ascontiguousarray(pts.T)
+    s, edd = _f64_state(tables, x)
+    _tiers(tables, x, s, edd)
     b, e = s[:, :n].transpose(2, 1, 0), s[:, BOUND].T
     # column by column: np.max over e's short inner axis costs 50 times more
     late = np.nonzero(~(functools.reduce(np.maximum, e.T) <= PREC_TOL))[0]
     if late.size > limit:
-        tiers = "float64 and double-double" if n == 2 else "float64"
         raise PrecisionError(
-            f"{late.size}/{m} samples of a chunk are beyond {tiers} "
-            f"certification (exact-tier cost budget {limit:g} per box)",
+            f"{late.size}/{m} samples of a chunk are beyond {' and '.join(_LADDER[n])} "
+            f"certification (exact-tier cost budget {limit:g} for the boxes it spans)",
             flagged=int(late.size), total=m,
         )
     for k in late:

@@ -1,7 +1,8 @@
 """Certified lattice kernels: double-double arithmetic, exact-oracle
 agreement along the criterion-10 boxes, carried bounds that cover the
 distance to the exact lattice in every tier, the exact tier, exact counts
-at ties in dimensions 2 and 3, and PrecisionError."""
+at ties in dimensions 2 and 3, counts exact or flagged at near-ties within
+the columns' bounds of the sphere, and PrecisionError."""
 
 import math
 import pickle
@@ -361,15 +362,23 @@ def test_double_double_entries_pin_their_operation_counts(monkeypatch):
 
 
 def test_tier_results_land_on_their_samples():
-    # the mixed chunk's bases and bounds, written back from both tiers,
-    # are those of its samples reduced as one-sample chunks; every 5th
-    # sample (1,639 of them) and the last
-    entry, pts, tables = _mixed_chunk()
-    b, e, _ = certified_reduce(entry.matrix, entry.map_vars, tables, pts)
-    for k in [*range(0, BLOCK, 5), BLOCK - 1]:
-        b1, e1, _ = certified_reduce(entry.matrix, entry.map_vars, tables, pts[k:k + 1])
-        assert b1.tobytes() == b[k:k + 1].tobytes()
-        assert e1.tobytes() == e[k:k + 1].tobytes()
+    # the mixed chunks' bases and bounds, written back from every tier, are
+    # those of their samples reduced as one-sample chunks: in 2D every 5th
+    # sample (1,639 of them) and the last, from float64 and double-double;
+    # in 3D all 64 samples of heis3 at T = 1e4, 7 from float64 and 57 from
+    # the exact tier
+    entry, pts2, tables2 = _mixed_chunk()
+    matrix3, map_vars3, region, grid, stop = _heis3_chunk(1e4, 8, 64)
+    pts3 = region.sample_points(grid, 0, stop, "jitter", 3)
+    for matrix, map_vars, tables, pts, every, n_exact in [
+            (entry.matrix, entry.map_vars, tables2, pts2, 5, 0),
+            (matrix3, map_vars3, HEIS3_TABLES, pts3, 1, 57)]:
+        b, e, late = certified_reduce(matrix, map_vars, tables, pts)
+        assert late.size == n_exact
+        for k in [*range(0, len(pts), every), len(pts) - 1]:
+            b1, e1, _ = certified_reduce(matrix, map_vars, tables, pts[k:k + 1])
+            assert b1.tobytes() == b[k:k + 1].tobytes()
+            assert e1.tobytes() == e[k:k + 1].tobytes()
 
 
 def _heis3_chunk(T, grid, stop):
@@ -765,6 +774,82 @@ def test_equi_exits_1_on_heis3_precision_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "float64 certification" in capsys.readouterr().err
+
+
+# -- the tie margin: near-ties in the band the margins must cover ---------------
+
+# rational rotations, whose orthonormal columns u_i carry the constructions
+ROT = {2: [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]],
+       3: [[F(2, 3), F(-2, 3), F(1, 3)], [F(1, 3), F(2, 3), F(2, 3)],
+           [F(2, 3), F(1, 3), F(-2, 3)]]}
+EPS, TINY = F(1, 10 ** 7), F(1, 10 ** 10)
+# (R, frame, coefficients c, eps) of a reduced basis b_j = sum_i T_ij u_i,
+# T = frame(d) upper triangular, and a lattice vector v = sum_j c_j b_j
+# = c_r d u_r, r the last j with c_j != 0: the entries above T_rr = d
+# make v the closest vector of its row to the origin, so a row past the
+# origin's lies at distance |v|.  Column j is stored moved by eps_j along
+# u_r, its bound the exact distance, and v by sum_j |c_j| eps_j.  The
+# rows' margins weigh the columns' bounds with c1, c2 and c3, and eps
+# puts the move on the column that a margin term must cover
+TIE_BAND = {
+    # the origin row: v = 2 b1
+    "origin_row": (3.0, lambda d: [[d, d / 3], [0, 2]], (2, 0), (EPS, EPS)),
+    # the row c2 = 3 at distance |v|: v = 3 b2 - b1
+    "row_past_R": (3.0, lambda d: [[F(4, 5), F(4, 15)], [0, d]], (-1, 3), (TINY, EPS)),
+    "row_past_R_both_moved": (2.5, lambda d: [[F(2, 3), F(1, 3)], [0, d]], (-1, 2),
+                              (EPS, EPS)),
+    # the 3D row (c2, c3) = (-1, 2): v = 2 b3 - b2 - b1
+    "row_c3": (2.5, lambda d: [[1, F(1, 2), F(3, 4)], [0, F(6, 5), F(3, 5)], [0, 0, d]],
+               (-1, -1, 2), (TINY, TINY, EPS)),
+}
+
+
+def tie_band(R, frame, c, eps):
+    """Bases (m, N, N), bounds (m, N) and exact matrices of the lattices
+    of one ``TIE_BAND`` construction: v at |v| - R = tau sum_j |c_j| eps_j
+    for 16 tau in [-2, 2], inside the sphere and outside, each stored with
+    v moved outward and inward, toward the sphere and away."""
+    n = len(c)
+    rot, r = ROT[n], max(j for j in range(n) if c[j])
+    shift = sum(abs(cj) * x for cj, x in zip(c, eps))
+    bases, bounds, exact = [], [], []
+    for tau in [F(i, 4) for i in range(-8, 9) if i]:
+        tri = frame((F(R) + tau * shift) / c[r])
+        cols = [[sum(rot[i][k] * tri[k][j] for k in range(n)) for i in range(n)]
+                for j in range(n)]
+        for sign in (1, -1):
+            b, e = [], []
+            for j, col in enumerate(cols):
+                s = sign * (1 if c[j] >= 0 else -1) * eps[j]
+                stored = [float(x + s * rot[i][r]) for i, x in enumerate(col)]
+                d2 = sum((F(y) - x) ** 2 for x, y in zip(col, stored))
+                bound = math.sqrt(d2)
+                while F(bound) ** 2 < d2:
+                    bound = math.nextafter(bound, math.inf)
+                b.append(stored)
+                e.append(bound)
+            bases.append(np.array(b).T)
+            bounds.append(e)
+            exact.append([list(row) for row in zip(*cols)])
+    return np.array(bases), np.array(bounds), exact
+
+
+@pytest.mark.parametrize("name", list(TIE_BAND))
+def test_near_ties_are_counted_exactly_or_flagged(name):
+    # a lattice vector within its columns' bounds of the sphere, stored as
+    # certified_reduce could return it: each count is the exact lattice's,
+    # or the sample is a tie (no column here is exact as stored, so no
+    # row is counted from its columns).  7 or 8 of each construction's 32
+    # counts are wrong; 16-18 samples are flagged, 30 for
+    # row_past_R_both_moved, whose c1 b1 term dominates its rows' margin
+    R, frame, c, eps = TIE_BAND[name]
+    b, e, exact = tie_band(R, frame, c, eps)
+    (values,), (ties,) = siegel_sums(b, e, (TF("indicator", R),), basis_shape(b))
+    wrong = [k for k in range(len(b))
+             if values[k] != len(oracles.exact_norms(exact[k], R))]
+    assert wrong and all(ties[k] for k in wrong)
+    # a margin that flags every sample would pass the line above
+    assert not ties.all()
 
 
 # -- deep in the cusp -------------------------------------------------------------

@@ -569,6 +569,9 @@ def test_the_exact_budget_is_per_box_across_a_spanning_chunk():
         run([23.25, 23.75])
     assert (err.value.flagged, err.value.total) == (5, 3200)
     assert err.value.flagged > 1e-3 * err.value.total
+    assert str(err.value) == (
+        "5/3200 samples of a chunk are beyond float64 and double-double "
+        "certification (exact-tier cost budget 3.2 for the boxes it spans)")
 
 
 def sweep_peak(params, **kwargs):
