@@ -26,7 +26,7 @@ U2 = U * U
 
 ADD_MUL_ERR = (9.0, 4.0)
 
-# samples per chunk of the lattice kernel in both dimensions
+# samples per chunk of the lattice kernel, half of them in 3D
 # (``experiment._CHUNK``), which runs on coordinate rows of this length:
 # its states, scratch rows and ``goodness.GridPoly.dd`` temporaries stay
 # in cache and are recycled by the allocator rather than mapped afresh.

@@ -25,7 +25,7 @@ on one row state per chunk (``homspace.row_state``): the entries go
 straight into the float64 reduction state, from the chunk's coordinate
 rows, which the entries share, and the state is reduced in place; the
 bases leave as views of its coordinate rows.  A chunk is one
-``doubledouble.BLOCK`` of the sweep's sample sequence in both dimensions.
+``doubledouble.BLOCK`` of the sweep's sample sequence in 2D, half one in 3D.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from .homspace import (
     sl3_greedy,
 )
 
-# a chunk is one block in both dimensions: its coordinate rows stay
-# cache-sized
+# a 2D chunk is one block, a 3D chunk half of one: its coordinate rows
+# stay cache-sized
 _CHUNK = BLOCK
 # the share of a box's samples the exact tier may take: a cost cap
 _EXACT_BUDGET = 1e-3
@@ -181,12 +181,11 @@ def _tiers(tables, x: np.ndarray, s, edd):
             c[j][dd] = r[j]
 
 
-def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
-                     limit: float = math.inf):
+def certified_reduce(tables, pts: np.ndarray, limit: float = math.inf):
     """Reduced bases of the lattices g(pt) Z^N, N = 2 or 3, each column
     within ``PREC_TOL`` of the exact basis that the same integer steps
     make from g at the float64 point pt, read as an exact dyadic rational.
-    ``tables`` are the matrix's entry tables (``entry_tables``).
+    ``tables`` are g's entry tables (``entry_tables``), all it reads of g.
 
     ``GridPoly.f64`` writes the entries straight into one float64 row
     state per chunk (``_f64_state``), which the reduction changes in
@@ -201,7 +200,7 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
     bounds (m, N), both views of the row state, and the indices of the
     exact samples.
     """
-    m, n = pts.shape[0], matrix.dim
+    m, n = pts.shape[0], len(tables)
     # the coordinate rows, contiguous: the entries and the double-double tier read them
     x = np.ascontiguousarray(pts.T)
     s, edd = _f64_state(tables, x)
@@ -216,7 +215,7 @@ def certified_reduce(matrix, map_vars, tables, pts: np.ndarray,
             flagged=int(late.size), total=m,
         )
     for k in late:
-        b[k] = reduce_exact(_exact_matrix(matrix, map_vars, pts[k]))
+        b[k] = reduce_exact(_exact_matrix(tables, pts[k]))
         e[k] = U * np.sqrt(np.sum(b[k] * b[k], axis=0))
     return b, e, late
 
@@ -235,10 +234,12 @@ def certified_observables(b: np.ndarray, e: np.ndarray, fs, exact):
     return np.sqrt(shape[0]), values
 
 
-def _exact_matrix(matrix, map_vars, pt):
-    """The matrix at the float64 point pt, read as an exact dyadic rational,
-    in exact arithmetic."""
-    return matrix.evaluate_exact({v: Fraction(float(x)) for v, x in zip(map_vars, pt)})
+def _exact_matrix(tables, pt):
+    """The matrix whose entry tables are ``tables`` at the float64 point
+    pt, read as an exact dyadic rational, in exact arithmetic: the exact
+    tier's and the tie recount's one source of exact matrices."""
+    point = {v: Fraction(float(x)) for v, x in zip(tables[0][0].var_order, pt)}
+    return [[t.p.evaluate_exact(point) for t in row] for row in tables]
 
 
 def _segments(start: int, stop: int, n: int) -> list:
@@ -250,26 +251,17 @@ def _segments(start: int, stop: int, n: int) -> list:
 
 def _eval_chunk(args):
     """Shortest-vector lengths, observable values (one row per test
-    function) and the number of exactly reduced samples per box of one
-    chunk of a sweep's sample sequence, all from a single certified
-    reduction per sample (``certified_reduce``, then
-    ``certified_observables``).  A 3D chunk runs in pieces of half a
-    ``BLOCK``: its row state has 15 rows to a 2D state's 8, and the
-    temporaries of the reduction and of the observables scale with it."""
-    (matrix, map_vars, tables, regions, grid, fs, start, stop, method, seed,
-     limit) = args
-    half = BLOCK // 2
-    if matrix.dim == 3 and stop - start > half:
-        lam1, values, n_exact = zip(*(
-            _eval_chunk(args[:6] + (lo, min(lo + half, stop)) + args[8:])
-            for lo in range(start, stop, half)))
-        return np.concatenate(lam1), np.concatenate(values, axis=1), sum(n_exact)
+    function) and the number of exactly reduced samples per box of the
+    chunk [start, stop) of a sweep's sample sequence, all from a single
+    certified reduction per sample (``certified_reduce``, then
+    ``certified_observables``)."""
+    tables, regions, grid, fs, start, stop, method, seed = args
     n = grid ** regions[0].dim
     segments = _segments(start, stop, n)
     pts = np.concatenate([regions[i].sample_points(grid, lo, hi, method, seed)
                           for i, lo, hi in segments])
     # each box the chunk touches may take its whole budget here
-    b, e, late = certified_reduce(matrix, map_vars, tables, pts, limit * len(segments))
+    b, e, late = certified_reduce(tables, pts, _EXACT_BUDGET * n * len(segments))
     # the points go before the observables, whose temporaries set a 3D
     # chunk's peak memory; a tie's point is drawn again, by its box and
     # local index
@@ -278,7 +270,7 @@ def _eval_chunk(args):
     def exact(k):
         i, j = divmod(start + k, n)
         pt = regions[i].sample_points(grid, j, j + 1, method, seed)[0]
-        return _exact_matrix(matrix, map_vars, pt)
+        return _exact_matrix(tables, pt)
 
     lam1, values = certified_observables(b, e, fs, exact)
     return lam1, values, np.bincount((start + late) // n, minlength=len(regions))
@@ -304,7 +296,8 @@ def _observable_values(
     shortest-vector lengths and one row of observable values per test
     function in ``fs`` of its samples.  The chunks cut the sweep's samples,
     box after box, and run in ``pool`` (``_pool``) when there is one and
-    more than one chunk; only the box being filled has buffers here."""
+    more than one chunk; only the box being filled has buffers here.  No
+    other function chooses the chunks or reads ``matrix`` and ``map_vars``."""
     if matrix.dim not in (2, 3):
         raise DomainError(
             f"lattice observables need 2x2 or 3x3 matrices, not {matrix.dim}x{matrix.dim}")
@@ -314,13 +307,12 @@ def _observable_values(
     n = grid ** regions[0].dim
     total = n * len(regions)
     limit = _EXACT_BUDGET * n
-    bounds = list(range(0, total, _CHUNK)) + [total]
+    # a 3D row state has 15 rows to 8, and the temporaries scale with it
+    bounds = list(range(0, total, _CHUNK if matrix.dim == 2 else _CHUNK // 2)) + [total]
+    chunks = list(zip(bounds[:-1], bounds[1:]))
     tables = entry_tables(matrix, map_vars)
-    tasks = [
-        (matrix, map_vars, tables, tuple(regions), grid, tuple(fs), lo, hi, method,
-         seed, limit)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    tasks = [(tables, tuple(regions), grid, tuple(fs), lo, hi, method, seed)
+             for lo, hi in chunks]
     if pool is None or len(tasks) == 1:
         results = map(_eval_chunk, tasks)
     else:
@@ -328,10 +320,10 @@ def _observable_values(
     flagged = np.zeros(len(regions), dtype=int)
     # a box's buffers come before its chunks: after them sweep2d_ul ran 7% slower
     lam1, values = np.empty(n), np.empty((len(fs), n))
-    for task, (lam, vals, n_exact) in zip(tasks, results):
+    for (start, stop), (lam, vals, n_exact) in zip(chunks, results):
         flagged += n_exact
         at = 0
-        for i, lo, hi in _segments(task[6], task[7], n):
+        for i, lo, hi in _segments(start, stop, n):
             lam1[lo:hi] = lam[at:at + hi - lo]
             values[:, lo:hi] = vals[:, at:at + hi - lo]
             at += hi - lo

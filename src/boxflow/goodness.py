@@ -123,11 +123,11 @@ class GridPoly:
     within one ulp).  ``dd`` evaluates in double-double, with error at
     most ``cdd`` times the magnitude sum (the bounds of ``doubledouble``).
     Terms run in ``p.terms()`` order with numpy's ``**``, which fixes
-    every bit of the values.
+    every bit of the values.  ``p`` is kept for ``experiment._exact_matrix``.
     """
 
     def __init__(self, p: GenPoly, var_order: Sequence[str]):
-        var_order = list(var_order)
+        self.p, self.var_order = p, list(var_order)
         self.terms = []
         # per term of ``dd``: the coefficient, its low part, whether it is an
         # exact power of two, and the coordinate of each factor in turn
@@ -136,7 +136,7 @@ class GridPoly:
         for mono, coeff in p.terms():
             powers = dict(mono)
             exps = []
-            for v in var_order:
+            for v in self.var_order:
                 e = powers.pop(v, Fraction(0))
                 if e.denominator != 1 or e < 0:
                     raise DomainError("grid evaluation needs nonnegative integer exponents")

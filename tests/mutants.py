@@ -18,7 +18,9 @@ that should be killed survives, or when a recorded survivor is killed and
 the register needs updating.
 
 ``tests/test_mutants.py`` checks in Tier-1 that each old text occurs
-exactly once in ``src/``, so that the register cannot go stale unseen.
+exactly once in ``src/`` and that every registered test id is collected,
+so that the register cannot go stale unseen: pytest exits with 4, not 1,
+on an id it does not find, which the runner would not count as a failure.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ _NEAR_TIES = _CERT + "test_near_ties_are_counted_exactly_or_flagged"
 _COVER2 = _CERT + "test_2d_bounds_cover_the_distance_to_the_exact_lattice"
 _COVER3 = _CERT + "test_3d_bounds_cover_the_distance_to_the_exact_lattice"
 _HOM = "tests/test_homspace.py::"
+_EXP = "tests/test_experiment.py::"
 _FORMULA = "tests/test_goodness.py::test_grid_poly_bit_identical_to_both_old_evaluators"
 
 MUTANTS = [
@@ -100,6 +103,18 @@ MUTANTS = [
            "    outer = big / norm1 * eps[0]\n",
            "    outer = 0.0 * eps[0]\n",
            (_NEAR_TIES + "[origin_row]", _CERT + "test_tie_recount_fires_on_ties_only[rows1-0.5]")),
+    # 3D chunks of a full block, whose row state has 15 rows to 8
+    Mutant("chunk_3d_full_block", "experiment.py",
+           "_CHUNK if matrix.dim == 2 else _CHUNK // 2",
+           "_CHUNK",
+           (_EXP + "test_a_sweep_makes_one_kernel_call_per_chunk_of_its_samples",
+            _EXP + "test_heis3_worker_count_independence",
+            _EXP + "test_one_process_pool_per_sweep")),
+    # a chunk that spans boxes gets one box's exact-tier budget
+    Mutant("budget_one_box_per_chunk", "experiment.py",
+           "_EXACT_BUDGET * n * len(segments)",
+           "_EXACT_BUDGET * n",
+           (_EXP + "test_the_exact_budget_is_per_box_across_a_spanning_chunk",)),
 ]
 
 

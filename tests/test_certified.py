@@ -223,10 +223,12 @@ def kernel_mismatches(matrix, map_vars, pts, stride=1):
     differ from the exact lattice's, and samples with a column farther
     from the exact lattice than its bound.  Returns them with the number
     of exact-tier samples."""
-    def exact(k):
-        return experiment._exact_matrix(matrix, map_vars, pts[k])
+    tables = entry_tables(matrix, map_vars)
 
-    b, e, late = certified_reduce(matrix, map_vars, entry_tables(matrix, map_vars), pts)
+    def exact(k):
+        return experiment._exact_matrix(tables, pts[k])
+
+    b, e, late = certified_reduce(tables, pts)
     lam1, (counts,) = certified_observables(b, e, (INDICATOR,), exact)
     bad_count = bad_lam1 = bad_cover = 0
     for k in range(0, pts.shape[0], stride):
@@ -332,7 +334,7 @@ def _mixed_chunk():
     double-double."""
     (entry, region, grid, start, stop), _ = ROW_KERNEL_CHUNKS["poly23_T2_10"]
     pts = region.sample_points(grid, start, stop, "jitter", 3)
-    return entry, pts, entry_tables(entry.matrix, entry.map_vars)
+    return pts, entry_tables(entry.matrix, entry.map_vars)
 
 
 def test_double_double_entries_pin_their_operation_counts(monkeypatch):
@@ -341,7 +343,7 @@ def test_double_double_entries_pin_their_operation_counts(monkeypatch):
     # x^2 and x y^3, the 6 Dekker products that remain, 3 sums (an
     # entry's first term is written) and one split per coordinate row of
     # the chunk
-    entry, pts, tables = _mixed_chunk()
+    pts, tables = _mixed_chunk()
     counts = dict.fromkeys(("lead", "mul", "sum", "split"), 0)
 
     def counting(module, name, key):
@@ -357,7 +359,7 @@ def test_double_double_entries_pin_their_operation_counts(monkeypatch):
     counting(goodness, "dd_mul_d_into", "mul")
     counting(goodness, "dd_sum_into", "sum")
     counting(experiment, "split", "split")
-    certified_reduce(entry.matrix, entry.map_vars, tables, pts)
+    certified_reduce(tables, pts)
     assert counts == {"lead": 4, "mul": 6, "sum": 3, "split": 2}
 
 
@@ -367,16 +369,14 @@ def test_tier_results_land_on_their_samples():
     # sample (1,639 of them) and the last, from float64 and double-double;
     # in 3D all 64 samples of heis3 at T = 1e4, 7 from float64 and 57 from
     # the exact tier
-    entry, pts2, tables2 = _mixed_chunk()
-    matrix3, map_vars3, region, grid, stop = _heis3_chunk(1e4, 8, 64)
+    pts2, tables2 = _mixed_chunk()
+    _, _, region, grid, stop = _heis3_chunk(1e4, 8, 64)
     pts3 = region.sample_points(grid, 0, stop, "jitter", 3)
-    for matrix, map_vars, tables, pts, every, n_exact in [
-            (entry.matrix, entry.map_vars, tables2, pts2, 5, 0),
-            (matrix3, map_vars3, HEIS3_TABLES, pts3, 1, 57)]:
-        b, e, late = certified_reduce(matrix, map_vars, tables, pts)
+    for tables, pts, every, n_exact in [(tables2, pts2, 5, 0), (HEIS3_TABLES, pts3, 1, 57)]:
+        b, e, late = certified_reduce(tables, pts)
         assert late.size == n_exact
         for k in [*range(0, len(pts), every), len(pts) - 1]:
-            b1, e1, _ = certified_reduce(matrix, map_vars, tables, pts[k:k + 1])
+            b1, e1, _ = certified_reduce(tables, pts[k:k + 1])
             assert b1.tobytes() == b[k:k + 1].tobytes()
             assert e1.tobytes() == e[k:k + 1].tobytes()
 
@@ -420,19 +420,25 @@ TIES = [
 ]
 
 
-@pytest.mark.parametrize("rows,radius", TIES)
-def test_ties_count_exactly_through_certified_kernel(rows, radius, monkeypatch):
-    recounts = []
+@pytest.fixture
+def recounts(monkeypatch):
+    """The matrices whose lattices the kernel recounts exactly
+    (``siegel_count_exact``), in order."""
+    seen = []
 
     def counting(m, r):
-        recounts.append(m)
+        seen.append(m)
         return siegel_count_exact(m, r)
 
     monkeypatch.setattr(experiment, "siegel_count_exact", counting)
+    return seen
+
+
+@pytest.mark.parametrize("rows,radius", TIES)
+def test_ties_count_exactly_through_certified_kernel(rows, radius, recounts):
     f = TF("indicator", radius)
-    matrix = PolyMatrix(rows)
-    task = (matrix, ("x",), entry_tables(matrix, ("x",)), (BoxRegion((0.0,), (1.0,)),),
-            8, (f,), 0, 8, "jitter", 3, math.inf)
+    task = (entry_tables(PolyMatrix(rows), ("x",)), (BoxRegion((0.0,), (1.0,)),),
+            8, (f,), 0, 8, "jitter", 3)
     _, values, _ = experiment._eval_chunk(task)
     exact = len(oracles.exact_norms(rows, radius))
     assert values[0].tolist() == [exact] * 8
@@ -458,24 +464,25 @@ def test_tie_recount_fires_on_ties_only(rows, radius):
     assert np.nonzero(ties)[0].tolist() == [at]
 
 
-@pytest.mark.parametrize("name", ["u_horo", "heis52"])
-def test_2d_tie_rows_on_exact_columns_skip_the_exact_lattice(name, monkeypatch):
-    # the lattices [[1, x], [0, 1]] Z^2 keep e1, exact in float64, on the
-    # sphere |v| = 1 at every sample; that row is counted from the stored
-    # column.  No midpoint x is an integer, so every count is 2
-    recounts = []
-
-    def counting(m, r):
-        recounts.append(m)
-        return siegel_count_exact(m, r)
-
-    monkeypatch.setattr(experiment, "siegel_count_exact", counting)
+@pytest.mark.parametrize("name,T,grid,method,seed", [
+    ("u_horo", 10.0, 4096, "grid", 0),
+    ("heis52", 10.0, 4096, "grid", 0),
+    ("heis3", 20.0, 24, "jitter", 1),
+], ids=["u_horo", "heis52", "heis3"])
+def test_tie_rows_on_exact_columns_skip_the_exact_lattice(name, T, grid, method, seed,
+                                                          recounts):
+    # the lattices [[1, x], [0, 1]] Z^2 of u_horo and heis52, and those of
+    # heis3, keep e1, exact in float64, on the sphere |v| = 1 at every
+    # sample; that row is counted from the stored column, and a lattice is
+    # recounted only at genuine near-ties.  No 2D midpoint x is an
+    # integer, so every count is 2, as at every heis3 sample
     entry = get_map(name)
-    region = experiment._realized_box(entry.default_lambda, 10.0)
-    task = (entry.matrix, entry.map_vars, entry_tables(entry.matrix, entry.map_vars),
-            (region,), 4096, (INDICATOR,), 0, 4096, "grid", 0, math.inf)
+    region = experiment._realized_box(entry.default_lambda, T)
+    total = grid ** region.dim
+    task = (entry_tables(entry.matrix, entry.map_vars), (region,), grid, (INDICATOR,),
+            0, total, method, seed)
     _, values, _ = experiment._eval_chunk(task)
-    assert values[0].tolist() == [2.0] * 4096
+    assert values[0].tolist() == [2.0] * total
     assert recounts == []
 
 
@@ -518,31 +525,11 @@ TIES3 = [
 
 @pytest.mark.parametrize("rows", TIES3)
 def test_3d_ties_count_exactly_through_certified_kernel(rows):
-    matrix = PolyMatrix(rows)
-    task = (matrix, ("x",), entry_tables(matrix, ("x",)), (BoxRegion((0.0,), (1.0,)),),
-            8, (INDICATOR,), 0, 8, "jitter", 3, math.inf)
+    task = (entry_tables(PolyMatrix(rows), ("x",)), (BoxRegion((0.0,), (1.0,)),),
+            8, (INDICATOR,), 0, 8, "jitter", 3)
     _, values, _ = experiment._eval_chunk(task)
     exact = len(oracles.exact_norms(rows, 1))
     assert values[0].tolist() == [exact] * 8
-
-
-def test_3d_tie_rows_on_exact_columns_skip_the_exact_lattice(monkeypatch):
-    # heis3 keeps e1, exact in float64, on the sphere |v| = 1 at every
-    # sample; that row is counted from the stored column, and the lattice
-    # is recounted only at genuine near-ties
-    recounts = []
-
-    def counting(m, r):
-        recounts.append(m)
-        return siegel_count_exact(m, r)
-
-    monkeypatch.setattr(experiment, "siegel_count_exact", counting)
-    region = experiment._realized_box(HEIS3.default_lambda, 20.0)
-    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, (region,), 24, (INDICATOR,),
-            0, 576, "jitter", 1, math.inf)
-    _, values, _ = experiment._eval_chunk(task)
-    assert values[0].tolist() == [2.0] * 576
-    assert recounts == []
 
 
 def test_3d_exact_columns_are_counted_as_stored(monkeypatch):
@@ -679,7 +666,7 @@ def closed_form_cases():
     }
     for name, (matrix, map_vars, region, grid) in chunks.items():
         pts = region.sample_points(grid, 0, 1024, "jitter", 3)
-        b, e, _ = certified_reduce(matrix, map_vars, entry_tables(matrix, map_vars), pts)
+        b, e, _ = certified_reduce(entry_tables(matrix, map_vars), pts)
         yield name, b, e
     for n in (2, 3):
         yield f"near_cusp_{n}d", *near_cusp_bases(rng, n, 512)
@@ -743,9 +730,8 @@ def test_sl3_greedy_bounds_cover_the_distance_to_the_exact_lattice():
 def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
     # the entries reach 1.8e8; the carried bounds stay below 1e-7
     region = experiment._realized_box(HEIS3.default_lambda, 1e3)
-    # a budget of 0 exact samples: any sample beyond float64 raises
-    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, (region,), 16, (INDICATOR,),
-            0, 256, "jitter", 5, 0.0)
+    # the sweep's budget, 1e-3 of 256 samples: any sample beyond float64 raises
+    task = (HEIS3_TABLES, (region,), 16, (INDICATOR,), 0, 256, "jitter", 5)
     _, values, n_exact = experiment._eval_chunk(task)
     assert n_exact == 0
     assert values[0].tolist() == [2.0] * 256
@@ -753,13 +739,14 @@ def test_heis3_certifies_every_sample_in_float64_at_T_1e3():
     assert (res.rows[0].average, res.rows[0].reference) == (2.0, 2.0)
 
 
-def test_heis3_precision_error_beyond_float64():
+def test_heis3_precision_error_beyond_float64(monkeypatch):
     # at T = 1e4 the entries reach 1e11 and the bounds 3e-5: the exact tier
     # takes most samples, which is over budget for a sweep
     region = experiment._realized_box(HEIS3.default_lambda, 1e4)
-    task = (HEIS3.matrix, HEIS3.map_vars, HEIS3_TABLES, (region,), 8, (INDICATOR,),
-            0, 64, "jitter", 5, math.inf)
-    lam1, values, n_exact = experiment._eval_chunk(task)
+    task = (HEIS3_TABLES, (region,), 8, (INDICATOR,), 0, 64, "jitter", 5)
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "_EXACT_BUDGET", math.inf)
+        lam1, values, n_exact = experiment._eval_chunk(task)
     assert n_exact > 32
     assert lam1.tolist() == [1.0] * 64 and values[0].tolist() == [2.0] * 64
     with pytest.raises(PrecisionError) as err:
@@ -865,10 +852,9 @@ DEEP = [
 
 @pytest.mark.parametrize("rows", DEEP, ids=["2d_lam1_5e-7", "3d_lam1_1e-7"])
 def test_deep_cusp_samples_count_exactly_through_certified_kernel(rows):
-    matrix = PolyMatrix(rows)
     fs = (INDICATOR, TF("bump", 1.0))
-    task = (matrix, ("x",), entry_tables(matrix, ("x",)), (BoxRegion((0.0,), (1.0,)),),
-            8, fs, 0, 8, "jitter", 3, math.inf)
+    task = (entry_tables(PolyMatrix(rows), ("x",)), (BoxRegion((0.0,), (1.0,)),),
+            8, fs, 0, 8, "jitter", 3)
     _, (counts, bumps), _ = experiment._eval_chunk(task)
     diag = [row[i] for i, row in enumerate(rows)]
     count = oracles.diagonal_sum(diag, "indicator", 1)

@@ -271,8 +271,8 @@ def test_heis3_batch_counts_match_scalar_path_on_benchmark_lattices():
     checked = 0
     for matrix, map_vars, region, method in cases:
         total = 24 ** region.dim
-        task = (matrix, map_vars, experiment.entry_tables(matrix, map_vars), (region,), 24,
-                (f,), 0, total, method, 1, math.inf)
+        task = (experiment.entry_tables(matrix, map_vars), (region,), 24, (f,), 0, total,
+                method, 1)
         lam1, (vals,), n_exact = experiment._eval_chunk(task)
         assert n_exact == 0
         pts = region.sample_points(24, 0, total, method, 1)
@@ -301,9 +301,10 @@ def test_worker_count_independence():
 def test_results_do_not_depend_on_the_chunk_size(name, monkeypatch):
     # every sample is computed on its own and written to its own slot: one
     # chunk of the whole box against smaller chunks (in 2D, 36,864 samples
-    # in chunks of BLOCK, 4.5 per box, 2 BLOCK and 1,000; in 3D, 9,216 in
-    # chunks of BLOCK, 1,024 and 1,000), and 1,000 in two worker processes,
-    # which take the tasks and their entry tables pickled
+    # in chunks of BLOCK, 4.5 per box, 2 BLOCK and 1,000; in 3D, whose
+    # chunks are half of _CHUNK, 9,216 in chunks of 4,608, BLOCK / 2, 512
+    # and 500), and the last size in two worker processes, which take the
+    # tasks and their entry tables pickled
     entry = get_map(name)
     grid, sizes = 192, (BLOCK, 2 * BLOCK, 1000)
     if name == "ul_product":
@@ -390,15 +391,16 @@ def chunk_peak(task):
 
 
 def test_a_3d_chunk_takes_little_more_memory_than_a_2d_chunk():
-    # one BLOCK of heis3's closed-orbit reference (the orbit map on its
-    # period cube, grid 24, indicator at R = 1) against one BLOCK of a
-    # ul_product box at T = 1e3 (grid 256, indicator and bump at R = 1)
+    # a 3D chunk of the sweeps, half a BLOCK of heis3's closed-orbit
+    # reference (the orbit map on its period cube, grid 24, indicator at
+    # R = 1), against a 2D chunk, one BLOCK of a ul_product box at T = 1e3
+    # (grid 256, indicator and bump at R = 1)
     orbit = BoxRegion((0.0,) * 3, (1.0,) * 3)
-    heis3 = (*HEIS3.orbit, experiment.entry_tables(*HEIS3.orbit), (orbit,), 24,
-             (TF("indicator", 1.0),), 0, BLOCK, "grid", 0, math.inf)
+    heis3 = (experiment.entry_tables(*HEIS3.orbit), (orbit,), 24,
+             (TF("indicator", 1.0),), 0, BLOCK // 2, "grid", 0)
     box = experiment._realized_box(UL.default_lambda, 1e3)
-    ul = (UL.matrix, UL.map_vars, experiment.entry_tables(UL.matrix, UL.map_vars), (box,),
-          256, (TF("indicator", 1.0), TF("bump", 1.0)), 0, BLOCK, "jitter", 1, math.inf)
+    ul = (experiment.entry_tables(UL.matrix, UL.map_vars), (box,), 256,
+          (TF("indicator", 1.0), TF("bump", 1.0)), 0, BLOCK, "jitter", 1)
     assert chunk_peak(heis3) <= 1.25 * chunk_peak(ul)
 
 
@@ -424,12 +426,11 @@ def test_a_tie_is_recounted_at_the_point_drawn_for_it(entry, method, monkeypatch
 
     monkeypatch.setattr(experiment, "siegel_sums", one_tie)
     monkeypatch.setattr(experiment, "siegel_count_exact", record)
-    task = (entry.matrix, entry.map_vars,
-            experiment.entry_tables(entry.matrix, entry.map_vars), (region,), 40,
-            (TF("indicator", 1.0),), start, stop, method, 3, math.inf)
+    tables = experiment.entry_tables(entry.matrix, entry.map_vars)
+    task = (tables, (region,), 40, (TF("indicator", 1.0),), start, stop, method, 3)
     values = experiment._eval_chunk(task)[1]
     pt = region.sample_points(40, start, stop, method, 3)[k]
-    assert recounted == [experiment._exact_matrix(entry.matrix, entry.map_vars, pt)]
+    assert recounted == [experiment._exact_matrix(tables, pt)]
     assert values[0, k] == -1
 
 
@@ -454,9 +455,9 @@ def counting_pools(monkeypatch):
 
 
 def test_heis3_worker_count_independence(monkeypatch):
-    # a grid-48 box is one chunk of BLOCK; chunks of 1,024 make it three
-    # tasks, so the pool runs them
-    monkeypatch.setattr(experiment, "_CHUNK", 1024)
+    # a grid-48 box of 2,304 samples is one 3D chunk; 3D chunks of 1,024
+    # (half a _CHUNK of 2,048) make it three tasks, so the pool runs them
+    monkeypatch.setattr(experiment, "_CHUNK", 2048)
     pools, tasks = counting_pools(monkeypatch)
     f = TF("indicator", 1.0)
     res1 = convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [f], grid=48,
@@ -469,9 +470,9 @@ def test_heis3_worker_count_independence(monkeypatch):
 
 def test_one_process_pool_per_sweep(monkeypatch):
     # three boxes of 2,304 samples share one pool and one map call: their
-    # 6,912 samples in order are seven chunks of 1,024, two of which span
+    # 6,912 samples in order are seven 3D chunks of 1,024, two of which span
     # two boxes
-    monkeypatch.setattr(experiment, "_CHUNK", 1024)
+    monkeypatch.setattr(experiment, "_CHUNK", 2048)
     pools, tasks = counting_pools(monkeypatch)
     f = TF("indicator", 1.0)
     args = (HEIS3, HEIS3.default_lambda, [10.0, 20.0, 30.0], [f])
@@ -494,7 +495,7 @@ def per_box_csv(run, params):
 @pytest.mark.parametrize("name,grid", [("ul_product", 100), ("heis3", 70), ("u_horo", 3000)])
 def test_boxes_sharing_chunks_give_the_csv_of_one_box_per_sweep(name, grid, method, workers):
     # boxes of 10,000 (2D), 4,900 (3D) and 3,000 (1D) samples: a chunk of
-    # BLOCK spans the first two boxes; in 3D so do the half-block pieces
+    # BLOCK spans the first two boxes; in 3D so do the half-block chunks
     # [4096, 8192) and [8192, 12288), and in 1D the first chunk holds two
     # whole boxes and the head of the third
     entry = get_map(name)
@@ -530,12 +531,11 @@ def test_a_tie_in_a_chunk_spanning_boxes_is_recounted_in_its_own_box(entry, meth
 
     monkeypatch.setattr(experiment, "siegel_sums", one_tie)
     monkeypatch.setattr(experiment, "siegel_count_exact", record)
-    task = (entry.matrix, entry.map_vars,
-            experiment.entry_tables(entry.matrix, entry.map_vars), regions, 40,
-            (TF("indicator", 1.0),), start, stop, method, 3, math.inf)
+    tables = experiment.entry_tables(entry.matrix, entry.map_vars)
+    task = (tables, regions, 40, (TF("indicator", 1.0),), start, stop, method, 3)
     values = experiment._eval_chunk(task)[1]
     pt = regions[1].sample_points(40, 50, 51, method, 3)[0]
-    assert recounted == [experiment._exact_matrix(entry.matrix, entry.map_vars, pt)]
+    assert recounted == [experiment._exact_matrix(tables, pt)]
     assert values[0, k] == -1
 
 
@@ -551,9 +551,8 @@ def test_the_exact_budget_is_per_box_across_a_spanning_chunk():
 
     def exact_per_box(params):
         regions = tuple(BoxRegion((0.0, 0.0), (1.01 * T ** 4, T)) for T in params)
-        task = (entry.matrix, entry.map_vars,
-                experiment.entry_tables(entry.matrix, entry.map_vars), regions, 40,
-                tuple(fs), 0, 1600 * len(params), "grid", 0, math.inf)
+        task = (experiment.entry_tables(entry.matrix, entry.map_vars), regions, 40,
+                tuple(fs), 0, 1600 * len(params), "grid", 0)
         return experiment._eval_chunk(task)[2].tolist()
 
     assert exact_per_box([23.0, 23.25, 23.5, 23.75, 25.0]) == [0, 1, 1, 4, 2]
@@ -603,7 +602,7 @@ def test_a_sweep_makes_one_kernel_call_per_chunk_of_its_samples(monkeypatch):
     real = experiment.certified_reduce
 
     def counting(*args):
-        calls.append(args[3].shape[0])
+        calls.append(args[1].shape[0])
         return real(*args)
 
     monkeypatch.setattr(experiment, "certified_reduce", counting)
@@ -611,6 +610,10 @@ def test_a_sweep_makes_one_kernel_call_per_chunk_of_its_samples(monkeypatch):
     convergence_sweep(HEIS3, HEIS3.default_lambda, [10.0, 20.0], [TF("indicator", 1.0)],
                       grid=24, method="jitter", seed=7)
     assert calls == [1152]
+    calls.clear()
+    # one heis3 box of 9,216 samples: 3D chunks are half a BLOCK
+    convergence_sweep(HEIS3, HEIS3.default_lambda, [20.0], [TF("indicator", 1.0)], grid=96)
+    assert calls == [BLOCK // 2] * 2 + [9216 - BLOCK]
     calls.clear()
     # three boxes of 10,000: ceil(30,000 / BLOCK) = 4 calls, not 2 a box
     convergence_sweep(UL, UL.default_lambda, [10.0, 100.0, 1000.0],
