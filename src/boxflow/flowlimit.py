@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .errors import BoxflowError, DomainError, NilpotencyError
-from .polyalg import NEG_INF, T_VAR, GenPoly
+from .polyalg import NEG_INF, T_VAR, GenPoly, rational_mpf
 from .polymatrix import PolyMatrix, adjugate
 
 XI_VAR = "xi"
@@ -412,7 +412,7 @@ def limit_residual(
         alpha_mp = {k: mpmath.mpf(v) for k, v in alpha.items()}
         t_mp = mpmath.mpf(t)
         s_mp = mpmath.mpf(s)
-        q_mp = mpmath.mpf(result.q.numerator) / mpmath.mpf(result.q.denominator)
+        q_mp = rational_mpf(result.q)
         t_shift = t_mp + s_mp * mpmath.power(t_mp, -q_mp)
         a = theta.evaluate_mp({**alpha_mp, T_VAR: t_shift})
         b = theta.evaluate_mp({**alpha_mp, T_VAR: t_mp})
@@ -536,7 +536,7 @@ def twodim_residual(
         raise DomainError("x and y must be positive")
     with mpmath.workdps(_RESIDUAL_DPS):
         x_mp, y_mp, s_mp = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(s)
-        q_mp = mpmath.mpf(result.q.numerator) / mpmath.mpf(result.q.denominator)
+        q_mp = rational_mpf(result.q)
         x_shift = x_mp + s_mp * mpmath.power(y_mp, -result.d) * mpmath.power(
             x_mp, -q_mp
         )

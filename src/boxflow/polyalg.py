@@ -132,6 +132,17 @@ def _float_pow(value, exp: Fraction):
     return base if e == 1 else _POW(base, e).astype(float)
 
 
+def rational_mpf(q) -> mpmath.mpf:
+    """A Fraction or an int as numerator over denominator in mpmath."""
+    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
+
+def _mp_pow(value, exp: Fraction):
+    if exp.denominator == 1:
+        return mpmath.mpf(value) ** int(exp)
+    return mpmath.power(mpmath.mpf(value), rational_mpf(exp))
+
+
 def _monomial_power(binding: "GenPoly", exp: Fraction, var: str) -> "GenPoly":
     """Raise a single-term binding to a fractional or negative power.
 
@@ -381,20 +392,34 @@ class GenPoly:
             self._order = tuple(sorted(self._terms.items(), key=key, reverse=True))
         return self._order
 
-    def _check_point(self, point: Mapping[str, object]) -> None:
-        """Domain checks; an array coordinate must pass at every element."""
+    def _check_point(self, point: Mapping[str, object], exact: bool = False) -> None:
+        """The domain rule of all three evaluations, at every element of an
+        array coordinate.  Only ``t`` may carry a negative exponent
+        (``_check_exponent``), so t > 0 leaves no pole."""
         for mono in self._terms:
             for var, exp in mono:
                 if var not in point:
                     raise DomainError(f"variable {var!r} is unbound")
+                if exact and exp.denominator != 1:
+                    raise DomainError(f"exact evaluation needs integer exponents: {var}^{exp}")
                 if var == T_VAR and (exp.denominator != 1 or exp < 0):
                     if not np.all(point[T_VAR] > 0):
                         raise DomainError(
                             "t must be positive when a fractional or "
                             "negative t-exponent is present"
                         )
-                if exp < 0 and np.any(point[var] == 0):
-                    raise DomainError(f"{var} = 0 hits a pole ({var}^{exp})")
+
+    def _term_sum(self, point: Mapping[str, object], number, power):
+        """The one term loop: over the canonical term order, the sum of
+        ``number(c)`` times ``power(point[v], e)`` for each factor ``v^e``.
+        The three evaluations differ only in ``number`` and ``power``."""
+        total = number(0)
+        for mono, coeff in self._sorted_terms():
+            val = number(coeff)
+            for var, exp in mono:
+                val = val * power(point[var], exp)
+            total = total + val
+        return total
 
     def evaluate(self, point: Mapping[str, object]):
         """Floating evaluation; terms are summed in the canonical order.
@@ -405,33 +430,12 @@ class GenPoly:
         polynomial returns a float whatever the point.
         """
         self._check_point(point)
-        total = 0.0
-        for mono, coeff in self._sorted_terms():
-            val = float(coeff)
-            for var, exp in mono:
-                val = val * _float_pow(point[var], exp)
-            total = total + val
-        return total
+        return self._term_sum(point, float, _float_pow)
 
     def evaluate_exact(self, point: Mapping[str, object]) -> Fraction:
         """Exact rational evaluation; requires integer exponents only."""
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            val = coeff
-            for var, exp in mono:
-                if exp.denominator != 1:
-                    raise DomainError(
-                        f"exact evaluation undefined for fractional exponent "
-                        f"{var}^{exp}"
-                    )
-                if var not in point:
-                    raise DomainError(f"variable {var!r} is unbound")
-                base = Fraction(point[var])
-                if base == 0 and exp < 0:
-                    raise DomainError(f"{var} = 0 hits a pole")
-                val *= base ** int(exp)
-            total += val
-        return total
+        self._check_point(point, exact=True)
+        return self._term_sum(point, Fraction, lambda x, e: Fraction(x) ** int(e))
 
     def evaluate_mp(self, point: Mapping[str, object]):
         """High-precision evaluation with mpmath at the caller's precision.
@@ -440,19 +444,7 @@ class GenPoly:
         would swamp the quantity being measured.
         """
         self._check_point(point)
-        total = mpmath.mpf(0)
-        for mono, coeff in self._sorted_terms():
-            val = mpmath.mpf(coeff.numerator) / mpmath.mpf(coeff.denominator)
-            for var, exp in mono:
-                base = mpmath.mpf(point[var])
-                if exp.denominator == 1:
-                    val *= base ** int(exp)
-                else:
-                    val *= mpmath.power(
-                        base, mpmath.mpf(exp.numerator) / mpmath.mpf(exp.denominator)
-                    )
-            total += val
-        return total
+        return self._term_sum(point, rational_mpf, _mp_pow)
 
     # -- asymptotics ------------------------------------------------------
 

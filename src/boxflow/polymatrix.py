@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
+import mpmath
 import numpy as np
 
 from .errors import DeterminantError, DimensionError
-from .polyalg import NEG_INF, GenPoly, parse_poly
+from .polyalg import NEG_INF, GenPoly, _var_key, parse_poly
 
 
 class PolyMatrix:
@@ -148,8 +149,6 @@ class PolyMatrix:
         for row in self.entries:
             for e in row:
                 seen.update(e.variables())
-        from .polyalg import _var_key
-
         return tuple(sorted(seen, key=_var_key))
 
     # -- determinant and unimodular inverse -------------------------------------
@@ -187,8 +186,6 @@ class PolyMatrix:
         ]
 
     def evaluate_mp(self, point: Mapping[str, object]):
-        import mpmath
-
         return mpmath.matrix(
             [[e.evaluate_mp(point) for e in row] for row in self.entries]
         )

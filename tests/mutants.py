@@ -54,6 +54,7 @@ _COVER3 = _CERT + "test_3d_bounds_cover_the_distance_to_the_exact_lattice"
 _HOM = "tests/test_homspace.py::"
 _EXP = "tests/test_experiment.py::"
 _FORMULA = "tests/test_goodness.py::test_grid_poly_bit_identical_to_both_old_evaluators"
+_POLY = "tests/test_polyalg.py::"
 
 MUTANTS = [
     # the float64 tier takes every sample, its entries read as exact: no
@@ -115,6 +116,16 @@ MUTANTS = [
            "_EXACT_BUDGET * n * len(segments)",
            "_EXACT_BUDGET * n",
            (_EXP + "test_the_exact_budget_is_per_box_across_a_spanning_chunk",)),
+    # exact evaluation takes t^(1/2) as t^0
+    Mutant("exact_takes_fractional_exponents", "polyalg.py",
+           "if exact and exp.denominator != 1:",
+           "if False:",
+           (_POLY + "test_evaluate_exact_rational_points",)),
+    # t^-1 at t <= 0 passes the domain rule of every evaluation
+    Mutant("t_rule_without_negative_exponents", "polyalg.py",
+           "(exp.denominator != 1 or exp < 0)",
+           "exp.denominator != 1",
+           (_POLY + "test_evaluate_pole_is_error",)),
 ]
 
 

@@ -4,6 +4,7 @@ line completes a correct run, so a change that breaks the benchmark fails
 here first."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -69,3 +70,13 @@ def test_benchmark_command_completes_a_correct_run(tmp_path):
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0
     assert set(last["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+
+
+def test_fingerprint_tool_prints_one_line_per_workload_and_seed():
+    # tests/fingerprints.py shows a change byte-identical by a diff of its
+    # output; no hash is pinned, since numpy's ** differs between hosts
+    tool = BENCH.parent / "tests" / "fingerprints.py"
+    proc = subprocess.run([sys.executable, str(tool), "--seeds", "1", "orbit3d_heis3"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"orbit3d_heis3 seed=1 [0-9a-f]{16} errors=0\n", proc.stdout)

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
@@ -21,6 +22,11 @@ F = Fraction
 
 def P(text):
     return parse_poly(text)
+
+
+# the three evaluations, each with the number type of its points
+EVALUATIONS = ((GenPoly.evaluate, float), (GenPoly.evaluate_mp, mpmath.mpf),
+               (GenPoly.evaluate_exact, Fraction))
 
 
 def random_poly(rng, variables=("a1", "a2", "t"), max_terms=4, laurent_t=True):
@@ -105,15 +111,20 @@ def test_evaluate_basic():
 
 
 def test_evaluate_pole_is_error():
-    with pytest.raises(DomainError):
-        P("t^-1").evaluate({"t": 0.0})
-    with pytest.raises(DomainError):
-        P("t^1/2").evaluate({"t": -2.0})
+    # one domain rule for all three evaluations: t > 0 under a negative or
+    # fractional t-exponent (a loop, not a parametrization, keeps the id)
+    for evaluate, number in EVALUATIONS:
+        for t in (0, -2):
+            with pytest.raises(DomainError, match="t must be positive"):
+                evaluate(P("t^-1"), {"t": number(t)})
+        with pytest.raises(DomainError):
+            evaluate(P("t^1/2"), {"t": number(-2)})
 
 
 def test_evaluate_unbound_variable_is_error():
-    with pytest.raises(DomainError):
-        P("a1 * t").evaluate({"t": 1.0})
+    for evaluate, number in EVALUATIONS:
+        with pytest.raises(DomainError, match="'a1' is unbound"):
+            evaluate(P("a1 * t"), {"t": number(1)})
 
 
 def test_limit_t_to_infinity():
@@ -238,6 +249,28 @@ def test_evaluate_exact_rational_points():
     p = P("a1^2 * a2 - 3 * a1 + 1/2")
     val = p.evaluate_exact({"a1": F(1, 2), "a2": F(4)})
     assert val == F(1, 4) * 4 - F(3, 2) + F(1, 2)
+    with pytest.raises(DomainError, match="integer exponents"):
+        P("t^1/2").evaluate_exact({"t": F(4)})
+    # every built polynomial with integer exponents, t > 0: the exact value
+    # is the rational sum in insertion order, and 60 digits lie within
+    # 1e-50 of it, relative
+    rng = random.Random(5)
+    point = {v: F(rng.randint(-9, 9), rng.randint(1, 7)) for v in ("a1", "a2", "x", "y")}
+    point["t"] = F(rng.randint(1, 9), rng.randint(1, 7))
+    checked = 0
+    for p in built_polys():
+        if any(e.denominator != 1 for mono, _ in p.terms() for _, e in mono):
+            continue
+        want = sum((c * math.prod(point[v] ** int(e) for v, e in mono)
+                    for mono, c in p.terms()), F(0))
+        assert p.evaluate_exact(point) == want
+        with mpmath.workdps(60):
+            got = p.evaluate_mp({v: mpmath.mpf(q.numerator) / q.denominator
+                                 for v, q in point.items()})
+            want_mp = mpmath.mpf(want.numerator) / want.denominator
+            assert abs(got - want_mp) <= mpmath.mpf(10) ** -50 * abs(want_mp)
+        checked += 1
+    assert checked >= 60
 
 
 def test_text_round_trip_exact():
